@@ -201,7 +201,7 @@ struct SampleStats {
 }
 
 fn sample_stats(mut samples: Vec<f64>) -> SampleStats {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples.sort_by(f64::total_cmp);
     let n = samples.len();
     SampleStats {
         min_ms: samples[0],

@@ -26,6 +26,8 @@
 //!    `fig12_energy` harness sweep policies across topologies and traffic
 //!    patterns.
 
+#![forbid(unsafe_code)]
+
 pub mod policy;
 pub mod report;
 

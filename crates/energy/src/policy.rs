@@ -254,7 +254,7 @@ impl LinkSleep {
                 }
             }
         }
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
         // Greedy gating with a cheap strong-connectivity check per step,
         // stopping at the gated-fraction cap.
@@ -451,7 +451,7 @@ impl Dvfs {
                 .iter()
                 .copied()
                 .filter(|l| l.freq_scale > 0.0)
-                .max_by(|a, b| a.freq_scale.partial_cmp(&b.freq_scale).unwrap())
+                .max_by(|a, b| a.freq_scale.total_cmp(&b.freq_scale))
                 .unwrap_or_else(DvfsLevel::nominal)
         })
     }

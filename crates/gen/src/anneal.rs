@@ -200,7 +200,7 @@ pub fn anneal(
         if deltas.is_empty() {
             1.0
         } else {
-            deltas.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            deltas.sort_by(f64::total_cmp);
             deltas[deltas.len() / 2]
         }
     };

@@ -191,7 +191,7 @@ impl NetSmith {
         }
         let best = results
             .into_iter()
-            .min_by(|a, b| a.objective.score.partial_cmp(&b.objective.score).unwrap())
+            .min_by(|a, b| a.objective.score.total_cmp(&b.objective.score))
             .expect("at least one worker");
         if !best.objective.connected {
             return Err(PipelineError::DiscoveryFailed {

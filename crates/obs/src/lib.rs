@@ -51,6 +51,8 @@
 //! assert!(off.snapshot().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod handle;
 mod recorder;

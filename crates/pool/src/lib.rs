@@ -258,109 +258,6 @@ impl WorkerPool {
             .map(|slot| slot.expect("batch task completed without a result"))
             .collect()
     }
-
-    /// Run `main` on the calling thread while `helpers` are offered to the
-    /// pool workers, and return `main`'s result once every helper has
-    /// finished.
-    ///
-    /// This is the *assist* pattern the compiled simulator's intra-run
-    /// parallelism uses: helpers are long-lived loops that lend the caller
-    /// extra hands and exit on a caller-controlled signal.  The contract
-    /// differs from [`WorkerPool::run`] in two ways:
-    ///
-    /// * **Helpers are optional.**  They are enqueued, not awaited before
-    ///   `main` starts, and no worker is obliged to pick one up — if every
-    ///   worker is busy, `main` simply runs alone.  A helper body must
-    ///   therefore be pure acceleration: correctness may not depend on any
-    ///   helper ever starting.
-    /// * **The caller never drains helpers before `main`.**  Running a
-    ///   helper inline ahead of `main` would deadlock a helper that waits
-    ///   on `main`'s signal, so the calling thread runs `main` first and
-    ///   only then helps drain the queue (by which point the caller must
-    ///   have signalled its helpers to exit — any helper job still queued
-    ///   runs, observes the signal and returns immediately).
-    ///
-    /// `main` must leave its helpers' exit condition set even on panic
-    /// (e.g. via a drop guard); `assist` still waits for the full helper
-    /// batch before resuming the panic, so borrowed data stays valid.
-    /// Helper panics are resumed on the calling thread after `main`
-    /// completes (`main`'s own panic takes precedence).
-    pub fn assist<'env, T>(
-        &self,
-        helpers: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        main: impl FnOnce() -> T,
-    ) -> T {
-        if helpers.is_empty() {
-            return main();
-        }
-        let size = helpers.len();
-        let batch = Batch::new(size);
-        self.shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .tasks
-            .fetch_add(size as u64, Ordering::Relaxed);
-        let enqueued = Instant::now();
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            for task in helpers {
-                let batch = Arc::clone(&batch);
-                let shared = Arc::clone(&self.shared);
-                let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    shared.stats.queue_wait_us.fetch_add(
-                        enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                        Ordering::Relaxed,
-                    );
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                        let mut first = batch.panic.lock().unwrap();
-                        if first.is_none() {
-                            *first = Some(payload);
-                        }
-                    }
-                    batch.task_finished();
-                });
-                // SAFETY: as in `run` — helper jobs only borrow from the
-                // caller's frame ('env), and `assist` does not return (or
-                // resume a panic) before the batch barrier observes every
-                // helper finished.
-                let job: Job = unsafe { std::mem::transmute(job) };
-                queue.jobs.push_back(job);
-            }
-            queue.epoch += 1;
-            self.shared.work_ready.notify_all();
-        }
-
-        let outcome = catch_unwind(AssertUnwindSafe(main));
-
-        // Drain whatever is still queued (our helpers see their exit
-        // signal and return immediately; other batches' jobs run
-        // harmlessly), then wait out helpers already running on workers.
-        loop {
-            let job = {
-                let mut queue = self.shared.queue.lock().unwrap();
-                queue.jobs.pop_front()
-            };
-            match job {
-                Some(job) => job(),
-                None => break,
-            }
-        }
-        let mut remaining = batch.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = batch.done.wait(remaining).unwrap();
-        }
-        drop(remaining);
-
-        match outcome {
-            Ok(value) => {
-                if let Some(payload) = batch.panic.lock().unwrap().take() {
-                    std::panic::resume_unwind(payload);
-                }
-                value
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -517,68 +414,6 @@ mod tests {
         // an idle pool; it only has to be finite and monotone.
         let again = pool.stats();
         assert!(again.queue_wait_us >= stats.queue_wait_us);
-    }
-
-    #[test]
-    fn assist_runs_main_inline_and_waits_for_helpers() {
-        use std::sync::atomic::AtomicBool;
-        let pool = WorkerPool::new(2);
-        let stop = AtomicBool::new(false);
-        let helped = AtomicUsize::new(0);
-        let submitter = std::thread::current().id();
-        let helpers: Vec<Box<dyn FnOnce() + Send>> = (0..2)
-            .map(|_| {
-                let stop = &stop;
-                let helped = &helped;
-                Box::new(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    helped.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        let main_thread = pool.assist(helpers, || {
-            stop.store(true, Ordering::Release);
-            std::thread::current().id()
-        });
-        assert_eq!(main_thread, submitter);
-        // assist returned, so both helpers observed the stop flag.
-        assert_eq!(helped.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn assist_without_helpers_is_a_plain_call() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.assist(Vec::new(), || 41 + 1), 42);
-    }
-
-    #[test]
-    fn assist_survives_a_main_panic_with_a_guarded_exit_flag() {
-        use std::sync::atomic::AtomicBool;
-        struct SetOnDrop<'a>(&'a AtomicBool);
-        impl Drop for SetOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::Release);
-            }
-        }
-        let pool = WorkerPool::new(1);
-        let stop = AtomicBool::new(false);
-        let helper: Box<dyn FnOnce() + Send> = Box::new(|| {
-            while !stop.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.assist(vec![helper], || {
-                let _guard = SetOnDrop(&stop);
-                panic!("main exploded");
-            })
-        }));
-        assert!(result.is_err());
-        // The helper exited before assist resumed the panic, so `stop`
-        // (borrowed from this frame) was never used after free.
-        assert!(stop.load(Ordering::Acquire));
     }
 
     #[test]

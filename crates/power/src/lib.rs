@@ -17,6 +17,8 @@
 //! All figures are reported normalized to the mesh baseline, exactly like
 //! the paper's Figure 9.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 
 pub use model::{

@@ -227,8 +227,7 @@ mod tests {
         links.sort_by(|a, b| {
             layout
                 .distance_mm(a.0, a.1)
-                .partial_cmp(&layout.distance_mm(b.0, b.1))
-                .unwrap()
+                .total_cmp(&layout.distance_mm(b.0, b.1))
         });
         let activity_on = |subset: &[(usize, usize)]| ActivityProfile {
             measured_cycles: 1_000,

@@ -20,6 +20,8 @@
 //!   path-length-weighted VC load balancing.
 //! * [`table`] — the per-flow routing tables consumed by the simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod cdg;
 pub mod mclb;
 pub mod ndbt;

@@ -137,12 +137,12 @@ pub fn allocate_vcs(
         let (hot_vc, _) = occupancy
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .unwrap();
         let (cold_vc, _) = occupancy
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(b.1))
             .unwrap();
         if occupancy[hot_vc] - occupancy[cold_vc] < 1e-9 {
             break;

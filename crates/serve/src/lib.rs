@@ -19,8 +19,8 @@
 //! published through [`netsmith_obs`].
 //!
 //! Everything is deterministic: the report is a pure function of the
-//! prepared network, the config, and the seeds — bit-identical across
-//! worker-pool widths and exactly replayable, which the proptests pin.
+//! prepared network, the config, and the seeds — exactly replayable,
+//! which the proptests pin.
 //!
 //! ```
 //! use netsmith_route::paths::all_shortest_paths;
@@ -45,6 +45,8 @@
 //! assert_eq!(report.epochs, 16);
 //! assert!(report.availability > 0.0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod load;
 pub mod report;

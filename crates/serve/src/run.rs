@@ -17,7 +17,6 @@ use crate::tape::{FaultTape, TapeSpec};
 use netsmith_energy::{Dvfs, DvfsLevel, EnergyConfig, EnergyContext, GatedNetwork, LinkSleep};
 use netsmith_fault::{Fault, FaultScenario, RepairConfig, RepairPolicy, RerouteRepair};
 use netsmith_obs::{Attr, Obs};
-use netsmith_pool::WorkerPool;
 use netsmith_power::power_report_from_activity;
 use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_sim::{splitmix64, LatencyStats, NetworkSim, SimConfig, SimReport};
@@ -120,7 +119,8 @@ impl Default for ServingConfig {
     }
 }
 
-/// The prepared network a horizon starts from, plus optional extras.
+/// The prepared network a horizon starts from, plus an optional load
+/// modulation trace.
 pub struct ServingInputs<'a> {
     /// The healthy topology (faults degrade a clone of it).
     pub topology: &'a Topology,
@@ -130,9 +130,6 @@ pub struct ServingInputs<'a> {
     pub vcs: &'a VcAllocation,
     /// Optional trace whose demand shape modulates the load process.
     pub modulation: Option<&'a Trace>,
-    /// Optional worker pool for the per-epoch simulations (the global
-    /// pool when absent); results are bit-identical either way.
-    pub pool: Option<&'a WorkerPool>,
 }
 
 impl<'a> ServingInputs<'a> {
@@ -142,17 +139,11 @@ impl<'a> ServingInputs<'a> {
             routing,
             vcs,
             modulation: None,
-            pool: None,
         }
     }
 
     pub fn modulated_by(mut self, trace: &'a Trace) -> Self {
         self.modulation = Some(trace);
-        self
-    }
-
-    pub fn on_pool(mut self, pool: &'a WorkerPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 }
@@ -170,7 +161,7 @@ struct Fabric {
 ///
 /// Deterministic: the report (including every per-epoch record and the
 /// merged latency histogram) is a pure function of the inputs and the
-/// config, for any worker pool width.
+/// config.
 pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> ServingReport {
     let span = obs.span("serve.horizon");
     let process = LoadProcess::new(&config.load, config.epochs, config.seed, inputs.modulation);
@@ -329,15 +320,13 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
 
         // -- One epoch = one run segment on the compiled engine, with the
         // per-epoch probe enabled.
-        let mut builder = NetworkSim::builder(topo, routing)
+        let report = NetworkSim::builder(topo, routing)
             .vcs(vcs)
             .pattern(config.pattern.clone())
             .failed_routers(&fab.failed)
-            .config(epoch_cfg.clone());
-        if let Some(pool) = inputs.pool {
-            builder = builder.pool(pool);
-        }
-        let report = builder.compile().run(offered);
+            .config(epoch_cfg.clone())
+            .compile()
+            .run(offered);
 
         // -- Energy accounting over the epoch's wall-clock duration.
         let gated: &[(RouterId, RouterId)] = gate_plan

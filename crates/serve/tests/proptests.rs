@@ -1,15 +1,14 @@
 //! Determinism and replay properties of the serving loop: a horizon is
-//! bit-identical across worker-pool widths {1, 2, 8}, exactly
-//! replayable from its seed + fault tape (full `ServingReport` equality,
-//! per-epoch records and merged latency histogram included, plus obs
-//! counter equality), and its SLA accounting is internally consistent.
+//! exactly replayable from its seed + fault tape (full `ServingReport`
+//! equality, per-epoch records and merged latency histogram included,
+//! plus obs counter equality), and its SLA accounting is internally
+//! consistent.
 
 use netsmith_obs::{MemoryRecorder, Obs};
-use netsmith_pool::WorkerPool;
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{allocate_vcs, mclb_route, MclbConfig, RoutingTable, VcAllocation};
 use netsmith_serve::{serve, LoadSpec, PolicyKind, ServingConfig, ServingInputs, TapeSpec};
-use netsmith_sim::{ParallelMode, SimConfig};
+use netsmith_sim::SimConfig;
 use netsmith_topo::{expert, Layout, Topology};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,7 +35,7 @@ fn policy(choice: u8) -> PolicyKind {
     }
 }
 
-fn config(seed: u64, policy_choice: u8, faults: f64, parallel: ParallelMode) -> ServingConfig {
+fn config(seed: u64, policy_choice: u8, faults: f64) -> ServingConfig {
     ServingConfig {
         epochs: 24,
         load: LoadSpec {
@@ -52,7 +51,6 @@ fn config(seed: u64, policy_choice: u8, faults: f64, parallel: ParallelMode) -> 
             warmup_cycles: 80,
             measure_cycles: 300,
             drain_cycles: 150,
-            parallel,
             ..SimConfig::default()
         },
         seed,
@@ -67,11 +65,10 @@ fn counters(recorder: &MemoryRecorder) -> BTreeMap<String, u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A full serving horizon is bit-identical across worker counts
-    /// {1, 2, 8} with the parallel arbitration path forced on, and
-    /// exactly replayable: every run of the same seed + fault tape gives
-    /// the same `ServingReport` (per-epoch records and merged latency
-    /// histogram included) and the same obs counters.
+    /// A full serving horizon is exactly replayable: every run of the
+    /// same seed + fault tape gives the same `ServingReport` (per-epoch
+    /// records and merged latency histogram included) and the same obs
+    /// counters.
     #[test]
     fn horizon_is_bit_identical_across_workers_and_replays(
         topo_choice in 0u8..3,
@@ -80,7 +77,7 @@ proptest! {
         faults in 0f64..3.0,
     ) {
         let (topo, table, vcs) = network(topo_choice);
-        let cfg = config(seed, policy_choice, faults, ParallelMode::Off);
+        let cfg = config(seed, policy_choice, faults);
         let baseline_recorder = MemoryRecorder::new();
         let expected = serve(
             &ServingInputs::new(&topo, &table, &vcs),
@@ -96,20 +93,6 @@ proptest! {
         );
         prop_assert_eq!(&replay, &expected);
         prop_assert_eq!(counters(&replay_recorder), counters(&baseline_recorder));
-        // Worker-pool widths: forced-parallel runs reproduce the
-        // sequential horizon bit-for-bit, counters included.
-        let forced = config(seed, policy_choice, faults, ParallelMode::Force);
-        for workers in [1usize, 2, 8] {
-            let pool = WorkerPool::new(workers);
-            let recorder = MemoryRecorder::new();
-            let report = serve(
-                &ServingInputs::new(&topo, &table, &vcs).on_pool(&pool),
-                &forced,
-                &Obs::to(recorder.clone()),
-            );
-            prop_assert_eq!(&report, &expected, "workers {}", workers);
-            prop_assert_eq!(counters(&recorder), counters(&baseline_recorder), "workers {}", workers);
-        }
     }
 
     /// SLA accounting is internally consistent: availability in [0, 1],
@@ -124,7 +107,7 @@ proptest! {
         faults in 0f64..4.0,
     ) {
         let (topo, table, vcs) = network(topo_choice);
-        let cfg = config(seed, policy_choice, faults, ParallelMode::Off);
+        let cfg = config(seed, policy_choice, faults);
         let report = serve(&ServingInputs::new(&topo, &table, &vcs), &cfg, &Obs::noop());
         prop_assert_eq!(report.records.len() as u64, cfg.epochs);
         prop_assert!(report.availability >= 0.0 && report.availability <= 1.0 + 1e-12);
@@ -158,7 +141,7 @@ proptest! {
 #[test]
 fn link_sleep_saves_energy_without_losing_availability() {
     let (topo, table, vcs) = network(0);
-    let base = config(0xD1A2_2026, 0, 0.0, ParallelMode::Off);
+    let base = config(0xD1A2_2026, 0, 0.0);
     let mut results = Vec::new();
     for policy in PolicyKind::standard(0.12) {
         let cfg = ServingConfig {

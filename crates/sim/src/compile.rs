@@ -2,21 +2,19 @@
 //!
 //! [`NetworkSim::run`](crate::NetworkSim::run) lowers the routing table and
 //! VC allocation into dense arrays once per `(topology, table, vcs)` and
-//! then drives a hot loop built around three levers:
+//! then drives a sequential hot loop built around two levers:
 //!
-//! * **Batched injection sampling** — under
-//!   [`InjectionMode::Schedule`](crate::InjectionMode) (the default),
-//!   Bernoulli traffic comes from per-source next-injection schedules
-//!   ([`InjectionSchedule`]): geometric inter-arrival gaps are
-//!   skip-sampled once per *arrival* instead of one coin per source per
-//!   cycle, so an idle cycle draws zero RNG.  Because the injection
-//!   stream is then a pure function of `(seed, load)` — independent of
-//!   which cycles the engine visits — a commit-free cycle can jump
-//!   straight to the next ready/free/due threshold even inside the
-//!   measurement window, which is where sub-saturation sweep points spend
-//!   most of their cycles.  The reference engine consumes the identical
-//!   schedule, so the two stay bit-for-bit equal; the pre-rework
-//!   per-cycle coin order survives as `InjectionMode::LegacyCoins`.
+//! * **Batched injection sampling** — Bernoulli traffic comes from
+//!   per-source next-injection schedules ([`InjectionSchedule`]):
+//!   geometric inter-arrival gaps are skip-sampled once per *arrival*
+//!   instead of one coin per source per cycle, so an idle cycle draws
+//!   zero RNG.  Because the injection stream (like trace replay) is then
+//!   a pure function of `(seed, load)` — independent of which cycles the
+//!   engine visits — a commit-free cycle can jump straight to the next
+//!   ready/free/due threshold even inside the measurement window, which
+//!   is where sub-saturation sweep points spend most of their cycles.
+//!   The reference engine consumes the identical schedule, so the two
+//!   stay bit-for-bit equal.
 //! * **Vectorized candidate scan** — each output link keeps its
 //!   candidates as two parallel slabs: a packed `(created << 20) | slot`
 //!   tie-break key and a `ready_at` cycle.  Arbitration is a branchless
@@ -25,42 +23,25 @@
 //!   compare/select code; the packed key makes "oldest, lowest slot" a
 //!   single integer `min`, reproducing the reference scan's
 //!   first-strictly-older tie-break exactly.
-//! * **Deterministic intra-simulation parallelism** — for large networks
-//!   ([`ParallelMode`]), the per-cycle
-//!   arbitration pass is split in two: a parallel phase A precomputes a
-//!   `Decision` per active link on the shared [`WorkerPool`] (helpers only *read*
-//!   simulation state), and the sequential phase B replays the links in
-//!   ascending id order, consuming a cached decision only when the
-//!   per-router `touched` stamps prove no earlier commit invalidated it.
-//!   Results are therefore bit-identical for every worker count,
-//!   including zero.
 //!
 //! The engine replays the exact event sequence of the scan-based loop
 //! ([`NetworkSim::run_reference`](crate::NetworkSim::run_reference)): the
 //! same injection stream, the same winner for every output link, the same
 //! mid-cycle visibility of earlier links' commits.  Reports are
 //! bit-identical; the `compiled_equivalence` proptests assert that across
-//! random topologies, patterns, loads, failure masks, injection modes and
-//! worker counts.
+//! random topologies, patterns, loads, failure masks and traces.
 //!
 //! [`InjectionSchedule`]: crate::inject::InjectionSchedule
-//! [`ParallelMode`]: crate::config::ParallelMode
-//! [`WorkerPool`]: netsmith_pool::WorkerPool
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
-use crate::config::{InjectionMode, PacketClass, ParallelMode, SimConfig};
+use crate::config::{PacketClass, SimConfig};
 use crate::inject::InjectionSchedule;
-use crate::network::{point_seed, EpochSample, EpochSeries, NetworkSim, SimReport};
+use crate::network::{EpochSample, EpochSeries, NetworkSim, SimReport};
 use crate::stats::LatencyStats;
-use netsmith_pool::WorkerPool;
 use netsmith_route::{Flow, RoutingTable, VcAllocation};
 use netsmith_topo::{Layout, RouterId, Topology};
 use netsmith_trace::TraceCursor;
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Sentinel for "no link": an unrouted flow, an empty source queue, a
 /// resident with no physical output (packets on such flows block forever,
@@ -72,19 +53,6 @@ const NONE: u32 = u32::MAX;
 /// lexicographic `(created, slot)` minimum the arbitration needs.
 const SLOT_BITS: u32 = 20;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-
-/// Links per parallel work chunk: coarse enough to amortize the striding
-/// arithmetic, fine enough to balance across helpers.
-const PAR_CHUNK: usize = 16;
-/// Ceiling on arbitration helpers per simulation; beyond this the
-/// per-round hand-off outweighs the extra shards.
-const PAR_MAX_HELPERS: usize = 8;
-/// Smallest network `ParallelMode::Auto` engages for.
-const PAR_MIN_ROUTERS: usize = 48;
-/// Under `Auto`, rounds with fewer active links than this stay
-/// sequential — the hand-off costs more than the scan.  `Force` always
-/// publishes, so the equivalence tests exercise the path on any size.
-const PAR_MIN_ACTIVE: usize = 32;
 
 /// The routing table, VC allocation and link structure of one network,
 /// lowered to dense index arrays.  Owned (no borrows), built once per
@@ -297,9 +265,8 @@ fn clear_bit(active: &mut [u64], link: u32) {
     active[(link / 64) as usize] &= !(1u64 << (link % 64));
 }
 
-/// What one output link does this cycle, as computed by [`St::arbitrate`].
-/// Phase A of a parallel round precomputes these; the sequential commit
-/// pass consumes one (cached or recomputed) per active link.
+/// What one output link does this cycle, as computed by
+/// [`St::arbitrate_pre`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
     /// Still serializing: park until `free_at`.
@@ -320,15 +287,10 @@ struct Knobs<'s, 'a> {
     measure_start: u64,
     measure_end: u64,
     total_cycles: u64,
-    inject_thr: u64,
-    data_thr: u64,
-    data_flits: u32,
-    ctrl_flits: u32,
     max_flits: u64,
     link_latency: u64,
     router_latency: u64,
     num_links: usize,
-    force_parallel: bool,
 }
 
 /// Window counters folded into the final [`SimReport`].
@@ -461,9 +423,7 @@ impl EpochProbe {
     }
 }
 
-/// The mutable simulation state, gathered into one struct so the main
-/// thread can hand read-only views to arbitration helpers between its own
-/// exclusive regions.
+/// The mutable simulation state.
 struct St<'n> {
     net: &'n CompiledNetwork,
     num_vcs: usize,
@@ -493,22 +453,9 @@ struct St<'n> {
     /// Source (injection) queues plus the out-link of each queue's head.
     source_queues: Vec<VecDeque<FlatPacket>>,
     head_out: Vec<u32>,
-    /// Last cycle each router's arbitration-visible state was mutated by
-    /// a commit; a cached phase-A decision for link `(from, to)` is valid
-    /// iff neither endpoint was touched this cycle.
-    touched: Vec<u64>,
-    /// Scratch: ascending snapshot of the active set for a parallel round.
-    snap: Vec<u32>,
 }
 
 impl St<'_> {
-    /// Make `link` get examined again as soon as examining it could
-    /// matter: immediately when the link is idle, otherwise at `free_at`
-    /// through the ring — a busy link cannot commit before it frees, and
-    /// `free_at` only grows through the link's own commits (which re-arm
-    /// it themselves), so deferring the visit is exact and skips every
-    /// pointless busy-check in between.  Duplicate wake-ups are harmless:
-    /// a visit that finds nothing to do parks the link again.
     /// Park `link` in the calendar bucket for cycle `t` (one bit-OR).
     #[inline]
     fn ring_push(&mut self, t: u64, link: u32) {
@@ -517,6 +464,13 @@ impl St<'_> {
         self.ring[idx * words + (link / 64) as usize] |= 1u64 << (link % 64);
     }
 
+    /// Make `link` get examined again as soon as examining it could
+    /// matter: immediately when the link is idle, otherwise at `free_at`
+    /// through the ring — a busy link cannot commit before it frees, and
+    /// `free_at` only grows through the link's own commits (which re-arm
+    /// it themselves), so deferring the visit is exact and skips every
+    /// pointless busy-check in between.  Duplicate wake-ups are harmless:
+    /// a visit that finds nothing to do parks the link again.
     #[inline]
     fn wake(&mut self, cycle: u64, link: u32) {
         let free_at = self.lstate[link as usize].free_at;
@@ -633,60 +587,16 @@ impl St<'_> {
         }
     }
 
-    /// The rare legacy-coin injection-hit path, outlined from the
-    /// per-source coin loop.  Kept out of line deliberately: inlined, the
-    /// queue and wake machinery forces the RNG state and loop bounds into
-    /// the stack on every coin draw, and the common *miss* path pays for
-    /// it.
-    #[cold]
-    #[inline(never)]
-    fn inject_legacy(
-        &mut self,
-        k: &Knobs<'_, '_>,
-        rng: &mut SmallRng,
-        cycle: u64,
-        in_window: bool,
-        src: usize,
-        counters: &mut Counters,
-    ) {
-        // RNG draw order matches the reference loop exactly: the
-        // destination sample happens here, and the class coin only if the
-        // destination is routable and alive.
-        let Some(dst) = k.sim.pattern.sample_destination(&k.layout, src, rng) else {
-            return;
-        };
-        if !k.sim.alive[dst] {
-            return;
-        }
-        let flits = if (rng.next_u64() >> 11) < k.data_thr {
-            k.data_flits
-        } else {
-            k.ctrl_flits
-        };
-        let flow = (src * self.net.n + dst) as u32;
-        if in_window {
-            counters.packets += 1;
-            counters.window_flits += flits as u64;
-            counters.outstanding += 1;
-        }
-        self.push_source_packet(cycle, src, flits, flow);
-    }
-
-    /// Decide what output link `o` does this cycle.  Pure read — this is
-    /// the function parallel helpers run — and exactly the reference
-    /// loop's semantics: oldest eligible candidate wins, ties to the
-    /// lowest slot, the source-queue head loses ties, and a forward needs
-    /// downstream credit for the whole packet.
-    #[inline]
-    fn arbitrate(&self, o: usize, cycle: u64) -> Decision {
-        self.arbitrate_pre(o, cycle).0
-    }
-
-    /// [`St::arbitrate`] plus the winner read-out: everything the commit
-    /// needs about the winning packet, captured while its cache lines are
-    /// hot so the sequential fast path ([`St::commit_pre`]) never re-reads
-    /// the queue head, resident slab or path table.  The read-out is
-    /// meaningful only for commit decisions.
+    /// Decide what output link `o` does this cycle, with exactly the
+    /// reference loop's semantics: oldest eligible candidate wins, ties to
+    /// the lowest slot, the source-queue head loses ties, and a forward
+    /// needs downstream credit for the whole packet.
+    ///
+    /// Returns the decision plus the winner read-out: everything the
+    /// commit needs about the winning packet, captured while its cache
+    /// lines are hot so [`St::commit_pre`] never re-reads the queue head,
+    /// resident slab or path table.  The read-out is meaningful only for
+    /// commit decisions.
     #[inline]
     fn arbitrate_pre(&self, o: usize, cycle: u64) -> (Decision, Pre) {
         if self.lstate[o].free_at > cycle {
@@ -749,52 +659,9 @@ impl St<'_> {
         }
     }
 
-    /// Commit a winning decision on link `o`: dequeue the winner, account
-    /// the serialization, and either eject or forward.  Stamps the
-    /// endpoint routers' `touched` marks so later links' cached phase-A
-    /// decisions are invalidated exactly when this commit could have
-    /// changed them.
-    #[allow(clippy::too_many_arguments)]
-    fn commit(
-        &mut self,
-        o: usize,
-        cycle: u64,
-        dec: Decision,
-        k: &Knobs<'_, '_>,
-        counters: &mut Counters,
-        probe: &mut EpochProbe,
-        in_window: bool,
-    ) {
-        // Re-read the winner (the cached-decision parallel path arrives
-        // here without a read-out in hand).
-        let (from, _) = self.net.links[o];
-        let (created, flits, vc, flow, next_idx, in_link) = if dec == Decision::CommitSource {
-            let h = self.source_queues[from].front().unwrap();
-            (h.created, h.flits, h.vc, h.flow, 0u32, NONE)
-        } else {
-            let Decision::CommitSlot(slot) = dec else {
-                unreachable!("commit called on a non-commit decision");
-            };
-            let r = &self.residents[from][slot as usize];
-            (r.created, r.flits, r.vc, r.flow, r.next_idx, r.in_link)
-        };
-        let off = self.net.path_offsets[flow as usize] as usize;
-        let path_len = self.net.path_offsets[flow as usize + 1] as usize - off;
-        let pre = Pre {
-            created,
-            flits,
-            vc,
-            flow,
-            next_idx,
-            in_link,
-            off: off as u32,
-            ejecting: next_idx as usize + 1 == path_len,
-        };
-        self.commit_pre(o, cycle, dec, pre, k, counters, probe, in_window);
-    }
-
-    /// Commit with the winner read-out already in hand (the sequential
-    /// fast path, fused with [`St::arbitrate_pre`]).  Deliberately not
+    /// Commit a winning decision on link `o` with the winner read-out of
+    /// [`St::arbitrate_pre`] in hand: dequeue the winner, account the
+    /// serialization, and either eject or forward.  Deliberately not
     /// inlined: folding the commit machinery into the scan loop costs
     /// more in code size than the call saves.
     #[inline(never)]
@@ -823,7 +690,6 @@ impl St<'_> {
             ejecting,
         } = pre;
         let off = off as usize;
-        self.touched[from] = cycle;
         if from_source {
             self.source_queues[from].pop_front();
             let next_head = match self.source_queues[from].front() {
@@ -895,7 +761,6 @@ impl St<'_> {
                 probe.note_accepted(arrival, flits as u64);
             }
         } else {
-            self.touched[to] = cycle;
             self.vc_occ[o * self.num_vcs + vc as usize] += flits;
             let rb = &mut self.routers[to].buf;
             rb.accrue(cycle, k.measure_start, k.measure_end);
@@ -920,173 +785,38 @@ impl St<'_> {
     }
 }
 
-/// Shared-state cell for the parallel arbitration rounds.
-///
-/// SAFETY contract: the main thread holds `&mut St` only *between* rounds
-/// (injection, snapshot, phase B); during a published round both main and
-/// helpers hold only `&St`.  The round protocol's release/acquire pair on
-/// `ParShared::job` / `ParShared::acks` orders every prior mutation
-/// before the helpers' reads and the helpers' decision writes before the
-/// main thread's consumption.
-struct StCell<'n>(UnsafeCell<St<'n>>);
-// SAFETY: see the round protocol above; St contains only Send data.
-unsafe impl Sync for StCell<'_> {}
-
-/// One precomputed decision slot per link; participants of a round write
-/// disjoint slots (the snapshot is chunk-partitioned by rank).
-struct DecSlot(UnsafeCell<Decision>);
-// SAFETY: writes are disjoint per round and ordered by the acks fence.
-unsafe impl Sync for DecSlot {}
-
-/// Round coordination between the main simulation thread and its
-/// arbitration helpers: main publishes a round by bumping `job` (release)
-/// after staging `cycle` and the participant set; each counted helper
-/// processes its chunk stride and acknowledges the job id (release).  A
-/// helper that never started simply stays out of `live` and is excluded
-/// from the next round, so pool starvation degrades to sequential
-/// execution instead of deadlock.
-struct ParShared {
-    job: AtomicU64,
-    cycle: AtomicU64,
-    finished: AtomicBool,
-    live: Vec<AtomicBool>,
-    participating: Vec<AtomicBool>,
-    acks: Vec<AtomicU64>,
+/// Where a run's packets come from.  Both sources draw no per-cycle RNG,
+/// so a commit-free cycle can always be jumped.
+enum Injection<'t> {
+    /// Trace replay: messages due per the load-stretched trace schedule.
+    Trace(TraceCursor<'t>),
+    /// Synthetic Bernoulli traffic from the batched injection schedule.
+    Schedule(InjectionSchedule),
 }
 
-impl ParShared {
-    fn new(helpers: usize) -> Self {
-        ParShared {
-            job: AtomicU64::new(0),
-            cycle: AtomicU64::new(0),
-            finished: AtomicBool::new(false),
-            live: (0..helpers).map(|_| AtomicBool::new(false)).collect(),
-            participating: (0..helpers).map(|_| AtomicBool::new(false)).collect(),
-            acks: (0..helpers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-/// Sets `finished` when the main simulation closure exits (including by
-/// panic), so helpers never outlive the run.
-struct FinishGuard<'a>(&'a AtomicBool);
-impl Drop for FinishGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Poisons the helper's ack register if it unwinds mid-round, so the main
-/// thread fails fast instead of spinning forever.  (On a clean exit the
-/// poison lands after `finished` is set, when nobody reads acks anymore.)
-struct HelperGuard<'a> {
-    shared: &'a ParShared,
-    h: usize,
-}
-impl Drop for HelperGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.acks[self.h].store(u64::MAX, Ordering::Release);
-    }
-}
-
-/// The arbitration helper body: wait for each published round, arbitrate
-/// the chunk stride assigned by participation rank, acknowledge.
-fn helper_loop(h: usize, cell: &StCell<'_>, dec: &[DecSlot], shared: &ParShared) {
-    shared.live[h].store(true, Ordering::Release);
-    let _guard = HelperGuard { shared, h };
-    let mut seen = 0u64;
-    loop {
-        let mut spins = 0u32;
-        let job = loop {
-            let j = shared.job.load(Ordering::Acquire);
-            if j != seen {
-                break j;
-            }
-            if shared.finished.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        };
-        seen = job;
-        if !shared.participating[h].load(Ordering::Relaxed) {
-            shared.acks[h].store(job, Ordering::Release);
-            continue;
-        }
-        let mut rank = 1usize;
-        let mut parts = 1usize;
-        for (g, p) in shared.participating.iter().enumerate() {
-            if p.load(Ordering::Relaxed) {
-                parts += 1;
-                if g < h {
-                    rank += 1;
-                }
-            }
-        }
-        let cycle = shared.cycle.load(Ordering::Relaxed);
-        // SAFETY: the round protocol guarantees main holds no `&mut St`
-        // while this job id is published and unacknowledged.
-        let st = unsafe { &*cell.0.get() };
-        let len = st.snap.len();
-        let mut chunk = rank;
-        loop {
-            let lo = chunk * PAR_CHUNK;
-            if lo >= len {
-                break;
-            }
-            let hi = (lo + PAR_CHUNK).min(len);
-            for &o in &st.snap[lo..hi] {
-                let d = st.arbitrate(o as usize, cycle);
-                // SAFETY: chunk striding makes slot writes disjoint.
-                unsafe { *dec[o as usize].0.get() = d };
-            }
-            chunk += parts;
-        }
-        shared.acks[h].store(job, Ordering::Release);
-    }
-}
-
-/// The cycle loop, shared by the sequential and parallel paths (`par` is
-/// `None` when no helpers are attached).
-#[allow(clippy::too_many_arguments)]
+/// The cycle loop.
 fn run_cycles(
-    cell: &StCell<'_>,
+    st: &mut St<'_>,
     k: &Knobs<'_, '_>,
-    mut rng: SmallRng,
-    mut trace_cursor: Option<TraceCursor<'_>>,
-    mut sched: Option<InjectionSchedule>,
+    mut injection: Injection<'_>,
     counters: &mut Counters,
     probe: &mut EpochProbe,
-    par: Option<(&ParShared, &[DecSlot])>,
 ) {
     let l = k.num_links;
-    // With a schedule or a trace, injection draws no per-cycle RNG, so a
-    // commit-free cycle can be jumped even inside the measurement window;
-    // legacy coins burn one draw per source per cycle and must visit all.
-    let rng_free = trace_cursor.is_some() || sched.is_some();
     let mut cycle: u64 = 0;
     while cycle < k.total_cycles {
         let in_window = cycle >= k.measure_start && cycle < k.measure_end;
-        let mut round_parts = 0usize;
-        let mut round_job = 0u64;
-        {
-            // SAFETY: exclusive region — no round is in flight.
-            let st = unsafe { &mut *cell.0.get() };
-            probe.close_finished(cycle, &st.routers);
-            st.drain_ring(cycle);
-            // Traffic generation.  (Buffer occupancy for the router
-            // activity profile is integrated lazily at change points —
-            // see `RouterBuf::accrue` — instead of the reference loop's
-            // per-cycle sampling pass.)
-            if cycle < k.measure_end {
-                if let Some(cursor) = trace_cursor.as_mut() {
-                    // Trace replay: no coins, no RNG — drain every message
-                    // due this cycle, mirroring the reference loop's trace
-                    // branch exactly.
+        probe.close_finished(cycle, &st.routers);
+        st.drain_ring(cycle);
+        // Traffic generation.  (Buffer occupancy for the router activity
+        // profile is integrated lazily at change points — see
+        // `RouterBuf::accrue` — instead of the reference loop's per-cycle
+        // sampling pass.)
+        if cycle < k.measure_end {
+            match &mut injection {
+                Injection::Trace(cursor) => {
+                    // Trace replay: drain every message due this cycle,
+                    // mirroring the reference loop's trace branch exactly.
                     while let Some(m) = cursor.pop_due(cycle) {
                         let (src, dst) = (m.src as usize, m.dst as usize);
                         if !k.sim.alive[src] || !k.sim.alive[dst] {
@@ -1102,7 +832,8 @@ fn run_cycles(
                         }
                         st.push_source_packet(cycle, src, flits, flow);
                     }
-                } else if let Some(s) = sched.as_mut() {
+                }
+                Injection::Schedule(s) => {
                     // Batched Bernoulli sampling: only cycles with an
                     // arrival due reach the RNG at all.
                     while let Some(ev) = s.pop_due(cycle, &k.sim.pattern, &k.layout, &k.sim.alive) {
@@ -1116,217 +847,88 @@ fn run_cycles(
                         }
                         st.push_source_packet(cycle, src, ev.flits, flow);
                     }
-                } else {
-                    for (src, &alive) in k.sim.alive.iter().enumerate() {
-                        if alive && (rng.next_u64() >> 11) < k.inject_thr {
-                            let flits_before = counters.window_flits;
-                            st.inject_legacy(k, &mut rng, cycle, in_window, src, counters);
-                            // The epoch attribution stays out of the cold
-                            // injection helper: recover the injected
-                            // flits (if any) from the window counter's
-                            // delta.
-                            if in_window {
-                                probe.note_injected(cycle, counters.window_flits - flits_before);
-                            }
-                        }
-                    }
-                }
-            }
-            // Publish a parallel round over a snapshot of the active set.
-            if let Some((shared, _)) = par {
-                st.snap.clear();
-                for (w, &word) in st.active.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        st.snap.push((w * 64 + b) as u32);
-                        bits &= bits - 1;
-                    }
-                }
-                if !st.snap.is_empty() && (k.force_parallel || st.snap.len() >= PAR_MIN_ACTIVE) {
-                    let mut parts = 1usize;
-                    for (g, lv) in shared.live.iter().enumerate() {
-                        let live = lv.load(Ordering::Acquire);
-                        shared.participating[g].store(live, Ordering::Relaxed);
-                        if live {
-                            parts += 1;
-                        }
-                    }
-                    if parts > 1 {
-                        round_job = shared.job.load(Ordering::Relaxed) + 1;
-                        shared.cycle.store(cycle, Ordering::Relaxed);
-                        shared.job.store(round_job, Ordering::Release);
-                        round_parts = parts;
-                    }
                 }
             }
         }
-        // Phase A: main arbitrates its own chunk stride alongside the
-        // helpers, then waits for every counted participant's ack.
-        if round_parts > 1 {
-            let (shared, dec) = par.unwrap();
-            {
-                // SAFETY: shared-read region; helpers hold `&St` too.
-                let st = unsafe { &*cell.0.get() };
-                let len = st.snap.len();
-                let mut chunk = 0usize;
-                loop {
-                    let lo = chunk * PAR_CHUNK;
-                    if lo >= len {
-                        break;
-                    }
-                    let hi = (lo + PAR_CHUNK).min(len);
-                    for &o in &st.snap[lo..hi] {
-                        let d = st.arbitrate(o as usize, cycle);
-                        // SAFETY: chunk striding makes slot writes disjoint.
-                        unsafe { *dec[o as usize].0.get() = d };
-                    }
-                    chunk += round_parts;
-                }
+        // Visit active links in ascending id order (the reference loop's
+        // iteration order), reading the active set live so commits at
+        // earlier links are visible to later ones within the same cycle.
+        let mut committed = false;
+        let mut scan = 0usize;
+        while scan < l {
+            let word = st.active[scan / 64] & (!0u64 << (scan % 64));
+            if word == 0 {
+                scan = (scan / 64 + 1) * 64;
+                continue;
             }
-            for (h, p) in shared.participating.iter().enumerate() {
-                if !p.load(Ordering::Relaxed) {
-                    continue;
+            let o = (scan / 64) * 64 + word.trailing_zeros() as usize;
+            scan = o + 1;
+            let (d, pre) = st.arbitrate_pre(o, cycle);
+            match d {
+                Decision::Busy => {
+                    // Still serializing: park until the link frees.
+                    clear_bit(&mut st.active, o as u32);
+                    st.ring_push(st.lstate[o].free_at.min(cycle + st.ring_mask), o as u32);
                 }
-                let mut spins = 0u32;
-                loop {
-                    let a = shared.acks[h].load(Ordering::Acquire);
-                    if a == round_job {
-                        break;
+                Decision::Park(next_ready) => {
+                    // Nothing can move.  With no candidate at all the
+                    // link goes dark until an add or a new source head
+                    // re-arms it; otherwise everything is still in
+                    // flight — re-arm at the earliest arrival.
+                    clear_bit(&mut st.active, o as u32);
+                    if next_ready != u64::MAX {
+                        st.ring_push(next_ready.min(cycle + st.ring_mask), o as u32);
                     }
-                    assert_ne!(a, u64::MAX, "parallel arbitration helper panicked");
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+                }
+                Decision::CommitSource | Decision::CommitSlot(_) => {
+                    committed = true;
+                    st.commit_pre(o, cycle, d, pre, k, counters, probe, in_window);
                 }
             }
         }
-        // Phase B: visit active links in ascending id order (the
-        // reference loop's iteration order), reading the active set live
-        // so commits at earlier links are visible to later ones within
-        // the same cycle.  A cached phase-A decision is consumed only
-        // when the `touched` stamps prove no earlier commit this cycle
-        // mutated either endpoint router's arbitration-visible state.
-        let committed = {
-            // SAFETY: exclusive region — all round acks are in.
-            let st = unsafe { &mut *cell.0.get() };
-            let mut committed = false;
-            let use_snap = round_parts > 1;
-            let mut sp = 0usize;
-            let mut scan = 0usize;
-            while scan < l {
-                let word = st.active[scan / 64] & (!0u64 << (scan % 64));
-                if word == 0 {
-                    scan = (scan / 64 + 1) * 64;
-                    continue;
-                }
-                let o = (scan / 64) * 64 + word.trailing_zeros() as usize;
-                scan = o + 1;
-                let mut cached = None;
-                if use_snap {
-                    while sp < st.snap.len() && (st.snap[sp] as usize) < o {
-                        sp += 1;
-                    }
-                    if sp < st.snap.len() && st.snap[sp] as usize == o {
-                        sp += 1;
-                        let (from, to) = st.net.links[o];
-                        if st.touched[from] != cycle && st.touched[to] != cycle {
-                            let (_, dec) = par.unwrap();
-                            // SAFETY: round complete; slot write ordered
-                            // by the ack acquire above.
-                            let d = unsafe { *dec[o].0.get() };
-                            debug_assert_eq!(
-                                d,
-                                st.arbitrate(o, cycle),
-                                "stale cached arbitration at link {o}"
-                            );
-                            cached = Some(d);
-                        }
-                    }
-                }
-                let (d, pre) = match cached {
-                    Some(d) => (d, None),
-                    None => {
-                        let (d, p) = st.arbitrate_pre(o, cycle);
-                        (d, Some(p))
-                    }
-                };
-                match d {
-                    Decision::Busy => {
-                        // Still serializing: park until the link frees.
-                        clear_bit(&mut st.active, o as u32);
-                        st.ring_push(st.lstate[o].free_at.min(cycle + st.ring_mask), o as u32);
-                    }
-                    Decision::Park(next_ready) => {
-                        // Nothing can move.  With no candidate at all the
-                        // link goes dark until an add or a new source head
-                        // re-arms it; otherwise everything is still in
-                        // flight — re-arm at the earliest arrival.
-                        clear_bit(&mut st.active, o as u32);
-                        if next_ready != u64::MAX {
-                            st.ring_push(next_ready.min(cycle + st.ring_mask), o as u32);
-                        }
-                    }
-                    Decision::CommitSource | Decision::CommitSlot(_) => {
-                        committed = true;
-                        match pre {
-                            Some(p) => st.commit_pre(o, cycle, d, p, k, counters, probe, in_window),
-                            None => st.commit(o, cycle, d, k, counters, probe, in_window),
-                        }
-                    }
-                }
-            }
-            committed
-        };
         // Quiescence / idle-stretch skip.  A cycle with zero commits
         // leaves the active set empty (every visited link parked; wakes
         // only happen on commits), so the state can next change at the
-        // earliest ready/free/wake threshold — or the next scheduled
-        // injection, when injection is schedule- or trace-driven.  Jump
-        // there, or stop when there is none: only permanently stalled
-        // packets remain and the report no longer changes.  Legacy coins
-        // draw RNG every pre-measure-end cycle, so there the jump stays
-        // restricted to the drain phase.
-        if !committed && (cycle >= k.measure_end || rng_free) {
-            // SAFETY: exclusive region.
-            let st = unsafe { &mut *cell.0.get() };
-            // A commit-free scan parks every woken link, so the active set
-            // is empty and every pending state change is chained through
-            // the calendar: an arrival or busy link re-arms its link at
-            // (at most) its threshold cycle, and a clamped entry re-parks
-            // itself forward on each early visit.  The earliest non-empty
-            // bucket is therefore the exact next event — no resident or
-            // link scan needed.  What has no calendar chain is
-            // permanently stalled (unrouted or credit-deadlocked) and
-            // never changes the report again.
-            debug_assert!(st.active.iter().all(|&w| w == 0));
-            let words = st.active.len();
-            let mut next_event = u64::MAX;
-            for b in 0..=st.ring_mask {
-                if st.ring[b as usize * words..][..words]
-                    .iter()
-                    .any(|&w| w != 0)
-                {
-                    let delta = b.wrapping_sub(cycle + 1) & st.ring_mask;
-                    next_event = next_event.min(cycle + 1 + delta);
-                }
+        // earliest ready/free/wake threshold or the next due injection.
+        // Jump there, or stop when there is none: only permanently
+        // stalled packets remain and the report no longer changes.
+        if committed {
+            cycle += 1;
+            continue;
+        }
+        // A commit-free scan parks every woken link, so the active set is
+        // empty and every pending state change is chained through the
+        // calendar: an arrival or busy link re-arms its link at (at most)
+        // its threshold cycle, and a clamped entry re-parks itself forward
+        // on each early visit.  The earliest non-empty bucket is therefore
+        // the exact next event — no resident or link scan needed.  What
+        // has no calendar chain is permanently stalled (unrouted or
+        // credit-deadlocked) and never changes the report again.
+        debug_assert!(st.active.iter().all(|&w| w == 0));
+        let words = st.active.len();
+        let mut next_event = u64::MAX;
+        for b in 0..=st.ring_mask {
+            if st.ring[b as usize * words..][..words]
+                .iter()
+                .any(|&w| w != 0)
+            {
+                let delta = b.wrapping_sub(cycle + 1) & st.ring_mask;
+                next_event = next_event.min(cycle + 1 + delta);
             }
-            if cycle < k.measure_end {
-                if let Some(s) = sched.as_mut() {
+        }
+        if cycle < k.measure_end {
+            match &mut injection {
+                Injection::Schedule(s) => {
                     // Scheduled arrivals are not jump barriers in
                     // themselves: one that lands in a non-empty source
-                    // queue only appends to the tail
-                    // (`push_source_packet` wakes the first-hop link
-                    // solely on the empty→head transition), so the idle
-                    // stretch consumes such arrivals in place — same
-                    // per-source streams, same due cycles, same order —
-                    // and only ends where an arrival finds its queue
-                    // empty and can actually wake something.  Saturated
-                    // sweeps spend most of their post-collapse cycles
-                    // exactly here.
+                    // queue only appends to the tail (`push_source_packet`
+                    // wakes the first-hop link solely on the empty→head
+                    // transition), so the idle stretch consumes such
+                    // arrivals in place — same per-source streams, same
+                    // due cycles, same order — and only ends where an
+                    // arrival finds its queue empty and can actually wake
+                    // something.  Saturated sweeps spend most of their
+                    // post-collapse cycles exactly here.
                     while let Some(due) = s.next_due() {
                         if due >= next_event || due >= k.measure_end {
                             break;
@@ -1351,7 +953,8 @@ fn run_cycles(
                             break;
                         }
                     }
-                } else if let Some(t) = &trace_cursor {
+                }
+                Injection::Trace(t) => {
                     if let Some(due) = t.next_due() {
                         if due < k.measure_end {
                             next_event = next_event.min(due);
@@ -1359,20 +962,17 @@ fn run_cycles(
                     }
                 }
             }
-            if next_event == u64::MAX {
-                break;
-            }
-            cycle = next_event;
-        } else {
-            cycle += 1;
         }
+        if next_event == u64::MAX {
+            break;
+        }
+        cycle = next_event;
     }
 }
 
 /// Run one simulation at `offered_flits_per_node_cycle` on the compiled
 /// representation.  Bit-identical to
-/// [`NetworkSim::run_reference`](crate::NetworkSim::run_reference), in
-/// every injection and parallel mode, for every worker count.
+/// [`NetworkSim::run_reference`](crate::NetworkSim::run_reference).
 pub(crate) fn run_flat(
     sim: &NetworkSim<'_>,
     net: &CompiledNetwork,
@@ -1383,38 +983,26 @@ pub(crate) fn run_flat(
     let num_vcs = net.num_vcs;
     let l = net.links.len();
     let layout = sim.topo.layout().clone();
-    let rng = SmallRng::seed_from_u64(point_seed(cfg.seed, offered_flits_per_node_cycle));
-    let packets_per_cycle = (offered_flits_per_node_cycle / cfg.average_flits()).clamp(0.0, 1.0);
-    // Trace replay schedule; identical construction to the reference loop,
-    // so both engines drain the exact same injection sequence.
-    let trace_cursor = sim
-        .trace
-        .as_deref()
-        .map(|t| TraceCursor::new(t, offered_flits_per_node_cycle));
-    // Batched injection schedule (synthetic traffic, Schedule mode only);
-    // same construction as the reference engine, so both consume the
-    // identical per-source streams.
-    let sched = (sim.trace.is_none() && cfg.injection == InjectionMode::Schedule)
-        .then(|| InjectionSchedule::for_run(cfg, offered_flits_per_node_cycle, &sim.alive));
-
-    // Injection and class coins as exact integer compares: `gen_bool(p)`
-    // draws a 53-bit unit float and tests `u < p`, which is equivalent to
-    // `(bits >> 11) < ceil(p * 2^53)` — both sides of that compare are
-    // exactly representable, so one u64 comparison replaces the
-    // int-to-float conversion on the hottest RNG path while consuming the
-    // identical draw sequence.
-    const F53: f64 = 9_007_199_254_740_992.0; // 2^53
-    let inject_thr = (packets_per_cycle * F53).ceil() as u64;
-    let data_thr = (cfg.data_fraction * F53).ceil() as u64;
-    let data_flits = cfg.flits(PacketClass::Data) as u32;
-    let ctrl_flits = cfg.flits(PacketClass::Control) as u32;
+    // Trace replay cursor or batched injection schedule; identical
+    // construction to the reference loop, so both engines drain the exact
+    // same injection sequence.
+    let injection = match sim.trace.as_deref() {
+        Some(t) => Injection::Trace(TraceCursor::new(t, offered_flits_per_node_cycle)),
+        None => Injection::Schedule(InjectionSchedule::for_run(
+            cfg,
+            offered_flits_per_node_cycle,
+            &sim.alive,
+        )),
+    };
 
     // Wake-ups past the ring horizon are clamped inward — an early wake is
     // harmless (the visit just re-parks), a missed one would not be.
     // `max_flits` bounds the largest packet the run can carry; the
     // credit-release wake skip relies on it, so under trace replay the
     // trace's largest message is folded in.
-    let mut max_flits = data_flits.max(ctrl_flits) as u64;
+    let mut max_flits = cfg
+        .flits(PacketClass::Data)
+        .max(cfg.flits(PacketClass::Control)) as u64;
     if let Some(t) = sim.trace.as_deref() {
         let largest = t.messages.iter().map(|m| m.flits as u64).max();
         max_flits = max_flits.max(largest.unwrap_or(0));
@@ -1433,15 +1021,10 @@ pub(crate) fn run_flat(
         measure_start,
         measure_end,
         total_cycles,
-        inject_thr,
-        data_thr,
-        data_flits,
-        ctrl_flits,
         max_flits,
         link_latency: cfg.link_latency,
         router_latency: cfg.router_latency,
         num_links: l,
-        force_parallel: cfg.parallel == ParallelMode::Force,
     };
     let mut counters = Counters {
         stats: LatencyStats::new(),
@@ -1452,7 +1035,7 @@ pub(crate) fn run_flat(
         flits_ejected: 0,
     };
     let mut probe = EpochProbe::new(cfg, measure_start, measure_end);
-    let cell = StCell(UnsafeCell::new(St {
+    let mut st = St {
         net,
         num_vcs,
         vc_buffer_flits: cfg.vc_buffer_flits as u64,
@@ -1479,64 +1062,8 @@ pub(crate) fn run_flat(
         ring_mask,
         source_queues: vec![VecDeque::new(); n],
         head_out: vec![NONE; n],
-        touched: vec![u64::MAX; n],
-        snap: Vec::new(),
-    }));
-
-    // Engage helpers only when the mode, network size and pool width all
-    // agree; the recorded results are identical either way.
-    let pool: Option<&WorkerPool> = match cfg.parallel {
-        ParallelMode::Off => None,
-        ParallelMode::Auto => {
-            if n >= PAR_MIN_ROUTERS {
-                let p = sim.pool.unwrap_or_else(|| WorkerPool::global());
-                (p.threads() >= 2).then_some(p)
-            } else {
-                None
-            }
-        }
-        ParallelMode::Force => Some(sim.pool.unwrap_or_else(|| WorkerPool::global())),
     };
-    if let Some(pool) = pool {
-        let helper_count = pool.threads().clamp(1, PAR_MAX_HELPERS);
-        let shared = ParShared::new(helper_count);
-        let dec: Vec<DecSlot> = (0..l)
-            .map(|_| DecSlot(UnsafeCell::new(Decision::Busy)))
-            .collect();
-        let helpers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..helper_count)
-            .map(|h| {
-                let cell = &cell;
-                let shared = &shared;
-                let dec = &dec[..];
-                Box::new(move || helper_loop(h, cell, dec, shared)) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.assist(helpers, || {
-            let _finish = FinishGuard(&shared.finished);
-            run_cycles(
-                &cell,
-                &k,
-                rng,
-                trace_cursor,
-                sched,
-                &mut counters,
-                &mut probe,
-                Some((&shared, &dec)),
-            );
-        });
-    } else {
-        run_cycles(
-            &cell,
-            &k,
-            rng,
-            trace_cursor,
-            sched,
-            &mut counters,
-            &mut probe,
-            None,
-        );
-    }
-    let mut st = cell.0.into_inner();
+    run_cycles(&mut st, &k, injection, &mut counters, &mut probe);
 
     // Settle the lazily integrated buffer occupancies up to the end of the
     // measurement window, then close any epochs still open.
@@ -1645,55 +1172,6 @@ mod tests {
             .build();
         for load in [0.02, 0.3, 0.9] {
             assert_eq!(sim.run(load), sim.run_reference(load), "load {load}");
-        }
-    }
-
-    #[test]
-    fn legacy_coin_mode_matches_reference() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        let ps = all_shortest_paths(&mesh);
-        let table = mclb_route(&ps, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 42).unwrap();
-        let sim = NetworkSim::builder(&mesh, &table)
-            .vcs(&alloc)
-            .config(SimConfig {
-                injection: InjectionMode::LegacyCoins,
-                ..SimConfig::quick()
-            })
-            .build();
-        for load in [0.02, 0.3, 0.9] {
-            assert_eq!(sim.run(load), sim.run_reference(load), "load {load}");
-        }
-    }
-
-    #[test]
-    fn forced_parallelism_is_bit_identical_to_sequential() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        let ps = all_shortest_paths(&mesh);
-        let table = mclb_route(&ps, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 42).unwrap();
-        let base = SimConfig {
-            epoch_cycles: 250,
-            ..SimConfig::quick()
-        };
-        let seq = NetworkSim::builder(&mesh, &table)
-            .vcs(&alloc)
-            .config(SimConfig {
-                parallel: ParallelMode::Off,
-                ..base.clone()
-            })
-            .build();
-        let pool = WorkerPool::new(2);
-        let par = NetworkSim::builder(&mesh, &table)
-            .vcs(&alloc)
-            .pool(&pool)
-            .config(SimConfig {
-                parallel: ParallelMode::Force,
-                ..base
-            })
-            .build();
-        for load in [0.05, 0.3, 0.9] {
-            assert_eq!(par.run(load), seq.run(load), "load {load}");
         }
     }
 

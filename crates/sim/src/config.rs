@@ -1,4 +1,8 @@
 //! Simulator configuration.
+//!
+//! Synthetic traffic is always drawn from the batched injection schedule
+//! ([`crate::inject`]) and trace replay from the trace cursor; every run
+//! executes on the one sequential compiled engine.
 
 use netsmith_topo::LinkClass;
 use serde::{Deserialize, Serialize};
@@ -10,47 +14,6 @@ use serde::{Deserialize, Serialize};
 pub enum PacketClass {
     Control,
     Data,
-}
-
-/// How Bernoulli traffic is sampled (trace replay ignores this — replay
-/// draws no RNG either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum InjectionMode {
-    /// Precomputed per-source next-injection schedules: geometric
-    /// inter-arrival gaps are skip-sampled from independent per-source
-    /// streams (see [`crate::inject::InjectionSchedule`]), so a cycle with
-    /// no arrivals draws **zero** RNG and the engine can jump idle
-    /// stretches entirely.  Statistically the same Bernoulli process as
-    /// [`InjectionMode::LegacyCoins`], but a different draw sequence, so
-    /// per-sample values differ between the two modes.  Both engines
-    /// consume the identical schedule and stay bit-identical to each
-    /// other.
-    #[default]
-    Schedule,
-    /// The pre-rework draw order: one shared RNG stream, one coin per
-    /// alive source per cycle, in ascending source order.  Kept as an
-    /// explicit compatibility mode so runs recorded against the original
-    /// sequence stay reproducible.
-    LegacyCoins,
-}
-
-/// Whether one simulation may shard its per-cycle link arbitration across
-/// the shared worker pool.  Results are bit-identical in every mode and
-/// for every worker count — the parallel phase only *precomputes*
-/// arbitration decisions that the sequential commit pass re-validates —
-/// so this is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ParallelMode {
-    /// Engage for 48-router-and-larger networks when the pool has at
-    /// least two workers; smaller networks stay sequential (the per-cycle
-    /// hand-off would dominate their tiny arbitration cost).
-    #[default]
-    Auto,
-    /// Never engage.
-    Off,
-    /// Engage regardless of network size or pool width (the equivalence
-    /// tests use this to exercise the parallel path on small networks).
-    Force,
 }
 
 /// Simulator parameters (defaults follow Table IV and Section IV of the
@@ -82,7 +45,8 @@ pub struct SimConfig {
     /// measurement window are tracked to completion or until the drain
     /// budget expires).
     pub drain_cycles: u64,
-    /// RNG seed.
+    /// Seed of the injection schedule's per-source RNG streams (trace
+    /// replay draws no RNG).
     pub seed: u64,
     /// NoI clock in GHz (3.6 / 3.0 / 2.7 for small / medium / large).
     pub clock_ghz: f64,
@@ -94,11 +58,6 @@ pub struct SimConfig {
     ///
     /// [`SimReport::epochs`]: crate::SimReport::epochs
     pub epoch_cycles: u64,
-    /// How synthetic Bernoulli traffic is sampled (see [`InjectionMode`]).
-    pub injection: InjectionMode,
-    /// Whether one run may shard link arbitration across the shared worker
-    /// pool (see [`ParallelMode`]).
-    pub parallel: ParallelMode,
 }
 
 impl Default for SimConfig {
@@ -118,8 +77,6 @@ impl Default for SimConfig {
             seed: 0xBEEF,
             clock_ghz: 3.0,
             epoch_cycles: 0,
-            injection: InjectionMode::default(),
-            parallel: ParallelMode::default(),
         }
     }
 }

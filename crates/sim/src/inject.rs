@@ -1,11 +1,10 @@
 //! Batched Bernoulli injection: precomputed per-source next-injection
 //! schedules.
 //!
-//! The legacy traffic generator ([`InjectionMode::LegacyCoins`]) draws one
-//! coin per alive source per cycle — `n` RNG draws per simulated cycle
-//! whether or not anything injects, which on small networks is the single
-//! largest cost in the hot loop (trace replay, which draws no RNG, runs
-//! several times faster on the same configurations).
+//! A per-cycle Bernoulli generator draws one coin per alive source per
+//! cycle — `n` RNG draws per simulated cycle whether or not anything
+//! injects, which on small networks would be the single largest cost in
+//! the hot loop.
 //!
 //! [`InjectionSchedule`] removes the per-cycle draws by *skip sampling*
 //! the same Bernoulli process: for a per-cycle injection probability `p`,
@@ -18,22 +17,20 @@
 //! ```
 //!
 //! `u` is built from the top 53 bits of one `u64` draw (`(bits >> 11) + 1`
-//! scaled by `2^-53`), the same exact-integer construction the engines use
-//! for their coin thresholds, so the sampler is deterministic and
-//! platform-independent.  Each source owns an independent stream seeded
-//! from the run's [`point_seed`] material mixed with the source id;
-//! destination and packet-class draws come from the owning source's
-//! stream, in arrival order.  A cycle with no arrivals due draws **zero**
-//! RNG, and [`InjectionSchedule::next_due`] tells the compiled engine how
-//! far it may jump over provably idle cycles.
+//! scaled by `2^-53`), an exact-integer construction, so the sampler is
+//! deterministic and platform-independent.  Each source owns an
+//! independent stream seeded from the run's [`point_seed`] material mixed
+//! with the source id; destination and packet-class draws come from the
+//! owning source's stream, in arrival order.  A cycle with no arrivals
+//! due draws **zero** RNG, and [`InjectionSchedule::next_due`] tells the
+//! compiled engine how far it may jump over provably idle cycles.
 //!
 //! Both simulation engines construct the schedule identically from
 //! `(config, offered load, alive mask)` and consume it through the same
-//! [`InjectionSchedule::pop_due`] drain, so schedule-mode runs are
-//! bit-identical between the compiled and reference engines — the
+//! [`InjectionSchedule::pop_due`] drain, so runs are bit-identical
+//! between the compiled and reference engines — the
 //! `compiled_equivalence` proptests assert exactly that.
 //!
-//! [`InjectionMode::LegacyCoins`]: crate::InjectionMode::LegacyCoins
 //! [`point_seed`]: crate::point_seed
 
 use crate::config::{PacketClass, SimConfig};
@@ -42,15 +39,14 @@ use netsmith_topo::{Layout, TrafficPattern};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-/// 2^53: the resolution of `gen_bool`'s unit-interval draw, shared with
-/// the engines' exact-integer coin thresholds.
+/// 2^53: the resolution of a 53-bit unit-interval draw, which the
+/// exact-integer gap and class thresholds are scaled by.
 const F53: f64 = 9_007_199_254_740_992.0;
 
 /// One resolved injection: the packet `src` puts into its source queue at
 /// the cycle [`InjectionSchedule::pop_due`] returned it for.  Destination
 /// and class are already drawn and validated (dead or unroutable
-/// destinations were consumed and dropped inside the schedule, exactly as
-/// the per-cycle coin loop drops them).
+/// destinations were consumed and dropped inside the schedule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionEvent {
     /// Injecting (source) router.
@@ -71,7 +67,7 @@ const CAL_MAX_BUCKETS: usize = 4096;
 ///
 /// Arming uses a calendar ring of per-cycle source bitmaps rather than a
 /// heap: arming is one bit-OR, draining a cycle pops set bits in ascending
-/// source order (the legacy coin loop's iteration order), and a cycle with
+/// source order, and a cycle with
 /// nothing armed costs one word load.  A source whose exact due cycle
 /// overshoots the calendar parks at the far edge and re-parks forward when
 /// the drain reaches it (`due` keeps the exact cycle).
@@ -269,9 +265,8 @@ impl InjectionSchedule {
     /// destination and class from the source's stream and re-arming the
     /// source at its next gap.  Arrivals whose destination is unroutable
     /// (`sample_destination` returns `None`) or dead are consumed and
-    /// skipped — the source still advances — mirroring the coin loop's
-    /// drop semantics.  Returns `None` once nothing further is due this
-    /// cycle.
+    /// skipped — the source still advances.  Returns `None` once nothing
+    /// further is due this cycle.
     ///
     /// Events come out in `(due cycle, source)` order provided `cycle`
     /// never exceeds an armed arrival's due cycle between calls — which
@@ -303,8 +298,7 @@ impl InjectionSchedule {
             }
             let event = match pattern.sample_destination(layout, s, &mut self.streams[s]) {
                 Some(dst) if alive[dst] => {
-                    // Class coin only after the destination is validated —
-                    // the same draw structure as the legacy loop.
+                    // Class coin only after the destination is validated.
                     let flits = if (self.streams[s].next_u64() >> 11) < self.data_thr {
                         self.data_flits
                     } else {

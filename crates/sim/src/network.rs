@@ -3,23 +3,21 @@
 //! [`NetworkSim::run`] executes on a precompiled flat representation of
 //! the network (see [`crate::compile`]) that turns per-packet routing
 //! table lookups into dense array walks.  The original scan-based
-//! implementation is kept as [`NetworkSim::run_reference`]; both paths
-//! draw the same RNG stream and produce bit-identical [`SimReport`]s,
-//! which the equivalence proptests assert.
+//! implementation is kept as [`NetworkSim::run_reference`], the test
+//! oracle; both paths consume the same injection schedule (or trace
+//! cursor) and produce bit-identical [`SimReport`]s, which the
+//! equivalence proptests assert.
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
 use crate::compile::CompiledNetwork;
-use crate::config::{InjectionMode, PacketClass, SimConfig};
+use crate::config::SimConfig;
 use crate::inject::InjectionSchedule;
 use crate::stats::LatencyStats;
-use netsmith_pool::WorkerPool;
 use netsmith_route::Flow;
 use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{RouterId, Topology};
 use netsmith_trace::{Trace, TraceCursor};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -213,7 +211,6 @@ pub struct NetworkSimBuilder<'a> {
     trace: Option<Arc<Trace>>,
     config: SimConfig,
     failed: Vec<RouterId>,
-    pool: Option<&'a WorkerPool>,
 }
 
 impl<'a> NetworkSimBuilder<'a> {
@@ -267,16 +264,6 @@ impl<'a> NetworkSimBuilder<'a> {
         self
     }
 
-    /// Worker pool for intra-run parallelism (see
-    /// [`ParallelMode`](crate::ParallelMode)).  Without one, runs that
-    /// engage parallel arbitration borrow [`WorkerPool::global`]; an
-    /// explicit pool pins the worker count, which the equivalence tests
-    /// use to prove results are bit-identical across counts.
-    pub fn pool(mut self, pool: &'a WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Build the simulator.  The flat network representation is compiled
     /// lazily on the first `run` call; use [`NetworkSimBuilder::compile`]
     /// to pay that cost eagerly instead.
@@ -294,7 +281,6 @@ impl<'a> NetworkSimBuilder<'a> {
             trace: self.trace,
             config: self.config,
             alive,
-            pool: self.pool,
             compiled: OnceLock::new(),
         }
     }
@@ -325,10 +311,6 @@ pub struct NetworkSim<'a> {
     /// removes the dead router's links from the topology/routing, and this
     /// mask removes its traffic endpoints.
     pub(crate) alive: Vec<bool>,
-    /// Optional worker pool for intra-run parallel arbitration (see
-    /// [`NetworkSimBuilder::pool`]); `None` falls back to the global pool
-    /// when a run engages parallelism.
-    pub(crate) pool: Option<&'a WorkerPool>,
     /// Flat representation shared by every `run` call; compiled once per
     /// `(topology, table, vcs)` and reused across all load points of a
     /// sweep.  Independent of the `alive` mask, which only gates traffic
@@ -347,7 +329,6 @@ impl<'a> NetworkSim<'a> {
             trace: None,
             config: SimConfig::default(),
             failed: Vec::new(),
-            pool: None,
         }
     }
 
@@ -389,28 +370,26 @@ impl<'a> NetworkSim<'a> {
         crate::compile::run_flat(self, self.compiled(), offered_flits_per_node_cycle)
     }
 
-    /// The pre-rework scan-based simulation loop.  Kept verbatim (modulo
-    /// the [`point_seed`] derivation, which both paths share) as the
-    /// executable specification the compiled path is tested against —
-    /// see the `compiled_equivalence` proptests.  Prefer [`NetworkSim::run`].
+    /// The pre-rework scan-based simulation loop, polled every cycle.
+    /// Kept as the executable specification the compiled path is tested
+    /// against — see the `compiled_equivalence` proptests.  Prefer
+    /// [`NetworkSim::run`].
     pub fn run_reference(&self, offered_flits_per_node_cycle: f64) -> SimReport {
         let cfg = &self.config;
         let n = self.topo.num_routers();
         let layout = self.topo.layout().clone();
-        let mut rng = SmallRng::seed_from_u64(point_seed(cfg.seed, offered_flits_per_node_cycle));
-        // Packet injection probability per node per cycle.
-        let packets_per_cycle =
-            (offered_flits_per_node_cycle / cfg.average_flits()).clamp(0.0, 1.0);
         // Trace replay schedule, when this run replays a trace instead of
-        // drawing Bernoulli coins.
+        // sampling Bernoulli traffic.
         let mut trace_cursor = self
             .trace
             .as_deref()
             .map(|t| TraceCursor::new(t, offered_flits_per_node_cycle));
-        // Precomputed per-source injection schedule (the default
-        // [`InjectionMode::Schedule`]).  Identical construction to the
-        // compiled engine, so both drain the same event sequence.
-        let mut schedule = (self.trace.is_none() && cfg.injection == InjectionMode::Schedule)
+        // Precomputed per-source injection schedule for synthetic
+        // traffic.  Identical construction to the compiled engine, so both
+        // drain the same event sequence.
+        let mut schedule = self
+            .trace
+            .is_none()
             .then(|| InjectionSchedule::for_run(cfg, offered_flits_per_node_cycle, &self.alive));
 
         let links: Vec<(RouterId, RouterId)> = self.topo.links().collect();
@@ -486,7 +465,7 @@ impl<'a> NetworkSim<'a> {
                         source_queues[src].push_back(packet);
                     }
                 } else if let Some(sched) = schedule.as_mut() {
-                    // Schedule mode: drain the precomputed arrivals due
+                    // Synthetic traffic: drain the precomputed arrivals due
                     // this cycle (destination and class already drawn and
                     // validated inside the schedule).
                     while let Some(ev) = sched.pop_due(cycle, &self.pattern, &layout, &self.alive) {
@@ -509,44 +488,6 @@ impl<'a> NetworkSim<'a> {
                             measured_outstanding += 1;
                         }
                         source_queues[src].push_back(packet);
-                    }
-                } else {
-                    for (src, queue) in source_queues.iter_mut().enumerate() {
-                        if !self.alive[src] {
-                            continue;
-                        }
-                        if rng.gen_bool(packets_per_cycle) {
-                            if let Some(dst) =
-                                self.pattern.sample_destination(&layout, src, &mut rng)
-                            {
-                                if !self.alive[dst] {
-                                    continue;
-                                }
-                                let class = if rng.gen_bool(cfg.data_fraction) {
-                                    PacketClass::Data
-                                } else {
-                                    PacketClass::Control
-                                };
-                                let vc = self
-                                    .vcs
-                                    .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
-                                    .unwrap_or(0)
-                                    .min(cfg.num_vcs - 1);
-                                let packet = Packet {
-                                    src,
-                                    dst,
-                                    flits: cfg.flits(class),
-                                    vc,
-                                    created: cycle,
-                                };
-                                if cycle >= measure_start && cycle < measure_end {
-                                    packets_injected += 1;
-                                    flits_injected_in_window += packet.flits as u64;
-                                    measured_outstanding += 1;
-                                }
-                                queue.push_back(packet);
-                            }
-                        }
                     }
                 }
             }

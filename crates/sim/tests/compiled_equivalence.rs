@@ -6,10 +6,9 @@
 //! `PartialEq` compares every counter and every float exactly, so any
 //! divergence in event order, tie-breaking or arithmetic shows up here.
 
-use netsmith_pool::WorkerPool;
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
-use netsmith_sim::{InjectionMode, NetworkSim, ParallelMode, SimConfig, Trace};
+use netsmith_sim::{NetworkSim, SimConfig, Trace};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, Topology};
 use netsmith_trace::TraceModel;
@@ -147,9 +146,9 @@ proptest! {
     /// the same precomputed per-source schedule (the compiled engine by
     /// jumping idle stretches, the reference by polling it every cycle),
     /// so the reports must stay bit-identical across topologies ×
-    /// patterns × loads.  `InjectionMode::Schedule` is the default; this
-    /// test pins it explicitly so a default flip can't silently narrow
-    /// the coverage.
+    /// patterns × loads × packet-class mixes from all-control to
+    /// all-data (the schedule draws each arrival's class from its
+    /// source's stream).
     #[test]
     fn schedule_mode_engines_consume_one_schedule_bit_identically(
         topo_choice in 0u8..5,
@@ -157,6 +156,7 @@ proptest! {
         pattern_choice in 0u8..5,
         seed in 0u64..100_000,
         load in 0.02f64..1.0,
+        quarters in 0u8..=4,
     ) {
         let topo = topology(topo_choice, &extra);
         let paths = all_shortest_paths(&topo);
@@ -166,75 +166,11 @@ proptest! {
             .vcs(&alloc)
             .pattern(pattern(pattern_choice))
             .config(SimConfig {
-                injection: InjectionMode::Schedule,
+                data_fraction: quarters as f64 / 4.0,
                 ..equivalence_config(seed)
             })
             .build();
         prop_assert_eq!(sim.run(load), sim.run_reference(load));
-    }
-
-    /// The compatibility draw order (one shared stream, one coin per
-    /// alive source per cycle) must also agree between the engines.
-    #[test]
-    fn legacy_coin_mode_engines_stay_bit_identical(
-        topo_choice in 0u8..5,
-        pattern_choice in 0u8..5,
-        seed in 0u64..100_000,
-        load in 0.02f64..1.0,
-    ) {
-        let topo = topology(topo_choice, &[]);
-        let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 11).unwrap();
-        let sim = NetworkSim::builder(&topo, &table)
-            .vcs(&alloc)
-            .pattern(pattern(pattern_choice))
-            .config(SimConfig {
-                injection: InjectionMode::LegacyCoins,
-                ..equivalence_config(seed)
-            })
-            .build();
-        prop_assert_eq!(sim.run(load), sim.run_reference(load));
-    }
-
-    /// Deterministic intra-simulation parallelism: forcing the parallel
-    /// arbitration path onto pools of 1, 2 and 8 workers must reproduce
-    /// the sequential run bit-for-bit — the full `SimReport`, including
-    /// the `ActivityProfile` and the epoch-probe time-series (enabled
-    /// here so per-epoch counters are compared too, not just the window
-    /// totals).
-    #[test]
-    fn forced_parallel_runs_are_bit_identical_across_worker_counts(
-        topo_choice in 0u8..5,
-        pattern_choice in 0u8..5,
-        seed in 0u64..100_000,
-        load in 0.02f64..1.0,
-    ) {
-        let topo = topology(topo_choice, &[]);
-        let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig::default());
-        let alloc = allocate_vcs(&table, 6, 11).unwrap();
-        let base = SimConfig {
-            epoch_cycles: 200,
-            ..equivalence_config(seed)
-        };
-        let sequential = NetworkSim::builder(&topo, &table)
-            .vcs(&alloc)
-            .pattern(pattern(pattern_choice))
-            .config(SimConfig { parallel: ParallelMode::Off, ..base.clone() })
-            .build();
-        let expected = sequential.run(load);
-        prop_assert!(expected.epochs.is_some());
-        for workers in [1usize, 2, 8] {
-            let pool = WorkerPool::new(workers);
-            let parallel = NetworkSim::builder(&topo, &table)
-                .vcs(&alloc)
-                .pattern(pattern(pattern_choice))
-                .pool(&pool)
-                .config(SimConfig { parallel: ParallelMode::Force, ..base.clone() })
-                .build();
-            prop_assert_eq!(&parallel.run(load), &expected, "workers {}", workers);
-        }
     }
 }
 

@@ -227,7 +227,7 @@ mod tests {
         let suite = parsec_suite();
         let max = suite
             .iter()
-            .max_by(|a, b| a.l2_mpki.partial_cmp(&b.l2_mpki).unwrap())
+            .max_by(|a, b| a.l2_mpki.total_cmp(&b.l2_mpki))
             .unwrap();
         assert_eq!(max.name, "canneal");
     }

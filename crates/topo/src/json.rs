@@ -1,10 +1,10 @@
 //! A minimal JSON tree, printer and parser.
 //!
 //! The workspace's serde dependency is an offline no-op shim (see
-//! `vendor/README.md`), so — like [`crate::serialize`] — the workspace
-//! carries its own small text codec.  It lives in the base crate so both
-//! the experiment API (`netsmith-exp`, which re-exports it) and the trace
-//! format (`netsmith-trace`) can share one tree.  [`Json`] covers the
+//! `vendor/README.md`), so the workspace carries its own small text
+//! codec.  It lives in the base crate so both the experiment API
+//! (`netsmith-exp`, which re-exports it) and the trace format
+//! (`netsmith-trace`) can share one tree.  [`Json`] covers the
 //! full JSON data model; numbers are `f64` (integers round-trip exactly up
 //! to 2^53, far beyond anything a spec stores) and are printed with Rust's
 //! shortest-round-trip formatting so `parse(print(x)) == x` bit-for-bit.

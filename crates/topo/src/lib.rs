@@ -31,6 +31,8 @@
 //! * [`traffic`] — traffic patterns (uniform random, shuffle, …) expressed
 //!   as demand matrices so objectives can be traffic-weighted.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod bounds;
 pub mod cuts;
@@ -41,7 +43,6 @@ pub mod layout;
 pub mod linkclass;
 pub mod metrics;
 pub mod resilience;
-pub mod serialize;
 pub mod topology;
 pub mod traffic;
 pub mod viz;

@@ -46,6 +46,8 @@
 //!
 //! [`DemandMatrix`]: netsmith_topo::DemandMatrix
 
+#![forbid(unsafe_code)]
+
 pub mod format;
 pub mod generators;
 pub mod replay;
