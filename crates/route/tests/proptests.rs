@@ -6,34 +6,11 @@ use netsmith_route::paths::{all_shortest_paths, path_length};
 use netsmith_route::vc::verify_deadlock_free;
 use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
 use netsmith_topo::expert;
-use netsmith_topo::{Layout, LinkClass, LinkSpan, Topology};
+use netsmith_topo::Layout;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-/// A random connected topology on a 3x4 layout with generous radix.
-fn random_topology(seed: u64, extra_links: usize) -> Topology {
-    let layout = Layout::interposer_grid(3, 4, 6);
-    let mut topo = Topology::empty(
-        format!("rand{seed}"),
-        layout.clone(),
-        LinkClass::Custom(LinkSpan::new(3, 3)),
-    );
-    for (a, b) in expert::hamiltonian_ring(&layout) {
-        topo.add_bidirectional(a, b);
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n = layout.num_routers();
-    for _ in 0..extra_links {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && !topo.has_link(a, b) && topo.free_out_ports(a) > 0 && topo.free_in_ports(b) > 0
-        {
-            topo.add_link(a, b);
-        }
-    }
-    topo
-}
+mod common;
+use common::random_topology;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
