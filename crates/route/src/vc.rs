@@ -8,21 +8,29 @@
 //! journey, so each VC's routing subfunction is acyclic and the network is
 //! deadlock-free by the Dally & Seitz condition.
 //!
-//! The partitioning is iterative: all flows start in layer 0; while the
-//! layer's CDG contains a cycle, one dependency edge of the cycle is chosen
-//! (randomly, as the paper found sufficient) and every flow inducing that
-//! dependency is pushed to the next layer.  A final balancing pass spreads
-//! flows across the available VCs — keeping each VC acyclic — using
-//! path-length-weighted occupancy as the balance metric, mirroring the
-//! paper's Section IV-A.
+//! The partition is built greedily.  Flows are taken longest path first
+//! (with a seeded shuffle breaking ties), and each flow goes into the
+//! lowest layer whose CDG stays acyclic with the flow's path added; a flow
+//! that fits no layer opens a new one.  The layer count is the number of
+//! escape VCs the routing needs.  A balancing pass then spreads flows over
+//! the whole VC budget, using path-length-weighted occupancy as the balance
+//! metric as in the paper's Section IV-A: it repeatedly moves one flow from
+//! the most to the least occupied VC, never below the flow's escape layer
+//! and only when the destination VC stays acyclic.
+//!
+//! Every per-VC CDG stays acyclic throughout, so each placement or move is
+//! checked incrementally: the path is added to the destination's dense CDG,
+//! and only the dependencies it created are searched for a closing cycle
+//! (the CDG's `try_add_path`).
 
 use crate::cdg::ChannelDependencyGraph;
+use crate::paths::path_links;
 use crate::table::{Flow, RoutingTable};
 use netsmith_topo::PipelineError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Result of VC allocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,57 +67,89 @@ impl VcAllocation {
     }
 }
 
+/// Every routed flow of a table, in `table.flows()` order (ascending
+/// `Flow`), with its path as a chain of dense channel ids.
+struct ChannelChains {
+    flows: Vec<Flow>,
+    chains: Vec<Vec<u32>>,
+    num_channels: usize,
+}
+
+impl ChannelChains {
+    fn of(table: &RoutingTable) -> Self {
+        let n = table.num_routers();
+        let mut id = vec![u32::MAX; n * n];
+        let mut num_channels = 0usize;
+        let (flows, chains) = table
+            .flows()
+            .map(|(flow, path)| {
+                let chain = path_links(path)
+                    .map(|(a, b)| {
+                        let slot = &mut id[a * n + b];
+                        if *slot == u32::MAX {
+                            *slot = num_channels as u32;
+                            num_channels += 1;
+                        }
+                        *slot
+                    })
+                    .collect();
+                (flow, chain)
+            })
+            .unzip();
+        ChannelChains {
+            flows,
+            chains,
+            num_channels,
+        }
+    }
+}
+
 /// Partition the flows of a routing table into acyclic layers and balance
 /// them over `total_vcs` virtual channels.  Fails with
 /// [`PipelineError::VcBudgetExceeded`] — carrying the exact number of escape
-/// layers the partition required — when they exceed `total_vcs`.
+/// layers the partition required — when they exceed `total_vcs` (always
+/// for a budget of 0).
 pub fn allocate_vcs(
     table: &RoutingTable,
     total_vcs: usize,
     seed: u64,
 ) -> Result<VcAllocation, PipelineError> {
-    assert!(total_vcs >= 1);
     let mut rng = SmallRng::seed_from_u64(seed);
+    let ChannelChains {
+        flows,
+        chains,
+        num_channels,
+    } = ChannelChains::of(table);
 
     // Layered escape partition (DFSSSP/LASH style), built greedily: flows
     // are considered one at a time (longest paths first — they constrain
     // the CDG the most — with seeded random tie-breaking) and each flow is
     // placed in the lowest layer whose channel dependency graph stays
-    // acyclic after adding the flow's path.  Ordered maps keep the
-    // procedure deterministic for a given seed.
-    let paths: BTreeMap<Flow, Vec<usize>> = table.flows().map(|(f, p)| (f, p.to_vec())).collect();
-    let mut order: Vec<Flow> = paths.keys().copied().collect();
-    {
-        // Seeded shuffle, then stable sort by descending path length.
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        order.sort_by_key(|f| std::cmp::Reverse(paths[f].len()));
+    // acyclic after adding the flow's path.
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    for i in (1..order.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        order.swap(i, j);
     }
-    let mut layer_of: BTreeMap<Flow, usize> = BTreeMap::new();
-    let mut layer_cdgs: Vec<ChannelDependencyGraph> = vec![ChannelDependencyGraph::new()];
-    for flow in &order {
-        let path = paths[flow].as_slice();
-        let mut placed = false;
-        for (layer, cdg) in layer_cdgs.iter_mut().enumerate() {
-            let mut tentative = cdg.clone();
-            tentative.add_path(path);
-            if tentative.is_acyclic() {
-                *cdg = tentative;
-                layer_of.insert(*flow, layer);
-                placed = true;
-                break;
+    order.sort_by_key(|&f| std::cmp::Reverse(chains[f].len()));
+    let mut layer_of = vec![0usize; flows.len()];
+    let mut vc_cdgs = vec![ChannelDependencyGraph::with_channels(num_channels)];
+    for &f in &order {
+        layer_of[f] = match vc_cdgs
+            .iter_mut()
+            .position(|cdg| cdg.try_add_path(&chains[f]))
+        {
+            Some(layer) => layer,
+            None => {
+                // A path never revisits a router, so it fits an empty layer.
+                let mut cdg = ChannelDependencyGraph::with_channels(num_channels);
+                cdg.try_add_path(&chains[f]);
+                vc_cdgs.push(cdg);
+                vc_cdgs.len() - 1
             }
-        }
-        if !placed {
-            let mut cdg = ChannelDependencyGraph::new();
-            cdg.add_path(path);
-            layer_cdgs.push(cdg);
-            layer_of.insert(*flow, layer_cdgs.len() - 1);
-        }
+        };
     }
-    let num_layers = layer_cdgs.len();
+    let num_layers = vc_cdgs.len();
 
     if num_layers > total_vcs {
         return Err(PipelineError::VcBudgetExceeded {
@@ -121,10 +161,14 @@ pub fn allocate_vcs(
     // Balance: flows may move from their escape layer to any *higher* VC
     // index as long as that VC's CDG stays acyclic.  Greedily move flows
     // from the most occupied VC to the least occupied higher-indexed VC.
-    let mut assignment: BTreeMap<Flow, usize> = layer_of.clone();
-    let weight = |f: &Flow| (paths[f].len() - 1) as f64;
+    vc_cdgs.resize(
+        total_vcs,
+        ChannelDependencyGraph::with_channels(num_channels),
+    );
+    let mut assignment = layer_of.clone();
+    let weight = |f: usize| chains[f].len() as f64;
     let mut occupancy = vec![0.0f64; total_vcs];
-    for (f, &vc) in &assignment {
+    for (f, &vc) in assignment.iter().enumerate() {
         occupancy[vc] += weight(f);
     }
     // Spread into unused upper VCs.
@@ -147,31 +191,21 @@ pub fn allocate_vcs(
         if occupancy[hot_vc] - occupancy[cold_vc] < 1e-9 {
             break;
         }
-        // Try to move one flow from hot to cold, keeping the cold VC acyclic
-        // and never moving a flow below its escape layer.
-        let mut candidates: Vec<Flow> = assignment
-            .iter()
-            .filter(|(f, &vc)| vc == hot_vc && layer_of[f] <= cold_vc)
-            .map(|(f, _)| *f)
-            .collect();
-        candidates.sort();
-        for f in candidates {
-            let w = weight(&f);
+        // Try to move one flow from hot to cold, in ascending flow order,
+        // keeping the cold VC acyclic and never moving a flow below its
+        // escape layer.
+        for f in 0..flows.len() {
+            if assignment[f] != hot_vc || layer_of[f] > cold_vc {
+                continue;
+            }
+            let w = weight(f);
             // Moving must actually reduce the imbalance.
             if occupancy[hot_vc] - w < occupancy[cold_vc] + w - 1e-9 {
                 continue;
             }
-            // Check acyclicity of the destination VC with the flow added.
-            let members: Vec<Flow> = assignment
-                .iter()
-                .filter(|(_, &vc)| vc == cold_vc)
-                .map(|(f2, _)| *f2)
-                .chain(std::iter::once(f))
-                .collect();
-            let cdg =
-                ChannelDependencyGraph::from_paths(members.iter().map(|m| paths[m].as_slice()));
-            if cdg.is_acyclic() {
-                assignment.insert(f, cold_vc);
+            if vc_cdgs[cold_vc].try_add_path(&chains[f]) {
+                vc_cdgs[hot_vc].remove_path(&chains[f]);
+                assignment[f] = cold_vc;
                 occupancy[hot_vc] -= w;
                 occupancy[cold_vc] += w;
                 improved = true;
@@ -180,9 +214,9 @@ pub fn allocate_vcs(
         }
     }
 
-    let num_vcs = assignment.values().copied().max().unwrap_or(0) + 1;
+    let num_vcs = assignment.iter().copied().max().unwrap_or(0) + 1;
     Ok(VcAllocation {
-        assignment: assignment.into_iter().collect::<HashMap<_, _>>(),
+        assignment: flows.into_iter().zip(assignment).collect(),
         num_vcs,
         escape_layers: num_layers,
         occupancy,
@@ -190,20 +224,22 @@ pub fn allocate_vcs(
 }
 
 /// Verify that an allocation is deadlock-free: for every VC, the CDG of the
-/// flows assigned to it must be acyclic.
+/// flows assigned to it must be acyclic.  Flows without a VC below
+/// `num_vcs` are not part of any VC.
 pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool {
-    for vc in 0..alloc.num_vcs {
-        let members: Vec<&[usize]> = table
-            .flows()
-            .filter(|(f, _)| alloc.assignment.get(f) == Some(&vc))
-            .map(|(_, p)| p)
-            .collect();
-        let cdg = ChannelDependencyGraph::from_paths(members);
-        if !cdg.is_acyclic() {
-            return false;
-        }
-    }
-    true
+    let routed = ChannelChains::of(table);
+    let mut vc_cdgs =
+        vec![ChannelDependencyGraph::with_channels(routed.num_channels); alloc.num_vcs];
+    // Each per-VC CDG starts empty, so the first path it rejects proves the
+    // VC's full CDG cyclic.
+    routed
+        .flows
+        .iter()
+        .zip(&routed.chains)
+        .all(|(flow, chain)| match alloc.assignment.get(flow) {
+            Some(&vc) if vc < alloc.num_vcs => vc_cdgs[vc].try_add_path(chain),
+            _ => true,
+        })
 }
 
 #[cfg(test)]
@@ -303,6 +339,29 @@ mod tests {
             }
             other => panic!("expected VcBudgetExceeded, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_vc_budget_is_a_typed_error() {
+        let layout = Layout::noi_4x5();
+        let ps = all_shortest_paths(&expert::mesh(&layout));
+        let (table, _) = ndbt_route(&layout, &ps, 3);
+        let needed = allocate_vcs(&table, 6, 11).unwrap().escape_layers;
+        match allocate_vcs(&table, 0, 11) {
+            Err(PipelineError::VcBudgetExceeded { needed: n, budget }) => {
+                assert_eq!((n, budget), (needed, 0));
+            }
+            other => panic!("expected VcBudgetExceeded, got {other:?}"),
+        }
+        // An empty table still needs its one (empty) escape layer.
+        let empty = crate::table::RoutingTable::new(4, "none");
+        assert!(matches!(
+            allocate_vcs(&empty, 0, 1),
+            Err(PipelineError::VcBudgetExceeded {
+                needed: 1,
+                budget: 0
+            })
+        ));
     }
 
     #[test]
