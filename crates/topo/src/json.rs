@@ -11,6 +11,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level, so the bound keeps hostile input (a spec or
+/// trace header of 100 000 `[`) from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -79,11 +84,12 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document.  Fails on malformed input and on arrays or
+    /// objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -169,10 +175,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays/objects are `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -186,7 +197,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -208,7 +219,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -330,6 +341,18 @@ mod tests {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&limit).is_ok());
+        let over = format!("[{limit}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]
