@@ -79,9 +79,16 @@ fn bench_metrics(c: &mut Criterion) {
     group.bench_function("bisection_bandwidth_20r", |b| {
         b.iter(|| cuts::bisection_bandwidth(&kite))
     });
+    let torus = expert::folded_torus(&layout);
+    group.bench_function("topology_metrics_20r", |b| {
+        b.iter(|| TopologyMetrics::compute(&torus))
+    });
     let big = expert::folded_torus(&Layout::noi_8x6());
     group.bench_function("sparsest_cut_heuristic_48r", |b| {
         b.iter(|| cuts::sparsest_cut_heuristic(&big, 8, 1))
+    });
+    group.bench_function("topology_metrics_48r", |b| {
+        b.iter(|| TopologyMetrics::compute(&big))
     });
     group.finish();
 }

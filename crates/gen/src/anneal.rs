@@ -714,7 +714,7 @@ mod tests {
             ..AnnealConfig::quick()
         };
         let result = anneal(&problem, &cfg, 0.0, &Obs::noop());
-        let d = netsmith_topo::metrics::diameter(&result.topology).unwrap();
+        let d = TopoAnalysis::new(&result.topology).diameter().unwrap();
         assert!(d <= 5, "diameter {d} far above the requested bound");
     }
 

@@ -237,9 +237,10 @@ impl TopoAnalysis {
             .copied()
     }
 
-    /// Demand-weighted average hop count (`f64::INFINITY` when some pair
-    /// with positive demand is unreachable), mirroring
-    /// [`metrics::weighted_average_hops`] but reusing the cached distances.
+    /// Demand-weighted average hop count: `sum(demand[s][d] * hops(s,d)) /
+    /// sum(demand)` over pairs with positive demand, `0.0` when there is no
+    /// demand and `f64::INFINITY` when some pair with positive demand is
+    /// unreachable.
     pub fn demand_weighted_hops(&self, demand: &DemandMatrix) -> f64 {
         let n = self.n;
         assert_eq!(demand.num_nodes(), n, "demand matrix size mismatch");
@@ -376,11 +377,16 @@ mod tests {
 
     #[test]
     fn fresh_analysis_matches_metrics() {
+        // Reduce the BFS matrix by hand and compare with the cached sums.
         let mesh = expert::mesh(&Layout::noi_4x5());
+        let n = mesh.num_routers();
+        let dist = metrics::all_pairs_hops(&mesh);
+        let off_diagonal = || (0..n * n).filter(|&i| i / n != i % n).map(|i| dist[i]);
+        let total: u64 = off_diagonal().map(u64::from).sum();
         let analysis = TopoAnalysis::new(&mesh);
-        assert_eq!(analysis.total_hops(), metrics::total_hops(&mesh));
-        assert_eq!(analysis.diameter(), metrics::diameter(&mesh));
-        assert!((analysis.average_hops() - metrics::average_hops(&mesh)).abs() < 1e-12);
+        assert_eq!(analysis.total_hops(), Some(total));
+        assert_eq!(analysis.diameter(), off_diagonal().max());
+        assert_eq!(analysis.average_hops(), total as f64 / (n * (n - 1)) as f64);
         assert_eq!(
             analysis.min_directional_degree(),
             resilience::min_directional_degree(&mesh)
@@ -467,10 +473,17 @@ mod tests {
     fn demand_weighted_hops_matches_metrics() {
         let layout = Layout::noi_4x5();
         let topo = expert::kite_medium(&layout);
+        let n = topo.num_routers();
         let demand = crate::traffic::TrafficPattern::Shuffle.demand_matrix(&layout);
-        let analysis = TopoAnalysis::new(&topo);
-        let cached = analysis.demand_weighted_hops(&demand);
-        let scratch = metrics::weighted_average_hops(&topo, &demand);
-        assert!((cached - scratch).abs() < 1e-12);
+        let dist = metrics::all_pairs_hops(&topo);
+        let (mut total, mut weight) = (0.0, 0.0);
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s) {
+                total += demand.demand(s, d) * dist[s * n + d] as f64;
+                weight += demand.demand(s, d);
+            }
+        }
+        let cached = TopoAnalysis::new(&topo).demand_weighted_hops(&demand);
+        assert!((cached - total / weight).abs() < 1e-12);
     }
 }

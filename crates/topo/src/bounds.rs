@@ -16,31 +16,10 @@
 //! clock frequency and the average packet length, which the simulator and
 //! benchmark harness apply.
 
+use crate::analysis::TopoAnalysis;
 use crate::cuts;
-use crate::metrics;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
-
-/// Cut-based saturation throughput bound (flits/node/cycle).
-pub fn cut_throughput_bound(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    if n < 2 {
-        return 0.0;
-    }
-    let cut = cuts::sparsest_cut(topo);
-    cut.normalized_bandwidth * (n - 1) as f64
-}
-
-/// Link-occupancy saturation throughput bound (flits/node/cycle) under
-/// minimal (shortest-path) routing.
-pub fn occupancy_throughput_bound(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    let avg = metrics::average_hops(topo);
-    if !avg.is_finite() || avg <= 0.0 {
-        return 0.0;
-    }
-    topo.num_directed_links() as f64 / (n as f64 * avg)
-}
 
 /// Combined bound report.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,9 +36,27 @@ pub struct ThroughputBounds {
 impl ThroughputBounds {
     /// Compute all bounds for a topology.
     pub fn compute(topo: &Topology) -> Self {
+        // A cut needs two routers; below that the cut bound is zero anyway.
+        let sparsest_cut = if topo.num_routers() < 2 {
+            0.0
+        } else {
+            cuts::sparsest_cut(topo).normalized_bandwidth
+        };
+        Self::from_parts(topo, sparsest_cut, TopoAnalysis::new(topo).average_hops())
+    }
+
+    /// The bounds of `topo` given its normalized sparsest-cut bandwidth and
+    /// average hop count.
+    pub(crate) fn from_parts(topo: &Topology, sparsest_cut: f64, average_hops: f64) -> Self {
+        let n = topo.num_routers();
+        let occupancy_bound = if !average_hops.is_finite() || average_hops <= 0.0 {
+            0.0
+        } else {
+            topo.num_directed_links() as f64 / (n as f64 * average_hops)
+        };
         ThroughputBounds {
-            cut_bound: cut_throughput_bound(topo),
-            occupancy_bound: occupancy_throughput_bound(topo),
+            cut_bound: sparsest_cut * n.saturating_sub(1) as f64,
+            occupancy_bound,
             injection_bound: 1.0,
         }
     }
@@ -105,15 +102,18 @@ mod tests {
         let layout = Layout::noi_4x5();
         let mesh = expert::mesh(&layout);
         let torus = expert::folded_torus(&layout);
-        assert!(cut_throughput_bound(&torus) > cut_throughput_bound(&mesh));
+        assert!(
+            ThroughputBounds::compute(&torus).cut_bound
+                > ThroughputBounds::compute(&mesh).cut_bound
+        );
     }
 
     #[test]
     fn occupancy_bound_formula() {
         let mesh = expert::mesh(&Layout::noi_4x5());
-        let avg = crate::metrics::average_hops(&mesh);
+        let avg = TopoAnalysis::new(&mesh).average_hops();
         let expected = mesh.num_directed_links() as f64 / (20.0 * avg);
-        assert!((occupancy_throughput_bound(&mesh) - expected).abs() < 1e-12);
+        assert!((ThroughputBounds::compute(&mesh).occupancy_bound - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -121,8 +121,8 @@ mod tests {
         use crate::linkclass::LinkClass;
         use crate::topology::Topology;
         let t = Topology::empty("empty", Layout::noi_4x5(), LinkClass::Small);
-        assert_eq!(occupancy_throughput_bound(&t), 0.0);
         let b = ThroughputBounds::compute(&t);
+        assert_eq!(b.occupancy_bound, 0.0);
         assert_eq!(b.limiting(), 0.0);
     }
 

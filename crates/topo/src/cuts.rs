@@ -10,12 +10,14 @@
 //! must cross the cut.  For asymmetric topologies the minimum of the two
 //! directions is taken, because the weaker direction is the true bottleneck.
 //!
-//! For the paper's 20-router configurations the sparsest cut is computed
-//! exhaustively (2^19 bipartitions); for larger networks (30/48 routers) an
-//! exhaustive sweep is infeasible, so a seeded multi-start local-search
-//! (Kernighan–Lin style single-node moves) is used instead, which matches
-//! how we use the metric (as an optimization objective and reporting
-//! statistic, not a proof of optimality).
+//! Up to [`EXHAUSTIVE_LIMIT`] routers (the paper's 20-router configurations)
+//! both metrics are exact and come from one sweep over the 2^(n-1)
+//! bipartitions.  For larger networks (30/48 routers) an exhaustive sweep is
+//! infeasible, so seeded multi-start local searches are used instead
+//! (Kernighan–Lin style single-node moves for the sparsest cut, balanced
+//! pair swaps for the bisection), which matches how we use the metrics (as
+//! optimization objectives and reporting statistics, not proofs of
+//! optimality).
 
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
@@ -89,47 +91,49 @@ fn report_for(topo: &Topology, in_u: &[bool], exact: bool) -> CutReport {
 /// EXHAUSTIVE_LIMIT`).  The partition containing router 0 is fixed to `U`
 /// to avoid enumerating mirror-image cuts twice.
 pub fn sparsest_cut_exhaustive(topo: &Topology) -> CutReport {
+    exhaustive_cuts(topo).0
+}
+
+/// One sweep over every bipartition with router 0 in `U` (bit `i` of the
+/// membership mask is router `i`).  Returns the first mask-order strict
+/// minimum of the normalized crossing capacity, as a report, together with
+/// the bisection bandwidth: the minimum weaker-direction crossing count
+/// over balanced bipartitions (sides differing by at most one router).
+fn exhaustive_cuts(topo: &Topology) -> (CutReport, f64) {
     let n = topo.num_routers();
     assert!(
         n <= EXHAUSTIVE_LIMIT,
-        "exhaustive sparsest cut limited to {EXHAUSTIVE_LIMIT} routers"
+        "exhaustive cut enumeration limited to {EXHAUSTIVE_LIMIT} routers"
     );
     assert!(n >= 2);
-    // Collect links once for the inner loop.
     let links: Vec<(usize, usize)> = topo.links().collect();
-    let mut best: Option<(f64, Vec<bool>)> = None;
-    // Router 0 always in U; enumerate membership of routers 1..n.
-    let combos: u64 = 1u64 << (n - 1);
-    for mask in 0..combos {
-        let mut in_u = vec![false; n];
-        in_u[0] = true;
-        let mut size_u = 1usize;
-        for b in 0..(n - 1) {
-            if (mask >> b) & 1 == 1 {
-                in_u[b + 1] = true;
-                size_u += 1;
-            }
-        }
-        if size_u == n {
-            continue; // V must be non-empty
-        }
+    let mut best_norm = f64::INFINITY;
+    let mut best_members = 1u64;
+    let mut bisection = usize::MAX;
+    // The all-`U` mask (V empty) is the last one, so it is never visited.
+    for mask in 0..(1u64 << (n - 1)) - 1 {
+        let members = (mask << 1) | 1;
+        let size_u = members.count_ones() as usize;
         let size_v = n - size_u;
         let mut fwd = 0usize;
         let mut bwd = 0usize;
         for &(i, j) in &links {
-            match (in_u[i], in_u[j]) {
-                (true, false) => fwd += 1,
-                (false, true) => bwd += 1,
-                _ => {}
-            }
+            let (a, b) = ((members >> i) & 1, (members >> j) & 1);
+            fwd += (a & !b) as usize;
+            bwd += (!a & b) as usize;
         }
-        let norm = fwd.min(bwd) as f64 / (size_u * size_v) as f64;
-        if best.as_ref().is_none_or(|(b, _)| norm < *b) {
-            best = Some((norm, in_u));
+        let crossing = fwd.min(bwd);
+        let norm = crossing as f64 / (size_u * size_v) as f64;
+        if norm < best_norm {
+            best_norm = norm;
+            best_members = members;
+        }
+        if size_u.abs_diff(size_v) <= 1 {
+            bisection = bisection.min(crossing);
         }
     }
-    let (_, in_u) = best.expect("at least one cut exists");
-    report_for(topo, &in_u, true)
+    let in_u: Vec<bool> = (0..n).map(|i| (best_members >> i) & 1 == 1).collect();
+    (report_for(topo, &in_u, true), bisection as f64)
 }
 
 /// Heuristic sparsest cut: multi-start single-node-move local search.
@@ -200,44 +204,21 @@ pub fn sparsest_cut(topo: &Topology) -> CutReport {
 /// links crossing the bisection, i.e. the directed crossing count of the
 /// weaker direction.
 pub fn bisection_bandwidth(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    if n <= EXHAUSTIVE_LIMIT {
-        bisection_exhaustive(topo)
+    if topo.num_routers() <= EXHAUSTIVE_LIMIT {
+        exhaustive_cuts(topo).1
     } else {
         bisection_heuristic(topo, 64, 0xB15EC)
     }
 }
 
-fn bisection_exhaustive(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    let half = n / 2;
-    let links: Vec<(usize, usize)> = topo.links().collect();
-    let mut best = f64::INFINITY;
-    let combos: u64 = 1u64 << (n - 1);
-    for mask in 0..combos {
-        let size_u = 1 + mask.count_ones() as usize;
-        if size_u != half {
-            continue;
-        }
-        let mut in_u = vec![false; n];
-        in_u[0] = true;
-        for b in 0..(n - 1) {
-            if (mask >> b) & 1 == 1 {
-                in_u[b + 1] = true;
-            }
-        }
-        let mut fwd = 0usize;
-        let mut bwd = 0usize;
-        for &(i, j) in &links {
-            match (in_u[i], in_u[j]) {
-                (true, false) => fwd += 1,
-                (false, true) => bwd += 1,
-                _ => {}
-            }
-        }
-        best = best.min(fwd.min(bwd) as f64);
+/// [`sparsest_cut`] and [`bisection_bandwidth`] together, from a single
+/// enumeration when the router count permits.
+pub(crate) fn sparsest_cut_and_bisection(topo: &Topology) -> (CutReport, f64) {
+    if topo.num_routers() <= EXHAUSTIVE_LIMIT {
+        exhaustive_cuts(topo)
+    } else {
+        (sparsest_cut(topo), bisection_bandwidth(topo))
     }
-    best
 }
 
 fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
@@ -381,6 +362,21 @@ mod tests {
         let bb = bisection_heuristic(&mesh, 64, 0xB15EC);
         assert!(bb >= 5.0, "heuristic produced an impossible cut {bb}");
         assert!(bb <= 7.0, "heuristic far from the optimum: {bb}");
+    }
+
+    #[test]
+    fn odd_bisection_considers_router_zero_on_the_larger_side() {
+        // A 9-router star around router 0: the 5/4 split with the hub on the
+        // larger side severs 4 spokes, the 4/5 split with it on the smaller
+        // side severs 5.
+        let spokes: Vec<(usize, usize)> = (1..9).map(|leaf| (0, leaf)).collect();
+        let star = Topology::from_bidirectional_links(
+            "star9",
+            Layout::interposer_grid(3, 3, 4),
+            LinkClass::Custom(LinkSpan::new(8, 8)),
+            &spokes,
+        );
+        assert_eq!(bisection_bandwidth(&star), 4.0);
     }
 
     #[test]

@@ -48,12 +48,12 @@ pub mod traffic;
 pub mod viz;
 
 pub use analysis::TopoAnalysis;
-pub use bounds::{cut_throughput_bound, occupancy_throughput_bound, ThroughputBounds};
+pub use bounds::ThroughputBounds;
 pub use cuts::{bisection_bandwidth, sparsest_cut, CutReport};
 pub use error::PipelineError;
 pub use layout::{Layout, NodeKind, RouterId};
 pub use linkclass::{LinkClass, LinkSpan};
-pub use metrics::{all_pairs_hops, average_hops, diameter, is_strongly_connected, TopologyMetrics};
+pub use metrics::{all_pairs_hops, average_hops, is_strongly_connected, TopologyMetrics};
 pub use resilience::{
     critical_link_pairs, duplex_pairs, is_strongly_connected_among, min_directional_degree,
     unreachable_pairs_among,

@@ -1,14 +1,18 @@
-//! Analytical topology metrics: hop distances, average hops, diameter.
+//! Analytical topology metrics: hop distances and the Table II report.
 //!
 //! At low loads the end-to-end latency of a packet is (average hops) x
 //! (per-hop delay), so the paper uses the average hop count under uniform
 //! all-to-all traffic as its latency proxy (objective O1 / constraint C5 in
-//! Table I).  These helpers compute exact all-pairs shortest hop distances
-//! by breadth-first search from every source, which for the network sizes
-//! of interest (20–48 routers) is far cheaper than a general Floyd–Warshall
-//! and is used both by the metric reports and by the optimizer's
-//! incremental evaluation.
+//! Table I).  [`all_pairs_hops`] computes exact all-pairs shortest hop
+//! distances by breadth-first search from every source, which for the
+//! network sizes of interest (20–48 routers) is far cheaper than a general
+//! Floyd–Warshall.  Every reduction of that matrix (average, total and
+//! demand-weighted hops, diameter, reachability) lives on
+//! [`TopoAnalysis`]; the free functions here are one-call conveniences for
+//! code that needs a single answer about a topology.
 
+use crate::analysis::TopoAnalysis;
+use crate::bounds::ThroughputBounds;
 use crate::cuts;
 use crate::topology::Topology;
 use crate::traffic::DemandMatrix;
@@ -48,145 +52,31 @@ pub fn all_pairs_hops(topo: &Topology) -> Vec<u32> {
 
 /// Number of ordered `(s, d)` pairs (s != d) with no directed path.
 pub fn unreachable_pairs(topo: &Topology) -> usize {
-    let n = topo.num_routers();
-    let dist = all_pairs_hops(topo);
-    let mut count = 0;
-    for s in 0..n {
-        for d in 0..n {
-            if s != d && dist[s * n + d] == UNREACHABLE {
-                count += 1;
-            }
-        }
-    }
-    count
+    TopoAnalysis::new(topo).unreachable_pairs()
 }
 
 /// True when every router can reach every other router.
 pub fn is_strongly_connected(topo: &Topology) -> bool {
-    unreachable_pairs(topo) == 0
+    TopoAnalysis::new(topo).is_connected()
 }
 
 /// Average hop count over all ordered source/destination pairs (excluding
 /// self pairs), i.e. the unweighted latency proxy from the paper's Table II.
 /// Returns `f64::INFINITY` when the topology is not strongly connected.
 pub fn average_hops(topo: &Topology) -> f64 {
-    let n = topo.num_routers();
-    let dist = all_pairs_hops(topo);
-    let mut total = 0u64;
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let h = dist[s * n + d];
-            if h == UNREACHABLE {
-                return f64::INFINITY;
-            }
-            total += h as u64;
-        }
-    }
-    total as f64 / (n * (n - 1)) as f64
+    TopoAnalysis::new(topo).average_hops()
 }
 
 /// Demand-weighted average hop count: `sum(demand[s][d] * hops(s,d)) /
 /// sum(demand)`.  Used for pattern-optimized topologies (e.g. the paper's
 /// shuffle-optimized "NS ShufOpt" networks).
 pub fn weighted_average_hops(topo: &Topology, demand: &DemandMatrix) -> f64 {
-    let n = topo.num_routers();
-    assert_eq!(demand.num_nodes(), n, "demand matrix size mismatch");
-    let dist = all_pairs_hops(topo);
-    let mut total = 0.0;
-    let mut weight = 0.0;
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let w = demand.demand(s, d);
-            if w <= 0.0 {
-                continue;
-            }
-            let h = dist[s * n + d];
-            if h == UNREACHABLE {
-                return f64::INFINITY;
-            }
-            total += w * h as f64;
-            weight += w;
-        }
-    }
-    if weight == 0.0 {
-        0.0
-    } else {
-        total / weight
-    }
+    TopoAnalysis::new(topo).demand_weighted_hops(demand)
 }
 
 /// Total hop count: the raw objective `O1 = sum_{s,d} D(s,d)` of Table I.
 pub fn total_hops(topo: &Topology) -> Option<u64> {
-    let n = topo.num_routers();
-    let dist = all_pairs_hops(topo);
-    let mut total = 0u64;
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let h = dist[s * n + d];
-            if h == UNREACHABLE {
-                return None;
-            }
-            total += h as u64;
-        }
-    }
-    Some(total)
-}
-
-/// Network diameter: the maximum shortest-path hop distance over all pairs,
-/// or `None` when the topology is not strongly connected.
-pub fn diameter(topo: &Topology) -> Option<u32> {
-    let n = topo.num_routers();
-    let dist = all_pairs_hops(topo);
-    let mut max = 0;
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let h = dist[s * n + d];
-            if h == UNREACHABLE {
-                return None;
-            }
-            max = max.max(h);
-        }
-    }
-    Some(max)
-}
-
-/// Full distribution of shortest-path hop counts across ordered pairs.
-/// Index `h` holds the number of pairs at exactly `h` hops.  Used to verify
-/// the paper's observation that NetSmith shifts the whole latency
-/// distribution downward rather than trading some pairs off against others.
-pub fn hop_histogram(topo: &Topology) -> Vec<usize> {
-    let n = topo.num_routers();
-    let dist = all_pairs_hops(topo);
-    let mut hist = Vec::new();
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let h = dist[s * n + d];
-            if h == UNREACHABLE {
-                continue;
-            }
-            let h = h as usize;
-            if hist.len() <= h {
-                hist.resize(h + 1, 0);
-            }
-            hist[h] += 1;
-        }
-    }
-    hist
+    TopoAnalysis::new(topo).total_hops()
 }
 
 /// Aggregated metric report for one topology, matching the columns of the
@@ -208,18 +98,22 @@ pub struct TopologyMetrics {
 }
 
 impl TopologyMetrics {
-    /// Compute the full metric report for a topology.
+    /// Compute the full metric report for a topology: one all-pairs BFS
+    /// and one cut computation feed every field.
     pub fn compute(topo: &Topology) -> Self {
-        let bounds = crate::bounds::ThroughputBounds::compute(topo);
+        let analysis = TopoAnalysis::new(topo);
+        let (cut, bisection_bandwidth) = cuts::sparsest_cut_and_bisection(topo);
+        let average_hops = analysis.average_hops();
+        let bounds = ThroughputBounds::from_parts(topo, cut.normalized_bandwidth, average_hops);
         TopologyMetrics {
             name: topo.name().to_string(),
             class: topo.class().name(),
             num_routers: topo.num_routers(),
             num_links: topo.num_links(),
-            diameter: diameter(topo),
-            average_hops: average_hops(topo),
-            bisection_bandwidth: cuts::bisection_bandwidth(topo),
-            sparsest_cut: cuts::sparsest_cut(topo).normalized_bandwidth,
+            diameter: analysis.diameter(),
+            average_hops,
+            bisection_bandwidth,
+            sparsest_cut: cut.normalized_bandwidth,
             cut_bound: bounds.cut_bound,
             occupancy_bound: bounds.occupancy_bound,
         }
@@ -289,21 +183,11 @@ mod tests {
     #[test]
     fn mesh_average_hops_and_diameter() {
         let mesh = expert::mesh(&Layout::noi_4x5());
-        let d = diameter(&mesh).unwrap();
+        let d = TopoAnalysis::new(&mesh).diameter().unwrap();
         // 4x5 mesh diameter = (4-1)+(5-1) = 7
         assert_eq!(d, 7);
         let avg = average_hops(&mesh);
         assert!(avg > 2.5 && avg < 3.5, "mesh avg hops {avg}");
-    }
-
-    #[test]
-    fn hop_histogram_sums_to_pairs() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        let hist = hop_histogram(&mesh);
-        let total: usize = hist.iter().sum();
-        assert_eq!(total, 20 * 19);
-        // No pairs at distance 0 (diagonal excluded).
-        assert_eq!(hist[0], 0);
     }
 
     #[test]
@@ -318,7 +202,7 @@ mod tests {
     fn disconnected_topology_reports_infinite_metrics() {
         let t = Topology::empty("empty", Layout::noi_4x5(), LinkClass::Small);
         assert_eq!(average_hops(&t), f64::INFINITY);
-        assert_eq!(diameter(&t), None);
+        assert_eq!(TopoAnalysis::new(&t).diameter(), None);
         assert_eq!(total_hops(&t), None);
         assert!(!is_strongly_connected(&t));
     }

@@ -1,11 +1,13 @@
 //! Property-based tests for the topology substrate.
 
 use netsmith_topo::analysis::TopoAnalysis;
-use netsmith_topo::cuts::{crossing_links, sparsest_cut_exhaustive, sparsest_cut_heuristic};
+use netsmith_topo::cuts::{
+    bisection_bandwidth, crossing_links, sparsest_cut_exhaustive, sparsest_cut_heuristic,
+};
 use netsmith_topo::expert;
-use netsmith_topo::layout::Layout;
+use netsmith_topo::layout::{Layout, NodeKind};
 use netsmith_topo::linkclass::{LinkClass, LinkSpan};
-use netsmith_topo::metrics::{all_pairs_hops, average_hops, diameter, UNREACHABLE};
+use netsmith_topo::metrics::{all_pairs_hops, average_hops, UNREACHABLE};
 use netsmith_topo::topology::Topology;
 use netsmith_topo::traffic::{DemandMatrix, TrafficPattern};
 use proptest::prelude::*;
@@ -38,8 +40,52 @@ fn random_connected_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Strategy: a random topology over an odd number (3..=11) of routers in
+/// one row, each directed link kept with probability `density / 4`; nothing
+/// forces connectivity.
+fn random_odd_topology() -> impl Strategy<Value = Topology> {
+    (1usize..=5, 1u8..4).prop_flat_map(|(half, density)| {
+        let n = 2 * half + 1;
+        proptest::collection::vec(0u8..4, n * (n - 1)).prop_map(move |draws| {
+            let layout = Layout::new(1, n, vec![NodeKind::Cores { count: 4 }; n], n);
+            let mut t = Topology::empty("odd", layout, LinkClass::Custom(LinkSpan::new(n, n)));
+            let pairs = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+            for ((i, j), &draw) in pairs.zip(&draws) {
+                if draw < density {
+                    t.add_link(i, j);
+                }
+            }
+            t
+        })
+    })
+}
+
+/// Bisection by brute force over all 2^n memberships, with no router
+/// pinned to either side: the sides may differ by at most one router.
+fn brute_force_bisection(topo: &Topology) -> f64 {
+    let n = topo.num_routers();
+    let mut best = usize::MAX;
+    for mask in 0..1u64 << n {
+        let size_u = mask.count_ones() as usize;
+        if size_u.abs_diff(n - size_u) <= 1 {
+            let in_u: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
+            let (fwd, bwd) = crossing_links(topo, &in_u);
+            best = best.min(fwd.min(bwd));
+        }
+    }
+    best as f64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn odd_bisection_matches_brute_force(topo in random_odd_topology()) {
+        prop_assert_eq!(
+            bisection_bandwidth(&topo).to_bits(),
+            brute_force_bisection(&topo).to_bits()
+        );
+    }
 
     #[test]
     fn bfs_distances_satisfy_triangle_inequality(topo in random_connected_topology()) {
@@ -80,7 +126,7 @@ proptest! {
     #[test]
     fn diameter_bounds_average_hops(topo in random_connected_topology()) {
         let avg = average_hops(&topo);
-        let diam = diameter(&topo);
+        let diam = TopoAnalysis::new(&topo).diameter();
         if let Some(d) = diam {
             prop_assert!(avg <= d as f64 + 1e-9);
             prop_assert!(avg >= 1.0 - 1e-9);
