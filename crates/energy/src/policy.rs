@@ -25,7 +25,6 @@ use netsmith_route::{allocate_vcs, mclb_route, MclbConfig, RoutingTable, VcAlloc
 use netsmith_sim::{SimConfig, SimReport};
 use netsmith_topo::metrics::unreachable_pairs;
 use netsmith_topo::{PipelineError, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Everything a policy may inspect: the prepared network, the simulator
@@ -77,7 +76,7 @@ pub trait EnergyPolicy {
 }
 
 /// Baseline policy: every link stays powered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlwaysOn;
 
 impl EnergyPolicy for AlwaysOn {
@@ -126,7 +125,7 @@ impl GatedNetwork {
 }
 
 /// Power-gate links whose measured utilization is below `idle_threshold`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSleep {
     /// A full-duplex link is a gating candidate when the busier of its two
     /// directions was busy less than this fraction of the window.
@@ -378,7 +377,7 @@ impl EnergyPolicy for LinkSleep {
 }
 
 /// One DVFS operating point, relative to the nominal class clock/voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsLevel {
     /// Clock multiplier (1.0 = nominal).
     pub freq_scale: f64,
@@ -397,7 +396,7 @@ impl DvfsLevel {
 }
 
 /// Scale clock and voltage to the measured load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dvfs {
     /// Available operating points.  The policy picks the lowest-frequency
     /// level whose scaled utilization stays below [`Dvfs::headroom`].

@@ -1,10 +1,9 @@
 //! Energy policy configuration and reporting.
 
 use netsmith_power::PowerConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameters shared by every energy-management policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyConfig {
     /// Technology constants of the underlying DSENT-style power model.
     pub power: PowerConfig,
@@ -36,7 +35,7 @@ impl Default for EnergyConfig {
 
 /// Power and energy of one topology under one management policy at one
 /// measured operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// Name of the policy that produced the report.
     pub policy: String,

@@ -17,10 +17,9 @@ use netsmith_sim::SimConfig;
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, LinkClass, Topology};
 use netsmith_trace::{generate_named, Trace, TraceStats};
-use serde::{Deserialize, Serialize};
 
 /// The interposer layouts of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutSpec {
     /// 20 routers, 4x5 (the paper's primary configuration).
     Noi4x5,
@@ -62,7 +61,7 @@ impl LayoutSpec {
 /// A synthesis objective as declarative data; demand-weighted objectives
 /// name a traffic pattern and derive the demand matrix from the cell's
 /// layout at resolution time, keeping specs compact and layout-portable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObjectiveSpec {
     LatOp,
     SCOp,
@@ -197,7 +196,7 @@ impl ObjectiveSpec {
 }
 
 /// One candidate topology of a spec's line-up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CandidateSpec {
     /// A named expert design (routed with NDBT, like the paper).  When
     /// `only_class` is set the candidate is instantiated only under that
@@ -313,7 +312,7 @@ pub fn expert_by_name(name: &str, layout: &Layout) -> Result<Topology, String> {
 }
 
 /// Which [`SimConfig`] a workload's measurements run under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimProfile {
     /// [`SimConfig::for_class`] — the per-class clocks of the paper.
     ClassDefault,
@@ -389,7 +388,7 @@ impl SimProfile {
 }
 
 /// Where a trace workload's messages come from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceSpec {
     /// A trace file on disk: the `netsmith-trace` binary format, or the
     /// JSON encoding when the path ends in `.json`.
@@ -500,7 +499,7 @@ impl TraceSpec {
 /// numbers so the spec layer stays independent of the serve crate; the
 /// measuring figure assembles the full `ServingConfig` from these plus
 /// the cell's sim profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingSpec {
     /// Horizon length in epochs.
     pub epochs: u64,
@@ -546,7 +545,7 @@ impl ServingSpec {
 /// What a workload injects: a synthetic pattern sampled per cycle, a
 /// trace replayed deterministically (stretched to the offered load), or
 /// a lifetime serving horizon played by `netsmith-serve`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSource {
     Pattern(TrafficPattern),
     Trace(TraceSpec),
@@ -554,7 +553,7 @@ pub enum WorkloadSource {
 }
 
 /// A workload cell: traffic source × offered loads × simulator profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Label printed in rows; defaults to the source's own name.
     pub label: Option<String>,
@@ -701,7 +700,7 @@ impl WorkloadSpec {
 /// A declarative invariant over the emitted rows, checked by the runner
 /// after every cell has completed (figure-specific invariants that need
 /// code stay in the harness's `check` hook).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Assertion {
     /// At least `count` rows were emitted.
     MinRows { count: usize },
@@ -815,7 +814,7 @@ impl Assertion {
 }
 
 /// A complete experiment matrix: the declarative half of a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Figure name ("fig06_synthetic").
     pub name: String,

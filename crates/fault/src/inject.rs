@@ -18,11 +18,10 @@ use netsmith_topo::resilience::{is_strongly_connected_among, unreachable_pairs_a
 use netsmith_topo::{duplex_pairs, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A permanent component failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Fault {
     /// Failure of the physical wire between two routers: both directions
     /// of the duplex pair go down.  Stored in canonical `(lo, hi)` order.
@@ -48,7 +47,7 @@ impl Fault {
 }
 
 /// A set of simultaneous permanent faults.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultScenario {
     /// The faults, kept sorted so equal scenarios compare equal.
     pub faults: Vec<Fault>,
@@ -201,7 +200,7 @@ pub fn single_router_scenarios(topo: &Topology) -> Vec<FaultScenario> {
 }
 
 /// A seeded sampler of multi-fault scenarios with a fixed fault mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultModel {
     /// Simultaneous full-duplex link failures per scenario.
     pub link_faults: usize,

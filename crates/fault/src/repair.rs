@@ -16,10 +16,9 @@ use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::vc::verify_deadlock_free;
 use netsmith_route::{allocate_vcs, mclb_route, MclbConfig, RoutingTable, VcAllocation};
 use netsmith_topo::{PipelineError, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Parameters shared by repair policies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairConfig {
     /// Virtual channels available for the repaired routing function (6 in
     /// the paper's evaluation).
@@ -101,7 +100,7 @@ pub trait RepairPolicy {
 
 /// The default repair policy: full recomputation of paths, MCLB routing
 /// and escape VCs on the surviving sub-topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RerouteRepair;
 
 impl RepairPolicy for RerouteRepair {

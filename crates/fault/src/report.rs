@@ -18,7 +18,6 @@ use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_sim::{LatencyCurve, NetworkSim, SimConfig, Sweep, SweepOptions};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a resilience assessment.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +51,7 @@ impl Default for ResilienceConfig {
 }
 
 /// Outcome of one fault scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Scenario label ("l3-7+r12").
     pub scenario: String,
@@ -97,7 +96,7 @@ impl ScenarioOutcome {
 }
 
 /// Aggregated resilience of one network under one scenario set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceReport {
     /// Network label ("NS-FaultOp-medium / MCLB").
     pub label: String,

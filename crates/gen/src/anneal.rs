@@ -33,11 +33,10 @@ use netsmith_topo::{RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of a single annealing run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnealConfig {
     /// RNG seed.
     pub seed: u64,

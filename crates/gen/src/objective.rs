@@ -19,14 +19,13 @@ use crate::terms::{CutEval, ObjectiveTerm, Term, TermContext, WeightedTerm};
 use netsmith_topo::analysis::TopoAnalysis;
 use netsmith_topo::traffic::DemandMatrix;
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Penalty per unreachable ordered pair, large enough that any connected
 /// topology scores better than any disconnected one.
 const DISCONNECTION_PENALTY: f64 = 1.0e9;
 
 /// Optimization objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Objective {
     /// Minimize the total (equivalently average) hop count under uniform
     /// all-to-all traffic (objective O1 of Table I).
@@ -265,7 +264,7 @@ pub fn evaluate_weighted(
 }
 
 /// Result of evaluating an objective on a topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectiveValue {
     /// Scalar score; lower is better for every objective.
     pub score: f64,

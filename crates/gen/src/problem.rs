@@ -2,13 +2,12 @@
 
 use crate::objective::Objective;
 use netsmith_topo::{Layout, LinkClass, RouterId};
-use serde::{Deserialize, Serialize};
 
 /// A fully specified topology-generation problem: NetSmith's inputs are the
 /// physical layout of routers, the link-length budget (which induces the
 /// valid-link set `L` and the NoI clock), the router radix (carried by the
 /// layout), the objective, and optional extra constraints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenerationProblem {
     pub layout: Layout,
     pub class: LinkClass,

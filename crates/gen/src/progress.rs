@@ -1,11 +1,10 @@
 //! Solver progress tracking: incumbent, bound and objective-bounds gap over
 //! time (the quantity the paper plots in Figure 5).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A single progress sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgressSample {
     /// Time since the solve started.
     pub elapsed: Duration,
@@ -21,7 +20,7 @@ pub struct ProgressSample {
 }
 
 /// The full progress trace of a topology-generation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverProgress {
     samples: Vec<ProgressSample>,
 }

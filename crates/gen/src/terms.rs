@@ -22,7 +22,6 @@ use netsmith_topo::analysis::TopoAnalysis;
 use netsmith_topo::cuts;
 use netsmith_topo::traffic::DemandMatrix;
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Scale factor that keeps the bandwidth term dominant over the hop-count
 /// tiebreak in the SCOp score.
@@ -209,10 +208,11 @@ impl ObjectiveTerm for SpareCapacityTerm {
     }
 }
 
-/// A serializable objective term.  Each variant delegates to the
-/// corresponding [`ObjectiveTerm`] implementation, so composites survive
-/// serde round trips while scoring stays in one place per concern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A plain-data objective term.  Each variant delegates to the
+/// corresponding [`ObjectiveTerm`] implementation, so composites are
+/// ordinary comparable values (the suite cache keys on them) while scoring
+/// stays in one place per concern.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Term {
     /// Total shortest-path hop count ([`HopsTerm`]).
     Hops,
@@ -290,7 +290,7 @@ impl ObjectiveTerm for Term {
 }
 
 /// A term with its (non-negative) weight inside a composite objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedTerm {
     /// Non-negative weight multiplying the term's score and bound.
     pub weight: f64,

@@ -1,7 +1,6 @@
 //! Linear expressions over model variables.
 
 use crate::model::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A linear expression `sum_i coeff_i * x_i + constant`.
@@ -9,7 +8,7 @@ use std::collections::BTreeMap;
 /// Coefficients for the same variable accumulate, so expressions can be
 /// built incrementally while lowering a formulation (e.g. summing a row of
 /// the connectivity matrix for the radix constraint C2).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
     terms: BTreeMap<usize, f64>,
     constant: f64,

@@ -1,10 +1,9 @@
 //! Declarative MILP model builder.
 
 use crate::expr::LinExpr;
-use serde::{Deserialize, Serialize};
 
 /// Handle to a model variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(usize);
 
 impl VarId {
@@ -21,7 +20,7 @@ impl VarId {
 }
 
 /// Variable domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarType {
     /// Continuous within its bounds.
     Continuous,
@@ -32,7 +31,7 @@ pub enum VarType {
 }
 
 /// Constraint comparison sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cmp {
     Le,
     Ge,
@@ -40,14 +39,14 @@ pub enum Cmp {
 }
 
 /// Objective sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     Minimize,
     Maximize,
 }
 
 /// A single variable's metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     pub name: String,
     pub vtype: VarType,
@@ -58,7 +57,7 @@ pub struct Variable {
 
 /// A linear constraint `expr cmp rhs` (the expression's constant is folded
 /// into the right-hand side when the model is lowered).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     pub name: String,
     pub expr: LinExpr,
@@ -67,7 +66,7 @@ pub struct Constraint {
 }
 
 /// A mixed-integer linear program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     sense: Sense,
     variables: Vec<Variable>,

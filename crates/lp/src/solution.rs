@@ -1,9 +1,7 @@
 //! Solver results.
 
-use serde::{Deserialize, Serialize};
-
 /// Final status of an LP or MILP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
     /// Proven optimal (within tolerances).
     Optimal,
@@ -29,7 +27,7 @@ impl SolveStatus {
 /// Result of a solve: variable assignment, objective, and (for MILP) the
 /// best proven bound and the relative "objective bounds gap" that Gurobi
 /// reports and the paper plots in Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     pub status: SolveStatus,
     /// One value per model variable (column order).  Empty when no

@@ -13,10 +13,9 @@ use netsmith_sim::{LatencyCurve, NetworkSim, SimConfig, SimReport, Sweep};
 use netsmith_topo::metrics::{unreachable_pairs, TopologyMetrics};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{PipelineError, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Which routing scheme to apply to a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingScheme {
     /// NetSmith's maximum-channel-load-bottleneck routing (Table III).
     Mclb,

@@ -2,10 +2,9 @@
 
 use netsmith_sim::{ActivityProfile, SimConfig};
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Technology and circuit constants (22 nm-class defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerConfig {
     /// Router leakage power per router in milliwatts.
     pub router_leakage_mw: f64,
@@ -43,7 +42,7 @@ impl Default for PowerConfig {
 }
 
 /// Power broken into static (leakage) and dynamic components, in mW.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     pub static_mw: f64,
     pub dynamic_mw: f64,
@@ -56,7 +55,7 @@ impl PowerReport {
 }
 
 /// Area broken into router and wire components, in mm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     pub router_mm2: f64,
     pub wire_mm2: f64,

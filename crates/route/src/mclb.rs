@@ -22,12 +22,11 @@ use netsmith_lp::{BranchBoundConfig, Cmp, LinExpr, MilpSolver, Model, Sense, Var
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
 /// Configuration for the heuristic MCLB engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MclbConfig {
     /// RNG seed for tie-breaking and flow ordering.
     pub seed: u64,

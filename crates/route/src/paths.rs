@@ -10,13 +10,12 @@
 
 use netsmith_topo::metrics::{all_pairs_hops, UNREACHABLE};
 use netsmith_topo::{RouterId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Default cap on the number of shortest paths enumerated per flow.
 pub const DEFAULT_MAX_PATHS_PER_FLOW: usize = 64;
 
 /// The set of shortest paths for every ordered `(src, dst)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathSet {
     n: usize,
     /// `paths[s * n + d]` = list of shortest paths, each a router sequence

@@ -10,11 +10,10 @@
 use crate::paths::{path_length, path_links};
 use netsmith_topo::traffic::DemandMatrix;
 use netsmith_topo::{PipelineError, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A flow is an ordered source/destination pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Flow {
     pub src: RouterId,
     pub dst: RouterId,
@@ -27,7 +26,7 @@ impl Flow {
 }
 
 /// Single-path routing table: one chosen path per flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingTable {
     n: usize,
     /// `routes[s * n + d]` — the chosen router sequence for the flow, or
@@ -203,7 +202,7 @@ impl RoutingTable {
 }
 
 /// Per-link load summary for a routing table under a demand matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelLoadReport {
     n: usize,
     /// Load per directed link, keyed by `(from, to)`.

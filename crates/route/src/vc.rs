@@ -29,11 +29,10 @@ use crate::table::{Flow, RoutingTable};
 use netsmith_topo::PipelineError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of VC allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcAllocation {
     /// Virtual channel assigned to each flow.
     pub assignment: HashMap<Flow, usize>,

@@ -17,11 +17,10 @@
 use netsmith_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Shape parameters of the load process (everything but the horizon and
 /// the seed, which the serving config owns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadSpec {
     /// Mean offered load, in flits per node per cycle.
     pub base: f64,
@@ -64,7 +63,7 @@ impl Default for LoadSpec {
 
 /// One epoch's operating point: the offered load and the traffic mix
 /// (the data-packet fraction fed to the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochLoad {
     pub offered: f64,
     pub data_fraction: f64,

@@ -1,10 +1,9 @@
 //! SLA-level output of a serving horizon.
 
 use netsmith_sim::LatencyStats;
-use serde::{Deserialize, Serialize};
 
 /// One served (or lost) epoch of the horizon, in arrival order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     pub epoch: u64,
     /// Offered load the load process scheduled for this epoch.
@@ -37,7 +36,7 @@ pub struct EpochRecord {
 }
 
 /// Horizon-level SLA report of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Label of the online policy that ran the horizon.
     pub policy: String,

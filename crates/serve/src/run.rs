@@ -23,7 +23,6 @@ use netsmith_sim::{splitmix64, LatencyStats, NetworkSim, SimConfig, SimReport};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{RouterId, Topology};
 use netsmith_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Surviving-link utilization at which a LinkSleep horizon stops
 /// re-gating and runs one epoch fully awake.  Gated links are invisible
@@ -36,7 +35,7 @@ const WAKE_UTILIZATION: f64 = 0.25;
 const WAKE_DELIVERED_FLOOR: f64 = 0.985;
 
 /// The online policy a serving run re-decides every epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// Every link powered, nominal clock — the baseline.
     AlwaysOn,
@@ -70,7 +69,7 @@ impl PolicyKind {
 }
 
 /// Everything a serving horizon needs beyond the prepared network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingConfig {
     /// Horizon length in epochs.
     pub epochs: u64,

@@ -13,10 +13,9 @@ use netsmith_fault::{Fault, FaultModel};
 use netsmith_topo::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Shape of the lifetime fault process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TapeSpec {
     /// Expected fault arrivals over the horizon; the tape carries exactly
     /// `round(expected_faults)` events.
@@ -35,7 +34,7 @@ impl Default for TapeSpec {
 }
 
 /// One scheduled permanent fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Epoch boundary at which the fault lands (repair runs before the
     /// epoch is served).
@@ -44,7 +43,7 @@ pub struct FaultEvent {
 }
 
 /// The full schedule of lifetime faults, sorted by arrival epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultTape {
     pub events: Vec<FaultEvent>,
 }

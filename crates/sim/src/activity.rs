@@ -12,10 +12,9 @@
 //! instead of a hand-picked utilization guess.
 
 use netsmith_topo::RouterId;
-use serde::{Deserialize, Serialize};
 
 /// Measured activity of one directed link over the measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkActivity {
     /// Source router of the directed link.
     pub from: RouterId,
@@ -40,7 +39,7 @@ impl LinkActivity {
 }
 
 /// Measured activity of one router over the measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterActivity {
     /// Router id.
     pub router: RouterId,
@@ -69,7 +68,7 @@ impl RouterActivity {
 
 /// Complete per-link / per-router activity record of one simulation run,
 /// measured over the measurement window only (warm-up and drain excluded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityProfile {
     /// Length of the measurement window in cycles.
     pub measured_cycles: u64,

@@ -5,12 +5,11 @@
 //! executes on the one sequential compiled engine.
 
 use netsmith_topo::LinkClass;
-use serde::{Deserialize, Serialize};
 
 /// Packet classes used by the synthetic evaluation: 8-byte control packets
 /// and 72-byte data packets, injected with equal likelihood (paper
 /// Section IV), on an 8-byte link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketClass {
     Control,
     Data,
@@ -18,7 +17,7 @@ pub enum PacketClass {
 
 /// Simulator parameters (defaults follow Table IV and Section IV of the
 /// paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Link width in bytes (8B in the paper).
     pub link_width_bytes: usize,

@@ -18,7 +18,6 @@ use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{RouterId, Topology};
 use netsmith_trace::{Trace, TraceCursor};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -75,7 +74,7 @@ pub fn point_seed(seed: u64, offered_flits_per_node_cycle: f64) -> u64 {
 /// cycle, accepted flits in the epoch their packet arrives, and latency
 /// samples in the epoch the packet was *created* (the "requests issued in
 /// this interval" view a serving-style consumer wants).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochSample {
     /// First cycle of the epoch (absolute, includes warmup offset).
     pub start_cycle: u64,
@@ -97,7 +96,7 @@ pub struct EpochSample {
 }
 
 /// The epoch probe's time-series over the measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochSeries {
     /// The configured epoch length in cycles.
     pub epoch_cycles: u64,
@@ -105,7 +104,7 @@ pub struct EpochSeries {
 }
 
 /// Final report of a single simulation run at a fixed injection rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Offered load in flits per node per cycle.  Under Bernoulli
     /// injection this is the generator's target probability; under trace

@@ -1,7 +1,5 @@
 //! Latency and throughput statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact 1-cycle bins covering latencies 0..=1024.
 const LINEAR_BINS: usize = 1025;
 /// Geometric tail resolution: bins per factor-of-two of latency.
@@ -12,7 +10,7 @@ const TAIL_OCTAVES: usize = 20;
 const TAIL_BINS: usize = BINS_PER_OCTAVE * TAIL_OCTAVES;
 
 /// Aggregated latency statistics over measured packets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyStats {
     count: u64,
     total: f64,

@@ -18,10 +18,9 @@ use netsmith_pool::WorkerPool;
 use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// One point of a latency/throughput curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Offered load (flits/node/cycle).
     pub offered: f64,
@@ -38,7 +37,7 @@ pub struct SweepPoint {
 }
 
 /// A full latency-vs-throughput curve for one network configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyCurve {
     /// Label, e.g. "NS-LatOp-large / MCLB".
     pub label: String,

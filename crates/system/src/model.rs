@@ -5,10 +5,9 @@ use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_sim::{NetworkSim, SimConfig};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Full-system parameters (defaults follow the paper's Table IV).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FullSystemConfig {
     /// CPU core clock in GHz (3.8 GHz in Table IV).
     pub cpu_clock_ghz: f64,
@@ -50,7 +49,7 @@ impl FullSystemConfig {
 }
 
 /// Result of evaluating one topology under one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FullSystemResult {
     pub benchmark: String,
     pub topology: String,

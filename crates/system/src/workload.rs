@@ -12,10 +12,9 @@
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::Layout;
 use netsmith_trace::{OnOffHotspotParams, TraceModel};
-use serde::{Deserialize, Serialize};
 
 /// Network-relevant profile of one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name.
     pub name: &'static str,

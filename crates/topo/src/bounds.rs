@@ -19,10 +19,9 @@
 use crate::analysis::TopoAnalysis;
 use crate::cuts;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Combined bound report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputBounds {
     /// Sparsest-cut based bound (flits/node/cycle).
     pub cut_bound: f64,

@@ -22,13 +22,12 @@
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Largest router count for which cuts are enumerated exhaustively.
 pub const EXHAUSTIVE_LIMIT: usize = 24;
 
 /// Report describing the minimizing cut found.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CutReport {
     /// Routers in partition `U` (the complement forms `V`).
     pub partition: Vec<usize>,

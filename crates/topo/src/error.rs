@@ -8,7 +8,6 @@
 //! all speak the same type without a dependency cycle, and the `netsmith`
 //! umbrella re-exports it as `netsmith::PipelineError`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A typed failure anywhere in the evaluation pipeline.
@@ -17,7 +16,7 @@ use std::fmt;
 /// ([`PipelineError::Disconnected`], [`PipelineError::IncompleteRouting`],
 /// [`PipelineError::VcBudgetExceeded`]); facades add context by wrapping
 /// ([`PipelineError::RepairInfeasible`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The topology is not strongly connected: `pairs` ordered router pairs
     /// have no directed path.

@@ -1,8 +1,7 @@
 //! A minimal JSON tree, printer and parser.
 //!
-//! The workspace's serde dependency is an offline no-op shim (see
-//! `vendor/README.md`), so the workspace carries its own small text
-//! codec.  It lives in the base crate so both the experiment API
+//! The workspace has no serialization framework dependency, so it carries
+//! its own small text codec.  It lives in the base crate so both the experiment API
 //! (`netsmith-exp`, which re-exports it) and the trace format
 //! (`netsmith-trace`) can share one tree.  [`Json`] covers the
 //! full JSON data model; numbers are `f64` (integers round-trip exactly up

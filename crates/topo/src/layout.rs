@@ -8,7 +8,6 @@
 //! right-most columns concentrate two cores plus two memory controllers.
 //! Scalability studies use 6x5 (30 routers) and 8x6 (48 routers) grids.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an interposer router within a [`Layout`].
@@ -18,7 +17,7 @@ use std::fmt;
 pub type RouterId = usize;
 
 /// What a given interposer router concentrates (connects to vertically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Router concentrating compute cores only (the middle columns of the
     /// 4x5 layout concentrate four cores each).
@@ -61,7 +60,7 @@ impl NodeKind {
 
 /// Physical layout of the interposer routers: a `rows x cols` grid with a
 /// [`NodeKind`] per router and a network-port radix budget per router.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
     rows: usize,
     cols: usize,

@@ -10,11 +10,10 @@
 //! 2.7 GHz respectively.
 
 use crate::layout::{Layout, RouterId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Grid span of a link in X (columns) and Y (rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkSpan {
     pub dx: usize,
     pub dy: usize,
@@ -56,7 +55,7 @@ impl fmt::Display for LinkSpan {
 }
 
 /// Maximum allowed link length, following the Kite/NetSmith taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Links up to (1,1): nearest neighbours and single diagonals.
     Small,

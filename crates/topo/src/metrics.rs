@@ -16,7 +16,6 @@ use crate::bounds::ThroughputBounds;
 use crate::cuts;
 use crate::topology::Topology;
 use crate::traffic::DemandMatrix;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Distance value used to mark unreachable pairs.
@@ -81,7 +80,7 @@ pub fn total_hops(topo: &Topology) -> Option<u64> {
 
 /// Aggregated metric report for one topology, matching the columns of the
 /// paper's Table II plus the cut/occupancy throughput bounds of Figure 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyMetrics {
     pub name: String,
     pub class: String,

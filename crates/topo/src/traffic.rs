@@ -11,10 +11,9 @@
 
 use crate::layout::Layout;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Synthetic traffic patterns supported by the generator and optimizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficPattern {
     /// Uniform random: every source sends to every other router with equal
     /// probability.  This is the paper's default optimization target.
@@ -244,7 +243,7 @@ impl TrafficPattern {
 
 /// A normalized `n x n` traffic demand matrix.  Entries are non-negative
 /// weights that sum to 1 after [`DemandMatrix::normalize`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandMatrix {
     n: usize,
     demand: Vec<f64>,

@@ -1,6 +1,5 @@
 //! The on-disk trace format: a versioned header plus a flat list of
-//! messages, with hand-written binary and JSON codecs (the workspace's
-//! serde is an offline no-op shim).
+//! messages, with hand-written binary and JSON codecs.
 //!
 //! ## Binary layout (version 1, little-endian)
 //!
@@ -24,7 +23,6 @@
 //! exactly up to 2^53, far beyond any cycle horizon a trace stores.
 
 use netsmith_topo::json::Json;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -67,7 +65,7 @@ fn format_err(msg: impl Into<String>) -> TraceError {
 }
 
 /// The versioned trace header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHeader {
     /// Format version ([`TRACE_VERSION`]).
     pub version: u16,
@@ -82,7 +80,7 @@ pub struct TraceHeader {
 
 /// One injected message: source and destination router, packet size in
 /// flits, and the cycle it enters its source queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceMessage {
     pub src: u32,
     pub dst: u32,
@@ -91,7 +89,7 @@ pub struct TraceMessage {
 }
 
 /// A complete in-memory trace: header plus messages in issue order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     pub header: TraceHeader,
     pub messages: Vec<TraceMessage>,
