@@ -1,8 +1,13 @@
 //! Property tests: codec round-trips over random traces, streaming/whole-
-//! trace codec agreement, and generator determinism.
+//! trace codec agreement, generator determinism, and decoders fed hostile
+//! bytes (truncated, bit-flipped, arbitrary) returning errors, never
+//! panicking.
 
+use netsmith_topo::json::Json;
 use netsmith_trace::{Trace, TraceCursor, TraceMessage, TraceModel, TraceReader, TraceWriter};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A random valid trace: in-range distinct endpoints, flits >= 1,
 /// non-decreasing issue cycles inside the horizon.
@@ -28,8 +33,131 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Run every decoder over `bytes`: the whole-trace and streaming binary
+/// readers, and (on the lossy UTF-8 text) the JSON tree and trace JSON
+/// decoders.  Each may succeed or fail; a panic fails the calling test.
+fn decode_everything(bytes: &[u8]) {
+    if let Ok(trace) = Trace::read_binary(&mut &bytes[..]) {
+        let _ = trace.validate();
+    }
+    let mut input = bytes;
+    if let Ok(mut reader) = TraceReader::new(&mut input) {
+        // Every record consumes input, so this ends at the declared count,
+        // at a truncated record, or when the bytes run out.
+        while let Ok(Some(_)) = reader.next_message() {}
+    }
+    let text = String::from_utf8_lossy(bytes);
+    let _ = Json::parse(&text);
+    if let Ok(trace) = Trace::from_json_str(&text) {
+        let _ = trace.validate();
+    }
+}
+
+/// Both encodings of a trace: binary bytes and JSON text bytes.
+fn encodings(trace: &Trace) -> [Vec<u8>; 2] {
+    let mut binary = Vec::new();
+    trace.write_binary(&mut binary).unwrap();
+    [binary, trace.to_json_string().into_bytes()]
+}
+
+/// A random JSON document up to `depth` levels deep, covering every value
+/// kind, numbers of either sign across the f64 range, and strings that need escapes
+/// (quotes, backslashes, control and multi-byte characters).
+fn random_json(rng: &mut SmallRng, depth: u32) -> Json {
+    const CHARS: &[char] = &[
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'é', '€',
+    ];
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.gen_range(0..kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen_bool(0.5)),
+        2 => {
+            let mantissa = rng.gen_range(-1_000_000i64..1_000_000) as f64;
+            Json::Num(mantissa * 10f64.powi(rng.gen_range(-300..300)))
+        }
+        3 => Json::Str(
+            (0..rng.gen_range(0..6))
+                .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                .collect(),
+        ),
+        4 => Json::Arr(
+            (0..rng.gen_range(0..4))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.gen_range(0..4))
+                .map(|i| (format!("k{i}"), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A random-length prefix of a valid encoding decodes to a value or an
+    /// error.
+    #[test]
+    fn truncated_encodings_never_panic(trace in arb_trace(), keep in 0.0f64..1.0) {
+        for bytes in encodings(&trace) {
+            let cut = (bytes.len() as f64 * keep) as usize;
+            decode_everything(&bytes[..cut]);
+        }
+    }
+
+    /// Valid encodings with a few flipped bits decode to a value or an
+    /// error.
+    #[test]
+    fn bit_flipped_encodings_never_panic(
+        trace in arb_trace(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..8),
+    ) {
+        for mut bytes in encodings(&trace) {
+            for &(at, bit) in &flips {
+                let len = bytes.len();
+                bytes[at % len] ^= 1 << bit;
+            }
+            decode_everything(&bytes);
+        }
+    }
+
+    /// Arbitrary bytes, optionally behind a valid magic and version so the
+    /// binary decoders reach the header fields and records.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        with_magic in any::<bool>(),
+    ) {
+        let mut bytes = Vec::new();
+        if with_magic {
+            bytes.extend_from_slice(b"NSTR");
+            bytes.extend_from_slice(&1u16.to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        decode_everything(&bytes);
+    }
+
+    /// Random JSON documents round-trip, and every prefix of their text
+    /// and a few bit-flipped copies decode to a value or an error.
+    #[test]
+    fn json_documents_round_trip_and_mutations_never_panic(
+        seed in any::<u64>(),
+        flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        let doc = random_json(&mut SmallRng::seed_from_u64(seed), 4);
+        let text = doc.to_string();
+        prop_assert_eq!(Json::parse(&text), Ok(doc));
+        let mut bytes = text.into_bytes();
+        for cut in 0..bytes.len() {
+            decode_everything(&bytes[..cut]);
+        }
+        for &(at, bit) in &flips {
+            let len = bytes.len();
+            bytes[at % len] ^= 1 << bit;
+        }
+        decode_everything(&bytes);
+    }
 
     /// Binary and JSON codecs both reproduce the trace bit-for-bit, and
     /// the streaming reader agrees with the whole-trace decoder.
