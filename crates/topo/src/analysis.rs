@@ -80,20 +80,30 @@ impl TopoAnalysis {
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_routers();
         let dist = metrics::all_pairs_hops(topo);
-        let mut analysis = TopoAnalysis {
+        let mut row_sum = vec![0; n];
+        let mut row_unreachable = vec![0; n];
+        let mut out_deg = vec![0; n];
+        let mut in_deg = vec![0; n];
+        for s in 0..n {
+            let row = &dist[s * n..(s + 1) * n];
+            (row_sum[s], row_unreachable[s]) = row_aggregate(row);
+            // Links are simple (no parallel or self links), so the directed
+            // links are exactly the pairs at hop distance 1.
+            for (d, _) in row.iter().enumerate().filter(|&(_, &h)| h == 1) {
+                out_deg[s] += 1;
+                in_deg[d] += 1;
+            }
+        }
+        TopoAnalysis {
             n,
             dist,
-            row_sum: vec![0; n],
-            row_unreachable: vec![0; n],
-            out_deg: (0..n).map(|r| topo.out_degree(r) as u32).collect(),
-            in_deg: (0..n).map(|r| topo.in_degree(r) as u32).collect(),
+            row_sum,
+            row_unreachable,
+            out_deg,
+            in_deg,
             wire: OnceCell::new(),
             critical: OnceCell::new(),
-        };
-        for s in 0..n {
-            analysis.refresh_row_aggregate(s);
         }
-        analysis
     }
 
     /// The analysis of `topo`, a topology derived from this analysis's
@@ -174,21 +184,8 @@ impl TopoAnalysis {
     }
 
     fn refresh_row_aggregate(&mut self, s: usize) {
-        let row = &self.dist[s * self.n..(s + 1) * self.n];
-        let mut sum = 0u64;
-        let mut unreachable = 0u32;
-        for (d, &h) in row.iter().enumerate() {
-            if d == s {
-                continue;
-            }
-            if h == UNREACHABLE {
-                unreachable += 1;
-            } else {
-                sum += h as u64;
-            }
-        }
-        self.row_sum[s] = sum;
-        self.row_unreachable[s] = unreachable;
+        (self.row_sum[s], self.row_unreachable[s]) =
+            row_aggregate(&self.dist[s * self.n..(s + 1) * self.n]);
     }
 
     /// Number of routers.
@@ -307,6 +304,21 @@ impl TopoAnalysis {
             num_links: topo.num_links(),
         })
     }
+}
+
+/// Sum of the finite distances in one source row and its count of
+/// unreachable destinations (the row's own zero diagonal adds nothing).
+fn row_aggregate(row: &[u32]) -> (u64, u32) {
+    let mut sum = 0u64;
+    let mut unreachable = 0u32;
+    for &h in row {
+        if h == UNREACHABLE {
+            unreachable += 1;
+        } else {
+            sum += h as u64;
+        }
+    }
+    (sum, unreachable)
 }
 
 /// One BFS row over the directed adjacency of `topo`.
