@@ -105,6 +105,10 @@ fn bench_routing(c: &mut Criterion) {
     group.bench_function("mclb_route_20r", |b| {
         b.iter(|| mclb_route(&paths, &MclbConfig::default()))
     });
+    let big = all_shortest_paths(&expert::folded_torus(&Layout::noi_8x6()));
+    group.bench_function("mclb_route_48r", |b| {
+        b.iter(|| mclb_route(&big, &MclbConfig::default()))
+    });
     let table = mclb_route(&paths, &MclbConfig::default());
     group.bench_function("vc_allocation_20r", |b| {
         b.iter(|| allocate_vcs(&table, 6, 3).unwrap())

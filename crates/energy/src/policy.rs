@@ -21,7 +21,7 @@ use crate::report::{EnergyConfig, EnergyReport};
 use netsmith_power::{power_report_from_activity, PowerReport};
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::vc::verify_deadlock_free;
-use netsmith_route::{allocate_vcs, mclb_route, MclbConfig, RoutingTable, VcAllocation};
+use netsmith_route::{mclb_route, require_servable, MclbConfig, RoutingTable, VcAllocation};
 use netsmith_sim::{SimConfig, SimReport};
 use netsmith_topo::metrics::unreachable_pairs;
 use netsmith_topo::{PipelineError, RouterId, Topology};
@@ -153,33 +153,6 @@ impl Default for LinkSleep {
 }
 
 impl LinkSleep {
-    /// Route and VC-allocate a topology; the error names why it cannot be
-    /// routed deadlock-free within the budget.
-    fn route(
-        topo: &Topology,
-        vc_budget: usize,
-        seed: u64,
-    ) -> Result<(RoutingTable, VcAllocation), PipelineError> {
-        let paths = all_shortest_paths(topo);
-        let table = mclb_route(
-            &paths,
-            &MclbConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        table.require_complete()?;
-        let vcs = allocate_vcs(&table, vc_budget, seed)?;
-        if !verify_deadlock_free(&table, &vcs) {
-            // Defensive re-check; the balancer keeps every VC acyclic.
-            return Err(PipelineError::VcBudgetExceeded {
-                needed: vcs.escape_layers,
-                budget: vc_budget,
-            });
-        }
-        Ok((table, vcs))
-    }
-
     /// Leakage saved per gated pair, in mW: the wire's repeaters plus the
     /// two endpoint port macros, minus the residual the gate still leaks.
     fn pair_savings_mw(ctx: &EnergyContext<'_>, i: RouterId, j: RouterId) -> f64 {
@@ -283,11 +256,13 @@ impl LinkSleep {
         // Walk back until the gated sub-topology routes deadlock-free.
         // Restoration pops the smallest-net-benefit pair first, giving up
         // the least savings per unit of routability regained.
+        let seed = ctx.config.reroute_seed;
         loop {
             let name = format!("{}-gated", topo.name());
             let candidate = gated_topo.clone().with_name(name);
-            match Self::route(&candidate, ctx.config.vc_budget, ctx.config.reroute_seed) {
-                Ok((routing, vcs)) => {
+            let routing = mclb_route(&all_shortest_paths(&candidate), &MclbConfig { seed });
+            match require_servable(&routing, n, ctx.config.vc_budget, seed) {
+                Ok(vcs) => {
                     return Ok(GatedNetwork {
                         topology: candidate,
                         routing,
@@ -504,6 +479,7 @@ pub fn standard_policies(idle_threshold: f64) -> Vec<Box<dyn EnergyPolicy>> {
 mod tests {
     use super::*;
     use netsmith_power::static_power_mw;
+    use netsmith_route::allocate_vcs;
     use netsmith_sim::{NetworkSim, SimConfig};
     use netsmith_topo::expert;
     use netsmith_topo::traffic::TrafficPattern;

@@ -7,14 +7,15 @@
 //! [`RerouteRepair`] — the default and the policy the paper's machinery
 //! makes natural — recomputes shortest paths on the surviving
 //! sub-topology, re-runs MCLB path selection, and re-partitions the chosen
-//! paths onto escape virtual channels, mirroring exactly the
-//! strong-connectivity check and deadlock-freedom verification the energy
-//! subsystem's `LinkSleep` uses for power-gated links.
+//! paths onto escape virtual channels.  Whether the result serves every
+//! surviving pair is decided by `netsmith_route::require_servable`, the
+//! same check the energy subsystem's `LinkSleep` applies to power-gated
+//! links.
 
 use crate::inject::DegradedTopology;
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::vc::verify_deadlock_free;
-use netsmith_route::{allocate_vcs, mclb_route, MclbConfig, RoutingTable, VcAllocation};
+use netsmith_route::{mclb_route, require_servable, MclbConfig, RoutingTable, VcAllocation};
 use netsmith_topo::{PipelineError, RouterId, Topology};
 
 /// Parameters shared by repair policies.
@@ -120,23 +121,13 @@ impl RepairPolicy for RerouteRepair {
             });
         }
         let paths = all_shortest_paths(&degraded.topology);
-        let routing = mclb_route(
-            &paths,
-            &MclbConfig {
-                seed: config.seed,
-                ..Default::default()
-            },
-        );
-        routing.require_complete_among(degraded.num_alive())?;
-        let vcs = allocate_vcs(&routing, config.vc_budget, config.seed)?;
-        if !verify_deadlock_free(&routing, &vcs) {
-            // The balancing pass never violates per-VC acyclicity, so this
-            // is a defensive re-check; surface it as a budget failure.
-            return Err(PipelineError::VcBudgetExceeded {
-                needed: vcs.escape_layers,
-                budget: config.vc_budget,
-            });
-        }
+        let routing = mclb_route(&paths, &MclbConfig { seed: config.seed });
+        let vcs = require_servable(
+            &routing,
+            degraded.num_alive(),
+            config.vc_budget,
+            config.seed,
+        )?;
         Ok(RepairedNetwork {
             topology: degraded.topology.clone(),
             routing,

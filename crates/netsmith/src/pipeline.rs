@@ -7,7 +7,7 @@ use netsmith_fault::{
 };
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{
-    allocate_vcs, mclb_route, ndbt_route, MclbConfig, RoutingTable, VcAllocation,
+    mclb_route, ndbt_route, require_servable, MclbConfig, RoutingTable, VcAllocation,
 };
 use netsmith_sim::{LatencyCurve, NetworkSim, SimConfig, SimReport, Sweep};
 use netsmith_topo::metrics::{unreachable_pairs, TopologyMetrics};
@@ -65,17 +65,10 @@ impl EvaluatedNetwork {
         }
         let paths = all_shortest_paths(topology);
         let routing = match scheme {
-            RoutingScheme::Mclb => mclb_route(
-                &paths,
-                &MclbConfig {
-                    seed,
-                    ..Default::default()
-                },
-            ),
+            RoutingScheme::Mclb => mclb_route(&paths, &MclbConfig { seed }),
             RoutingScheme::Ndbt => ndbt_route(topology.layout(), &paths, seed).0,
         };
-        routing.require_complete()?;
-        let vcs = allocate_vcs(&routing, total_vcs, seed)?;
+        let vcs = require_servable(&routing, topology.num_routers(), total_vcs, seed)?;
         let metrics = TopologyMetrics::compute(topology);
         Ok(EvaluatedNetwork {
             topology: topology.clone(),

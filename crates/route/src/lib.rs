@@ -17,7 +17,9 @@
 //!   (Dally & Seitz acyclicity criterion).
 //! * [`vc`] — DFSSSP-style partitioning of the selected paths into acyclic
 //!   routing subfunctions mapped onto escape virtual channels, plus
-//!   path-length-weighted VC load balancing.
+//!   path-length-weighted VC load balancing, and [`require_servable`], the
+//!   single check that a routing serves every pair deadlock-free within a
+//!   VC budget.
 //! * [`table`] — the per-flow routing tables consumed by the simulator.
 
 #![forbid(unsafe_code)]
@@ -35,4 +37,4 @@ pub use ndbt::ndbt_route;
 pub use netsmith_topo::PipelineError;
 pub use paths::{all_shortest_paths, PathSet};
 pub use table::{ChannelLoadReport, Flow, RoutingTable};
-pub use vc::{allocate_vcs, VcAllocation};
+pub use vc::{allocate_vcs, require_servable, VcAllocation};

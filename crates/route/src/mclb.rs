@@ -11,208 +11,195 @@
 //!   channel, and a min-max objective.  Intended for small instances and
 //!   for validating the heuristic engine.
 //! * [`mclb_route`] — the production engine: greedy construction (flows
-//!   with the fewest alternatives are committed first) followed by
-//!   iterative re-routing of flows that cross the hottest channels.  On the
-//!   paper's 20-router topologies this converges in milliseconds and, on
-//!   instances small enough to verify, matches the MILP optimum.
+//!   with the fewest alternatives are committed first) followed by up to
+//!   64 sweeps that re-route the flows crossing the hottest channels, run
+//!   from 4 seeded restarts with the best result kept.
+//!
+//! Every flow carries unit demand, so channel loads are small integers.
+//! The heuristic keeps them in a `u32` array indexed by channel, together
+//! with a histogram of load values, so the objective — (max load, channels
+//! at max load, Σload²), compared as a plain tuple — is exact and costs
+//! O(path length) to update when a path is added or removed.  A candidate
+//! replaces the incumbent only on a strict improvement, so ties go to the
+//! incumbent, then to the earliest candidate.
 
 use crate::paths::{path_links, PathSet};
 use crate::table::{Flow, RoutingTable};
 use netsmith_lp::{BranchBoundConfig, Cmp, LinExpr, MilpSolver, Model, Sense, VarType};
+use netsmith_topo::RouterId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// Improvement sweeps per restart (fewer when a sweep changes nothing).
+const MAX_SWEEPS: usize = 64;
+/// Independent restarts, seeded `seed..seed + RESTARTS`; the best is kept.
+const RESTARTS: u64 = 4;
+
 /// Configuration for the heuristic MCLB engine.
 #[derive(Debug, Clone)]
 pub struct MclbConfig {
     /// RNG seed for tie-breaking and flow ordering.
     pub seed: u64,
-    /// Maximum number of improvement sweeps.
-    pub max_sweeps: usize,
-    /// Number of independent restarts; the best result is kept.
-    pub restarts: usize,
 }
 
 impl Default for MclbConfig {
     fn default() -> Self {
-        MclbConfig {
-            seed: 0xC1A551C,
-            max_sweeps: 64,
-            restarts: 4,
-        }
+        MclbConfig { seed: 0xC1A551C }
     }
 }
 
-/// Objective tuple compared lexicographically: (max load, number of
-/// channels at max load, sum of squared loads).
-fn objective(loads: &HashMap<(usize, usize), f64>) -> (f64, usize, f64) {
-    let mut max = 0.0f64;
-    for &l in loads.values() {
-        if l > max {
-            max = l;
-        }
-    }
-    let at_max = loads.values().filter(|&&l| (l - max).abs() < 1e-9).count();
-    let sumsq = loads.values().map(|&l| l * l).sum();
-    (max, at_max, sumsq)
+/// (max load, channels at max load, Σload²), minimized lexicographically.
+type Objective = (u32, u32, u64);
+
+/// Unit-demand channel loads of a partial routing, with the objective
+/// maintained incrementally.
+struct Loads {
+    n: usize,
+    /// `load[a * n + b]` — flows routed over channel `a -> b`.
+    load: Vec<u32>,
+    /// `hist[l]` — entries of `load` equal to `l`.
+    hist: Vec<u32>,
+    max: u32,
+    sumsq: u64,
 }
 
-fn better(a: (f64, usize, f64), b: (f64, usize, f64)) -> bool {
-    if a.0 < b.0 - 1e-12 {
-        return true;
+impl Loads {
+    /// Empty loads for `n` routers and at most `flows` flows.
+    fn new(n: usize, flows: usize) -> Self {
+        let mut hist = vec![0; flows + 1];
+        hist[0] = (n * n) as u32;
+        Loads {
+            n,
+            load: vec![0; n * n],
+            hist,
+            max: 0,
+            sumsq: 0,
+        }
     }
-    if a.0 > b.0 + 1e-12 {
-        return false;
+
+    fn add(&mut self, path: &[RouterId]) {
+        for (a, b) in path_links(path) {
+            let l = &mut self.load[a * self.n + b];
+            self.hist[*l as usize] -= 1;
+            self.sumsq += 2 * u64::from(*l) + 1;
+            *l += 1;
+            self.hist[*l as usize] += 1;
+            self.max = self.max.max(*l);
+        }
     }
-    if a.1 < b.1 {
-        return true;
+
+    fn remove(&mut self, path: &[RouterId]) {
+        for (a, b) in path_links(path) {
+            let l = &mut self.load[a * self.n + b];
+            self.hist[*l as usize] -= 1;
+            if *l == self.max && self.hist[*l as usize] == 0 {
+                self.max -= 1;
+            }
+            *l -= 1;
+            self.sumsq -= 2 * u64::from(*l) + 1;
+            self.hist[*l as usize] += 1;
+        }
     }
-    if a.1 > b.1 {
-        return false;
+
+    fn objective(&self) -> Objective {
+        (self.max, self.hist[self.max as usize], self.sumsq)
     }
-    a.2 < b.2 - 1e-12
+
+    /// The objective with `path` added, leaving the loads unchanged.
+    fn objective_with(&mut self, path: &[RouterId]) -> Objective {
+        self.add(path);
+        let obj = self.objective();
+        self.remove(path);
+        obj
+    }
+
+    /// The candidate whose addition gives the smallest objective.
+    /// `incumbent` is tried first and the others follow in index order; a
+    /// later candidate wins only on a strict improvement.
+    fn best_candidate(&mut self, candidates: &[Vec<RouterId>], incumbent: usize) -> usize {
+        if candidates.len() < 2 {
+            return incumbent;
+        }
+        let mut best = (incumbent, self.objective_with(&candidates[incumbent]));
+        for (idx, p) in candidates.iter().enumerate() {
+            if idx != incumbent {
+                let obj = self.objective_with(p);
+                if obj < best.1 {
+                    best = (idx, obj);
+                }
+            }
+        }
+        best.0
+    }
 }
 
 /// Heuristic MCLB routing over all flows with unit demand.
 pub fn mclb_route(paths: &PathSet, config: &MclbConfig) -> RoutingTable {
-    let flows: Vec<(usize, usize)> = paths.flows().collect();
-    let mut best: Option<(RoutingTable, (f64, usize, f64))> = None;
-    for restart in 0..config.restarts.max(1) {
-        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-        let table = single_run(paths, &flows, &mut rng, config.max_sweeps);
-        let loads = link_loads(&table);
-        let obj = objective(&loads);
-        if best.as_ref().is_none_or(|(_, cur)| better(obj, *cur)) {
-            best = Some((table, obj));
+    let flows: Vec<(RouterId, RouterId)> = paths.flows().collect();
+    let mut best: Option<(Objective, Vec<usize>)> = None;
+    for restart in 0..RESTARTS {
+        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart));
+        let run = single_run(paths, &flows, &mut rng);
+        if best.as_ref().is_none_or(|cur| run.0 < cur.0) {
+            best = Some(run);
         }
     }
-    best.expect("at least one restart").0
-}
-
-fn link_loads(table: &RoutingTable) -> HashMap<(usize, usize), f64> {
-    let mut loads = HashMap::new();
-    for (_, path) in table.flows() {
-        for (a, b) in path_links(path) {
-            *loads.entry((a, b)).or_insert(0.0) += 1.0;
-        }
+    let (_, selected) = best.expect("at least one restart");
+    let mut table = RoutingTable::new(paths.num_routers(), "MCLB");
+    for (&(s, d), idx) in flows.iter().zip(selected) {
+        table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].clone());
     }
-    loads
+    table
 }
 
+/// One greedy construction plus improvement sweeps; returns the final
+/// objective and the selected path index of every flow.
 fn single_run(
     paths: &PathSet,
-    flows: &[(usize, usize)],
+    flows: &[(RouterId, RouterId)],
     rng: &mut SmallRng,
-    max_sweeps: usize,
-) -> RoutingTable {
-    let n = paths.num_routers();
-    let mut table = RoutingTable::new(n, "MCLB");
-    // Selected path index per flow.
-    let mut selected: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut loads: HashMap<(usize, usize), f64> = HashMap::new();
+) -> (Objective, Vec<usize>) {
+    let candidates = |f: usize| paths.paths(flows[f].0, flows[f].1);
+    let mut loads = Loads::new(paths.num_routers(), flows.len());
+    let mut selected = vec![0usize; flows.len()];
 
     // Greedy construction: commit constrained flows (fewest alternatives)
     // first; break ties randomly.
-    let mut order: Vec<(usize, usize)> = flows.to_vec();
+    let mut order: Vec<usize> = (0..flows.len()).collect();
     order.shuffle(rng);
-    order.sort_by_key(|&(s, d)| paths.paths(s, d).len());
-    for &(s, d) in &order {
-        let candidates = paths.paths(s, d);
-        let mut best_idx = 0usize;
-        let mut best_obj = (f64::INFINITY, usize::MAX, f64::INFINITY);
-        for (idx, p) in candidates.iter().enumerate() {
-            // Apply tentatively.
-            for (a, b) in path_links(p) {
-                *loads.entry((a, b)).or_insert(0.0) += 1.0;
-            }
-            let obj = objective(&loads);
-            for (a, b) in path_links(p) {
-                *loads.get_mut(&(a, b)).unwrap() -= 1.0;
-            }
-            if better(obj, best_obj) {
-                best_obj = obj;
-                best_idx = idx;
-            }
-        }
-        selected.insert((s, d), best_idx);
-        for (a, b) in path_links(&candidates[best_idx]) {
-            *loads.entry((a, b)).or_insert(0.0) += 1.0;
-        }
+    order.sort_by_key(|&f| candidates(f).len());
+    for &f in &order {
+        selected[f] = loads.best_candidate(candidates(f), 0);
+        loads.add(&candidates(f)[selected[f]]);
     }
 
     // Local improvement: re-route flows that cross the hottest channels.
-    for _ in 0..max_sweeps {
-        let current_obj = objective(&loads);
-        let max_load = current_obj.0;
-        // Flows crossing any channel at max load.
-        let hot_flows: Vec<(usize, usize)> = order
+    for _ in 0..MAX_SWEEPS {
+        let max = loads.max;
+        let hot_flows: Vec<usize> = order
             .iter()
             .copied()
-            .filter(|&(s, d)| {
-                let idx = selected[&(s, d)];
-                path_links(&paths.paths(s, d)[idx])
-                    .any(|link| loads.get(&link).copied().unwrap_or(0.0) >= max_load - 1e-9)
+            .filter(|&f| {
+                path_links(&candidates(f)[selected[f]])
+                    .any(|(a, b)| loads.load[a * loads.n + b] == max)
             })
             .collect();
         let mut improved = false;
-        for (s, d) in hot_flows {
-            let candidates = paths.paths(s, d);
-            if candidates.len() < 2 {
-                continue;
-            }
-            let cur_idx = selected[&(s, d)];
-            // Remove current contribution.
-            for (a, b) in path_links(&candidates[cur_idx]) {
-                *loads.get_mut(&(a, b)).unwrap() -= 1.0;
-            }
-            let mut best_idx = cur_idx;
-            let mut best_obj = {
-                for (a, b) in path_links(&candidates[cur_idx]) {
-                    *loads.entry((a, b)).or_insert(0.0) += 1.0;
-                }
-                let o = objective(&loads);
-                for (a, b) in path_links(&candidates[cur_idx]) {
-                    *loads.get_mut(&(a, b)).unwrap() -= 1.0;
-                }
-                o
-            };
-            for (idx, p) in candidates.iter().enumerate() {
-                if idx == cur_idx {
-                    continue;
-                }
-                for (a, b) in path_links(p) {
-                    *loads.entry((a, b)).or_insert(0.0) += 1.0;
-                }
-                let obj = objective(&loads);
-                for (a, b) in path_links(p) {
-                    *loads.get_mut(&(a, b)).unwrap() -= 1.0;
-                }
-                if better(obj, best_obj) {
-                    best_obj = obj;
-                    best_idx = idx;
-                }
-            }
-            // Commit the best path back.
-            for (a, b) in path_links(&candidates[best_idx]) {
-                *loads.entry((a, b)).or_insert(0.0) += 1.0;
-            }
-            if best_idx != cur_idx {
-                selected.insert((s, d), best_idx);
-                improved = true;
-            }
+        for f in hot_flows {
+            let current = selected[f];
+            loads.remove(&candidates(f)[current]);
+            selected[f] = loads.best_candidate(candidates(f), current);
+            loads.add(&candidates(f)[selected[f]]);
+            improved |= selected[f] != current;
         }
         if !improved {
             break;
         }
     }
-
-    for (&(s, d), &idx) in &selected {
-        table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].clone());
-    }
-    table
+    (loads.objective(), selected)
 }
 
 /// Exact MCLB via the MILP of Table III.  Only practical for small
@@ -331,10 +318,7 @@ mod tests {
     fn mclb_is_deterministic_for_a_seed() {
         let kite = expert::kite_medium(&Layout::noi_4x5());
         let ps = all_shortest_paths(&kite);
-        let cfg = MclbConfig {
-            seed: 9,
-            ..Default::default()
-        };
+        let cfg = MclbConfig { seed: 9 };
         let a = mclb_route(&ps, &cfg);
         let b = mclb_route(&ps, &cfg);
         assert_eq!(a, b);

@@ -70,7 +70,7 @@ pub fn all_shortest_paths(topo: &Topology) -> PathSet {
 }
 
 /// Enumerate all shortest paths with an explicit per-flow cap.
-pub fn all_shortest_paths_capped(topo: &Topology, max_per_flow: usize) -> PathSet {
+fn all_shortest_paths_capped(topo: &Topology, max_per_flow: usize) -> PathSet {
     let n = topo.num_routers();
     let dist = all_pairs_hops(topo);
     let mut paths = vec![Vec::new(); n * n];

@@ -241,6 +241,32 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
         })
 }
 
+/// Decide whether a routing table can be served, the one check every
+/// caller that routes a (possibly degraded) topology applies: every
+/// ordered pair among `routers` routers must be routed
+/// ([`PipelineError::IncompleteRouting`] otherwise), and the paths must fit
+/// deadlock-free into `vc_budget` virtual channels
+/// ([`PipelineError::VcBudgetExceeded`] otherwise).  Returns the verified
+/// allocation.
+pub fn require_servable(
+    table: &RoutingTable,
+    routers: usize,
+    vc_budget: usize,
+    seed: u64,
+) -> Result<VcAllocation, PipelineError> {
+    table.require_complete_among(routers)?;
+    let vcs = allocate_vcs(table, vc_budget, seed)?;
+    if !verify_deadlock_free(table, &vcs) {
+        // The balancing pass never violates per-VC acyclicity, so this is a
+        // defensive re-check; surface it as a budget failure.
+        return Err(PipelineError::VcBudgetExceeded {
+            needed: vcs.escape_layers,
+            budget: vc_budget,
+        });
+    }
+    Ok(vcs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,5 +410,49 @@ mod tests {
         let a = allocate_vcs(&table, 6, 77).unwrap();
         let b = allocate_vcs(&table, 6, 77).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn require_servable_names_the_missing_pairs() {
+        let ps = all_shortest_paths(&expert::mesh(&Layout::noi_4x5()));
+        let full = mclb_route(&ps, &MclbConfig::default());
+        let mut partial = crate::table::RoutingTable::new(20, "partial");
+        for (flow, path) in full.flows().skip(3) {
+            partial.set_path(flow, path.to_vec());
+        }
+        assert_eq!(
+            require_servable(&partial, 20, 6, 1),
+            Err(PipelineError::IncompleteRouting { missing_pairs: 3 })
+        );
+    }
+
+    #[test]
+    fn require_servable_rejects_a_zero_vc_budget() {
+        let ps = all_shortest_paths(&expert::mesh(&Layout::noi_4x5()));
+        let table = mclb_route(&ps, &MclbConfig::default());
+        assert!(matches!(
+            require_servable(&table, 20, 0, 1),
+            Err(PipelineError::VcBudgetExceeded { budget: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn require_servable_accepts_a_table_complete_among_survivors() {
+        // Cutting corner router 0 off the mesh leaves 19 routers that still
+        // reach each other.
+        let mut mesh = expert::mesh(&Layout::noi_4x5());
+        for (a, b) in [(0, 1), (0, 5)] {
+            mesh.remove_link(a, b);
+            mesh.remove_link(b, a);
+        }
+        let ps = all_shortest_paths(&mesh);
+        let table = mclb_route(&ps, &MclbConfig::default());
+        let vcs = require_servable(&table, 19, 6, 1).expect("survivors are served");
+        assert!(verify_deadlock_free(&table, &vcs));
+        assert_eq!(vcs.assignment.len(), 19 * 18);
+        assert_eq!(
+            require_servable(&table, 20, 6, 1),
+            Err(PipelineError::IncompleteRouting { missing_pairs: 38 })
+        );
     }
 }

@@ -19,7 +19,7 @@ proptest! {
     fn mclb_paths_are_always_shortest_and_real(seed in 0u64..10_000, extra in 0usize..24) {
         let topo = random_topology(seed, extra);
         let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig { seed, restarts: 1, ..Default::default() });
+        let table = mclb_route(&paths, &MclbConfig { seed });
         prop_assert!(table.is_complete());
         prop_assert!(table.validate(&topo).is_ok());
         for (flow, p) in table.flows() {
@@ -31,7 +31,7 @@ proptest! {
     fn mclb_max_load_never_exceeds_worst_single_path_choice(seed in 0u64..10_000) {
         let topo = random_topology(seed, 12);
         let paths = all_shortest_paths(&topo);
-        let mclb = mclb_route(&paths, &MclbConfig { seed, ..Default::default() });
+        let mclb = mclb_route(&paths, &MclbConfig { seed });
         // Worst case: every flow picks its first enumerated path.
         let mut naive = netsmith_route::RoutingTable::new(topo.num_routers(), "naive");
         for (s, d) in paths.flows() {
@@ -46,7 +46,7 @@ proptest! {
     fn vc_allocation_is_always_deadlock_free_when_it_fits(seed in 0u64..10_000) {
         let topo = random_topology(seed, 16);
         let paths = all_shortest_paths(&topo);
-        let table = mclb_route(&paths, &MclbConfig { seed, restarts: 1, ..Default::default() });
+        let table = mclb_route(&paths, &MclbConfig { seed });
         if let Ok(alloc) = allocate_vcs(&table, 8, seed) {
             prop_assert!(verify_deadlock_free(&table, &alloc));
             prop_assert_eq!(alloc.assignment.len(), table.num_routed_flows());

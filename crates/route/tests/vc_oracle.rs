@@ -268,14 +268,7 @@ fn check_against_reference(table: &RoutingTable, seed: u64, budgets: &[usize], w
 
 fn mclb_table(topo: &Topology, seed: u64) -> RoutingTable {
     let paths = all_shortest_paths(topo);
-    mclb_route(
-        &paths,
-        &MclbConfig {
-            seed,
-            restarts: 1,
-            ..Default::default()
-        },
-    )
+    mclb_route(&paths, &MclbConfig { seed })
 }
 
 fn ndbt_table(topo: &Topology, seed: u64) -> RoutingTable {
