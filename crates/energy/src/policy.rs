@@ -253,10 +253,10 @@ impl LinkSleep {
             }
         }
 
+        let seed = ctx.config.reroute_seed;
         // Walk back until the gated sub-topology routes deadlock-free.
         // Restoration pops the smallest-net-benefit pair first, giving up
         // the least savings per unit of routability regained.
-        let seed = ctx.config.reroute_seed;
         loop {
             let name = format!("{}-gated", topo.name());
             let candidate = gated_topo.clone().with_name(name);

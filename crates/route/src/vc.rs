@@ -241,13 +241,11 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
         })
 }
 
-/// Decide whether a routing table can be served, the one check every
-/// caller that routes a (possibly degraded) topology applies: every
-/// ordered pair among `routers` routers must be routed
+/// Check that a routing table can be served and return its verified VC
+/// allocation: every ordered pair among `routers` routers must be routed
 /// ([`PipelineError::IncompleteRouting`] otherwise), and the paths must fit
 /// deadlock-free into `vc_budget` virtual channels
-/// ([`PipelineError::VcBudgetExceeded`] otherwise).  Returns the verified
-/// allocation.
+/// ([`PipelineError::VcBudgetExceeded`] otherwise).
 pub fn require_servable(
     table: &RoutingTable,
     routers: usize,
@@ -416,7 +414,7 @@ mod tests {
     fn require_servable_names_the_missing_pairs() {
         let ps = all_shortest_paths(&expert::mesh(&Layout::noi_4x5()));
         let full = mclb_route(&ps, &MclbConfig::default());
-        let mut partial = crate::table::RoutingTable::new(20, "partial");
+        let mut partial = RoutingTable::new(20, "partial");
         for (flow, path) in full.flows().skip(3) {
             partial.set_path(flow, path.to_vec());
         }
