@@ -87,6 +87,9 @@ fn bench_metrics(c: &mut Criterion) {
     group.bench_function("sparsest_cut_heuristic_48r", |b| {
         b.iter(|| cuts::sparsest_cut_heuristic(&big, 8, 1))
     });
+    group.bench_function("bisection_bandwidth_48r", |b| {
+        b.iter(|| cuts::bisection_bandwidth(&big))
+    });
     group.bench_function("topology_metrics_48r", |b| {
         b.iter(|| TopologyMetrics::compute(&big))
     });

@@ -18,6 +18,14 @@
 //! pair swaps for the bisection), which matches how we use the metrics (as
 //! optimization objectives and reporting statistics, not proofs of
 //! optimality).
+//!
+//! All three searches move one router at a time across a bipartition whose
+//! two crossing counts are kept up to date from per-router in/out adjacency
+//! lists, so a move costs O(degree) rather than a rescan of every link.  The
+//! exhaustive sweep visits the masks in Gray-code order, where consecutive
+//! masks differ in exactly one router, and keeps the lexicographic minimum
+//! of (normalized bandwidth, mask): the first strict minimum in plain mask
+//! order.
 
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
@@ -66,27 +74,108 @@ pub fn crossing_links(topo: &Topology, in_u: &[bool]) -> (usize, usize) {
     (fwd, bwd)
 }
 
-fn report_for(topo: &Topology, in_u: &[bool], exact: bool) -> CutReport {
-    let n = topo.num_routers();
-    let (fwd, bwd) = crossing_links(topo, in_u);
-    let size_u = in_u.iter().filter(|&&b| b).count();
-    let size_v = n - size_u;
-    let norm = if size_u == 0 || size_v == 0 {
-        f64::INFINITY
-    } else {
-        fwd.min(bwd) as f64 / (size_u * size_v) as f64
-    };
-    CutReport {
-        partition: (0..n).filter(|&i| in_u[i]).collect(),
-        crossing_forward: fwd,
-        crossing_backward: bwd,
-        normalized_bandwidth: norm,
-        is_bisection: size_u == size_v || size_u.abs_diff(size_v) == 1,
-        exact,
+/// Per-router out- and in-neighbour lists of a topology.
+struct Adjacency {
+    out: Vec<Vec<usize>>,
+    inc: Vec<Vec<usize>>,
+}
+
+impl Adjacency {
+    fn new(topo: &Topology) -> Self {
+        let n = topo.num_routers();
+        Adjacency {
+            out: (0..n).map(|i| topo.neighbours_out(i)).collect(),
+            inc: (0..n).map(|j| topo.neighbours_in(j)).collect(),
+        }
     }
 }
 
-/// Exhaustive sparsest cut over all bipartitions (requires `n <=
+/// A bipartition with its crossing counts, updated in O(degree) per move.
+struct Cut<'a> {
+    adj: &'a Adjacency,
+    in_u: Vec<bool>,
+    size_u: usize,
+    /// Directed links from `U` to `V`.
+    fwd: usize,
+    /// Directed links from `V` to `U`.
+    bwd: usize,
+}
+
+impl<'a> Cut<'a> {
+    fn new(adj: &'a Adjacency, in_u: Vec<bool>) -> Self {
+        let mut fwd = 0;
+        let mut bwd = 0;
+        for (i, outs) in adj.out.iter().enumerate() {
+            for &j in outs {
+                match (in_u[i], in_u[j]) {
+                    (true, false) => fwd += 1,
+                    (false, true) => bwd += 1,
+                    _ => {}
+                }
+            }
+        }
+        let size_u = in_u.iter().filter(|&&b| b).count();
+        Cut {
+            adj,
+            in_u,
+            size_u,
+            fwd,
+            bwd,
+        }
+    }
+
+    /// Move router `v` to the other side.  Each of its links that crossed
+    /// stops crossing, and each that did not starts: its out-links then
+    /// cross in the direction leaving `v`'s new side, its in-links in the
+    /// direction entering it.
+    fn flip(&mut self, v: usize) {
+        let side = self.in_u[v];
+        let (outs, ins) = (&self.adj.out[v], &self.adj.inc[v]);
+        let crossing = |rs: &[usize]| rs.iter().filter(|&&r| self.in_u[r] != side).count();
+        let crossed = crossing(outs) + crossing(ins);
+        let (to_fwd, to_bwd) = if side {
+            (ins.len(), outs.len())
+        } else {
+            (outs.len(), ins.len())
+        };
+        self.fwd = self.fwd + to_fwd - crossed;
+        self.bwd = self.bwd + to_bwd - crossed;
+        self.size_u = if side {
+            self.size_u - 1
+        } else {
+            self.size_u + 1
+        };
+        self.in_u[v] = !side;
+    }
+
+    fn crossing_min(&self) -> usize {
+        self.fwd.min(self.bwd)
+    }
+
+    /// `min(fwd, bwd) / (|U| * |V|)`, infinite when a side is empty.
+    fn normalized(&self) -> f64 {
+        let size_v = self.in_u.len() - self.size_u;
+        if self.size_u == 0 || size_v == 0 {
+            f64::INFINITY
+        } else {
+            self.crossing_min() as f64 / (self.size_u * size_v) as f64
+        }
+    }
+
+    fn report(&self, exact: bool) -> CutReport {
+        let size_v = self.in_u.len() - self.size_u;
+        CutReport {
+            partition: (0..self.in_u.len()).filter(|&i| self.in_u[i]).collect(),
+            crossing_forward: self.fwd,
+            crossing_backward: self.bwd,
+            normalized_bandwidth: self.normalized(),
+            is_bisection: self.size_u.abs_diff(size_v) <= 1,
+            exact,
+        }
+    }
+}
+
+/// Exhaustive sparsest cut over all bipartitions (requires `2 <= n <=
 /// EXHAUSTIVE_LIMIT`).  The partition containing router 0 is fixed to `U`
 /// to avoid enumerating mirror-image cuts twice.
 pub fn sparsest_cut_exhaustive(topo: &Topology) -> CutReport {
@@ -94,10 +183,11 @@ pub fn sparsest_cut_exhaustive(topo: &Topology) -> CutReport {
 }
 
 /// One sweep over every bipartition with router 0 in `U` (bit `i` of the
-/// membership mask is router `i`).  Returns the first mask-order strict
-/// minimum of the normalized crossing capacity, as a report, together with
-/// the bisection bandwidth: the minimum weaker-direction crossing count
-/// over balanced bipartitions (sides differing by at most one router).
+/// mask is router `i + 1`), in Gray-code order.  Returns the first
+/// mask-order strict minimum of the normalized crossing capacity, as a
+/// report, together with the bisection bandwidth: the minimum
+/// weaker-direction crossing count over balanced bipartitions (sides
+/// differing by at most one router).
 fn exhaustive_cuts(topo: &Topology) -> (CutReport, f64) {
     let n = topo.num_routers();
     assert!(
@@ -105,39 +195,48 @@ fn exhaustive_cuts(topo: &Topology) -> (CutReport, f64) {
         "exhaustive cut enumeration limited to {EXHAUSTIVE_LIMIT} routers"
     );
     assert!(n >= 2);
-    let links: Vec<(usize, usize)> = topo.links().collect();
-    let mut best_norm = f64::INFINITY;
-    let mut best_members = 1u64;
+    let adj = Adjacency::new(topo);
+    let mut in_u = vec![false; n];
+    in_u[0] = true;
+    let mut cut = Cut::new(&adj, in_u);
+    // The all-`U` mask (V empty) is skipped.
+    let all_u = (1u64 << (n - 1)) - 1;
+    let mut mask = 0u64;
+    let mut best = (f64::INFINITY, 0u64);
     let mut bisection = usize::MAX;
-    // The all-`U` mask (V empty) is the last one, so it is never visited.
-    for mask in 0..(1u64 << (n - 1)) - 1 {
-        let members = (mask << 1) | 1;
-        let size_u = members.count_ones() as usize;
-        let size_v = n - size_u;
-        let mut fwd = 0usize;
-        let mut bwd = 0usize;
-        for &(i, j) in &links {
-            let (a, b) = ((members >> i) & 1, (members >> j) & 1);
-            fwd += (a & !b) as usize;
-            bwd += (!a & b) as usize;
+    for step in 0..1u64 << (n - 1) {
+        if step > 0 {
+            // Gray code: this mask differs from the last in the lowest set
+            // bit of `step`.
+            let bit = step.trailing_zeros();
+            mask ^= 1 << bit;
+            cut.flip(bit as usize + 1);
         }
-        let crossing = fwd.min(bwd);
-        let norm = crossing as f64 / (size_u * size_v) as f64;
-        if norm < best_norm {
-            best_norm = norm;
-            best_members = members;
+        if mask == all_u {
+            continue;
         }
-        if size_u.abs_diff(size_v) <= 1 {
-            bisection = bisection.min(crossing);
+        let norm = cut.normalized();
+        if norm < best.0 || (norm == best.0 && mask < best.1) {
+            best = (norm, mask);
+        }
+        if cut.size_u.abs_diff(n - cut.size_u) <= 1 {
+            bisection = bisection.min(cut.crossing_min());
         }
     }
-    let in_u: Vec<bool> = (0..n).map(|i| (best_members >> i) & 1 == 1).collect();
-    (report_for(topo, &in_u, true), bisection as f64)
+    let members = (best.1 << 1) | 1;
+    let in_u = (0..n).map(|i| (members >> i) & 1 == 1).collect();
+    (Cut::new(&adj, in_u).report(true), bisection as f64)
 }
 
-/// Heuristic sparsest cut: multi-start single-node-move local search.
+/// Heuristic sparsest cut: multi-start single-node-move local search.  A
+/// topology with fewer than two routers has no cut; it gets the all-`U`
+/// report, whose normalized bandwidth is infinite.
 pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutReport {
     let n = topo.num_routers();
+    let adj = Adjacency::new(topo);
+    if n < 2 {
+        return Cut::new(&adj, vec![true; n]).report(false);
+    }
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut best: Option<CutReport> = None;
     for _ in 0..starts.max(1) {
@@ -154,22 +253,22 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
             }
         }
         // Greedy single-node moves until no improvement.
-        let mut current = report_for(topo, &in_u, false);
+        let mut cut = Cut::new(&adj, in_u);
+        let mut current = cut.normalized();
         loop {
             let mut improved = false;
             for v in 0..n {
-                let size_u = in_u.iter().filter(|&&b| b).count();
                 // Keep both sides non-empty.
-                if (in_u[v] && size_u == 1) || (!in_u[v] && size_u == n - 1) {
+                if (cut.in_u[v] && cut.size_u == 1) || (!cut.in_u[v] && cut.size_u == n - 1) {
                     continue;
                 }
-                in_u[v] = !in_u[v];
-                let candidate = report_for(topo, &in_u, false);
-                if candidate.normalized_bandwidth < current.normalized_bandwidth - 1e-12 {
+                cut.flip(v);
+                let candidate = cut.normalized();
+                if candidate < current - 1e-12 {
                     current = candidate;
                     improved = true;
                 } else {
-                    in_u[v] = !in_u[v];
+                    cut.flip(v);
                 }
             }
             if !improved {
@@ -178,9 +277,9 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
         }
         if best
             .as_ref()
-            .is_none_or(|b| current.normalized_bandwidth < b.normalized_bandwidth)
+            .is_none_or(|b| current < b.normalized_bandwidth)
         {
-            best = Some(current);
+            best = Some(cut.report(false));
         }
     }
     best.expect("at least one start")
@@ -223,6 +322,7 @@ pub(crate) fn sparsest_cut_and_bisection(topo: &Topology) -> (CutReport, f64) {
 fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
     let n = topo.num_routers();
     let half = n / 2;
+    let adj = Adjacency::new(topo);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut best = f64::INFINITY;
     for _ in 0..starts {
@@ -239,39 +339,34 @@ fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
         // Pairwise swap local search maintaining balance.  After an accepted
         // swap the current `a` is no longer in U, so the inner scan must be
         // restarted (otherwise further swaps would unbalance the partition).
-        let mut current = {
-            let (f, b) = crossing_links(topo, &in_u);
-            f.min(b) as f64
-        };
+        let mut cut = Cut::new(&adj, in_u);
+        let mut current = cut.crossing_min();
         loop {
             let mut improved = false;
             'outer: for a in 0..n {
-                if !in_u[a] {
+                if !cut.in_u[a] {
                     continue;
                 }
                 for b in 0..n {
-                    if in_u[b] {
+                    if cut.in_u[b] {
                         continue;
                     }
-                    in_u[a] = false;
-                    in_u[b] = true;
-                    let (f, w) = crossing_links(topo, &in_u);
-                    let cand = f.min(w) as f64;
-                    if cand < current {
-                        current = cand;
+                    cut.flip(a);
+                    cut.flip(b);
+                    if cut.crossing_min() < current {
+                        current = cut.crossing_min();
                         improved = true;
                         break 'outer;
-                    } else {
-                        in_u[a] = true;
-                        in_u[b] = false;
                     }
+                    cut.flip(b);
+                    cut.flip(a);
                 }
             }
             if !improved {
                 break;
             }
         }
-        best = best.min(current);
+        best = best.min(current as f64);
     }
     best
 }
@@ -280,7 +375,7 @@ fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::expert;
-    use crate::layout::Layout;
+    use crate::layout::{Layout, NodeKind};
     use crate::linkclass::{LinkClass, LinkSpan};
 
     #[test]
@@ -323,8 +418,10 @@ mod tests {
 
     #[test]
     fn asymmetric_direction_minimum_is_used() {
-        // Two routers connected one way only: the reverse direction has zero
-        // capacity, so the sparsest cut must be zero.
+        // A 4-router ring 0-1-3-2-0 whose 0 -> 2 link is missing.  The cut
+        // {0, 1} | {2, 3} carries one link forward (1 -> 3) and two back
+        // (3 -> 1, 2 -> 0); the weaker direction makes it the sparsest cut
+        // at 1 / (2 * 2).
         let layout = Layout::interposer_grid(2, 2, 4);
         let mut t = Topology::empty("one-way", layout, LinkClass::Large);
         t.add_link(0, 1);
@@ -334,9 +431,11 @@ mod tests {
         t.add_link(3, 2);
         t.add_link(2, 3);
         t.add_link(2, 0);
-        // Missing 0 -> 2 reverse: cut {0,1} vs {2,3} has fwd 1 (1->3? no..)
         let cut = sparsest_cut_exhaustive(&t);
-        assert!(cut.normalized_bandwidth <= 0.25 + 1e-12);
+        assert_eq!(cut.partition, vec![0, 1]);
+        assert_eq!(cut.crossing_forward, 1);
+        assert_eq!(cut.crossing_backward, 2);
+        assert_eq!(cut.normalized_bandwidth, 0.25);
     }
 
     #[test]
@@ -364,6 +463,30 @@ mod tests {
     }
 
     #[test]
+    fn single_start_bisections_match_the_rescanning_search() {
+        // One start per seed exposes where each swap search ends, which the
+        // 64-start minimum hides.  These are the end points of the search
+        // that recounted every link for each candidate swap.
+        let torus = expert::folded_torus(&Layout::noi_8x6());
+        let kite = expert::kite_large(&Layout::noi_6x5());
+        let ends = |t: &Topology| -> Vec<f64> {
+            (0..16)
+                .map(|seed| bisection_heuristic(t, 1, seed))
+                .collect()
+        };
+        let torus_ends = [
+            20.0, 26.0, 16.0, 12.0, 18.0, 16.0, 18.0, 22.0, 24.0, 12.0, 12.0, 12.0, 18.0, 12.0,
+            12.0, 22.0,
+        ];
+        let kite_ends = [
+            10.0, 17.0, 10.0, 12.0, 14.0, 10.0, 15.0, 14.0, 15.0, 15.0, 15.0, 10.0, 10.0, 10.0,
+            12.0, 12.0,
+        ];
+        assert_eq!(ends(&torus), torus_ends);
+        assert_eq!(ends(&kite), kite_ends);
+    }
+
+    #[test]
     fn odd_bisection_considers_router_zero_on_the_larger_side() {
         // A 9-router star around router 0: the 5/4 split with the hub on the
         // larger side severs 4 spokes, the 4/5 split with it on the smaller
@@ -376,6 +499,17 @@ mod tests {
             &spokes,
         );
         assert_eq!(bisection_bandwidth(&star), 4.0);
+    }
+
+    #[test]
+    fn heuristic_reports_the_whole_topology_below_two_routers() {
+        let layout = Layout::new(1, 1, vec![NodeKind::Cores { count: 4 }], 4);
+        let one = Topology::empty("one", layout, LinkClass::Small);
+        let cut = sparsest_cut_heuristic(&one, 4, 7);
+        assert_eq!(cut.partition, vec![0]);
+        assert_eq!(cut.crossing_min(), 0);
+        assert_eq!(cut.normalized_bandwidth, f64::INFINITY);
+        assert!(!cut.exact);
     }
 
     #[test]

@@ -98,12 +98,19 @@ pub struct TopologyMetrics {
 
 impl TopologyMetrics {
     /// Compute the full metric report for a topology: one all-pairs BFS
-    /// and one cut computation feed every field.
+    /// and one cut computation feed every field.  With fewer than two
+    /// routers there is no cut, so both cut metrics and the cut bound read
+    /// zero, as in [`ThroughputBounds::compute`].
     pub fn compute(topo: &Topology) -> Self {
         let analysis = TopoAnalysis::new(topo);
-        let (cut, bisection_bandwidth) = cuts::sparsest_cut_and_bisection(topo);
+        let (sparsest_cut, bisection_bandwidth) = if topo.num_routers() < 2 {
+            (0.0, 0.0)
+        } else {
+            let (cut, bisection) = cuts::sparsest_cut_and_bisection(topo);
+            (cut.normalized_bandwidth, bisection)
+        };
         let average_hops = analysis.average_hops();
-        let bounds = ThroughputBounds::from_parts(topo, cut.normalized_bandwidth, average_hops);
+        let bounds = ThroughputBounds::from_parts(topo, sparsest_cut, average_hops);
         TopologyMetrics {
             name: topo.name().to_string(),
             class: topo.class().name(),
@@ -112,7 +119,7 @@ impl TopologyMetrics {
             diameter: analysis.diameter(),
             average_hops,
             bisection_bandwidth,
-            sparsest_cut: cut.normalized_bandwidth,
+            sparsest_cut,
             cut_bound: bounds.cut_bound,
             occupancy_bound: bounds.occupancy_bound,
         }
@@ -147,7 +154,7 @@ impl TopologyMetrics {
 mod tests {
     use super::*;
     use crate::expert;
-    use crate::layout::Layout;
+    use crate::layout::{Layout, NodeKind};
     use crate::linkclass::LinkClass;
 
     fn ring(n: usize) -> Topology {
@@ -214,6 +221,16 @@ mod tests {
         assert_eq!(m.diameter, Some(7));
         assert!(m.csv_row().starts_with("Mesh"));
         assert!(TopologyMetrics::csv_header().contains("avg_hops"));
+    }
+
+    #[test]
+    fn single_router_metrics_have_zero_cuts() {
+        let layout = Layout::new(1, 1, vec![NodeKind::Cores { count: 4 }], 4);
+        let m = TopologyMetrics::compute(&Topology::empty("one", layout, LinkClass::Small));
+        assert_eq!(m.num_routers, 1);
+        assert_eq!(m.sparsest_cut, 0.0);
+        assert_eq!(m.bisection_bandwidth, 0.0);
+        assert_eq!(m.cut_bound, 0.0);
     }
 
     #[test]
