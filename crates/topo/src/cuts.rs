@@ -102,26 +102,20 @@ struct Cut<'a> {
 }
 
 impl<'a> Cut<'a> {
-    fn new(adj: &'a Adjacency, in_u: Vec<bool>) -> Self {
-        let mut fwd = 0;
-        let mut bwd = 0;
-        for (i, outs) in adj.out.iter().enumerate() {
-            for &j in outs {
-                match (in_u[i], in_u[j]) {
-                    (true, false) => fwd += 1,
-                    (false, true) => bwd += 1,
-                    _ => {}
-                }
-            }
-        }
-        let size_u = in_u.iter().filter(|&&b| b).count();
-        Cut {
+    /// The bipartition with `U = { v : in_u[v] }`, built by moving its
+    /// members one at a time out of an all-`V` cut, where nothing crosses.
+    fn new(adj: &'a Adjacency, in_u: &[bool]) -> Self {
+        let mut cut = Cut {
             adj,
-            in_u,
-            size_u,
-            fwd,
-            bwd,
+            in_u: vec![false; in_u.len()],
+            size_u: 0,
+            fwd: 0,
+            bwd: 0,
+        };
+        for v in (0..in_u.len()).filter(|&v| in_u[v]) {
+            cut.flip(v);
         }
+        cut
     }
 
     /// Move router `v` to the other side.  Each of its links that crossed
@@ -196,9 +190,7 @@ fn exhaustive_cuts(topo: &Topology) -> (CutReport, f64) {
     );
     assert!(n >= 2);
     let adj = Adjacency::new(topo);
-    let mut in_u = vec![false; n];
-    in_u[0] = true;
-    let mut cut = Cut::new(&adj, in_u);
+    let mut cut = Cut::new(&adj, &(0..n).map(|i| i == 0).collect::<Vec<_>>());
     // The all-`U` mask (V empty) is skipped.
     let all_u = (1u64 << (n - 1)) - 1;
     let mut mask = 0u64;
@@ -224,8 +216,8 @@ fn exhaustive_cuts(topo: &Topology) -> (CutReport, f64) {
         }
     }
     let members = (best.1 << 1) | 1;
-    let in_u = (0..n).map(|i| (members >> i) & 1 == 1).collect();
-    (Cut::new(&adj, in_u).report(true), bisection as f64)
+    let in_u: Vec<bool> = (0..n).map(|i| (members >> i) & 1 == 1).collect();
+    (Cut::new(&adj, &in_u).report(true), bisection as f64)
 }
 
 /// Heuristic sparsest cut: multi-start single-node-move local search.  A
@@ -235,7 +227,7 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
     let n = topo.num_routers();
     let adj = Adjacency::new(topo);
     if n < 2 {
-        return Cut::new(&adj, vec![true; n]).report(false);
+        return Cut::new(&adj, &vec![true; n]).report(false);
     }
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut best: Option<CutReport> = None;
@@ -253,7 +245,7 @@ pub fn sparsest_cut_heuristic(topo: &Topology, starts: usize, seed: u64) -> CutR
             }
         }
         // Greedy single-node moves until no improvement.
-        let mut cut = Cut::new(&adj, in_u);
+        let mut cut = Cut::new(&adj, &in_u);
         let mut current = cut.normalized();
         loop {
             let mut improved = false;
@@ -339,7 +331,7 @@ fn bisection_heuristic(topo: &Topology, starts: usize, seed: u64) -> f64 {
         // Pairwise swap local search maintaining balance.  After an accepted
         // swap the current `a` is no longer in U, so the inner scan must be
         // restarted (otherwise further swaps would unbalance the partition).
-        let mut cut = Cut::new(&adj, in_u);
+        let mut cut = Cut::new(&adj, &in_u);
         let mut current = cut.crossing_min();
         loop {
             let mut improved = false;
