@@ -32,7 +32,7 @@ pub mod policy;
 pub mod report;
 
 pub use policy::{
-    standard_policies, AlwaysOn, Dvfs, DvfsLevel, EnergyContext, EnergyPolicy, GatedNetwork,
-    LinkSleep,
+    standard_policies, AlwaysOn, Dvfs, DvfsLevel, EnergyContext, EnergyPolicy, GateMemo,
+    GatedNetwork, LinkSleep,
 };
 pub use report::{EnergyConfig, EnergyReport};

@@ -104,7 +104,7 @@ impl EnergyPolicy for AlwaysOn {
 
 /// A gated sub-topology together with the fresh routing and VC allocation
 /// that prove it remains usable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatedNetwork {
     /// The topology with every gated link removed.
     pub topology: Topology,
@@ -121,6 +121,40 @@ impl GatedNetwork {
     /// routing with an acyclic CDG on every VC.
     pub fn verify(&self) -> bool {
         self.routing.is_complete() && verify_deadlock_free(&self.routing, &self.vcs)
+    }
+}
+
+/// Route attempts made by [`LinkSleep::gate_with`]: each routes one
+/// gated candidate through shortest paths, MCLB and VC allocation.
+#[derive(Debug, Clone, Default)]
+pub struct GateMemo {
+    routes: u64,
+    reuses: u64,
+}
+
+impl GateMemo {
+    /// Route attempts that ran paths, MCLB and VC allocation.
+    pub fn routes(&self) -> u64 {
+        self.routes
+    }
+
+    /// Route attempts answered from the memo instead.
+    pub fn reuses(&self) -> u64 {
+        self.reuses
+    }
+
+    /// Route `candidate` with MCLB and check it fits deadlock-free into
+    /// `vc_budget` virtual channels.
+    fn route(
+        &mut self,
+        candidate: &Topology,
+        seed: u64,
+        vc_budget: usize,
+    ) -> Result<(RoutingTable, VcAllocation), PipelineError> {
+        self.routes += 1;
+        let routing = mclb_route(&all_shortest_paths(candidate), &MclbConfig { seed });
+        let vcs = require_servable(&routing, candidate.num_routers(), vc_budget, seed)?;
+        Ok((routing, vcs))
     }
 }
 
@@ -191,6 +225,15 @@ impl LinkSleep {
     /// ungated topology cannot be routed — which the pipeline rules out
     /// before a policy ever runs — and then surfaces the typed reason.
     pub fn gate(&self, ctx: &EnergyContext<'_>) -> Result<GatedNetwork, PipelineError> {
+        self.gate_with(ctx, &mut GateMemo::default())
+    }
+
+    /// [`LinkSleep::gate`], counting its route attempts in `memo`.
+    pub fn gate_with(
+        &self,
+        ctx: &EnergyContext<'_>,
+        memo: &mut GateMemo,
+    ) -> Result<GatedNetwork, PipelineError> {
         let topo = ctx.topology;
         let activity = &ctx.report.activity;
         let util: HashMap<(RouterId, RouterId), f64> = activity
@@ -260,9 +303,8 @@ impl LinkSleep {
         loop {
             let name = format!("{}-gated", topo.name());
             let candidate = gated_topo.clone().with_name(name);
-            let routing = mclb_route(&all_shortest_paths(&candidate), &MclbConfig { seed });
-            match require_servable(&routing, n, ctx.config.vc_budget, seed) {
-                Ok(vcs) => {
+            match memo.route(&candidate, seed, ctx.config.vc_budget) {
+                Ok((routing, vcs)) => {
                     return Ok(GatedNetwork {
                         topology: candidate,
                         routing,

@@ -71,6 +71,14 @@ pub struct ServingReport {
     pub mean_latency_cycles: f64,
     /// Gated pair-epochs accumulated by LinkSleep (0 for other policies).
     pub gated_pair_epochs: u64,
+    /// LinkSleep gate decisions made over the horizon (0 for other
+    /// policies).
+    pub gate_calls: u64,
+    /// Gate route attempts that ran shortest paths, MCLB and VC
+    /// allocation; a decision that walks back makes several.
+    pub gate_routes: u64,
+    /// Gate route attempts that reused the previous attempt's routing.
+    pub gate_reuses: u64,
     /// Per-epoch series, one record per epoch of the horizon.
     pub records: Vec<EpochRecord>,
 }

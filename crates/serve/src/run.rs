@@ -14,7 +14,9 @@
 use crate::load::{LoadProcess, LoadSpec};
 use crate::report::{EpochRecord, ServingReport};
 use crate::tape::{FaultTape, TapeSpec};
-use netsmith_energy::{Dvfs, DvfsLevel, EnergyConfig, EnergyContext, GatedNetwork, LinkSleep};
+use netsmith_energy::{
+    Dvfs, DvfsLevel, EnergyConfig, EnergyContext, GateMemo, GatedNetwork, LinkSleep,
+};
 use netsmith_fault::{Fault, FaultScenario, RepairConfig, RepairPolicy, RerouteRepair};
 use netsmith_obs::{Attr, Obs};
 use netsmith_power::power_report_from_activity;
@@ -184,6 +186,8 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
     let mut accumulated_faults: Vec<Fault> = Vec::new();
     let mut prev_report: Option<SimReport> = None;
     let mut prev_gated: Vec<(RouterId, RouterId)> = Vec::new();
+    let mut gate_memo = GateMemo::default();
+    let mut gate_calls = 0u64;
 
     let mut records = Vec::with_capacity(config.epochs as usize);
     let mut horizon_stats = LatencyStats::new();
@@ -289,7 +293,8 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
                         report: prev,
                         config: &config.energy,
                     };
-                    if let Ok(plan) = sleep.gate(&ctx) {
+                    gate_calls += 1;
+                    if let Ok(plan) = sleep.gate_with(&ctx, &mut gate_memo) {
                         if !plan.gated_pairs.is_empty() {
                             gate_plan = Some(plan);
                         }
@@ -396,6 +401,10 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
         prev_report = Some(report);
     }
 
+    let (gate_routes, gate_reuses) = (gate_memo.routes(), gate_memo.reuses());
+    obs.add("serve.gate_calls", gate_calls);
+    obs.add("serve.gate_routes", gate_routes);
+    obs.add("serve.gate_reuses", gate_reuses);
     if obs.enabled() {
         emit_series(obs, config, &tape, &records);
     }
@@ -423,6 +432,9 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
         mean_latency_cycles: horizon_stats.mean(),
         latency: horizon_stats,
         gated_pair_epochs,
+        gate_calls,
+        gate_routes,
+        gate_reuses,
         records,
     }
 }
