@@ -124,12 +124,32 @@ impl GatedNetwork {
     }
 }
 
-/// Route attempts made by [`LinkSleep::gate_with`]: each routes one
-/// gated candidate through shortest paths, MCLB and VC allocation.
+/// Outcome of routing one gated candidate: its MCLB table and VC
+/// allocation, or why it cannot be served.
+type RouteResult = Result<(RoutingTable, VcAllocation), PipelineError>;
+
+/// The last gated candidate [`LinkSleep::gate_with`] routed, and what
+/// routing it gave.
+///
+/// Consecutive gate decisions of a serving horizon often land on the same
+/// sub-topology.  An attempt whose candidate has the same links, reroute
+/// seed and VC budget as the last one reuses its result instead of
+/// running shortest paths, MCLB and VC allocation again: routing is a
+/// pure function of those three.  One slot keeps the memory flat; the
+/// counters report how many attempts routed and how many reused.
 #[derive(Debug, Clone, Default)]
 pub struct GateMemo {
+    slot: Option<RouteSlot>,
     routes: u64,
     reuses: u64,
+}
+
+#[derive(Debug, Clone)]
+struct RouteSlot {
+    adjacency: Vec<bool>,
+    seed: u64,
+    vc_budget: usize,
+    result: RouteResult,
 }
 
 impl GateMemo {
@@ -138,23 +158,40 @@ impl GateMemo {
         self.routes
     }
 
-    /// Route attempts answered from the memo instead.
+    /// Route attempts answered from the slot instead.
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
 
+    /// Forget the last candidate, keeping the counters.
+    pub fn clear(&mut self) {
+        self.slot = None;
+    }
+
     /// Route `candidate` with MCLB and check it fits deadlock-free into
-    /// `vc_budget` virtual channels.
-    fn route(
-        &mut self,
-        candidate: &Topology,
-        seed: u64,
-        vc_budget: usize,
-    ) -> Result<(RoutingTable, VcAllocation), PipelineError> {
+    /// `vc_budget` virtual channels, or reuse the last attempt's result
+    /// when it routed the same links with the same seed and budget.
+    fn route(&mut self, candidate: &Topology, seed: u64, vc_budget: usize) -> RouteResult {
+        if let Some(slot) = &self.slot {
+            if slot.seed == seed
+                && slot.vc_budget == vc_budget
+                && slot.adjacency == candidate.adjacency()
+            {
+                self.reuses += 1;
+                return slot.result.clone();
+            }
+        }
         self.routes += 1;
         let routing = mclb_route(&all_shortest_paths(candidate), &MclbConfig { seed });
-        let vcs = require_servable(&routing, candidate.num_routers(), vc_budget, seed)?;
-        Ok((routing, vcs))
+        let result = require_servable(&routing, candidate.num_routers(), vc_budget, seed)
+            .map(|vcs| (routing, vcs));
+        self.slot = Some(RouteSlot {
+            adjacency: candidate.adjacency().to_vec(),
+            seed,
+            vc_budget,
+            result: result.clone(),
+        });
+        result
     }
 }
 
@@ -228,7 +265,8 @@ impl LinkSleep {
         self.gate_with(ctx, &mut GateMemo::default())
     }
 
-    /// [`LinkSleep::gate`], counting its route attempts in `memo`.
+    /// [`LinkSleep::gate`], reusing the last routed candidate held in
+    /// `memo` and counting the route attempts there.
     pub fn gate_with(
         &self,
         ctx: &EnergyContext<'_>,

@@ -232,6 +232,7 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
             // longer describes it, so the closed loop restarts cold.
             prev_report = None;
             prev_gated.clear();
+            gate_memo.clear();
         }
 
         let el = process.epoch(e);
