@@ -30,7 +30,9 @@
 //!
 //! // Declare the matrix: one expert baseline and one synthesized
 //! // candidate, each scored under two traffic patterns and one
-//! // generated trace replayed deterministically.
+//! // generated trace replayed deterministically.  Every pattern or
+//! // trace workload declares at least one offered load; this analytic
+//! // measurement ignores it.
 //! let mut spec = ExperimentSpec::new("doc_example");
 //! spec.classes = vec![LinkClass::Medium];
 //! spec.candidates = vec![
@@ -38,11 +40,11 @@
 //!     CandidateSpec::synth(ObjectiveSpec::LatOp),
 //! ];
 //! spec.workloads = vec![
-//!     WorkloadSpec::new(TrafficPattern::UniformRandom, vec![], SimProfile::Quick),
-//!     WorkloadSpec::new(TrafficPattern::Shuffle, vec![], SimProfile::Quick),
+//!     WorkloadSpec::new(TrafficPattern::UniformRandom, vec![0.1], SimProfile::Quick),
+//!     WorkloadSpec::new(TrafficPattern::Shuffle, vec![0.1], SimProfile::Quick),
 //!     WorkloadSpec::trace(
 //!         TraceSpec::generator("onoff-hotspot", 512, 7),
-//!         vec![],
+//!         vec![0.1],
 //!         SimProfile::Quick,
 //!     ),
 //! ];

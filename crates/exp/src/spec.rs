@@ -680,7 +680,7 @@ impl WorkloadSpec {
                 )
             }
         };
-        Ok(WorkloadSpec {
+        let workload = WorkloadSpec {
             label: match json.get("label") {
                 Some(label) => Some(label.as_str()?.into()),
                 None => None,
@@ -693,7 +693,26 @@ impl WorkloadSpec {
                 .map(|l| l.as_f64())
                 .collect::<Result<_, _>>()?,
             sim: SimProfile::from_json(json.require("sim")?)?,
-        })
+        };
+        workload.check_loads()?;
+        Ok(workload)
+    }
+
+    /// Reject offered loads no simulation can run: a non-finite or
+    /// negative load (`1e999` parses to infinity), and an empty list on a
+    /// pattern or trace workload.  A serving workload schedules its own
+    /// loads, so its list may be empty.
+    fn check_loads(&self) -> Result<(), String> {
+        let name = self.name();
+        if let Some(load) = self.loads.iter().find(|l| !l.is_finite() || **l < 0.0) {
+            return Err(format!(
+                "workload {name:?}: load {load} is not a finite non-negative number"
+            ));
+        }
+        if self.loads.is_empty() && self.serving_spec().is_none() {
+            return Err(format!("workload {name:?} has no loads"));
+        }
+        Ok(())
     }
 }
 
@@ -1164,6 +1183,80 @@ mod tests {
             SimProfile::Quick,
         );
         assert_eq!(file.name(), "trace:parsec_x264");
+    }
+
+    /// Decode `workload` after replacing its JSON `loads` array with
+    /// `loads`.
+    fn decode_with_loads(workload: &WorkloadSpec, loads: &str) -> Result<WorkloadSpec, String> {
+        let text = workload.to_json().to_string();
+        let start = text.find("\"loads\":[").expect("loads member") + "\"loads\":".len();
+        let end = start + text[start..].find(']').expect("loads array end") + 1;
+        let text = format!("{}{loads}{}", &text[..start], &text[end..]);
+        WorkloadSpec::from_json(&Json::parse(&text)?)
+    }
+
+    fn pattern_workload() -> WorkloadSpec {
+        WorkloadSpec::new(TrafficPattern::Shuffle, vec![0.1], SimProfile::Quick).labeled("hot")
+    }
+
+    #[test]
+    fn workload_decoding_keeps_valid_loads() {
+        let workload = pattern_workload();
+        assert_eq!(decode_with_loads(&workload, "[0.1]"), Ok(workload.clone()));
+        assert_eq!(
+            decode_with_loads(&workload, "[0, 0.5]").unwrap().loads,
+            vec![0.0, 0.5]
+        );
+    }
+
+    #[test]
+    fn workload_decoding_rejects_a_non_finite_load() {
+        let err = decode_with_loads(&pattern_workload(), "[0.1, 1e999]").unwrap_err();
+        assert!(err.contains("\"hot\"") && err.contains("inf"), "{err}");
+        let err = decode_with_loads(&pattern_workload(), "[-1e999]").unwrap_err();
+        assert!(err.contains("\"hot\"") && err.contains("-inf"), "{err}");
+    }
+
+    #[test]
+    fn workload_decoding_rejects_a_negative_load() {
+        let err = decode_with_loads(&pattern_workload(), "[0.1, -0.05]").unwrap_err();
+        assert!(err.contains("\"hot\"") && err.contains("-0.05"), "{err}");
+    }
+
+    #[test]
+    fn workload_decoding_rejects_an_empty_pattern_load_list() {
+        let err = decode_with_loads(&pattern_workload(), "[]").unwrap_err();
+        assert!(err.contains("\"hot\" has no loads"), "{err}");
+    }
+
+    #[test]
+    fn workload_decoding_rejects_an_empty_trace_load_list() {
+        let trace = WorkloadSpec::trace(
+            TraceSpec::generator("pointer-chase", 1_024, 3),
+            vec![0.1],
+            SimProfile::Quick,
+        );
+        let err = decode_with_loads(&trace, "[]").unwrap_err();
+        assert!(
+            err.contains("\"trace:pointer-chase\" has no loads"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn serving_workloads_decode_without_loads() {
+        let serving = WorkloadSpec::serving(
+            ServingSpec {
+                epochs: 32,
+                period_epochs: 16,
+                expected_faults: 1.0,
+                low_load_threshold: 0.12,
+                seed: 5,
+                tape_seed: 6,
+            },
+            SimProfile::Quick,
+        );
+        assert_eq!(decode_with_loads(&serving, "[]"), Ok(serving));
     }
 
     #[test]

@@ -143,7 +143,9 @@ fn random_spec(seed: u64) -> ExperimentSpec {
         },
         workloads: (0..rng.gen_range(0..3))
             .map(|_| {
-                let loads: Vec<f64> = (0..rng.gen_range(0..5))
+                // Pattern and trace workloads need at least one load;
+                // the decoder rejects an empty list.
+                let loads: Vec<f64> = (0..rng.gen_range(1..5))
                     .map(|_| rng.gen_range(0.0..1.2))
                     .collect();
                 let sim = sims[rng.gen_range(0usize..sims.len())];
