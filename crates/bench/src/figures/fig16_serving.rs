@@ -5,8 +5,10 @@
 //! (always-on, link-sleep, DVFS) re-decided every epoch from the previous
 //! epoch's measured activity.  Columns report SLA-level metrics:
 //! availability, energy per delivered flit (whole horizon and low-load
-//! epochs only), and horizon-exact p95/p99 latency from the merged
-//! per-epoch histograms.  The headline assertion is the serving analogue
+//! epochs only), horizon-exact p95/p99 latency from the merged per-epoch
+//! histograms, and the link-sleep gate's decisions: how many it made and
+//! how many of their route attempts reused the last routed
+//! sub-topology.  The headline assertion is the serving analogue
 //! of fig12's: link-sleep beats always-on on low-load energy per flit
 //! without giving up availability.
 
@@ -17,7 +19,7 @@ use netsmith_exp::ServingSpec;
 
 pub const HEADER: &str = "class,topology,routing,policy,epochs,faults,repairs_ok,\
 downtime_epochs,availability,pj_per_flit,low_load_pj_per_flit,\
-p95_cycles,p99_cycles,p95_ns,p99_ns";
+p95_cycles,p99_cycles,p95_ns,p99_ns,gate_calls,gate_reuses";
 
 /// Idle threshold of the link-sleep policy (as fig12).
 const IDLE_THRESHOLD: f64 = 0.12;
@@ -199,6 +201,8 @@ fn measure(cell: &Cell<'_>) -> Vec<Row> {
                 .float(report.p99_latency_cycles, 1)
                 .float(report.percentile_ns(0.95, sim.clock_ghz), 2)
                 .float(report.percentile_ns(0.99, sim.clock_ghz), 2)
+                .int(report.gate_calls as i64)
+                .int(report.gate_reuses as i64)
         })
         .collect()
 }

@@ -64,7 +64,7 @@ const GOLDEN_HEADERS: &[(&str, &str)] = &[
     ),
     (
         "fig16_serving",
-        "class,topology,routing,policy,epochs,faults,repairs_ok,downtime_epochs,availability,pj_per_flit,low_load_pj_per_flit,p95_cycles,p99_cycles,p95_ns,p99_ns",
+        "class,topology,routing,policy,epochs,faults,repairs_ok,downtime_epochs,availability,pj_per_flit,low_load_pj_per_flit,p95_cycles,p99_cycles,p95_ns,p99_ns,gate_calls,gate_reuses",
     ),
     (
         "fig14_pareto",
