@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks for the computational kernels of the
 //! reproduction: LP/MILP solving, analytical metrics, path enumeration,
-//! MCLB routing, VC allocation, the annealing engine and the network
-//! simulator.  Sample sizes are kept small so `cargo bench --workspace`
+//! MCLB routing, VC allocation, the annealing engine, the network
+//! simulator and the serving control plane.  Sample sizes are kept small so `cargo bench --workspace`
 //! finishes in minutes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use netsmith::energy::EnergyContext;
 use netsmith::gen::anneal::{anneal, AnnealConfig};
 use netsmith::gen::terms::CutEval;
 use netsmith::gen::{GenerationProblem, Objective};
@@ -297,6 +298,69 @@ fn bench_candidate_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serving control plane: one cold link-sleep gate decision at 20
+/// routers (greedy selection, then paths, MCLB and VC allocation of the
+/// gated sub-topology), and a whole link-sleep horizon at 48 routers, where
+/// the gate decisions dominate.
+fn bench_serving(c: &mut Criterion) {
+    let torus = expert::folded_torus(&Layout::noi_4x5());
+    let table = mclb_route(&all_shortest_paths(&torus), &MclbConfig::default());
+    let vcs = allocate_vcs(&table, 6, 3).unwrap();
+    let sim = SimConfig::quick();
+    let report = NetworkSim::builder(&torus, &table)
+        .vcs(&vcs)
+        .pattern(TrafficPattern::UniformRandom)
+        .config(sim.clone())
+        .build()
+        .run(0.02);
+    let energy = EnergyConfig::default();
+    let ctx = EnergyContext {
+        topology: &torus,
+        routing: &table,
+        vcs: &vcs,
+        sim: &sim,
+        report: &report,
+        config: &energy,
+    };
+    let sleep = LinkSleep {
+        idle_threshold: 0.12,
+        ..LinkSleep::default()
+    };
+    assert!(!sleep.gate(&ctx).unwrap().gated_pairs.is_empty());
+
+    let big = expert::folded_torus(&Layout::noi_8x6());
+    let big_table = mclb_route(&all_shortest_paths(&big), &MclbConfig::default());
+    let big_vcs = allocate_vcs(&big_table, 6, 3).unwrap();
+    let inputs = ServingInputs::new(&big, &big_table, &big_vcs);
+    let config = ServingConfig {
+        epochs: 32,
+        load: LoadSpec {
+            period_epochs: 16,
+            burst_rate: 0.0,
+            ..LoadSpec::default()
+        },
+        tape: TapeSpec {
+            expected_faults: 1.0,
+            seed: 48,
+        },
+        policy: PolicyKind::LinkSleep {
+            idle_threshold: 0.12,
+        },
+        low_load_threshold: 0.12,
+        ..ServingConfig::default()
+    };
+
+    let mut group = c.benchmark_group("serving");
+    group.sample_size(10);
+    group.bench_function("link_sleep_gate_20r", |b| {
+        b.iter(|| sleep.gate(&ctx).unwrap())
+    });
+    group.bench_function("serving_horizon_48r", |b| {
+        b.iter(|| serve(&inputs, &config, &Obs::noop()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lp,
@@ -306,6 +370,7 @@ criterion_group!(
     bench_generation,
     bench_simulator,
     bench_injection_path,
-    bench_candidate_scan
+    bench_candidate_scan,
+    bench_serving
 );
 criterion_main!(benches);
