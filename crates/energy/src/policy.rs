@@ -137,14 +137,14 @@ type RouteResult = Result<(RoutingTable, VcAllocation), PipelineError>;
 /// running shortest paths, MCLB and VC allocation again: routing is a
 /// pure function of those three.  One slot keeps the memory flat; the
 /// counters report how many attempts routed and how many reused.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct GateMemo {
     slot: Option<RouteSlot>,
     routes: u64,
     reuses: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RouteSlot {
     adjacency: Vec<bool>,
     seed: u64,
