@@ -1,5 +1,5 @@
-//! Figure 5: solver progress — the objective-bounds gap narrowing over
-//! time — for the latency-optimized (LatOp) search on the 20-router (a),
+//! Figure 5: solver progress — the objective-bounds gap narrowing as the
+//! search spends its evaluation budget — for the latency-optimized (LatOp) search on the 20-router (a),
 //! 30-router (b) and 48-router (c) layouts, for each link-length class.
 //!
 //! The paper runs Gurobi for minutes (20 routers) to days (48 routers); the
@@ -7,11 +7,15 @@
 //! qualitative shape is the same: small classes converge to (near-)zero gap
 //! quickly, large classes plateau at a residual gap yet still beat every
 //! expert design.
+//!
+//! The x-axis is the evaluation count, not wall-clock time, so the figure
+//! is the same on every machine and at every thread count; the annealer's
+//! wall-clock phases stay visible in the obs log (`anneal.*` spans).
 
 use super::classes;
 use netsmith_exp::prelude::*;
 
-pub const HEADER: &str = "layout,class,elapsed_ms,incumbent_avg_hops,bound_avg_hops,gap";
+pub const HEADER: &str = "layout,class,evaluations,incumbent_avg_hops,bound_avg_hops,gap";
 
 pub fn figure(profile: &RunProfile) -> Figure {
     let mut spec = ExperimentSpec::new("fig05_solver_progress");
@@ -49,7 +53,7 @@ pub fn figure(profile: &RunProfile) -> Figure {
                 Row::new()
                     .str(label)
                     .str(class.name())
-                    .float(s.elapsed.as_secs_f64() * 1e3, 1)
+                    .int(s.evaluations as i64)
                     .float(s.incumbent / pairs, 4)
                     .float(s.bound / pairs, 4)
                     .float(s.gap, 4)

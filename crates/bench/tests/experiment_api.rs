@@ -24,7 +24,7 @@ const GOLDEN_HEADERS: &[(&str, &str)] = &[
     ("fig04_topology", "dot"),
     (
         "fig05_solver_progress",
-        "layout,class,elapsed_ms,incumbent_avg_hops,bound_avg_hops,gap",
+        "layout,class,evaluations,incumbent_avg_hops,bound_avg_hops,gap",
     ),
     (
         "fig06_synthetic",

@@ -138,25 +138,33 @@ pub enum OutputMode {
 
 /// Render rows to stdout in the requested format.
 pub fn emit(header: &str, rows: &[Row], mode: OutputMode, json: bool) {
+    print!("{}", render(header, rows, mode, json));
+}
+
+/// The exact text [`emit`] prints: one newline-terminated line per row,
+/// preceded by the header line in CSV mode.
+pub fn render(header: &str, rows: &[Row], mode: OutputMode, json: bool) -> String {
+    let mut out = String::new();
     match (mode, json) {
         (OutputMode::Raw, _) => {
             for row in rows {
-                println!("{}", row.to_csv());
+                let _ = writeln!(out, "{}", row.to_csv());
             }
         }
         (OutputMode::Csv, false) => {
-            println!("{header}");
+            let _ = writeln!(out, "{header}");
             for row in rows {
-                println!("{}", row.to_csv());
+                let _ = writeln!(out, "{}", row.to_csv());
             }
         }
         (OutputMode::Csv, true) => {
             let names: Vec<&str> = header.split(',').collect();
             for row in rows {
-                println!("{}", row_to_json(&names, row));
+                let _ = writeln!(out, "{}", row_to_json(&names, row));
             }
         }
     }
+    out
 }
 
 /// One row as a JSON object keyed by the header's column names; numbers and

@@ -47,7 +47,8 @@ impl SolverProgress {
         });
     }
 
-    /// All samples in chronological order.
+    /// All samples in recording (or, after [`SolverProgress::merge`],
+    /// evaluation) order.
     pub fn samples(&self) -> &[ProgressSample] {
         &self.samples
     }
@@ -66,10 +67,13 @@ impl SolverProgress {
     }
 
     /// Merge another trace (e.g. from a parallel worker), keeping samples
-    /// sorted by elapsed time and recomputing the running best incumbent.
+    /// sorted by evaluation count and recomputing the running best
+    /// incumbent.  The sort is stable, so merging workers in index order
+    /// orders the result by `(evaluations, worker index)`: the merged
+    /// trace depends only on the seeds, never on wall-clock timing.
     pub fn merge(&mut self, other: &SolverProgress) {
         self.samples.extend_from_slice(&other.samples);
-        self.samples.sort_by_key(|s| s.elapsed);
+        self.samples.sort_by_key(|s| s.evaluations);
         // Re-apply the running minimum so the merged trace is monotone.
         let mut best = f64::INFINITY;
         for s in &mut self.samples {
@@ -127,8 +131,40 @@ mod tests {
         // Monotone non-increasing.
         for w in a.samples().windows(2) {
             assert!(w[1].incumbent <= w[0].incumbent + 1e-12);
-            assert!(w[1].elapsed >= w[0].elapsed);
+            assert!(w[1].evaluations >= w[0].evaluations);
         }
+    }
+
+    #[test]
+    fn merge_orders_by_evaluations_then_worker_index() {
+        // Worker 1's samples are recorded "earlier" in wall-clock time, but
+        // the merge must ignore `elapsed`: ties on evaluations keep worker
+        // order.
+        let mut a = SolverProgress::new();
+        a.record(Duration::from_millis(9), 100.0, 80.0, 0);
+        a.record(Duration::from_millis(9), 95.0, 80.0, 10);
+        let mut b = SolverProgress::new();
+        b.record(Duration::from_millis(1), 90.0, 80.0, 0);
+        b.record(Duration::from_millis(1), 92.0, 80.0, 5);
+        let mut merged = SolverProgress::new();
+        merged.merge(&a);
+        merged.merge(&b);
+        let order: Vec<(u64, Duration)> = merged
+            .samples()
+            .iter()
+            .map(|s| (s.evaluations, s.elapsed))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, Duration::from_millis(9)),
+                (0, Duration::from_millis(1)),
+                (5, Duration::from_millis(1)),
+                (10, Duration::from_millis(9)),
+            ]
+        );
+        let inc: Vec<f64> = merged.samples().iter().map(|s| s.incumbent).collect();
+        assert_eq!(inc, vec![100.0, 90.0, 90.0, 90.0]);
     }
 
     #[test]
