@@ -388,20 +388,16 @@ impl<'c> Runner<'c> {
         };
         let mut row_groups: Vec<Vec<Row>> = Vec::with_capacity(cells.len());
         for batch in cells.chunks(self.parallelism.max(1)) {
-            let batch_rows: Vec<Vec<Row>> = if batch.len() == 1 || self.parallelism <= 1 {
-                batch.iter().map(|&(c, w)| measure_cell(c, w)).collect()
-            } else {
-                WorkerPool::global().run(
-                    batch
-                        .iter()
-                        .map(|&(c, w)| {
-                            let measure_cell = &measure_cell;
-                            Box::new(move || measure_cell(c, w))
-                                as Box<dyn FnOnce() -> Vec<Row> + Send + '_>
-                        })
-                        .collect(),
-                )
-            };
+            let batch_rows: Vec<Vec<Row>> = WorkerPool::global().run(
+                batch
+                    .iter()
+                    .map(|&(c, w)| {
+                        let measure_cell = &measure_cell;
+                        Box::new(move || measure_cell(c, w))
+                            as Box<dyn FnOnce() -> Vec<Row> + Send + '_>
+                    })
+                    .collect(),
+            );
             row_groups.extend(batch_rows);
         }
         let mut rows: Vec<Row> = row_groups.into_iter().flatten().collect();

@@ -161,27 +161,23 @@ impl NetSmith {
     /// happens under pathological budgets or constraints).
     pub fn try_discover(&self) -> Result<DiscoveryResult, PipelineError> {
         let bound = self.bound();
-        let results: Vec<AnnealResult> = if self.workers == 1 {
-            vec![anneal(&self.problem, &self.config, bound, &self.obs)]
-        } else {
-            let mut configs = Vec::with_capacity(self.workers);
-            for w in 0..self.workers {
-                let mut c = self.config.clone();
-                c.seed = self.config.seed.wrapping_add(w as u64 * 0x9E37_79B9);
-                configs.push(c);
-            }
-            let problem = &self.problem;
-            WorkerPool::global().run(
-                configs
-                    .iter()
-                    .map(|c| {
-                        let obs = self.obs.clone();
-                        Box::new(move || anneal(problem, c, bound, &obs))
-                            as Box<dyn FnOnce() -> AnnealResult + Send + '_>
-                    })
-                    .collect(),
-            )
-        };
+        let mut configs = Vec::with_capacity(self.workers);
+        for w in 0..self.workers {
+            let mut c = self.config.clone();
+            c.seed = self.config.seed.wrapping_add(w as u64 * 0x9E37_79B9);
+            configs.push(c);
+        }
+        let problem = &self.problem;
+        let results: Vec<AnnealResult> = WorkerPool::global().run(
+            configs
+                .iter()
+                .map(|c| {
+                    let obs = self.obs.clone();
+                    Box::new(move || anneal(problem, c, bound, &obs))
+                        as Box<dyn FnOnce() -> AnnealResult + Send + '_>
+                })
+                .collect(),
+        );
 
         let mut progress = SolverProgress::new();
         let mut evaluations = 0;

@@ -1,38 +1,29 @@
 //! # netsmith-pool
 //!
-//! A persistent, workspace-shared worker pool.
+//! The workspace's one way to run independent jobs in parallel: annealing
+//! walkers (`netsmith-gen`), injection-rate load points (`netsmith-sim`)
+//! and experiment cells (`netsmith-exp`) all need nothing more than "run
+//! these closures and give me their results in order".
 //!
-//! Before this crate, every parallel site in the workspace —
-//! injection-rate sweeps (`netsmith-sim`), multi-seed annealing
-//! (`netsmith-gen`) and experiment-cell execution (`netsmith-exp`) —
-//! spawned fresh OS threads per call through `std::thread::scope`.  A
-//! quick suite run crosses those sites tens of thousands of times, so
-//! thread spawn/join overhead and oversubscription (nested scopes each
-//! spawning `available_parallelism` threads) became measurable.
+//! [`WorkerPool::run`] runs a batch on the submitting thread plus up to
+//! [`WorkerPool::threads`] helpers started with `std::thread::scope`, so
+//! tasks may borrow the caller's stack without any `unsafe` code.  Every
+//! thread pulls task indices in submission order from one shared counter
+//! until the batch is drained.
 //!
-//! [`WorkerPool`] keeps one set of OS threads alive for the process
-//! lifetime and coordinates work in *epochs*: every [`WorkerPool::run`]
-//! call installs a batch of tasks under the pool mutex, bumps the epoch
-//! counter and wakes the workers; the submitting thread then helps drain
-//! the queue and finally blocks on the batch's completion barrier.
-//! Because the submitter participates, nested submissions (a sweep inside
-//! an experiment cell inside the suite runner) always make progress even
-//! when every pool worker is busy.
-//!
-//! Tasks may borrow from the submitting stack frame: [`WorkerPool::run`]
-//! does not return until every task of the batch has completed (panics
-//! included), which is exactly the guarantee `std::thread::scope`
-//! provides, so the lifetime erasure performed internally is sound.
+//! A thread that is running tasks of a multi-threaded batch is marked, and
+//! any batch it submits (a sweep inside an experiment cell inside the
+//! suite runner) runs in place on that thread.  Nested submissions
+//! therefore never oversubscribe the CPU and cannot deadlock.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+#![forbid(unsafe_code)]
+
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// A type-erased unit of work queued on the pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Cumulative activity counters of a pool since its creation, read with
 /// [`WorkerPool::stats`].  The pool keeps these itself (plain relaxed
@@ -56,89 +47,33 @@ struct StatCells {
     queue_wait_us: AtomicU64,
 }
 
-/// State shared between the pool handle and its worker threads.
-struct Shared {
-    queue: Mutex<QueueState>,
-    /// Signalled when new work arrives (a new epoch) or on shutdown.
-    work_ready: Condvar,
+thread_local! {
+    /// Set while this thread runs tasks of a multi-threaded batch.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// A pool of scoped helper threads shared by sweeps, annealing and the
+/// experiment runner.  See the crate docs for the execution model.
+pub struct WorkerPool {
+    threads: usize,
     stats: StatCells,
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Monotonic batch counter; purely diagnostic, but it is the "epoch"
-    /// the workers observe to distinguish spurious wakeups from real work.
-    epoch: u64,
-    shutdown: bool,
-}
-
-/// Completion barrier for one submitted batch.
-struct Batch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload observed while running this batch's tasks.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl Batch {
-    fn new(size: usize) -> Arc<Self> {
-        Arc::new(Batch {
-            remaining: Mutex::new(size),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        })
-    }
-
-    fn task_finished(&self) {
-        let mut remaining = self.remaining.lock().unwrap();
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A persistent pool of worker threads shared by sweeps, annealing and the
-/// experiment runner.  See the crate docs for the coordination model.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-}
-
 impl WorkerPool {
-    /// Spawn a pool with `threads` persistent workers.  `threads == 0` is
-    /// allowed: every batch then runs entirely on the submitting thread
-    /// (useful for deterministic single-threaded debugging).
+    /// A pool whose batches start up to `threads` helper threads.
+    /// `threads == 0` is allowed: every batch then runs entirely on the
+    /// submitting thread (useful for deterministic single-threaded
+    /// debugging).
     pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                epoch: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            stats: StatCells::default(),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("netsmith-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            workers,
             threads,
+            stats: StatCells::default(),
         }
     }
 
-    /// The process-wide shared pool, sized to the machine (spawned on
-    /// first use).  All workspace parallel sites submit here so the
-    /// process never oversubscribes the CPU with nested thread scopes.
+    /// The process-wide shared pool, sized to the machine.  All workspace
+    /// parallel sites submit here so the process never oversubscribes the
+    /// CPU with nested thread scopes.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -149,8 +84,8 @@ impl WorkerPool {
         })
     }
 
-    /// Number of persistent worker threads (the submitting thread adds one
-    /// more unit of parallelism while a batch is in flight).
+    /// Number of helper threads a batch may start (the submitting thread
+    /// adds one more unit of parallelism while a batch is in flight).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -158,18 +93,20 @@ impl WorkerPool {
     /// Snapshot of the pool's cumulative activity counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            batches: self.shared.stats.batches.load(Ordering::Relaxed),
-            tasks: self.shared.stats.tasks.load(Ordering::Relaxed),
-            queue_wait_us: self.shared.stats.queue_wait_us.load(Ordering::Relaxed),
+            batches: self.stats.batches.load(Ordering::Relaxed),
+            tasks: self.stats.tasks.load(Ordering::Relaxed),
+            queue_wait_us: self.stats.queue_wait_us.load(Ordering::Relaxed),
         }
     }
 
     /// Run a batch of tasks to completion and return their results in
     /// submission order.  Blocks until every task has finished; if any
     /// task panicked, the first panic is resumed on the submitting thread
-    /// (after the whole batch has still run to completion, so borrowed
-    /// data is never observed by a still-running task after `run`
-    /// returns).
+    /// after the whole batch has run.
+    ///
+    /// The batch runs in place on the submitting thread when it would
+    /// start no helper (one task, or a pool of zero threads) and when it
+    /// is submitted from inside another multi-threaded batch.
     ///
     /// Tasks may borrow from the caller's stack frame (`'env`), exactly
     /// like `std::thread::scope` closures.
@@ -181,130 +118,63 @@ impl WorkerPool {
         if size == 0 {
             return Vec::new();
         }
-        let mut results: Vec<Option<T>> = Vec::with_capacity(size);
-        results.resize_with(size, || None);
-        let batch = Batch::new(size);
-
-        self.shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .tasks
-            .fetch_add(size as u64, Ordering::Relaxed);
-        let enqueued = Instant::now();
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            for (slot, task) in results.iter_mut().zip(tasks) {
-                // Each job writes to a distinct, caller-owned slot.  The
-                // raw pointer (and the task's borrows) stay valid because
-                // this function does not return before the barrier below
-                // observes `remaining == 0`.
-                let slot = SendPtr(slot as *mut Option<T>);
-                let batch = Arc::clone(&batch);
-                let shared = Arc::clone(&self.shared);
-                let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    shared.stats.queue_wait_us.fetch_add(
-                        enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64,
-                        Ordering::Relaxed,
-                    );
-                    let outcome = catch_unwind(AssertUnwindSafe(task));
-                    match outcome {
-                        // Written through the wrapper (not the raw field) so
-                        // the closure captures the whole `SendPtr` and stays
-                        // `Send` under 2021 disjoint field capture.
-                        Ok(value) => unsafe { slot.write(Some(value)) },
-                        Err(payload) => {
-                            let mut first = batch.panic.lock().unwrap();
-                            if first.is_none() {
-                                *first = Some(payload);
-                            }
-                        }
-                    }
-                    batch.task_finished();
-                });
-                // SAFETY: the job only dereferences borrows from the
-                // caller's frame ('env) and `run` blocks until the batch
-                // barrier reports completion, so no job outlives 'env.
-                let job: Job = unsafe { std::mem::transmute(job) };
-                queue.jobs.push_back(job);
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.tasks.fetch_add(size as u64, Ordering::Relaxed);
+        let submitted = Instant::now();
+        let tasks: Vec<Mutex<Option<_>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let results: Vec<Mutex<Option<T>>> = (0..size).map(|_| Mutex::new(None)).collect();
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= size {
+                return;
             }
-            queue.epoch += 1;
-            self.shared.work_ready.notify_all();
-        }
-
-        // Help drain the queue (our batch's jobs and, harmlessly, any
-        // other in-flight batch's) until our barrier opens.  Helping is
-        // what makes nested submissions deadlock-free.
-        loop {
-            let job = {
-                let mut queue = self.shared.queue.lock().unwrap();
-                queue.jobs.pop_front()
-            };
-            match job {
-                Some(job) => job(),
-                None => break,
+            let task = tasks[i]
+                .lock()
+                .unwrap()
+                .take()
+                .expect("each task runs once");
+            let waited = submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
+            self.stats
+                .queue_wait_us
+                .fetch_add(waited, Ordering::Relaxed);
+            match catch_unwind(AssertUnwindSafe(task)) {
+                Ok(value) => *results[i].lock().unwrap() = Some(value),
+                Err(payload) => {
+                    first_panic.lock().unwrap().get_or_insert(payload);
+                }
             }
-        }
-        let mut remaining = batch.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = batch.done.wait(remaining).unwrap();
-        }
-        drop(remaining);
+        };
 
-        if let Some(payload) = batch.panic.lock().unwrap().take() {
-            std::panic::resume_unwind(payload);
+        let helpers = if IN_BATCH.get() {
+            0
+        } else {
+            self.threads.min(size - 1)
+        };
+        if helpers == 0 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(|| {
+                        IN_BATCH.set(true);
+                        work();
+                    });
+                }
+                IN_BATCH.set(true);
+                work();
+                IN_BATCH.set(false);
+            });
+        }
+
+        if let Some(payload) = first_panic.into_inner().unwrap() {
+            resume_unwind(payload);
         }
         results
             .into_iter()
-            .map(|slot| slot.expect("batch task completed without a result"))
+            .map(|slot| slot.into_inner().unwrap().expect("every task ran"))
             .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            queue.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break Some(job);
-                }
-                if queue.shutdown {
-                    break None;
-                }
-                queue = shared.work_ready.wait(queue).unwrap();
-            }
-        };
-        match job {
-            Some(job) => job(),
-            None => return,
-        }
-    }
-}
-
-/// A raw pointer that may cross threads.  Soundness is argued at the one
-/// construction site in [`WorkerPool::run`].
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// # Safety
-    /// The pointee must be alive and not aliased by any concurrent access;
-    /// `WorkerPool::run` guarantees both for its result slots.
-    unsafe fn write(&self, value: T) {
-        *self.0 = value;
     }
 }
 
@@ -312,6 +182,7 @@ impl<T> SendPtr<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn boxed<'env, T: Send + 'env>(
         fs: Vec<impl FnOnce() -> T + Send + 'env>,
@@ -358,8 +229,8 @@ mod tests {
     #[test]
     fn nested_submissions_complete() {
         // A task submitted to the pool submits its own batch to the same
-        // pool: the helping submitter guarantees progress even when the
-        // batch count exceeds the worker count.
+        // pool: the nested batch runs in place on the task's thread, so it
+        // completes even when the batch count exceeds the worker count.
         let pool = Arc::new(WorkerPool::new(1));
         let outer: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..4)
             .map(|i: u64| {

@@ -180,19 +180,15 @@ impl Sweep {
         let threads = self.options.max_threads.max(1);
         let mut points = Vec::with_capacity(loads.len());
         'sweep: for batch in loads.chunks(threads) {
-            let reports: Vec<SimReport> = if batch.len() == 1 || threads == 1 {
-                batch.iter().map(|&load| sim.run(load)).collect()
-            } else {
-                WorkerPool::global().run(
-                    batch
-                        .iter()
-                        .map(|&load| {
-                            Box::new(move || sim.run(load))
-                                as Box<dyn FnOnce() -> SimReport + Send + '_>
-                        })
-                        .collect(),
-                )
-            };
+            let reports: Vec<SimReport> = WorkerPool::global().run(
+                batch
+                    .iter()
+                    .map(|&load| {
+                        Box::new(move || sim.run(load))
+                            as Box<dyn FnOnce() -> SimReport + Send + '_>
+                    })
+                    .collect(),
+            );
             for (report, &load) in reports.iter().zip(batch) {
                 points.push(SweepPoint {
                     offered: load,
