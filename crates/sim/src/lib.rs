@@ -50,4 +50,4 @@ pub use network::{
     point_seed, splitmix64, EpochSample, EpochSeries, NetworkSim, NetworkSimBuilder, SimReport,
 };
 pub use stats::LatencyStats;
-pub use sweep::{saturation_throughput, LatencyCurve, Sweep, SweepOptions, SweepPoint};
+pub use sweep::{LatencyCurve, Sweep, SweepOptions, SweepPoint};

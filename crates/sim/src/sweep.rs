@@ -3,12 +3,13 @@
 //! The paper's Figures 6, 10 and 11 plot average packet latency against the
 //! achieved throughput while sweeping the offered injection rate of
 //! synthetic traffic.  [`Sweep`] reproduces exactly that curve for one
-//! topology + routing + VC allocation, and [`saturation_throughput`]
-//! extracts the saturation point (the highest load the network still
-//! delivers without the latency blowing up).
+//! topology + routing + VC allocation, and
+//! [`LatencyCurve::saturation_flits_per_node_cycle`] extracts the
+//! saturation point (the highest load the network still delivers without
+//! the latency blowing up).
 //!
-//! Load points are independent simulations, so a sweep submits them as one
-//! batch to the process-wide [`WorkerPool`]; the per-point results are
+//! Load points are independent simulations, so a sweep submits them in
+//! batches to the process-wide [`WorkerPool`]; the per-point results are
 //! deterministic regardless of threading because every run seeds its RNG
 //! from the offered load (see [`crate::network::point_seed`]).
 
@@ -96,31 +97,13 @@ impl LatencyCurve {
     }
 }
 
-/// Options controlling how an injection-rate sweep executes.  The points
-/// of a sweep are independent simulations (each `NetworkSim::run` builds
-/// its own state), so they parallelize trivially.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Options controlling how an injection-rate sweep executes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Number of load points submitted to the worker pool at once.  `1`
-    /// reproduces the old sequential behaviour exactly; either way the
-    /// per-point results are deterministic, because every run seeds its
-    /// RNG from the offered load.
-    pub max_threads: usize,
     /// Stop the sweep after this many *consecutive* saturated points —
     /// everything beyond them only re-measures the saturation plateau.
     /// `None` simulates every requested load.
     pub early_exit_saturated: Option<usize>,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            max_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            early_exit_saturated: None,
-        }
-    }
 }
 
 impl SweepOptions {
@@ -130,7 +113,6 @@ impl SweepOptions {
     pub fn early_exit() -> Self {
         SweepOptions {
             early_exit_saturated: Some(2),
-            ..Default::default()
         }
     }
 }
@@ -138,9 +120,10 @@ impl SweepOptions {
 /// An injection-rate sweep: the single entry point (the deprecated
 /// `sweep_injection_rates` / `sweep_injection_rates_with` / `sweep_sim`
 /// shims it replaced have been removed).  Configure it with
-/// [`SweepOptions`], then run it either over a pre-built simulator ([`Sweep::run`] — which may carry failed routers,
-/// see [`NetworkSim::with_failed_routers`]) or directly over network parts
-/// ([`Sweep::run_network`]).
+/// [`SweepOptions`], then run it either over a pre-built simulator
+/// ([`Sweep::run`] — which may carry failed routers, see
+/// [`crate::NetworkSimBuilder::failed_routers`]) or directly over network
+/// parts ([`Sweep::run_network`]).
 ///
 /// ```ignore
 /// let curve = Sweep::new("mesh / MCLB")
@@ -170,17 +153,17 @@ impl Sweep {
     }
 
     /// Sweep a pre-built simulator over `loads` (flits/node/cycle).
-    /// Batches of [`SweepOptions::max_threads`] points run on the shared
-    /// [`WorkerPool`]; each `run` call owns its state, so results are
-    /// identical to a sequential sweep and the returned points stay in
-    /// load order.
+    /// Batches as wide as the shared [`WorkerPool`] run on it; each `run`
+    /// call owns its state, so results are identical to a sequential sweep
+    /// and the returned points stay in load order.  An early exit discards
+    /// the rest of its batch, so the curve does not depend on the width.
     pub fn run(&self, sim: &NetworkSim<'_>, loads: &[f64]) -> LatencyCurve {
         let config = sim.config().clone();
         let zero = sim.zero_load_latency_cycles();
-        let threads = self.options.max_threads.max(1);
+        let pool = WorkerPool::global();
         let mut points = Vec::with_capacity(loads.len());
-        'sweep: for batch in loads.chunks(threads) {
-            let reports: Vec<SimReport> = WorkerPool::global().run(
+        'sweep: for batch in loads.chunks(pool.threads().max(1)) {
+            let reports: Vec<SimReport> = pool.run(
                 batch
                     .iter()
                     .map(|&load| {
@@ -246,45 +229,6 @@ pub fn default_load_grid() -> Vec<f64> {
     ]
 }
 
-/// Convenience: saturation throughput (flits/node/cycle) via a bisection-
-/// style search between `lo` and `hi`, cheaper than a full sweep when only
-/// the saturation point matters.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_throughput(
-    topo: &Topology,
-    table: &RoutingTable,
-    vcs: Option<&VcAllocation>,
-    pattern: TrafficPattern,
-    config: &SimConfig,
-    lo: f64,
-    hi: f64,
-    iterations: usize,
-) -> f64 {
-    let mut builder = NetworkSim::builder(topo, table)
-        .pattern(pattern)
-        .config(config.clone());
-    if let Some(vcs) = vcs {
-        builder = builder.vcs(vcs);
-    }
-    let sim = builder.build();
-    let zero = sim.zero_load_latency_cycles();
-    let mut lo = lo.max(0.0);
-    let mut hi = hi.max(lo + 1e-6);
-    let mut best_accepted = 0.0f64;
-    for _ in 0..iterations {
-        let mid = 0.5 * (lo + hi);
-        let report = sim.run(mid);
-        if report.is_saturated(zero) {
-            hi = mid;
-            best_accepted = best_accepted.max(report.accepted_flits_per_node_cycle);
-        } else {
-            lo = mid;
-            best_accepted = best_accepted.max(report.accepted_flits_per_node_cycle);
-        }
-    }
-    best_accepted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,39 +283,24 @@ mod tests {
         assert!(csv.starts_with("offered,"));
     }
 
-    #[test]
-    fn bisection_saturation_matches_sweep_order() {
-        // Folded torus must saturate at a higher load than the LPBT-like
-        // sparse network.
-        let layout = Layout::noi_4x5();
-        let torus = expert::folded_torus(&layout);
-        let lpbt = expert::lpbt_power(&layout);
-        let config = SimConfig::quick();
-        let sat = |topo: &Topology| {
-            let ps = all_shortest_paths(topo);
-            let table = mclb_route(&ps, &MclbConfig::default());
-            let alloc = allocate_vcs(&table, 6, 9).unwrap();
-            saturation_throughput(
-                topo,
-                &table,
-                Some(&alloc),
-                TrafficPattern::UniformRandom,
-                &config,
-                0.05,
-                0.9,
-                5,
-            )
-        };
-        let torus_sat = sat(&torus);
-        let lpbt_sat = sat(&lpbt);
-        assert!(
-            torus_sat > lpbt_sat,
-            "torus {torus_sat} should beat LPBT-Power {lpbt_sat}"
+    /// Run `sweep` from inside a task of a two-task pool batch, where it
+    /// runs in place and sequentially on the task's thread.
+    fn nested(sweep: impl Fn() -> LatencyCurve + Sync) -> LatencyCurve {
+        let sweep = &sweep;
+        let mut curves = netsmith_pool::WorkerPool::global().run(
+            (0..2)
+                .map(|_| Box::new(sweep) as Box<dyn FnOnce() -> LatencyCurve + Send + '_>)
+                .collect(),
         );
+        let curve = curves.pop().unwrap();
+        assert_eq!(curves[0], curve);
+        curve
     }
 
     #[test]
     fn parallel_sweep_matches_sequential_point_for_point() {
+        // A top-level sweep runs its load points on the pool; the same
+        // sweep submitted from inside a pool task runs them one by one.
         let mesh = expert::mesh(&Layout::noi_4x5());
         let ps = all_shortest_paths(&mesh);
         let table = mclb_route(&ps, &MclbConfig::default());
@@ -382,16 +311,9 @@ mod tests {
             .vcs(&alloc)
             .config(config)
             .build();
-        let run = |threads: usize| {
-            Sweep::new("mesh")
-                .options(SweepOptions {
-                    max_threads: threads,
-                    early_exit_saturated: None,
-                })
-                .run(&sim, &loads)
-        };
-        let sequential = run(1);
-        let parallel = run(4);
+        let run = || Sweep::new("mesh").run(&sim, &loads);
+        let parallel = run();
+        let sequential = nested(run);
         assert_eq!(sequential, parallel);
         assert_eq!(parallel.points.len(), loads.len());
     }
@@ -400,43 +322,27 @@ mod tests {
     fn pooled_sweeps_nested_inside_pool_tasks_match_sequential() {
         // The suite runner executes sweeps from inside worker-pool tasks
         // (experiment cells), so a sweep's own pool submission nests.  The
-        // helping submitter must keep that deadlock-free, and results must
-        // still match a sequential sweep point for point.
+        // nested batch runs in place, which keeps it deadlock-free, and an
+        // early exit inside it trims the curve exactly like a top-level
+        // sweep does.
         let mesh = expert::mesh(&Layout::noi_4x5());
         let ps = all_shortest_paths(&mesh);
         let table = mclb_route(&ps, &MclbConfig::default());
         let alloc = allocate_vcs(&table, 6, 9).unwrap();
         let config = SimConfig::quick();
-        let loads = [0.05, 0.2, 0.4];
+        let loads = [0.05, 0.5, 0.6, 0.7, 0.8, 0.9];
         let sim = NetworkSim::builder(&mesh, &table)
             .vcs(&alloc)
             .config(config)
             .build();
-        let sequential = Sweep::new("mesh")
-            .options(SweepOptions {
-                max_threads: 1,
-                early_exit_saturated: None,
-            })
-            .run(&sim, &loads);
-        let nested: Vec<LatencyCurve> = netsmith_pool::WorkerPool::global().run(
-            (0..2)
-                .map(|_| {
-                    let sim = &sim;
-                    let loads = &loads;
-                    Box::new(move || {
-                        Sweep::new("mesh")
-                            .options(SweepOptions {
-                                max_threads: 4,
-                                early_exit_saturated: None,
-                            })
-                            .run(sim, loads)
-                    }) as Box<dyn FnOnce() -> LatencyCurve + Send + '_>
-                })
-                .collect(),
-        );
-        for curve in nested {
-            assert_eq!(curve, sequential);
-        }
+        let run = || {
+            Sweep::new("mesh")
+                .options(SweepOptions::early_exit())
+                .run(&sim, &loads)
+        };
+        let top_level = run();
+        assert!(top_level.points.len() < loads.len());
+        assert_eq!(nested(run), top_level);
     }
 
     #[test]
@@ -453,17 +359,9 @@ mod tests {
             .vcs(&alloc)
             .config(config)
             .build();
-        let full = Sweep::new("mesh")
-            .options(SweepOptions {
-                max_threads: 1,
-                early_exit_saturated: None,
-            })
-            .run(&sim, &loads);
+        let full = Sweep::new("mesh").run(&sim, &loads);
         let early = Sweep::new("mesh")
-            .options(SweepOptions {
-                max_threads: 1,
-                early_exit_saturated: Some(2),
-            })
+            .options(SweepOptions::early_exit())
             .run(&sim, &loads);
         assert!(early.points.len() < full.points.len());
         // The tail it did measure ends with exactly the trigger: two
