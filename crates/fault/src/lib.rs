@@ -16,7 +16,7 @@
 //!    multi-fault combinations); applying one yields a
 //!    [`DegradedTopology`], and `netsmith-sim` runs workloads on it with
 //!    the failed routers masked out of traffic generation
-//!    (`NetworkSim::with_failed_routers`).
+//!    (`NetworkSimBuilder::failed_routers`).
 //! 2. **Repair** — the [`RepairPolicy`] trait restores service;
 //!    [`RerouteRepair`] recomputes shortest paths, MCLB routing and
 //!    escape virtual channels on the surviving sub-topology and verifies

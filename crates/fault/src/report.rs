@@ -253,8 +253,8 @@ pub fn assess_resilience(
                     .vcs(&network.vcs)
                     .pattern(config.pattern.clone())
                     .config(config.sim.clone())
-                    .build()
-                    .with_failed_routers(&network.failed_routers());
+                    .failed_routers(&network.failed_routers())
+                    .build();
                 curve_summary(
                     &Sweep::new(scenario.label())
                         .options(sweep_options.clone())

@@ -256,8 +256,11 @@ impl<'a> NetworkSimBuilder<'a> {
         self
     }
 
-    /// Mark routers as failed up front; equivalent to
-    /// [`NetworkSim::with_failed_routers`] after `build()`.
+    /// Mark routers as failed: they stop injecting packets and traffic
+    /// addressed to them is dropped at the source (the cores behind a dead
+    /// router are offline, so their load disappears with them).  The caller
+    /// supplies the degraded topology and a routing table covering the
+    /// surviving pairs — typically from `netsmith-fault`'s repair policy.
     pub fn failed_routers(mut self, failed: &[RouterId]) -> Self {
         self.failed.extend_from_slice(failed);
         self
@@ -329,18 +332,6 @@ impl<'a> NetworkSim<'a> {
             config: SimConfig::default(),
             failed: Vec::new(),
         }
-    }
-
-    /// Mark routers as failed: they stop injecting packets and traffic
-    /// addressed to them is dropped at the source (the cores behind a dead
-    /// router are offline, so their load disappears with them).  The caller
-    /// supplies the degraded topology and a routing table covering the
-    /// surviving pairs — typically from `netsmith-fault`'s repair policy.
-    pub fn with_failed_routers(mut self, failed: &[RouterId]) -> Self {
-        for &r in failed {
-            self.alive[r] = false;
-        }
-        self
     }
 
     /// The simulator configuration (clock, packet mix, windows).
@@ -790,8 +781,8 @@ mod tests {
         let sim = NetworkSim::builder(&mesh, &table)
             .vcs(&alloc)
             .config(SimConfig::quick())
-            .build()
-            .with_failed_routers(&[dead]);
+            .failed_routers(&[dead])
+            .build();
         let report = sim.run(0.1);
         assert!(report.packets_ejected > 0, "survivors must keep talking");
         // Nothing is ever buffered *for* the dead router as a destination,
@@ -809,25 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_failed_routers_match_with_failed_routers() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        let (table, alloc) = setup(&mesh);
-        let via_builder = NetworkSim::builder(&mesh, &table)
-            .vcs(&alloc)
-            .config(SimConfig::quick())
-            .failed_routers(&[3, 12])
-            .build()
-            .run(0.1);
-        let via_method = NetworkSim::builder(&mesh, &table)
-            .vcs(&alloc)
-            .config(SimConfig::quick())
-            .build()
-            .with_failed_routers(&[3, 12])
-            .run(0.1);
-        assert_eq!(via_builder, via_method);
-    }
-
-    #[test]
     fn masked_traffic_is_not_mistaken_for_saturation() {
         // Two dead routers structurally drop ~19% of uniform traffic at
         // the sources.  That missing traffic is not a delivery shortfall:
@@ -837,8 +809,8 @@ mod tests {
         let sim = NetworkSim::builder(&mesh, &table)
             .vcs(&alloc)
             .config(SimConfig::quick())
-            .build()
-            .with_failed_routers(&[3, 12]);
+            .failed_routers(&[3, 12])
+            .build();
         let zero = sim.zero_load_latency_cycles();
         let report = sim.run(0.25);
         assert!(
