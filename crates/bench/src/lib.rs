@@ -11,8 +11,6 @@
 //! in tests); the historical `NETSMITH_EVALS` / `NETSMITH_WORKERS`
 //! environment variables remain as fallbacks for scripted runs.
 
-#![forbid(unsafe_code)]
-
 pub mod figures;
 
 pub use netsmith_exp::RunProfile;

@@ -26,8 +26,6 @@
 //!    `fig12_energy` harness sweep policies across topologies and traffic
 //!    patterns.
 
-#![forbid(unsafe_code)]
-
 pub mod policy;
 pub mod report;
 

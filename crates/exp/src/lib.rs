@@ -98,8 +98,6 @@
 //!
 //! [`PipelineError`]: netsmith_topo::PipelineError
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod cli;
 pub mod row;

@@ -32,8 +32,6 @@
 //!    harness compares them against the expert and latency-only line-ups
 //!    across fault counts and traffic patterns.
 
-#![forbid(unsafe_code)]
-
 pub mod inject;
 pub mod repair;
 pub mod report;

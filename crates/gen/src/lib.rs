@@ -33,8 +33,6 @@
 //! it a time budget, and receive a validated
 //! [`Topology`](netsmith_topo::Topology) plus the solver progress trace.
 
-#![forbid(unsafe_code)]
-
 pub mod anneal;
 pub mod bounds;
 pub mod generator;

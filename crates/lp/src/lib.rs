@@ -23,8 +23,6 @@
 //! `netsmith-gen` uses specialised combinatorial engines for the larger
 //! instances, exactly as documented in `DESIGN.md`.
 
-#![forbid(unsafe_code)]
-
 pub mod branch;
 pub mod expr;
 pub mod model;

@@ -52,8 +52,6 @@
 //! assert!(network.metrics.average_hops < 3.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use netsmith_energy as energy;
 pub use netsmith_fault as fault;
 pub use netsmith_gen as gen;

@@ -51,8 +51,6 @@
 //! assert!(off.snapshot().is_none());
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod event;
 mod handle;
 mod recorder;

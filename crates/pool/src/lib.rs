@@ -16,8 +16,6 @@
 //! suite runner) runs in place on that thread.  Nested submissions
 //! therefore never oversubscribe the CPU and cannot deadlock.
 
-#![forbid(unsafe_code)]
-
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -17,8 +17,6 @@
 //! All figures are reported normalized to the mesh baseline, exactly like
 //! the paper's Figure 9.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 
 pub use model::{

@@ -22,8 +22,6 @@
 //!   VC budget.
 //! * [`table`] — the per-flow routing tables consumed by the simulator.
 
-#![forbid(unsafe_code)]
-
 pub mod cdg;
 pub mod mclb;
 pub mod ndbt;

@@ -46,8 +46,6 @@
 //! assert!(report.availability > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod load;
 pub mod report;
 pub mod run;

@@ -31,8 +31,6 @@
 //! same switching model, the comparisons the paper makes — who saturates
 //! first, by roughly what factor — are preserved.
 
-#![forbid(unsafe_code)]
-
 pub mod activity;
 pub mod compile;
 pub mod config;

@@ -29,8 +29,6 @@
 //!   paper's Table IV latencies.  Speedups are reported relative to the
 //!   mesh baseline exactly like Figure 8.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 pub mod workload;
 

@@ -31,8 +31,6 @@
 //! * [`traffic`] — traffic patterns (uniform random, shuffle, …) expressed
 //!   as demand matrices so objectives can be traffic-weighted.
 
-#![forbid(unsafe_code)]
-
 pub mod analysis;
 pub mod bounds;
 pub mod cuts;

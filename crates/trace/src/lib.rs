@@ -46,8 +46,6 @@
 //!
 //! [`DemandMatrix`]: netsmith_topo::DemandMatrix
 
-#![forbid(unsafe_code)]
-
 pub mod format;
 pub mod generators;
 pub mod replay;
