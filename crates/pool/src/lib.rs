@@ -45,6 +45,10 @@ struct StatCells {
     queue_wait_us: AtomicU64,
 }
 
+/// Tasks run under `catch_unwind` and never while a pool lock is held, so
+/// no pool mutex can be poisoned.
+const UNPOISONED: &str = "no pool lock is held while a task runs";
+
 thread_local! {
     /// Set while this thread runs tasks of a multi-threaded batch.
     static IN_BATCH: Cell<bool> = const { Cell::new(false) };
@@ -122,6 +126,7 @@ impl WorkerPool {
         let tasks: Vec<Mutex<Option<_>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..size).map(|_| Mutex::new(None)).collect();
         let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        // Only hands out indices; the slots' mutexes publish the data.
         let next = AtomicUsize::new(0);
         let work = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -130,7 +135,7 @@ impl WorkerPool {
             }
             let task = tasks[i]
                 .lock()
-                .unwrap()
+                .expect(UNPOISONED)
                 .take()
                 .expect("each task runs once");
             let waited = submitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -138,9 +143,9 @@ impl WorkerPool {
                 .queue_wait_us
                 .fetch_add(waited, Ordering::Relaxed);
             match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(value) => *results[i].lock().unwrap() = Some(value),
+                Ok(value) => *results[i].lock().expect(UNPOISONED) = Some(value),
                 Err(payload) => {
-                    first_panic.lock().unwrap().get_or_insert(payload);
+                    first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
                 }
             }
         };
@@ -166,12 +171,16 @@ impl WorkerPool {
             });
         }
 
-        if let Some(payload) = first_panic.into_inner().unwrap() {
+        if let Some(payload) = first_panic.into_inner().expect(UNPOISONED) {
             resume_unwind(payload);
         }
         results
             .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("every task ran"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect(UNPOISONED)
+                    .expect("every task ran")
+            })
             .collect()
     }
 }
