@@ -30,7 +30,7 @@ const DIGESTS: &[(&str, u64)] = &[
     ("fig11_scale48", 0x7c600bfa62eb5b87),
     ("fig12_energy", 0xd1ec45ddfb21590e),
     ("fig13_resilience", 0x799c55cb0fc59faf),
-    ("fig14_pareto", 0x9861eeb4b337941c),
+    ("fig14_pareto", 0x8e200922db67cd37),
     ("fig15_trace", 0x4c6e288743641992),
     ("fig16_serving", 0x6083a76d1787782b),
     ("table02_metrics", 0xbb93165034e2ff12),

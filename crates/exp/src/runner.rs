@@ -7,7 +7,7 @@ use crate::row::{OutputMode, Row};
 use crate::spec::{
     expert_by_name, Assertion, CandidateSpec, ExperimentSpec, LayoutSpec, WorkloadSpec,
 };
-use netsmith::gen::DiscoveryResult;
+use netsmith::gen::{DiscoveryResult, GenerationProblem};
 use netsmith::pipeline::{EvaluatedNetwork, RoutingScheme};
 use netsmith_obs::Obs;
 use netsmith_pool::WorkerPool;
@@ -243,7 +243,7 @@ impl<'c> Runner<'c> {
         symmetric: bool,
     ) -> ResolvedCandidate {
         let layout = layout_spec.layout();
-        let discovery = self.cache.discover(&DiscoveryRequest {
+        let request = DiscoveryRequest {
             layout: layout.clone(),
             layout_label: layout_spec.label().into(),
             class,
@@ -252,13 +252,18 @@ impl<'c> Runner<'c> {
             seed: self.profile.seed,
             evaluations: self.profile.evals,
             workers: self.profile.workers,
-        });
+        };
+        let discovery = self.cache.discover(&request);
+        // A cache hit may come from another objective with the same
+        // decomposition; name the candidate after this request, as an
+        // uncached discovery would, so output never depends on run order.
+        let name = GenerationProblem::new(request.layout, class, request.objective).topology_name();
         ResolvedCandidate {
             layout_spec,
             layout,
             class,
             scheme: RoutingScheme::Mclb,
-            topology: Arc::new(discovery.topology.clone()),
+            topology: Arc::new(discovery.topology.clone().with_name(name)),
             discovery: Some(discovery),
             objective: Some(objective.clone()),
             prepare_seed: self.profile.seed,
@@ -528,4 +533,34 @@ pub fn check_assertions(output: &RunOutput, assertions: &[Assertion]) -> Result<
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::ObjectiveSpec;
+
+    #[test]
+    fn synth_names_come_from_the_request_not_the_cache_entry() {
+        // A composite with LatOp's decomposition shares LatOp's cache entry;
+        // each candidate is still named after the objective it asked for.
+        let profile = RunProfile {
+            evals: 400,
+            workers: 1,
+            ..RunProfile::default()
+        };
+        let cache = SuiteCache::new();
+        let runner = Runner::new(profile, &cache);
+        let resolve = |objective: &ObjectiveSpec| {
+            runner.resolve_synth(LayoutSpec::Noi4x5, LinkClass::Medium, objective, false)
+        };
+        let latop = resolve(&ObjectiveSpec::LatOp);
+        let mix = resolve(&ObjectiveSpec::Composite {
+            parts: vec![(1.0, ObjectiveSpec::LatOp)],
+        });
+        assert_eq!(cache.discoveries(), 1);
+        assert_eq!(latop.topology.adjacency(), mix.topology.adjacency());
+        assert_eq!(latop.topology.name(), "NS-LatOp-medium");
+        assert_eq!(mix.topology.name(), "NS-Mix[1xHops]-medium");
+    }
 }
