@@ -112,7 +112,7 @@ pub(crate) fn min_hops_for_span(dx: usize, dy: usize, max: LinkSpan) -> u32 {
 }
 
 /// Lower bound on the demand-weighted hop score (`weighted_average_hops *
-/// n * (n-1)`, the [`crate::terms::PatternHopsTerm`] scale) achievable
+/// n * (n-1)`, the [`crate::terms::Term::PatternHops`] scale) achievable
 /// under the link-length constraint: every pair's hop count is at least the
 /// physical minimum `min_hops_for_span` dictates, so the demand-weighted
 /// average is at least the demand-weighted physical minimum.

@@ -139,7 +139,7 @@ impl NetSmith {
 
     /// Combinatorial bound for the configured objective, in the same units
     /// as the objective score: the weighted sum of the per-term admissible
-    /// bounds (see [`crate::terms::ObjectiveTerm::lower_bound`]).
+    /// bounds (see [`crate::terms::Term::lower_bound`]).
     pub fn bound(&self) -> f64 {
         self.problem.objective.lower_bound(&self.problem)
     }

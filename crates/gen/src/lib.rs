@@ -22,7 +22,7 @@
 //!   gap over time" trajectory the paper plots in Figure 5 ([`progress`]).
 //!
 //! Objectives are composable: every [`Objective`] decomposes into weighted
-//! [`terms::ObjectiveTerm`]s (hops, sparsest cut, energy proxy,
+//! [`terms::Term`]s (hops, sparsest cut, energy proxy,
 //! articulation links, spare capacity), and [`Objective::Composite`] /
 //! [`NetSmith::composite_objective`] accept arbitrary non-negative
 //! weightings for multi-criteria synthesis (see the `fig14_pareto`
@@ -48,4 +48,4 @@ pub use milp::{build_latop_model, build_scop_model, solve_latop_milp, MilpGenCon
 pub use objective::{Objective, ObjectiveValue};
 pub use problem::GenerationProblem;
 pub use progress::{ProgressSample, SolverProgress};
-pub use terms::{CutEval, ObjectiveTerm, Term, TermContext, WeightedTerm};
+pub use terms::{CutEval, Term, TermContext, WeightedTerm};

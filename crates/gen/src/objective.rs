@@ -9,13 +9,13 @@
 //!
 //! Every objective — the legacy enum variants and arbitrary
 //! [`Objective::Composite`]s alike — decomposes into weighted
-//! [`ObjectiveTerm`]s ([`Objective::decomposition`]) scored over one shared
+//! [`Term`]s ([`Objective::decomposition`]) scored over one shared
 //! [`TopoAnalysis`], so exact evaluation, the annealer's cut-pool
 //! surrogate, and the combinatorial lower bound all run through a single
 //! code path ([`Objective::evaluate_analysis`] / [`Objective::lower_bound`]).
 
 use crate::problem::GenerationProblem;
-use crate::terms::{CutEval, ObjectiveTerm, Term, TermContext, WeightedTerm};
+use crate::terms::{CutEval, Term, TermContext, WeightedTerm};
 use netsmith_topo::analysis::TopoAnalysis;
 use netsmith_topo::traffic::DemandMatrix;
 use netsmith_topo::Topology;

@@ -4,7 +4,7 @@
 //! objectives"; this module makes that literal.  Every scoring concern the
 //! search engines know about — hop count, sparsest-cut bandwidth, the
 //! analytic energy proxy, articulation links, spare min-cut capacity — is
-//! an [`ObjectiveTerm`]: a function from a cached topology analysis to a
+//! a [`Term`]: a function from a cached topology analysis to a
 //! scalar score (lower is better), paired with an *admissible lower bound*
 //! (a value no topology satisfying the problem constraints can beat).
 //!
@@ -51,240 +51,105 @@ pub enum CutEval<'a> {
     Pool(&'a [Vec<bool>]),
 }
 
-/// One composable scoring concern: maps a [`TermContext`] to a scalar score
-/// (lower is better) and carries an admissible lower bound on that score
-/// over all topologies satisfying a problem's constraints.
-pub trait ObjectiveTerm {
+/// One composable scoring concern: a plain-data term that maps a
+/// [`TermContext`] to a scalar score (lower is better) and carries an
+/// admissible lower bound on that score over all topologies satisfying a
+/// problem's constraints.  Terms are ordinary comparable values, so the
+/// suite cache keys on them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Term {
+    /// Total shortest-path hop count (the LatOp objective O1).
+    Hops,
+    /// Demand-weighted hop count scaled to total-hop units (the pattern-
+    /// optimized objective behind the paper's shuffle topologies).
+    PatternHops(DemandMatrix),
+    /// Negated, scaled sparsest-cut bandwidth (the SCOp objective O2's
+    /// bandwidth half; negated because lower scores are better).
+    SparsestCut,
+    /// Analytic energy proxy: static (leakage) power of the link/router
+    /// inventory plus `edp_weight` times an energy-delay product built from
+    /// the average hop count and the wire length each traversal drives.
+    EnergyProxy {
+        /// Weight of the energy-delay-product component relative to static
+        /// power (mW per EDP unit).
+        edp_weight: f64,
+    },
+    /// Count of critical (articulation) duplex links — single points of
+    /// failure the FaultOp objective penalizes.
+    CriticalLinks,
+    /// Negated spare min-cut capacity (minimum directional degree) — the
+    /// FaultOp objective's reward, negated so lower is better.
+    SpareCapacity,
+}
+
+impl Term {
     /// Compact label used in composite objective names ("Hops", "Cut", …).
-    fn tag(&self) -> String;
+    pub fn tag(&self) -> String {
+        match self {
+            Term::Hops => "Hops",
+            Term::PatternHops(_) => "PatHops",
+            Term::SparsestCut => "Cut",
+            Term::EnergyProxy { .. } => "Energy",
+            Term::CriticalLinks => "Crit",
+            Term::SpareCapacity => "Spare",
+        }
+        .into()
+    }
 
     /// Whether scoring needs the sparsest-cut value resolved.
-    fn needs_cut(&self) -> bool {
-        false
+    pub fn needs_cut(&self) -> bool {
+        matches!(self, Term::SparsestCut)
     }
 
     /// Score a candidate; only called on strongly connected topologies
     /// (disconnection is penalized before terms are consulted).
-    fn score(&self, ctx: &TermContext<'_>) -> f64;
+    pub fn score(&self, ctx: &TermContext<'_>) -> f64 {
+        match self {
+            Term::Hops => ctx.analysis.total_hops().expect("connected") as f64,
+            Term::PatternHops(demand) => {
+                let n = ctx.analysis.num_routers() as f64;
+                // Scale to the same magnitude as total hops for comparability.
+                ctx.analysis.demand_weighted_hops(demand) * n * (n - 1.0)
+            }
+            Term::SparsestCut => -ctx.sparsest_cut * SCOP_BANDWIDTH_SCALE,
+            Term::EnergyProxy { edp_weight } => {
+                let n = ctx.analysis.num_routers() as f64;
+                let wire = ctx.analysis.wire_stats(ctx.topology);
+                let static_mw = n * energy_proxy::ROUTER_LEAKAGE_MW
+                    + wire.total_mm * energy_proxy::WIRE_LEAKAGE_MW_PER_MM;
+                let avg_link_mm = if wire.num_links == 0 {
+                    0.0
+                } else {
+                    wire.total_mm / wire.num_links as f64
+                };
+                static_mw
+                    + edp_weight * energy_proxy::edp_term(ctx.analysis.average_hops(), avg_link_mm)
+            }
+            Term::CriticalLinks => ctx.analysis.critical_links(ctx.topology).len() as f64,
+            Term::SpareCapacity => -(ctx.analysis.min_directional_degree() as f64),
+        }
+    }
 
     /// Admissible lower bound: no topology satisfying `problem`'s radix and
     /// link-length constraints scores below this.
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64;
-}
-
-/// Total shortest-path hop count (the LatOp objective O1).
-pub struct HopsTerm;
-
-impl ObjectiveTerm for HopsTerm {
-    fn tag(&self) -> String {
-        "Hops".into()
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        ctx.analysis.total_hops().expect("connected") as f64
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        bounds::latop_lower_bound(problem)
-    }
-}
-
-/// Demand-weighted hop count scaled to total-hop units (the pattern-
-/// optimized objective behind the paper's shuffle topologies).
-pub struct PatternHopsTerm<'a>(pub &'a DemandMatrix);
-
-impl ObjectiveTerm for PatternHopsTerm<'_> {
-    fn tag(&self) -> String {
-        "PatHops".into()
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        let n = ctx.analysis.num_routers() as f64;
-        // Scale to the same magnitude as total hops for comparability.
-        ctx.analysis.demand_weighted_hops(self.0) * n * (n - 1.0)
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        bounds::pattern_latop_lower_bound(problem, self.0)
-    }
-}
-
-/// Negated, scaled sparsest-cut bandwidth (the SCOp objective O2's
-/// bandwidth half; negated because lower scores are better).
-pub struct SparsestCutTerm;
-
-impl ObjectiveTerm for SparsestCutTerm {
-    fn tag(&self) -> String {
-        "Cut".into()
-    }
-
-    fn needs_cut(&self) -> bool {
-        true
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        -ctx.sparsest_cut * SCOP_BANDWIDTH_SCALE
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        -bounds::scop_upper_bound(problem) * SCOP_BANDWIDTH_SCALE
-    }
-}
-
-/// Analytic energy proxy: static (leakage) power of the link/router
-/// inventory plus `edp_weight` times an energy-delay product built from the
-/// average hop count and the wire length each traversal drives.
-pub struct EnergyProxyTerm {
-    /// Weight of the energy-delay-product component relative to static
-    /// power (mW per EDP unit).
-    pub edp_weight: f64,
-}
-
-impl ObjectiveTerm for EnergyProxyTerm {
-    fn tag(&self) -> String {
-        "Energy".into()
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        let n = ctx.analysis.num_routers() as f64;
-        let wire = ctx.analysis.wire_stats(ctx.topology);
-        let static_mw = n * energy_proxy::ROUTER_LEAKAGE_MW
-            + wire.total_mm * energy_proxy::WIRE_LEAKAGE_MW_PER_MM;
-        let avg_link_mm = if wire.num_links == 0 {
-            0.0
-        } else {
-            wire.total_mm / wire.num_links as f64
-        };
-        static_mw
-            + self.edp_weight * energy_proxy::edp_term(ctx.analysis.average_hops(), avg_link_mm)
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        // Router leakage is unavoidable; wire terms are >= 0 and the EDP
-        // term is increasing in hops, so evaluating it at the hop lower
-        // bound with zero wire length under-estimates every achievable
-        // score.
-        let n = problem.num_routers() as f64;
-        let avg_hops_lb = bounds::average_hops_lower_bound(problem);
-        n * energy_proxy::ROUTER_LEAKAGE_MW
-            + self.edp_weight * energy_proxy::edp_term(avg_hops_lb, 0.0)
-    }
-}
-
-/// Count of critical (articulation) duplex links — single points of
-/// failure the FaultOp objective penalizes.
-pub struct CriticalLinksTerm;
-
-impl ObjectiveTerm for CriticalLinksTerm {
-    fn tag(&self) -> String {
-        "Crit".into()
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        ctx.analysis.critical_links(ctx.topology).len() as f64
-    }
-
-    fn lower_bound(&self, _problem: &GenerationProblem) -> f64 {
-        0.0
-    }
-}
-
-/// Negated spare min-cut capacity (minimum directional degree) — the
-/// FaultOp objective's reward, negated so lower is better.
-pub struct SpareCapacityTerm;
-
-impl ObjectiveTerm for SpareCapacityTerm {
-    fn tag(&self) -> String {
-        "Spare".into()
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        -(ctx.analysis.min_directional_degree() as f64)
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        // A router's directional degree can never exceed the radix.
-        -(problem.layout.radix() as f64)
-    }
-}
-
-/// A plain-data objective term.  Each variant delegates to the
-/// corresponding [`ObjectiveTerm`] implementation, so composites are
-/// ordinary comparable values (the suite cache keys on them) while scoring
-/// stays in one place per concern.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Term {
-    /// Total shortest-path hop count ([`HopsTerm`]).
-    Hops,
-    /// Demand-weighted hop count in total-hop units ([`PatternHopsTerm`]).
-    PatternHops(DemandMatrix),
-    /// Negated, scaled sparsest-cut bandwidth ([`SparsestCutTerm`]).
-    SparsestCut,
-    /// Analytic static-power + energy-delay proxy ([`EnergyProxyTerm`]).
-    EnergyProxy {
-        /// Weight of the EDP component relative to static power.
-        edp_weight: f64,
-    },
-    /// Critical (articulation) duplex-link count ([`CriticalLinksTerm`]).
-    CriticalLinks,
-    /// Negated spare min-cut capacity ([`SpareCapacityTerm`]).
-    SpareCapacity,
-}
-
-impl ObjectiveTerm for Term {
-    fn tag(&self) -> String {
+    pub fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
         match self {
-            Term::Hops => HopsTerm.tag(),
-            Term::PatternHops(d) => PatternHopsTerm(d).tag(),
-            Term::SparsestCut => SparsestCutTerm.tag(),
-            Term::EnergyProxy { edp_weight } => EnergyProxyTerm {
-                edp_weight: *edp_weight,
+            Term::Hops => bounds::latop_lower_bound(problem),
+            Term::PatternHops(demand) => bounds::pattern_latop_lower_bound(problem, demand),
+            Term::SparsestCut => -bounds::scop_upper_bound(problem) * SCOP_BANDWIDTH_SCALE,
+            Term::EnergyProxy { edp_weight } => {
+                // Router leakage is unavoidable; wire terms are >= 0 and the
+                // EDP term is increasing in hops, so evaluating it at the hop
+                // lower bound with zero wire length under-estimates every
+                // achievable score.
+                let n = problem.num_routers() as f64;
+                let avg_hops_lb = bounds::average_hops_lower_bound(problem);
+                n * energy_proxy::ROUTER_LEAKAGE_MW
+                    + edp_weight * energy_proxy::edp_term(avg_hops_lb, 0.0)
             }
-            .tag(),
-            Term::CriticalLinks => CriticalLinksTerm.tag(),
-            Term::SpareCapacity => SpareCapacityTerm.tag(),
-        }
-    }
-
-    fn needs_cut(&self) -> bool {
-        match self {
-            Term::Hops => HopsTerm.needs_cut(),
-            Term::PatternHops(d) => PatternHopsTerm(d).needs_cut(),
-            Term::SparsestCut => SparsestCutTerm.needs_cut(),
-            Term::EnergyProxy { edp_weight } => EnergyProxyTerm {
-                edp_weight: *edp_weight,
-            }
-            .needs_cut(),
-            Term::CriticalLinks => CriticalLinksTerm.needs_cut(),
-            Term::SpareCapacity => SpareCapacityTerm.needs_cut(),
-        }
-    }
-
-    fn score(&self, ctx: &TermContext<'_>) -> f64 {
-        match self {
-            Term::Hops => HopsTerm.score(ctx),
-            Term::PatternHops(d) => PatternHopsTerm(d).score(ctx),
-            Term::SparsestCut => SparsestCutTerm.score(ctx),
-            Term::EnergyProxy { edp_weight } => EnergyProxyTerm {
-                edp_weight: *edp_weight,
-            }
-            .score(ctx),
-            Term::CriticalLinks => CriticalLinksTerm.score(ctx),
-            Term::SpareCapacity => SpareCapacityTerm.score(ctx),
-        }
-    }
-
-    fn lower_bound(&self, problem: &GenerationProblem) -> f64 {
-        match self {
-            Term::Hops => HopsTerm.lower_bound(problem),
-            Term::PatternHops(d) => PatternHopsTerm(d).lower_bound(problem),
-            Term::SparsestCut => SparsestCutTerm.lower_bound(problem),
-            Term::EnergyProxy { edp_weight } => EnergyProxyTerm {
-                edp_weight: *edp_weight,
-            }
-            .lower_bound(problem),
-            Term::CriticalLinks => CriticalLinksTerm.lower_bound(problem),
-            Term::SpareCapacity => SpareCapacityTerm.lower_bound(problem),
+            Term::CriticalLinks => 0.0,
+            // A router's directional degree can never exceed the radix.
+            Term::SpareCapacity => -(problem.layout.radix() as f64),
         }
     }
 }
@@ -357,7 +222,7 @@ pub(crate) fn resolve_cut(topo: &Topology, cut: CutEval<'_>, needed: bool) -> f6
 }
 
 /// Technology constants of the analytic energy proxy used by
-/// [`EnergyProxyTerm`].  They mirror `netsmith_power::PowerConfig`'s
+/// [`Term::EnergyProxy`].  They mirror `netsmith_power::PowerConfig`'s
 /// defaults (kept as local constants so the search engine stays free of the
 /// simulator/power dependency chain); the proxy only needs the *relative*
 /// weighting of router vs. wire energy to rank candidate topologies.
@@ -401,7 +266,7 @@ mod tests {
         let analysis = TopoAnalysis::new(&mesh);
         let ctx = ctx_for(&mesh, &analysis, 0.0);
         assert_eq!(
-            HopsTerm.score(&ctx),
+            Term::Hops.score(&ctx),
             netsmith_topo::metrics::total_hops(&mesh).unwrap() as f64
         );
     }
@@ -461,11 +326,11 @@ mod tests {
             LinkClass::Large,
             crate::objective::Objective::LatOp,
         );
-        let bound = SpareCapacityTerm.lower_bound(&problem);
+        let bound = Term::SpareCapacity.lower_bound(&problem);
         for topo in expert::all_baselines(&layout) {
             let analysis = TopoAnalysis::new(&topo);
             let ctx = ctx_for(&topo, &analysis, 0.0);
-            assert!(SpareCapacityTerm.score(&ctx) >= bound);
+            assert!(Term::SpareCapacity.score(&ctx) >= bound);
         }
     }
 }
