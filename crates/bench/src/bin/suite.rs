@@ -1,7 +1,8 @@
-//! The experiment suite: runs every registered figure spec against one
-//! shared candidate-discovery cache and fails on any declared assertion.
+//! The experiment suite: `suite [FIGURE...]` runs the named registered
+//! figure specs (all of them when none is named) against one shared
+//! candidate-discovery cache and fails on any declared assertion.
 //! `--quick` is the CI smoke configuration (< 60 s); the final stderr
-//! summary logs the suite-wide cache effectiveness.
+//! summary logs the cache effectiveness.
 
 fn main() {
     netsmith_exp::cli::run_suite(netsmith_bench::figures::ALL);

@@ -1,4 +1,4 @@
-//! Figure definitions: one module per figure/table binary, each exposing
+//! Figure definitions: one module per figure or table, each exposing
 //! `figure(&RunProfile) -> Figure` — the declarative experiment spec plus
 //! the figure's measurement code and assertions.
 //!
@@ -64,6 +64,6 @@ pub fn sweep_loads(profile: &RunProfile) -> Vec<f64> {
     if profile.quick {
         vec![0.05, 0.2, 0.35]
     } else {
-        crate::load_grid()
+        netsmith_sim::sweep::default_load_grid()
     }
 }

@@ -1,11 +1,12 @@
-//! Shared harness code for the per-figure experiment binaries.
+//! The paper's evaluation as registered experiment figures.
 //!
 //! Every figure is a [`netsmith_exp`] experiment: a declarative spec
 //! (candidates × workloads × assertions) plus the figure's measurement
-//! code, registered in [`figures::ALL`].  The thin binaries in `src/bin/`
-//! hand their figure to [`netsmith_exp::cli::run_figure`], so each one
-//! accepts the same `--quick` / `--json` / `--seed` flags; the `suite`
-//! binary runs every registered figure against one shared candidate cache.
+//! code, registered in [`figures::ALL`].  The `suite` binary runs the
+//! figures named on its command line, or all of them, against one shared
+//! candidate cache (`suite --quick fig12_energy fig14_pareto`); every run
+//! accepts the same `--quick` / `--json` / `--seed` / `--obs` flags.  The
+//! `perf` binary checks the tracked performance baseline.
 //!
 //! Budget configuration flows through [`RunProfile`] (construct it directly
 //! in tests); the historical `NETSMITH_EVALS` / `NETSMITH_WORKERS`
@@ -14,15 +15,6 @@
 pub mod figures;
 
 pub use netsmith_exp::RunProfile;
-
-/// Deterministic seed shared by the harness binaries so repeated runs
-/// reproduce the same topologies.
-pub const HARNESS_SEED: u64 = netsmith_exp::DEFAULT_SEED;
-
-/// The load grid used by the synthetic-traffic figures (flits/node/cycle).
-pub fn load_grid() -> Vec<f64> {
-    netsmith_sim::sweep::default_load_grid()
-}
 
 #[cfg(test)]
 mod tests {
@@ -56,7 +48,7 @@ mod tests {
     #[test]
     fn every_figure_is_registered_once() {
         let mut names: Vec<&str> = figures::ALL.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 16, "all sixteen figure binaries registered");
+        assert_eq!(names.len(), 16, "all sixteen figures registered");
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16, "figure names must be unique");

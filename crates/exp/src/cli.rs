@@ -1,6 +1,8 @@
-//! Uniform command-line entry points for the figure binaries and the suite.
+//! The command-line entry point of the experiment suite.
 //!
-//! Every figure binary accepts the same flags:
+//! `suite [FIGURE...]` runs the named registered figures, in the order
+//! given, or every registered figure when no name is given.  It accepts
+//! these flags in any position:
 //!
 //! * `--quick` — the CI smoke matrix (small discovery budget, reduced
 //!   classes/loads/windows as declared by the figure's quick spec).
@@ -100,15 +102,20 @@ pub struct CliOptions {
     /// Instrumentation event-log path (`--obs`, env fallback
     /// `NETSMITH_OBS`); `None` leaves the run unobserved.
     pub obs_path: Option<PathBuf>,
+    /// Figure names given as positional arguments, in order; empty runs
+    /// the whole registry.
+    pub figures: Vec<String>,
 }
 
 impl CliOptions {
-    /// Parse `--quick` / `--json` / `--seed N` / `--obs PATH` from an
-    /// argument list (without the program name).
+    /// Parse `--quick` / `--json` / `--seed N` / `--obs PATH` and
+    /// positional figure names from an argument list (without the program
+    /// name).  Names are checked against the registry when the suite runs.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut profile = RunProfile::from_env();
         let mut json = false;
         let mut obs_path = None;
+        let mut figures = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -128,7 +135,10 @@ impl CliOptions {
                     let value = args.next().ok_or("--obs requires a path")?;
                     obs_path = Some(PathBuf::from(value));
                 }
-                other => return Err(format!("unknown argument {other:?}")),
+                other if other.starts_with('-') => {
+                    return Err(format!("unknown argument {other:?}"))
+                }
+                name => figures.push(name.to_string()),
             }
         }
         let obs_path = obs_path.or_else(|| std::env::var_os("NETSMITH_OBS").map(PathBuf::from));
@@ -136,18 +146,8 @@ impl CliOptions {
             profile,
             json,
             obs_path,
+            figures,
         })
-    }
-
-    fn from_process_args() -> Self {
-        match CliOptions::parse(std::env::args().skip(1)) {
-            Ok(options) => options,
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("usage: <figure> [--quick] [--json] [--seed N] [--obs FILE.jsonl]");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The instrumentation handle for this invocation: a JSON-Lines sink
@@ -193,7 +193,6 @@ fn manifest_path(event_log: &Path) -> PathBuf {
 /// Build the run manifest: invocation parameters, per-figure outcomes,
 /// cache accounting and the aggregated span/counter totals.
 fn build_manifest(
-    command: &str,
     options: &CliOptions,
     figures: &[FigureRecord],
     cache: &SuiteCache,
@@ -201,7 +200,7 @@ fn build_manifest(
 ) -> Json {
     let num = |n: u64| Json::Num(n as f64);
     Json::Obj(vec![
-        ("command".into(), Json::Str(command.into())),
+        ("command".into(), Json::Str("suite".into())),
         ("seed".into(), num(options.profile.seed)),
         ("evals".into(), num(options.profile.evals)),
         ("workers".into(), num(options.profile.workers as u64)),
@@ -262,8 +261,8 @@ fn build_manifest(
 
 /// Re-read and parse both artifacts, proving the run left a complete,
 /// machine-readable account: every event-log line parses, every figure has
-/// a closed span, the manifest lists every figure, and (for suite runs) at
-/// least one simulator time-series was captured.
+/// a closed span, the manifest lists every figure, and (for whole-registry
+/// runs) at least one simulator time-series was captured.
 fn verify_artifacts(
     event_log: &Path,
     manifest: &Path,
@@ -320,7 +319,6 @@ fn verify_artifacts(
 /// the cache's own accounting, write the manifest, and self-verify both
 /// artifacts.  A no-op when the run is unobserved.
 fn finish_obs(
-    command: &str,
     options: &CliOptions,
     obs: &Obs,
     cache: &SuiteCache,
@@ -347,7 +345,7 @@ fn finish_obs(
         ));
     }
     let manifest = manifest_path(event_log);
-    let doc = build_manifest(command, options, figures, cache, &snapshot);
+    let doc = build_manifest(options, figures, cache, &snapshot);
     std::fs::write(&manifest, format!("{doc}\n"))
         .map_err(|e| format!("cannot write {}: {e}", manifest.display()))?;
     verify_artifacts(event_log, &manifest, figures, require_series)?;
@@ -359,61 +357,54 @@ fn finish_obs(
     Ok(())
 }
 
-/// Run one figure as a standalone binary: parse flags, execute, print rows,
-/// verify assertions (after printing, like the legacy binaries), exit
-/// non-zero on failure.
-pub fn run_figure(build: fn(&RunProfile) -> Figure) {
-    let options = CliOptions::from_process_args();
-    let obs = options.obs();
-    let cache = SuiteCache::new().with_obs(obs.clone());
-    let runner = Runner::new(options.profile, &cache).with_obs(obs.clone());
-    let figure = build(&runner.profile);
-    let name = figure.spec.name.clone();
-    let started = std::time::Instant::now();
-    let mut span = obs.span(&name);
-    let output = match runner.run(&figure) {
-        Ok(output) => output,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
-    };
-    span.attr("rows", output.rows.len() as u64);
-    span.close();
-    emit(&output.header, &output.rows, figure.output, options.json);
-    eprintln!(
-        "# {}: {} rows; candidate cache: {} discoveries / {} references",
-        output.name,
-        output.rows.len(),
-        cache.discoveries(),
-        cache.references()
-    );
-    let record = FigureRecord {
-        name,
-        rows: output.rows.len(),
-        seconds: started.elapsed().as_secs_f64(),
-        status: "ok",
-    };
-    if let Err(message) = finish_obs("figure", &options, &obs, &cache, &[record], false) {
-        eprintln!("OBS FAILED: {message}");
-        std::process::exit(1);
-    }
-    if let Err(message) = runner.verify(&figure, &output) {
-        eprintln!("ASSERTION FAILED: {message}");
-        std::process::exit(1);
-    }
-}
-
 /// A named figure constructor, as registered in a suite.
 pub type FigureEntry = (&'static str, fn(&RunProfile) -> Figure);
 
-/// Run every registered figure against one shared cache: the suite mode CI
-/// smokes.  Prints each figure's CSV (section-prefixed) to stdout, verifies
-/// every declared assertion, and fails unless the shared candidate cache
+/// The registry entries a run asks for: every entry when `names` is empty,
+/// otherwise the named entries in the order given.  An unknown or repeated
+/// name is an error that lists the registered figures.
+fn select(registry: &[FigureEntry], names: &[String]) -> Result<Vec<FigureEntry>, String> {
+    if names.is_empty() {
+        return Ok(registry.to_vec());
+    }
+    let mut selected: Vec<FigureEntry> = Vec::with_capacity(names.len());
+    for name in names {
+        let problem = match registry.iter().find(|(n, _)| n == name) {
+            None => "unknown",
+            Some(_) if selected.iter().any(|(n, _)| n == name) => "repeated",
+            Some(&entry) => {
+                selected.push(entry);
+                continue;
+            }
+        };
+        let registered: Vec<&str> = registry.iter().map(|(n, _)| *n).collect();
+        return Err(format!(
+            "{problem} figure {name:?}; registered figures: {}",
+            registered.join(", ")
+        ));
+    }
+    Ok(selected)
+}
+
+/// Report a command-line error with the usage line and exit with code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: suite [--quick] [--json] [--seed N] [--obs FILE.jsonl] [FIGURE...]");
+    std::process::exit(2);
+}
+
+/// Run the figures named on the command line (every registered figure when
+/// none is named) against one shared cache.  Prints each figure's CSV
+/// (section-prefixed) to stdout and verifies every declared assertion.  A
+/// whole-registry run also fails unless the shared candidate cache
 /// demonstrably collapsed discovery work (total discovery invocations <
 /// number of figure specs referencing synthesized candidates).
 pub fn run_suite(registry: &[FigureEntry]) {
-    let options = CliOptions::from_process_args();
+    let options =
+        CliOptions::parse(std::env::args().skip(1)).unwrap_or_else(|message| usage_error(&message));
+    let selected =
+        select(registry, &options.figures).unwrap_or_else(|message| usage_error(&message));
+    let whole_registry = options.figures.is_empty();
     let obs = options.obs();
     let cache = SuiteCache::new().with_obs(obs.clone());
     let runner = Runner::new(options.profile, &cache).with_obs(obs.clone());
@@ -421,7 +412,7 @@ pub fn run_suite(registry: &[FigureEntry]) {
     let mut records: Vec<FigureRecord> = Vec::new();
     let mut synth_specs = 0usize;
     let started = std::time::Instant::now();
-    for (name, build) in registry {
+    for (name, build) in &selected {
         let figure = build(&runner.profile);
         if references_synth(&figure) {
             synth_specs += 1;
@@ -465,21 +456,26 @@ pub fn run_suite(registry: &[FigureEntry]) {
     eprintln!(
         "# suite: {} figures in {:.1}s; candidate cache: {} discoveries / {} references \
          across {synth_specs} synth-referencing specs",
-        registry.len(),
+        selected.len(),
         started.elapsed().as_secs_f64(),
         cache.discoveries(),
         cache.references()
     );
-    // The cache-effectiveness invariant is defined on the quick matrix
-    // (ISSUE acceptance criterion): full runs sweep more classes/layouts,
-    // so their distinct-key count legitimately exceeds the spec count.
-    if options.profile.quick && synth_specs > 1 && cache.discoveries() >= synth_specs {
+    // The cache-effectiveness invariant is defined on the quick matrix of
+    // the whole registry: full runs sweep more classes/layouts, so their
+    // distinct-key count legitimately exceeds the spec count, and two named
+    // figures with disjoint candidates share nothing.
+    if whole_registry
+        && options.profile.quick
+        && synth_specs > 1
+        && cache.discoveries() >= synth_specs
+    {
         failures.push(format!(
             "candidate cache ineffective: {} discoveries for {synth_specs} synth-referencing specs",
             cache.discoveries()
         ));
     }
-    if let Err(message) = finish_obs("suite", &options, &obs, &cache, &records, true) {
+    if let Err(message) = finish_obs(&options, &obs, &cache, &records, whole_registry) {
         eprintln!("# suite: OBS FAILED: {message}");
         failures.push(format!("obs: {message}"));
     }
@@ -518,6 +514,67 @@ mod tests {
         assert!(CliOptions::parse(["--seed".to_string()]).is_err());
         assert!(CliOptions::parse(["--seed".to_string(), "x".to_string()]).is_err());
         assert!(CliOptions::parse(["--obs".to_string()]).is_err());
+    }
+
+    #[test]
+    fn parse_collects_figure_names_in_order_among_flags() {
+        let options = CliOptions::parse(
+            [
+                "fig14_pareto",
+                "--quick",
+                "fig04_topology",
+                "--seed",
+                "3",
+                "table02_metrics",
+            ]
+            .into_iter()
+            .map(String::from),
+        )
+        .unwrap();
+        assert_eq!(
+            options.figures,
+            ["fig14_pareto", "fig04_topology", "table02_metrics"]
+        );
+        assert!(options.profile.quick);
+        assert_eq!(options.profile.seed, 3);
+        assert!(CliOptions::parse(["--quick".to_string()])
+            .unwrap()
+            .figures
+            .is_empty());
+    }
+
+    fn unbuilt(_: &RunProfile) -> Figure {
+        unreachable!("selection never builds a figure")
+    }
+
+    const REGISTRY: &[FigureEntry] = &[("alpha", unbuilt), ("beta", unbuilt), ("gamma", unbuilt)];
+
+    fn selected_names(names: &[&str]) -> Result<Vec<&'static str>, String> {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        select(REGISTRY, &names).map(|entries| entries.iter().map(|(n, _)| *n).collect())
+    }
+
+    #[test]
+    fn select_keeps_the_registry_or_the_named_order() {
+        assert_eq!(selected_names(&[]).unwrap(), ["alpha", "beta", "gamma"]);
+        assert_eq!(
+            selected_names(&["gamma", "alpha"]).unwrap(),
+            ["gamma", "alpha"]
+        );
+    }
+
+    #[test]
+    fn select_rejects_an_unknown_name_listing_the_registry() {
+        let message = selected_names(&["beta", "delta"]).unwrap_err();
+        assert!(message.contains("unknown figure \"delta\""), "{message}");
+        assert!(message.contains("alpha, beta, gamma"), "{message}");
+    }
+
+    #[test]
+    fn select_rejects_a_repeated_name_listing_the_registry() {
+        let message = selected_names(&["beta", "alpha", "beta"]).unwrap_err();
+        assert!(message.contains("repeated figure \"beta\""), "{message}");
+        assert!(message.contains("alpha, beta, gamma"), "{message}");
     }
 
     #[test]

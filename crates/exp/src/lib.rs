@@ -16,9 +16,9 @@
 //!   objective decomposition, layout, class, seed and budget — prepares
 //!   each candidate once (typed [`PipelineError`]s on failure), executes
 //!   cells in parallel, and collects structured [`Row`]s.
-//! * [`cli`] gives every figure binary uniform `--quick` / `--json` /
-//!   `--seed` handling, with `NETSMITH_EVALS` / `NETSMITH_WORKERS` as
-//!   environment fallbacks via [`RunProfile`].
+//! * [`cli`] is the `suite [FIGURE...]` entry point: uniform `--quick` /
+//!   `--json` / `--seed` handling for every figure, with `NETSMITH_EVALS` /
+//!   `NETSMITH_WORKERS` as environment fallbacks via [`RunProfile`].
 //!
 //! ## Example: a 2-candidate × 3-workload experiment
 //!
