@@ -85,6 +85,9 @@ fn bench_metrics(c: &mut Criterion) {
         b.iter(|| TopologyMetrics::compute(&torus))
     });
     let big = expert::folded_torus(&Layout::noi_8x6());
+    group.bench_function("all_pairs_hops_48r", |b| {
+        b.iter(|| metrics::all_pairs_hops(&big))
+    });
     group.bench_function("sparsest_cut_heuristic_48r", |b| {
         b.iter(|| cuts::sparsest_cut_heuristic(&big, 8, 1))
     });
@@ -167,6 +170,25 @@ fn bench_objective_eval(c: &mut Criterion) {
             })
         });
     }
+    // The same delta path at the 8x6 layout's size, where the annealer's
+    // hop-distance updates dominate synthesis: a fixed rewire on the
+    // folded torus (first link out, a (1,1)-span link in).
+    let torus = expert::folded_torus(&Layout::noi_8x6());
+    let (ra, rb) = torus.links().next().unwrap();
+    let (aa, ab) = (0usize, 7usize);
+    assert!(!torus.has_link(aa, ab));
+    let mut moved = torus.clone();
+    moved.remove_link(ra, rb);
+    moved.add_link(aa, ab);
+    let base = TopoAnalysis::new(&torus);
+    group.bench_function("latop_delta_48r", |b| {
+        b.iter(|| {
+            let analysis = base.after_move(&moved, &[(ra, rb)], &[(aa, ab)]);
+            Objective::LatOp
+                .evaluate_analysis(&moved, &analysis, CutEval::Exact)
+                .score
+        })
+    });
     group.finish();
 }
 

@@ -7,7 +7,9 @@
 //! here over a configurable sample count), the disabled-instrumentation
 //! overhead of the obs layer (an annealing run — the per-move counter hot
 //! path — timed under the no-op recorder vs a live in-memory recorder),
-//! a `serving_horizon` probe (a fig16-style closed-loop link-sleep
+//! an `anneal_48r` probe (one-worker LatOp synthesis on the 8x6 layout,
+//! whose time is almost all incremental hop-distance updates), a
+//! `serving_horizon` probe (a fig16-style closed-loop link-sleep
 //! lifetime on the folded torus, timed end to end), and `suite --quick`
 //! wall-clock, then writes everything — alongside the frozen pre-rework
 //! baseline — to `BENCH_10.json` at the workspace root.
@@ -27,7 +29,7 @@
 //! Flags:
 //! * `--probe <name>` — run a single probe (one of `fig08_sim`,
 //!   `fig11_sim`, `trace_replay`, `sim_5000_cycles_midload`,
-//!   `obs_overhead`, `serving_horizon`, `suite_quick`) so hot-loop
+//!   `obs_overhead`, `anneal_48r`, `serving_horizon`, `suite_quick`) so hot-loop
 //!   iteration doesn't pay for the full suite each time.
 //! * `--samples <n>` — sample count for the median-based probes
 //!   (default 15).
@@ -62,12 +64,17 @@ const DEFAULT_SAMPLES: usize = 15;
 /// 2 × 15-sample protocol stays in single-digit seconds).
 const OBS_OVERHEAD_EVALS: u64 = 5_000;
 
+/// Evaluation budget of the `anneal_48r` probe: nsbench design48's
+/// per-worker budget.
+const ANNEAL_48R_EVALS: u64 = 12_000;
+
 const PROBES: &[&str] = &[
     "fig08_sim",
     "fig11_sim",
     "trace_replay",
     "sim_5000_cycles_midload",
     "obs_overhead",
+    "anneal_48r",
     "serving_horizon",
     "suite_quick",
 ];
@@ -280,6 +287,32 @@ fn obs_overhead(samples: usize) -> ObsOverheadResult {
     }
 }
 
+/// Run times of one single-worker LatOp annealing run on the 8x6 layout
+/// (Medium class, default seed) with [`ANNEAL_48R_EVALS`] evaluations
+/// under the no-op recorder.  Nearly all of it is
+/// `TopoAnalysis::after_move`, so this probe guards the hop-distance
+/// kernel.  The time budget is an hour so the wall clock never cuts the
+/// run short.
+fn anneal_48r_stats(samples: usize) -> SampleStats {
+    let problem = GenerationProblem::new(Layout::noi_8x6(), LinkClass::Medium, Objective::LatOp);
+    let config = AnnealConfig {
+        max_evaluations: ANNEAL_48R_EVALS,
+        time_budget: std::time::Duration::from_secs(3600),
+        ..AnnealConfig::default()
+    };
+    sample_stats(
+        (0..samples.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                let result = anneal(&problem, &config, 0.0, &Obs::noop());
+                let ms = start.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(result.evaluations, ANNEAL_48R_EVALS);
+                ms
+            })
+            .collect(),
+    )
+}
+
 /// Horizon length of the serving probe: long enough that the per-epoch
 /// compile/run/gate cycle dominates, short enough for a sub-second probe.
 const SERVING_PROBE_EPOCHS: u64 = 48;
@@ -447,6 +480,18 @@ fn record(probe: Option<&str>, samples: usize) {
         obs = Some(o);
     }
 
+    let mut anneal48 = None;
+    if run("anneal_48r") {
+        eprintln!("# perf: anneal_48r");
+        let s = anneal_48r_stats(samples);
+        eprintln!(
+            "anneal_48r: {ANNEAL_48R_EVALS} evals, median {:.3} ms, min {:.3} ms, \
+             IQR {:.3} ms over {} samples",
+            s.median_ms, s.min_ms, s.iqr_ms, s.samples,
+        );
+        anneal48 = Some(s);
+    }
+
     let mut serving = None;
     if run("serving_horizon") {
         eprintln!("# perf: serving_horizon");
@@ -476,6 +521,7 @@ fn record(probe: Option<&str>, samples: usize) {
     }
     let (fig08, fig11, trace) = (fig08.unwrap(), fig11.unwrap(), trace.unwrap());
     let (sim5000, obs, serving) = (sim5000.unwrap(), obs.unwrap(), serving.unwrap());
+    let anneal48 = anneal48.unwrap();
     let suite_seconds = suite_seconds.unwrap();
 
     let sim_section = |r: &SimBenchResult, baseline: f64| {
@@ -571,6 +617,12 @@ fn record(probe: Option<&str>, samples: usize) {
                             Json::Num(round3(obs.enabled_over_noop())),
                         ),
                     ]),
+                ),
+                (
+                    // Guards the word-bitset BFS kernel behind every
+                    // annealer evaluation; only the median is gated.
+                    "anneal_48r",
+                    obj(vec![("median_ms", Json::Num(round3(anneal48.median_ms)))]),
                 ),
                 (
                     // New probe in bench 10 (landed with netsmith-serve):
@@ -682,6 +734,18 @@ fn check(probe: Option<&str>, samples: usize) {
              ({rec:.3} ms recorded x {tolerance} tolerance)"
         );
         eprintln!("# perf --check: obs_overhead noop {got:.3} ms <= {limit:.3} ms, ok");
+        checked += 1;
+    }
+    if run("anneal_48r") {
+        let rec = recorded(&doc, "anneal_48r", "median_ms");
+        let limit = rec * tolerance;
+        let got = anneal_48r_stats(samples).median_ms;
+        assert!(
+            got <= limit,
+            "anneal_48r regressed: median {got:.3} ms > {limit:.3} ms \
+             ({rec:.3} ms recorded x {tolerance} tolerance)"
+        );
+        eprintln!("# perf --check: anneal_48r median {got:.3} ms <= {limit:.3} ms, ok");
         checked += 1;
     }
     if run("serving_horizon") {

@@ -347,11 +347,15 @@ impl<'c> Runner<'c> {
         Ok(resolved)
     }
 
-    /// Run a figure: resolve its candidates, execute every cell (in
-    /// parallel, deterministic row order), post-process.  Assertions are
-    /// *not* checked here — the CLI emits rows first, then verifies, so a
-    /// failing run still prints its data like the legacy binaries did.
+    /// Run a figure: check its expert names, resolve its candidates,
+    /// execute every cell (in parallel, deterministic row order),
+    /// post-process.  Assertions are *not* checked here — the CLI emits
+    /// rows first, then verifies, so a failing run still prints its data
+    /// like the legacy binaries did.
     pub fn run(&self, figure: &Figure) -> Result<RunOutput, String> {
+        // Resolution discovers synthesized candidates in order; an unknown
+        // expert listed after one must not wait for its annealer.
+        figure.spec.check_expert_names()?;
         let candidates = self.resolve_candidates(&figure.spec)?;
 
         // Build the cell list in the figure's grouping order.
@@ -562,5 +566,23 @@ mod tests {
         assert_eq!(latop.topology.adjacency(), mix.topology.adjacency());
         assert_eq!(latop.topology.name(), "NS-LatOp-medium");
         assert_eq!(mix.topology.name(), "NS-Mix[1xHops]-medium");
+    }
+
+    #[test]
+    fn unknown_expert_fails_before_any_discovery() {
+        let cache = SuiteCache::new();
+        let runner = Runner::new(RunProfile::quick(), &cache);
+        let mut spec = ExperimentSpec::new("bad_expert");
+        spec.candidates = vec![
+            CandidateSpec::synth(ObjectiveSpec::LatOp),
+            CandidateSpec::expert("hypercube"),
+        ];
+        let figure = Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new());
+        let err = runner.run(&figure).err().expect("unknown expert must fail");
+        assert!(err.contains("bad_expert: candidate 1"), "{err}");
+        assert!(err.contains("\"hypercube\""), "{err}");
+        assert!(err.contains(crate::spec::tests::KNOWN_EXPERTS), "{err}");
+        assert_eq!(cache.discoveries(), 0);
+        assert_eq!(cache.references(), 0);
     }
 }

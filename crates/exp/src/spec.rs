@@ -274,8 +274,10 @@ impl CandidateSpec {
             };
         }
         if let Some(name) = json.get("expert") {
+            let name = name.as_str()?;
+            check_expert_name(name)?;
             return Ok(CandidateSpec::Expert {
-                name: name.as_str()?.into(),
+                name: name.into(),
                 only_class: match json.get("only_class") {
                     Some(class) => Some(class_from_name(class.as_str()?)?),
                     None => None,
@@ -295,20 +297,47 @@ impl CandidateSpec {
     }
 }
 
-/// Resolve an expert-topology name ("mesh", "folded-torus", …).
+/// Builds one expert design on a layout.
+type ExpertBuilder = fn(&Layout) -> Topology;
+
+/// Every expert design [`expert_by_name`] resolves, by name.
+const EXPERTS: &[(&str, ExpertBuilder)] = &[
+    ("mesh", expert::mesh),
+    ("folded-torus", expert::folded_torus),
+    ("kite-small", expert::kite_small),
+    ("kite-medium", expert::kite_medium),
+    ("kite-large", expert::kite_large),
+    ("butter-donut", expert::butter_donut),
+    ("double-butterfly", expert::double_butterfly),
+    ("lpbt-hops", expert::lpbt_hops),
+    ("lpbt-power", expert::lpbt_power),
+];
+
+/// Resolve an expert-topology name ("mesh", "folded-torus", …).  An
+/// unknown name's error quotes it and lists the known experts.
 pub fn expert_by_name(name: &str, layout: &Layout) -> Result<Topology, String> {
-    match name {
-        "mesh" => Ok(expert::mesh(layout)),
-        "folded-torus" => Ok(expert::folded_torus(layout)),
-        "kite-small" => Ok(expert::kite_small(layout)),
-        "kite-medium" => Ok(expert::kite_medium(layout)),
-        "kite-large" => Ok(expert::kite_large(layout)),
-        "butter-donut" => Ok(expert::butter_donut(layout)),
-        "double-butterfly" => Ok(expert::double_butterfly(layout)),
-        "lpbt-hops" => Ok(expert::lpbt_hops(layout)),
-        "lpbt-power" => Ok(expert::lpbt_power(layout)),
-        other => Err(format!("unknown expert topology {other:?}")),
+    let (_, build) = EXPERTS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .ok_or_else(|| unknown_expert(name))?;
+    Ok(build(layout))
+}
+
+/// [`expert_by_name`]'s check without building the topology.
+fn check_expert_name(name: &str) -> Result<(), String> {
+    if EXPERTS.iter().any(|(known, _)| *known == name) {
+        Ok(())
+    } else {
+        Err(unknown_expert(name))
     }
+}
+
+fn unknown_expert(name: &str) -> String {
+    let known: Vec<&str> = EXPERTS.iter().map(|(known, _)| *known).collect();
+    format!(
+        "unknown expert topology {name:?} (known experts: {})",
+        known.join(", ")
+    )
 }
 
 /// Which [`SimConfig`] a workload's measurements run under.
@@ -862,6 +891,20 @@ impl ExperimentSpec {
         }
     }
 
+    /// Check that every named expert candidate resolves, so a bad name
+    /// fails before any candidate is discovered.  The error names the
+    /// spec, the candidate's index and the name, and lists the known
+    /// experts.
+    pub fn check_expert_names(&self) -> Result<(), String> {
+        for (i, candidate) in self.candidates.iter().enumerate() {
+            if let CandidateSpec::Expert { name, .. } = candidate {
+                check_expert_name(name)
+                    .map_err(|e| format!("{}: candidate {i}: {e}", self.name))?;
+            }
+        }
+        Ok(())
+    }
+
     /// Encode as a JSON document.
     pub fn to_json_string(&self) -> String {
         let mut members = vec![
@@ -918,8 +961,9 @@ impl ExperimentSpec {
             classes.push(class_from_name(c.as_str()?)?);
         }
         let mut candidates = Vec::new();
-        for c in json.require("candidates")?.as_arr()? {
-            candidates.push(CandidateSpec::from_json(c)?);
+        for (i, c) in json.require("candidates")?.as_arr()?.iter().enumerate() {
+            candidates
+                .push(CandidateSpec::from_json(c).map_err(|e| format!("candidate {i}: {e}"))?);
         }
         let scheme_override = match json.get("scheme_override") {
             None => None,
@@ -1008,7 +1052,7 @@ fn pattern_from_json(json: &Json) -> Result<TrafficPattern, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_spec() -> ExperimentSpec {
@@ -1270,6 +1314,10 @@ mod tests {
         let _ = w.pattern();
     }
 
+    /// The known-expert list every unknown-name error carries.
+    pub(crate) const KNOWN_EXPERTS: &str = "known experts: mesh, folded-torus, kite-small, \
+        kite-medium, kite-large, butter-donut, double-butterfly, lpbt-hops, lpbt-power";
+
     #[test]
     fn expert_names_resolve() {
         let layout = Layout::noi_4x5();
@@ -1286,6 +1334,20 @@ mod tests {
         ] {
             expert_by_name(name, &layout).unwrap();
         }
-        assert!(expert_by_name("hypercube", &layout).is_err());
+        let err = expert_by_name("hypercube", &layout).unwrap_err();
+        assert!(err.contains("\"hypercube\""), "{err}");
+        assert!(err.contains(KNOWN_EXPERTS), "{err}");
+    }
+
+    #[test]
+    fn unknown_expert_names_fail_to_decode() {
+        let mut spec = ExperimentSpec::new("bad_expert");
+        spec.candidates = vec![
+            CandidateSpec::synth(ObjectiveSpec::LatOp),
+            CandidateSpec::expert("hypercube"),
+        ];
+        let err = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap_err();
+        assert!(err.contains("\"hypercube\""), "{err}");
+        assert!(err.contains(KNOWN_EXPERTS), "{err}");
     }
 }

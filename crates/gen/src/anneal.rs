@@ -184,7 +184,14 @@ pub fn anneal(
             evaluations += 1;
             let mut candidate = current.clone();
             log.clear();
-            if !propose_move(problem, &mut candidate, &valid_links, &mut rng, &mut log) {
+            if !propose_move(
+                problem,
+                &mut candidate,
+                &current_analysis,
+                &valid_links,
+                &mut rng,
+                &mut log,
+            ) {
                 continue;
             }
             let analysis = current_analysis.after_move(&candidate, &log.removed, &log.added);
@@ -235,7 +242,14 @@ pub fn anneal(
             );
         let mut candidate = current.clone();
         log.clear();
-        if !propose_move(problem, &mut candidate, &valid_links, &mut rng, &mut log) {
+        if !propose_move(
+            problem,
+            &mut candidate,
+            &current_analysis,
+            &valid_links,
+            &mut rng,
+            &mut log,
+        ) {
             continue;
         }
         let candidate_analysis = current_analysis.after_move(&candidate, &log.removed, &log.added);
@@ -291,7 +305,14 @@ pub fn anneal(
         evaluations += 1;
         let mut candidate = current.clone();
         log.clear();
-        if !propose_move(problem, &mut candidate, &valid_links, &mut rng, &mut log) {
+        if !propose_move(
+            problem,
+            &mut candidate,
+            &current_analysis,
+            &valid_links,
+            &mut rng,
+            &mut log,
+        ) {
             continue;
         }
         let candidate_analysis = current_analysis.after_move(&candidate, &log.removed, &log.added);
@@ -390,13 +411,15 @@ fn can_add(topo: &Topology, a: RouterId, b: RouterId) -> bool {
 }
 
 /// Propose a random move in place; returns false when the move could not be
-/// applied (caller simply retries with a new random draw).  On success the
-/// applied link changes are recorded in `log` (a failed proposal restores
-/// the topology and leaves whatever partial entries it logged — callers
-/// clear the log before each proposal and ignore it on failure).
+/// applied (caller simply retries with a new random draw).  `analysis` is
+/// the analysis of `topo` as passed in.  On success the applied link
+/// changes are recorded in `log` (a failed proposal restores the topology
+/// and leaves whatever partial entries it logged — callers clear the log
+/// before each proposal and ignore it on failure).
 fn propose_move(
     problem: &GenerationProblem,
     topo: &mut Topology,
+    analysis: &TopoAnalysis,
     valid_links: &[(RouterId, RouterId)],
     rng: &mut SmallRng,
     log: &mut MoveLog,
@@ -405,24 +428,46 @@ fn propose_move(
     if problem.symmetric_links {
         propose_symmetric_move(topo, valid_links, rng, kind, log)
     } else {
-        propose_asymmetric_move(topo, valid_links, rng, kind, log)
+        propose_asymmetric_move(topo, analysis, valid_links, rng, kind, log)
     }
+}
+
+/// The `k`-th directed link of `topo` in [`Topology::links`] order, with
+/// `k` below the link count.  The out-degrees of `analysis` (which must be
+/// `topo`'s) locate the router, so a lookup scans one row instead of the
+/// whole adjacency.
+fn nth_link(topo: &Topology, analysis: &TopoAnalysis, mut k: usize) -> (RouterId, RouterId) {
+    let n = topo.num_routers();
+    for a in 0..n {
+        let degree = analysis.out_degree(a);
+        if k < degree {
+            let b = (0..n).filter(|&b| topo.has_link(a, b)).nth(k);
+            return (a, b.expect("out-degrees match the topology"));
+        }
+        k -= degree;
+    }
+    panic!("link index past the link count");
 }
 
 fn propose_asymmetric_move(
     topo: &mut Topology,
+    analysis: &TopoAnalysis,
     valid_links: &[(RouterId, RouterId)],
     rng: &mut SmallRng,
     kind: u32,
     log: &mut MoveLog,
 ) -> bool {
-    let links: Vec<(RouterId, RouterId)> = topo.links().collect();
+    // Links are drawn before the move changes anything, while `analysis`
+    // still describes `topo`.
+    let num_links = (0..topo.num_routers())
+        .map(|r| analysis.out_degree(r))
+        .sum();
     if kind < 55 {
         // Rewire: remove one random link, add a different valid link.
-        if links.is_empty() {
+        if num_links == 0 {
             return false;
         }
-        let &(ra, rb) = &links[rng.gen_range(0..links.len())];
+        let (ra, rb) = nth_link(topo, analysis, rng.gen_range(0..num_links));
         topo.remove_link(ra, rb);
         for _ in 0..16 {
             let &(a, b) = &valid_links[rng.gen_range(0..valid_links.len())];
@@ -449,22 +494,22 @@ fn propose_asymmetric_move(
         false
     } else if kind < 85 {
         // Remove a link.
-        if links.is_empty() {
+        if num_links == 0 {
             return false;
         }
-        let &(a, b) = &links[rng.gen_range(0..links.len())];
+        let (a, b) = nth_link(topo, analysis, rng.gen_range(0..num_links));
         topo.remove_link(a, b);
         log.removed.push((a, b));
         true
     } else {
         // Endpoint swap: (a->b, c->d) becomes (a->d, c->b); preserves
         // degrees exactly.
-        if links.len() < 2 {
+        if num_links < 2 {
             return false;
         }
         for _ in 0..16 {
-            let &(a, b) = &links[rng.gen_range(0..links.len())];
-            let &(c, d) = &links[rng.gen_range(0..links.len())];
+            let (a, b) = nth_link(topo, analysis, rng.gen_range(0..num_links));
+            let (c, d) = nth_link(topo, analysis, rng.gen_range(0..num_links));
             if a == c || b == d || a == d || c == b {
                 continue;
             }

@@ -19,28 +19,28 @@
 //!   untouched rows cost one comparison per added link;
 //! * **removals** can only lengthen distances, and only for sources whose
 //!   shortest-path DAG used the removed link (`dist(s,a) + 1 == dist(s,b)`);
-//!   exactly those rows are re-derived by a fresh BFS on the new topology;
-//! * when a removal dirties more than half the rows the update falls back
-//!   to a full recomputation, so the delta path is never slower than the
-//!   from-scratch one by more than a constant factor.
+//!   exactly those rows are re-derived by a fresh BFS on the new topology.
+//!
+//! Both run on the crate's one BFS kernel (`bfs.rs`): the new topology's
+//! out-adjacency is packed once per call into `ceil(n/64)`-word bitset
+//! rows, and each level of a search ORs the rows of its frontier.  A
+//! re-derived row costs `n * ceil(n/64)` word ORs plus `n` writes, so a
+//! move that dirties half the rows of a 48-router topology costs a few
+//! microseconds.  There is no full-recompute fallback: a move that
+//! dirties every row costs about what [`TopoAnalysis::new`] costs.
 //!
 //! The incremental distances are exact (integer hop counts, no floating
 //! point drift), which the property tests assert by replaying random move
-//! sequences against from-scratch analyses.
+//! sequences against from-scratch analyses, and `tests/bfs_oracle.rs`
+//! against verbatim copies of the dense-scan engines the kernel replaced.
 
+use crate::bfs::{Bfs, BitAdjacency};
 use crate::layout::RouterId;
 use crate::metrics::{self, UNREACHABLE};
 use crate::resilience;
 use crate::topology::Topology;
 use crate::traffic::DemandMatrix;
 use std::cell::OnceCell;
-use std::collections::VecDeque;
-
-/// Fraction (numerator/denominator) of rows that may be dirtied by link
-/// removals before [`TopoAnalysis::after_move`] abandons the incremental
-/// update and recomputes from scratch.
-const FULL_RECOMPUTE_NUM: usize = 1;
-const FULL_RECOMPUTE_DEN: usize = 2;
 
 /// Wire inventory shared by the energy terms: total length and the physical
 /// link count (a duplex pair counts once, matching
@@ -76,7 +76,7 @@ pub struct TopoAnalysis {
 }
 
 impl TopoAnalysis {
-    /// Analyse a topology from scratch (one BFS per source).
+    /// Analyse a topology from scratch (one kernel BFS per source).
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_routers();
         let dist = metrics::all_pairs_hops(topo);
@@ -110,8 +110,8 @@ impl TopoAnalysis {
     /// topology by removing the directed links in `removed` and then adding
     /// the directed links in `added` (each directed pair at most once).
     ///
-    /// Distances are updated incrementally where profitable and recomputed
-    /// from scratch otherwise; either way the result is identical to
+    /// Only the rows a move can change are recomputed, on the kernel's
+    /// bitset rows of `topo`; the result is identical to
     /// `TopoAnalysis::new(topo)`.
     pub fn after_move(
         &self,
@@ -121,24 +121,6 @@ impl TopoAnalysis {
     ) -> Self {
         let n = self.n;
         debug_assert_eq!(topo.num_routers(), n, "analysis/topology size mismatch");
-
-        // A source row is invalidated by a removal only when the removed
-        // link was *tight* from that source (on some shortest path).
-        let mut dirty = vec![false; n];
-        let mut dirty_count = 0usize;
-        for (s, flag) in dirty.iter_mut().enumerate() {
-            for &(a, b) in removed {
-                let da = self.dist[s * n + a];
-                if da != UNREACHABLE && da + 1 == self.dist[s * n + b] {
-                    *flag = true;
-                    dirty_count += 1;
-                    break;
-                }
-            }
-        }
-        if dirty_count * FULL_RECOMPUTE_DEN > n * FULL_RECOMPUTE_NUM {
-            return TopoAnalysis::new(topo);
-        }
 
         let mut out_deg = self.out_deg.clone();
         let mut in_deg = self.in_deg.clone();
@@ -164,21 +146,29 @@ impl TopoAnalysis {
             critical: OnceCell::new(),
         };
 
-        for (s, &row_dirty) in dirty.iter().enumerate() {
+        let adj = BitAdjacency::out_links(topo);
+        let mut bfs = Bfs::new(&adj);
+        for s in 0..n {
             let row = &mut analysis.dist[s * n..(s + 1) * n];
-            if row_dirty {
+            // A source row is invalidated by a removal only when the removed
+            // link was *tight* from that source (on some shortest path).
+            let dirty = removed
+                .iter()
+                .any(|&(a, b)| row[a] != UNREACHABLE && row[a] + 1 == row[b]);
+            let changed = if dirty {
                 // Rows whose shortest-path DAG lost a link: re-derive on the
                 // new topology (additions included, so the row is final).
-                bfs_row(topo, s, row);
-            } else if !added.is_empty() {
+                bfs.levels(&adj, s, row);
+                true
+            } else {
                 // Clean rows are still valid for the link-removed graph;
                 // additions can only shorten, so a decrease-only relaxation
                 // seeded at the new links repairs the row exactly.
-                relax_row_with_additions(topo, row, added);
-            } else {
-                continue;
+                bfs.relax(&adj, row, added)
+            };
+            if changed {
+                analysis.refresh_row_aggregate(s);
             }
-            analysis.refresh_row_aggregate(s);
         }
         analysis
     }
@@ -319,47 +309,6 @@ fn row_aggregate(row: &[u32]) -> (u64, u32) {
         }
     }
     (sum, unreachable)
-}
-
-/// One BFS row over the directed adjacency of `topo`.
-fn bfs_row(topo: &Topology, s: usize, row: &mut [u32]) {
-    let n = row.len();
-    row.fill(UNREACHABLE);
-    row[s] = 0;
-    let mut queue = VecDeque::with_capacity(n);
-    queue.push_back(s);
-    while let Some(u) = queue.pop_front() {
-        let du = row[u];
-        for (v, d) in row.iter_mut().enumerate() {
-            if *d == UNREACHABLE && topo.has_link(u, v) {
-                *d = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-}
-
-/// Decrease-only repair of one source row after link additions: seed a
-/// relaxation queue at every added link that shortens a path, then
-/// propagate improvements along outgoing links of the *new* topology.
-fn relax_row_with_additions(topo: &Topology, row: &mut [u32], added: &[(RouterId, RouterId)]) {
-    let mut queue = VecDeque::new();
-    for &(a, b) in added {
-        let da = row[a];
-        if da != UNREACHABLE && da + 1 < row[b] {
-            row[b] = da + 1;
-            queue.push_back(b);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = row[u];
-        for (v, d) in row.iter_mut().enumerate() {
-            if du + 1 < *d && topo.has_link(u, v) {
-                *d = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

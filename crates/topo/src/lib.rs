@@ -32,6 +32,7 @@
 //!   as demand matrices so objectives can be traffic-weighted.
 
 pub mod analysis;
+mod bfs;
 pub mod bounds;
 pub mod cuts;
 pub mod error;

@@ -4,47 +4,38 @@
 //! (per-hop delay), so the paper uses the average hop count under uniform
 //! all-to-all traffic as its latency proxy (objective O1 / constraint C5 in
 //! Table I).  [`all_pairs_hops`] computes exact all-pairs shortest hop
-//! distances by breadth-first search from every source, which for the
-//! network sizes of interest (20–48 routers) is far cheaper than a general
-//! Floyd–Warshall.  Every reduction of that matrix (average, total and
+//! distances by a word-bitset breadth-first search from every source,
+//! which for the network sizes of interest (20–130 routers, one to three
+//! words per row) is far cheaper than a general Floyd–Warshall.  Every reduction of that matrix (average, total and
 //! demand-weighted hops, diameter, reachability) lives on
 //! [`TopoAnalysis`]; the free functions here are one-call conveniences for
 //! code that needs a single answer about a topology.
 
 use crate::analysis::TopoAnalysis;
+use crate::bfs::{Bfs, BitAdjacency};
 use crate::bounds::ThroughputBounds;
 use crate::cuts;
 use crate::topology::Topology;
 use crate::traffic::DemandMatrix;
-use std::collections::VecDeque;
 
 /// Distance value used to mark unreachable pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// All-pairs hop distance matrix (row-major `n x n`), computed by BFS from
-/// each source over the directed adjacency.  `dist[s*n + d]` is the minimum
-/// number of links a packet from `s` to `d` must traverse, `0` on the
-/// diagonal and [`UNREACHABLE`] when no path exists.
+/// All-pairs hop distance matrix (row-major `n x n`).  `dist[s*n + d]` is
+/// the minimum number of links a packet from `s` to `d` must traverse,
+/// `0` on the diagonal and [`UNREACHABLE`] when no path exists.
+///
+/// Runs the crate's one BFS kernel (`bfs.rs`): the out-adjacency is
+/// packed into `ceil(n/64)`-word bitset rows once, then each source is a
+/// level-synchronous frontier search that ORs the frontier's rows.  The
+/// whole matrix costs `n² * ceil(n/64)` word operations plus `n²` writes.
 pub fn all_pairs_hops(topo: &Topology) -> Vec<u32> {
     let n = topo.num_routers();
+    let adj = BitAdjacency::out_links(topo);
+    let mut bfs = Bfs::new(&adj);
     let mut dist = vec![UNREACHABLE; n * n];
-    // Pre-collect adjacency lists once; BFS from each source.
-    let adj: Vec<Vec<usize>> = (0..n).map(|i| topo.neighbours_out(i)).collect();
-    let mut queue = VecDeque::with_capacity(n);
     for s in 0..n {
-        let row = &mut dist[s * n..(s + 1) * n];
-        row[s] = 0;
-        queue.clear();
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            let du = row[u];
-            for &v in &adj[u] {
-                if row[v] == UNREACHABLE {
-                    row[v] = du + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
+        bfs.levels(&adj, s, &mut dist[s * n..(s + 1) * n]);
     }
     dist
 }
