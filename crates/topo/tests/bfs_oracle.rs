@@ -10,6 +10,13 @@
 //! random topologies of 1, 9, 48, 64, 65 and 130 routers.  The last three
 //! straddle one and two 64-bit words per adjacency row; sparse draws leave
 //! many of the topologies disconnected.
+//!
+//! The `oracle_reach` family are verbatim copies of the dense-scan
+//! reachability searches behind `critical_link_pairs`,
+//! `unreachable_pairs_among` and `is_strongly_connected_among`.  The
+//! library must give the same answers on the same sizes, over directed
+//! draws and over duplex trees with chords (whose unbridged tree edges are
+//! critical), under all-dead, all-alive and random alive masks.
 
 use netsmith_topo::analysis::TopoAnalysis;
 use netsmith_topo::layout::{Layout, NodeKind, RouterId};
@@ -293,4 +300,268 @@ fn move_sequences_match_the_oracle() {
             assert!(n == 1 || applied > 0, "n={n}: no move applied");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Reachability: verbatim copies of the dense-scan searches that answered
+// critical links, masked strong connectivity and masked unreachable pairs.
+// ---------------------------------------------------------------------------
+
+/// All full-duplex router pairs that are connected in at least one
+/// direction, in canonical `(lo, hi)` order.
+fn oracle_duplex_pairs(topo: &Topology) -> Vec<(RouterId, RouterId)> {
+    let n = topo.num_routers();
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if topo.has_link(i, j) || topo.has_link(j, i) {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
+}
+
+/// BFS reachability from `root` over the directed adjacency, restricted to
+/// routers with `alive[r]` set and optionally skipping the duplex pair
+/// `skip` (both directions).  `reverse` walks incoming links instead of
+/// outgoing ones.
+fn oracle_reach(
+    topo: &Topology,
+    root: RouterId,
+    alive: &[bool],
+    skip: Option<(RouterId, RouterId)>,
+    reverse: bool,
+) -> Vec<bool> {
+    let n = topo.num_routers();
+    let mut seen = vec![false; n];
+    if !alive[root] {
+        return seen;
+    }
+    let skipped = |a: RouterId, b: RouterId| {
+        skip.is_some_and(|(i, j)| (a == i && b == j) || (a == j && b == i))
+    };
+    let mut queue = std::collections::VecDeque::with_capacity(n);
+    seen[root] = true;
+    queue.push_back(root);
+    while let Some(u) = queue.pop_front() {
+        for v in 0..n {
+            if seen[v] || !alive[v] || skipped(u, v) {
+                continue;
+            }
+            let linked = if reverse {
+                topo.has_link(v, u)
+            } else {
+                topo.has_link(u, v)
+            };
+            if linked {
+                seen[v] = true;
+                queue.push_back(v);
+            }
+        }
+    }
+    seen
+}
+
+/// True when every router in `alive` can reach every other alive router
+/// through alive routers only.
+fn oracle_is_strongly_connected_among(topo: &Topology, alive: &[bool]) -> bool {
+    assert_eq!(alive.len(), topo.num_routers(), "alive mask size mismatch");
+    let Some(root) = alive.iter().position(|&a| a) else {
+        return true; // no alive routers: vacuously connected
+    };
+    let fwd = oracle_reach(topo, root, alive, None, false);
+    let bwd = oracle_reach(topo, root, alive, None, true);
+    alive
+        .iter()
+        .enumerate()
+        .all(|(r, &a)| !a || (fwd[r] && bwd[r]))
+}
+
+/// Number of ordered alive `(s, d)` pairs (s != d) with no directed path
+/// through alive routers.
+fn oracle_unreachable_pairs_among(topo: &Topology, alive: &[bool]) -> usize {
+    assert_eq!(alive.len(), topo.num_routers(), "alive mask size mismatch");
+    let n = topo.num_routers();
+    let mut count = 0usize;
+    for s in 0..n {
+        if !alive[s] {
+            continue;
+        }
+        let seen = oracle_reach(topo, s, alive, None, false);
+        for d in 0..n {
+            if d != s && alive[d] && !seen[d] {
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+/// True when the topology stays strongly connected after removing both
+/// directions of the duplex pair `(i, j)`.
+fn oracle_survives_pair_removal(topo: &Topology, i: RouterId, j: RouterId) -> bool {
+    let n = topo.num_routers();
+    let alive = vec![true; n];
+    let fwd = oracle_reach(topo, 0, &alive, Some((i, j)), false);
+    let bwd = oracle_reach(topo, 0, &alive, Some((i, j)), true);
+    (0..n).all(|r| fwd[r] && bwd[r])
+}
+
+/// Early-exit BFS: can `from` reach `to` over alive routers while skipping
+/// both directions of the duplex pair `skip`?
+fn oracle_reaches_with_skip(
+    topo: &Topology,
+    from: RouterId,
+    to: RouterId,
+    skip: (RouterId, RouterId),
+) -> bool {
+    let n = topo.num_routers();
+    let skipped =
+        |a: RouterId, b: RouterId| (a == skip.0 && b == skip.1) || (a == skip.1 && b == skip.0);
+    let mut seen = vec![false; n];
+    let mut queue = std::collections::VecDeque::with_capacity(n);
+    seen[from] = true;
+    queue.push_back(from);
+    while let Some(u) = queue.pop_front() {
+        let mut found = false;
+        for (v, s) in seen.iter_mut().enumerate() {
+            if !*s && !skipped(u, v) && topo.has_link(u, v) {
+                if v == to {
+                    found = true;
+                    break;
+                }
+                *s = true;
+                queue.push_back(v);
+            }
+        }
+        if found {
+            return true;
+        }
+    }
+    false
+}
+
+/// The critical duplex pairs: physical links whose failure (removal of
+/// both directions) leaves some ordered router pair without a directed
+/// path.
+fn oracle_critical_link_pairs(topo: &Topology) -> Vec<(RouterId, RouterId)> {
+    let alive = vec![true; topo.num_routers()];
+    if oracle_is_strongly_connected_among(topo, &alive) {
+        oracle_duplex_pairs(topo)
+            .into_iter()
+            .filter(|&(i, j)| {
+                !(oracle_reaches_with_skip(topo, i, j, (i, j))
+                    && oracle_reaches_with_skip(topo, j, i, (i, j)))
+            })
+            .collect()
+    } else {
+        oracle_duplex_pairs(topo)
+            .into_iter()
+            .filter(|&(i, j)| !oracle_survives_pair_removal(topo, i, j))
+            .collect()
+    }
+}
+
+/// A random topology whose links all come in duplex pairs: a random
+/// spanning tree over a random subset of the routers plus `extra` random
+/// duplex chords.  The tree edges that no chord bridges are critical, and
+/// routers left out of the tree make it disconnected.
+fn random_duplex_topology(n: usize, extra: usize, rng: &mut SmallRng) -> Topology {
+    let class = LinkClass::Custom(LinkSpan::new(n, n));
+    let mut topo = Topology::empty("duplex", line_layout(n), class);
+    let joined = if n > 1 && rng.gen_bool(0.25) {
+        rng.gen_range(1..n)
+    } else {
+        n
+    };
+    for v in 1..joined {
+        let u = rng.gen_range(0..v);
+        topo.add_link(u, v);
+        topo.add_link(v, u);
+    }
+    for _ in 0..extra {
+        if let Some((a, b)) = random_absent_pair(&topo, rng) {
+            topo.add_link(a, b);
+            topo.add_link(b, a);
+        }
+    }
+    topo
+}
+
+/// Alive masks of every shape a repair sees: all dead, all alive, one
+/// router dead, and random masks at two survival rates.
+fn alive_masks(n: usize, rng: &mut SmallRng) -> Vec<Vec<bool>> {
+    let mut one_dead = vec![true; n];
+    one_dead[rng.gen_range(0..n)] = false;
+    vec![
+        vec![false; n],
+        vec![true; n],
+        one_dead,
+        (0..n).map(|_| rng.gen_bool(0.5)).collect(),
+        (0..n).map(|_| rng.gen_bool(0.9)).collect(),
+    ]
+}
+
+fn assert_reachability_matches(topo: &Topology, rng: &mut SmallRng, what: &str) {
+    let n = topo.num_routers();
+    assert_eq!(
+        netsmith_topo::critical_link_pairs(topo),
+        oracle_critical_link_pairs(topo),
+        "{what}: critical link pairs diverged"
+    );
+    for alive in alive_masks(n, rng) {
+        assert_eq!(
+            netsmith_topo::unreachable_pairs_among(topo, &alive),
+            oracle_unreachable_pairs_among(topo, &alive),
+            "{what} alive={alive:?}: unreachable pairs diverged"
+        );
+        assert_eq!(
+            netsmith_topo::is_strongly_connected_among(topo, &alive),
+            oracle_is_strongly_connected_among(topo, &alive),
+            "{what} alive={alive:?}: strong connectivity diverged"
+        );
+    }
+}
+
+#[test]
+fn reachability_matches_the_oracle() {
+    let mut rng = SmallRng::seed_from_u64(0xBF5_0003);
+    let (mut connected, mut disconnected, mut with_critical) = (0, 0, 0);
+    for n in SIZES {
+        let mut check = |topo: Topology, what: String, rng: &mut SmallRng| {
+            if oracle_is_strongly_connected_among(&topo, &vec![true; n]) {
+                connected += 1;
+                with_critical += usize::from(!oracle_critical_link_pairs(&topo).is_empty());
+            } else {
+                disconnected += 1;
+            }
+            assert_reachability_matches(&topo, rng, &what);
+        };
+        for mean_degree in MEAN_DEGREES {
+            for draw in 0..2 {
+                let topo = random_topology(n, mean_degree, &mut rng);
+                check(
+                    topo,
+                    format!("n={n} degree={mean_degree} draw={draw}"),
+                    &mut rng,
+                );
+            }
+        }
+        for extra in [0, n / 8, n / 2] {
+            for draw in 0..2 {
+                let topo = random_duplex_topology(n, extra, &mut rng);
+                check(
+                    topo,
+                    format!("n={n} duplex extra={extra} draw={draw}"),
+                    &mut rng,
+                );
+            }
+        }
+    }
+    assert!(
+        connected > 0 && disconnected > 0,
+        "draws lack a connectivity mix"
+    );
+    assert!(with_critical > 0, "no connected draw has a critical link");
 }
