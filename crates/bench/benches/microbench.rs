@@ -15,7 +15,7 @@ use netsmith_lp::{Cmp, LinExpr, MilpSolver, Model, Sense};
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
 use netsmith_sim::{InjectionSchedule, NetworkSim, SimConfig};
-use netsmith_topo::{cuts, metrics};
+use netsmith_topo::{cuts, metrics, resilience};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::time::Duration;
@@ -87,6 +87,9 @@ fn bench_metrics(c: &mut Criterion) {
     let big = expert::folded_torus(&Layout::noi_8x6());
     group.bench_function("all_pairs_hops_48r", |b| {
         b.iter(|| metrics::all_pairs_hops(&big))
+    });
+    group.bench_function("critical_link_pairs_48r", |b| {
+        b.iter(|| resilience::critical_link_pairs(&big))
     });
     group.bench_function("sparsest_cut_heuristic_48r", |b| {
         b.iter(|| cuts::sparsest_cut_heuristic(&big, 8, 1))

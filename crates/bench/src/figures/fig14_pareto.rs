@@ -19,8 +19,7 @@
 use netsmith::gen::Objective;
 use netsmith::prelude::expert;
 use netsmith_exp::prelude::*;
-use netsmith_topo::resilience::{critical_link_pairs, min_directional_degree};
-use netsmith_topo::Layout;
+use netsmith_topo::{Layout, TopoAnalysis};
 use std::sync::{Arc, Mutex};
 
 pub const HEADER: &str = "w_lat,w_energy,w_fault,topology,links,avg_hops,lat_score,energy_score,fault_score,critical_links,min_dir_degree,on_front";
@@ -118,18 +117,19 @@ pub fn figure(profile: &RunProfile) -> Figure {
         let axis_scores: [f64; 3] = measure_axes.clone().map(|o| o.evaluate(topo).score);
         measure_scores.lock().unwrap()[cell.candidate_index] = Some(axis_scores);
         let [ls, es, fs] = axis_scores;
+        let analysis = TopoAnalysis::new(topo);
         vec![Row::new()
             .float(wl, 3)
             .float(we, 3)
             .float(wf, 3)
             .str(topo.name())
             .int(topo.num_links() as i64)
-            .float(netsmith_topo::metrics::average_hops(topo), 3)
+            .float(analysis.average_hops(), 3)
             .float(ls, 3)
             .float(es, 3)
             .float(fs, 3)
-            .int(critical_link_pairs(topo).len() as i64)
-            .int(min_directional_degree(topo) as i64)]
+            .int(analysis.critical_links(topo).len() as i64)
+            .int(analysis.min_directional_degree() as i64)]
     })
     .with_postprocess(move |rows: &mut Vec<Row>| {
         // The Pareto flag is a cross-row column: appended once every weight

@@ -101,6 +101,18 @@ fn figure_headers_match_the_golden_schemas() {
     assert_eq!(figures::ALL.len(), GOLDEN_HEADERS.len());
 }
 
+#[test]
+fn no_registered_figure_has_an_empty_axis() {
+    for profile in [RunProfile::quick(), RunProfile::default()] {
+        for (name, build) in figures::ALL {
+            build(&profile)
+                .spec
+                .check_axes()
+                .unwrap_or_else(|e| panic!("{name} (quick: {}): {e}", profile.quick));
+        }
+    }
+}
+
 /// A minimal figure whose only candidate is NS-LatOp on the medium class.
 fn latop_figure(name: &str) -> Figure {
     let mut spec = ExperimentSpec::new(name);

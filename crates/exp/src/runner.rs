@@ -347,14 +347,16 @@ impl<'c> Runner<'c> {
         Ok(resolved)
     }
 
-    /// Run a figure: check its expert names, resolve its candidates,
+    /// Run a figure: check its axes and expert names, resolve its candidates,
     /// execute every cell (in parallel, deterministic row order),
     /// post-process.  Assertions are *not* checked here — the CLI emits
     /// rows first, then verifies, so a failing run still prints its data
     /// like the legacy binaries did.
     pub fn run(&self, figure: &Figure) -> Result<RunOutput, String> {
-        // Resolution discovers synthesized candidates in order; an unknown
-        // expert listed after one must not wait for its annealer.
+        // Resolution discovers synthesized candidates in order: an empty
+        // axis, or an unknown expert listed after a synthesized candidate,
+        // must fail before any annealer runs.
+        figure.spec.check_axes()?;
         figure.spec.check_expert_names()?;
         let candidates = self.resolve_candidates(&figure.spec)?;
 
@@ -582,6 +584,21 @@ mod tests {
         assert!(err.contains("bad_expert: candidate 1"), "{err}");
         assert!(err.contains("\"hypercube\""), "{err}");
         assert!(err.contains(crate::spec::tests::KNOWN_EXPERTS), "{err}");
+        assert_eq!(cache.discoveries(), 0);
+        assert_eq!(cache.references(), 0);
+    }
+    #[test]
+    fn empty_axis_fails_before_any_discovery() {
+        let cache = SuiteCache::new();
+        let runner = Runner::new(RunProfile::quick(), &cache);
+        for (axis, spec) in crate::spec::tests::specs_with_an_empty_axis() {
+            let figure = Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new());
+            let err = runner
+                .run(&figure)
+                .err()
+                .unwrap_or_else(|| panic!("an empty {axis} list must fail"));
+            assert!(err.contains(&format!("empty_axis: empty {axis} ")), "{err}");
+        }
         assert_eq!(cache.discoveries(), 0);
         assert_eq!(cache.references(), 0);
     }

@@ -905,6 +905,26 @@ impl ExperimentSpec {
         Ok(())
     }
 
+    /// Check that no axis of the matrix is empty: an empty `layouts`,
+    /// `classes`, `candidates` or `scheme_override` list runs no cell, and
+    /// the run would pass with no rows.  The error names the spec and the
+    /// empty axis.
+    pub fn check_axes(&self) -> Result<(), String> {
+        let axes = [
+            ("layouts", self.layouts.is_empty()),
+            ("classes", self.classes.is_empty()),
+            ("candidates", self.candidates.is_empty()),
+            (
+                "scheme_override",
+                self.scheme_override.as_ref().is_some_and(Vec::is_empty),
+            ),
+        ];
+        match axes.into_iter().find(|&(_, empty)| empty) {
+            Some((axis, _)) => Err(format!("{}: empty {axis} list runs no cell", self.name)),
+            None => Ok(()),
+        }
+    }
+
     /// Encode as a JSON document.
     pub fn to_json_string(&self) -> String {
         let mut members = vec![
@@ -950,6 +970,7 @@ impl ExperimentSpec {
     }
 
     /// Decode a JSON document produced by [`ExperimentSpec::to_json_string`].
+    /// A document with an empty axis fails [`ExperimentSpec::check_axes`].
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let json = Json::parse(text)?;
         let mut layouts = Vec::new();
@@ -987,7 +1008,7 @@ impl ExperimentSpec {
         for a in json.require("assertions")?.as_arr()? {
             assertions.push(Assertion::from_json(a)?);
         }
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             name: json.require("name")?.as_str()?.into(),
             layouts,
             classes,
@@ -995,7 +1016,9 @@ impl ExperimentSpec {
             scheme_override,
             workloads,
             assertions,
-        })
+        };
+        spec.check_axes()?;
+        Ok(spec)
     }
 }
 
@@ -1349,5 +1372,39 @@ pub(crate) mod tests {
         let err = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap_err();
         assert!(err.contains("\"hypercube\""), "{err}");
         assert!(err.contains(KNOWN_EXPERTS), "{err}");
+    }
+    /// A LatOp spec with each axis emptied in turn, named after the axis.
+    pub(crate) fn specs_with_an_empty_axis() -> Vec<(&'static str, ExperimentSpec)> {
+        let full = || {
+            let mut spec = ExperimentSpec::new("empty_axis");
+            spec.candidates = vec![CandidateSpec::synth(ObjectiveSpec::LatOp)];
+            spec
+        };
+        let mut layouts = full();
+        layouts.layouts.clear();
+        let mut classes = full();
+        classes.classes.clear();
+        let mut candidates = full();
+        candidates.candidates.clear();
+        let mut schemes = full();
+        schemes.scheme_override = Some(Vec::new());
+        vec![
+            ("layouts", layouts),
+            ("classes", classes),
+            ("candidates", candidates),
+            ("scheme_override", schemes),
+        ]
+    }
+
+    #[test]
+    fn empty_axes_fail_to_decode() {
+        let mut spec = ExperimentSpec::new("full");
+        spec.candidates = vec![CandidateSpec::synth(ObjectiveSpec::LatOp)];
+        ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
+        for (axis, spec) in specs_with_an_empty_axis() {
+            let err = ExperimentSpec::from_json_str(&spec.to_json_string())
+                .expect_err(&format!("an empty {axis} list must not decode"));
+            assert!(err.contains(&format!("empty_axis: empty {axis} ")), "{err}");
+        }
     }
 }

@@ -57,7 +57,7 @@ pub enum Objective {
     /// whose failure breaks strong connectivity — see
     /// [`netsmith_topo::resilience::critical_link_pairs`]), minus
     /// `spare_capacity_weight` times the spare min-cut capacity proxy
-    /// [`netsmith_topo::resilience::min_directional_degree`] (every
+    /// [`netsmith_topo::TopoAnalysis::min_directional_degree`] (every
     /// router's in/out degree is an isolating cut, so the weakest router's
     /// directional degree bounds how many link faults the fabric can
     /// absorb around it).  With the default weights the annealer drives

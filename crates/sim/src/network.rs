@@ -192,8 +192,7 @@ impl SimReport {
     }
 }
 
-/// Typed builder for [`NetworkSim`] (replaces the old positional
-/// `NetworkSim::new(topo, table, vcs, pattern, config)` constructor).
+/// Typed builder for [`NetworkSim`].
 ///
 /// ```ignore
 /// let sim = NetworkSim::builder(&topo, &table)
@@ -360,7 +359,7 @@ impl<'a> NetworkSim<'a> {
         crate::compile::run_flat(self, self.compiled(), offered_flits_per_node_cycle)
     }
 
-    /// The pre-rework scan-based simulation loop, polled every cycle.
+    /// The scan-based simulation loop, polled every cycle.
     /// Kept as the executable specification the compiled path is tested
     /// against — see the `compiled_equivalence` proptests.  Prefer
     /// [`NetworkSim::run`].

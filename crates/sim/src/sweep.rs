@@ -71,8 +71,7 @@ impl LatencyCurve {
     }
 
     /// Low-load average latency in nanoseconds (first point of the curve),
-    /// or `None` for an empty curve.  (This used to return `0.0` for empty
-    /// curves, which silently read as "infinitely fast" in comparisons.)
+    /// or `None` for an empty curve.
     pub fn low_load_latency_ns(&self) -> Option<f64> {
         self.points.first().map(|p| p.latency_ns)
     }
@@ -117,9 +116,7 @@ impl SweepOptions {
     }
 }
 
-/// An injection-rate sweep: the single entry point (the deprecated
-/// `sweep_injection_rates` / `sweep_injection_rates_with` / `sweep_sim`
-/// shims it replaced have been removed).  Configure it with
+/// An injection-rate sweep.  Configure it with
 /// [`SweepOptions`], then run it either over a pre-built simulator
 /// ([`Sweep::run`] — which may carry failed routers, see
 /// [`crate::NetworkSimBuilder::failed_routers`]) or directly over network

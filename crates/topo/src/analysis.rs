@@ -267,8 +267,12 @@ impl TopoAnalysis {
         self.in_deg[r] as usize
     }
 
-    /// Minimum over routers of `min(out_degree, in_degree)` — the spare
-    /// min-cut capacity proxy of [`resilience::min_directional_degree`].
+    /// Minimum over all routers of `min(out_degree, in_degree)` — the
+    /// capacity of the weakest isolating cut.  The directed edge
+    /// connectivity of the topology can never exceed this, so it acts as
+    /// the cheap spare-min-cut proxy the FaultOp objective rewards: a
+    /// fabric whose weakest router keeps several independent links can
+    /// absorb that many link faults around it.
     pub fn min_directional_degree(&self) -> usize {
         (0..self.n)
             .map(|r| self.out_deg[r].min(self.in_deg[r]) as usize)
@@ -348,10 +352,8 @@ mod tests {
         assert_eq!(analysis.total_hops(), Some(total));
         assert_eq!(analysis.diameter(), off_diagonal().max());
         assert_eq!(analysis.average_hops(), total as f64 / (n * (n - 1)) as f64);
-        assert_eq!(
-            analysis.min_directional_degree(),
-            resilience::min_directional_degree(&mesh)
-        );
+        let weakest = (0..n).map(|r| mesh.out_degree(r).min(mesh.in_degree(r)));
+        assert_eq!(Some(analysis.min_directional_degree()), weakest.min());
         let stats = analysis.wire_stats(&mesh);
         assert_eq!(stats.total_mm, mesh.total_wire_length_mm());
         assert_eq!(stats.num_links, mesh.num_links());

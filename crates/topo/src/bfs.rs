@@ -1,10 +1,17 @@
-//! The one hop-distance BFS kernel of the crate.
+//! The one BFS kernel of the crate.
 //!
 //! Every hop distance — [`crate::metrics::all_pairs_hops`],
 //! [`crate::analysis::TopoAnalysis::new`] and the incremental rows of
 //! [`crate::analysis::TopoAnalysis::after_move`] — comes from [`Bfs`]
 //! running over a [`BitAdjacency`]: the topology's out-adjacency packed
-//! into `ceil(n/64)` 64-bit words per router, built once per call.
+//! into `ceil(n/64)` 64-bit words per router, built once per call.  So
+//! does every reachability answer of [`crate::resilience`]: a router
+//! reaches the routers its level row marks as reachable.
+//! [`crate::resilience::unreachable_pairs_among`] and
+//! [`crate::resilience::is_strongly_connected_among`] pack only the alive
+//! routers' links, and [`crate::resilience::critical_link_pairs`] clears
+//! one duplex pair at a time and checks that its ends still reach each
+//! other.
 //!
 //! The search is level-synchronous.  The next frontier is the OR of the
 //! frontier routers' rows with the visited set masked out, and each newly
@@ -31,16 +38,47 @@ pub(crate) struct BitAdjacency {
 impl BitAdjacency {
     /// Pack `topo`'s directed links.
     pub(crate) fn out_links(topo: &Topology) -> Self {
+        Self::among(topo, &vec![true; topo.num_routers()])
+    }
+
+    /// Pack `topo`'s directed links between routers with `alive[r]` set:
+    /// a dead router's row and column stay clear, so no search enters or
+    /// leaves it.
+    pub(crate) fn among(topo: &Topology, alive: &[bool]) -> Self {
         let n = topo.num_routers();
+        assert_eq!(alive.len(), n, "alive mask size mismatch");
         let words = n.div_ceil(64);
+        let live: Vec<u64> = alive.chunks(64).map(pack).collect();
         let adj = topo.adjacency();
         let mut bits = vec![0u64; words * n];
-        for u in 0..n {
+        for u in (0..n).filter(|&u| alive[u]) {
             for (k, links) in adj[u * n..(u + 1) * n].chunks(64).enumerate() {
-                bits[k * n + u] = pack(links);
+                bits[k * n + u] = pack(links) & live[k];
             }
         }
         BitAdjacency { n, words, bits }
+    }
+
+    /// Run `f` on the adjacency with both directions of the duplex pair
+    /// `(i, j)` cleared, then restore them.
+    pub(crate) fn without_pair<R>(
+        &mut self,
+        i: RouterId,
+        j: RouterId,
+        f: impl FnOnce(&Self) -> R,
+    ) -> R {
+        let (ij, ji) = (self.slot(i, j), self.slot(j, i));
+        let saved = (self.bits[ij], self.bits[ji]);
+        self.bits[ij] &= !(1 << (j % 64));
+        self.bits[ji] &= !(1 << (i % 64));
+        let out = f(self);
+        (self.bits[ij], self.bits[ji]) = saved;
+        out
+    }
+
+    /// Index of the word holding the bit of the link `u -> v`.
+    fn slot(&self, u: RouterId, v: RouterId) -> usize {
+        v / 64 * self.n + u
     }
 }
 

@@ -54,8 +54,7 @@ pub use layout::{Layout, NodeKind, RouterId};
 pub use linkclass::{LinkClass, LinkSpan};
 pub use metrics::{all_pairs_hops, average_hops, is_strongly_connected, TopologyMetrics};
 pub use resilience::{
-    critical_link_pairs, duplex_pairs, is_strongly_connected_among, min_directional_degree,
-    unreachable_pairs_among,
+    critical_link_pairs, duplex_pairs, is_strongly_connected_among, unreachable_pairs_among,
 };
 pub use topology::{Topology, TopologyError};
 pub use traffic::{DemandMatrix, TrafficPattern};

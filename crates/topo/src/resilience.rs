@@ -1,23 +1,27 @@
-//! Structural robustness metrics: critical (articulation) links, spare
-//! port capacity, and connectivity under router failures.
+//! Structural robustness metrics: critical (articulation) links and
+//! connectivity under router failures.
 //!
 //! Datacenter-scale interposer fabrics run under sustained traffic for
 //! years, so permanent link and router failures are the common case rather
-//! than the exception.  The helpers in this module answer the two questions
-//! a fault-tolerant synthesis flow keeps asking about a candidate topology:
+//! than the exception.  The helpers in this module answer the questions a
+//! fault-tolerant synthesis flow keeps asking about a candidate topology:
 //!
 //! * which full-duplex links are *critical* — single points of failure
 //!   whose loss breaks strong connectivity — and
-//! * how much spare routing capacity remains around the weakest router
-//!   (every router's in/out degree is an isolating cut, so the minimum
-//!   directional degree upper-bounds the directed edge connectivity).
+//! * which routers still reach each other once some routers are dead.
 //!
-//! They are deliberately cheap (a handful of BFS traversals) because the
-//! `netsmith-gen` annealer evaluates them on every candidate move; the full
-//! fault-injection machinery lives in `netsmith-fault` and uses the masked
-//! connectivity helpers here to reason about degraded sub-topologies.
+//! Every answer comes from the crate's one BFS kernel (`bfs.rs`): the
+//! topology is packed once into bitset rows with dead routers' rows and
+//! columns cleared, and a router reaches the routers its level row marks
+//! as reachable.  The `netsmith-gen` annealer asks for the critical links
+//! on every FaultOp candidate move; `netsmith-fault` uses the masked
+//! helpers to reason about degraded sub-topologies.  The spare-capacity
+//! proxy, the weakest router's directional degree, is
+//! [`crate::TopoAnalysis::min_directional_degree`].
 
+use crate::bfs::{Bfs, BitAdjacency};
 use crate::layout::RouterId;
+use crate::metrics::UNREACHABLE;
 use crate::topology::Topology;
 
 /// All full-duplex router pairs that are connected in at least one
@@ -36,128 +40,33 @@ pub fn duplex_pairs(topo: &Topology) -> Vec<(RouterId, RouterId)> {
     pairs
 }
 
-/// BFS reachability from `root` over the directed adjacency, restricted to
-/// routers with `alive[r]` set and optionally skipping the duplex pair
-/// `skip` (both directions).  `reverse` walks incoming links instead of
-/// outgoing ones.
-fn reach(
-    topo: &Topology,
-    root: RouterId,
-    alive: &[bool],
-    skip: Option<(RouterId, RouterId)>,
-    reverse: bool,
-) -> Vec<bool> {
-    let n = topo.num_routers();
-    let mut seen = vec![false; n];
-    if !alive[root] {
-        return seen;
-    }
-    let skipped = |a: RouterId, b: RouterId| {
-        skip.is_some_and(|(i, j)| (a == i && b == j) || (a == j && b == i))
-    };
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    seen[root] = true;
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        for v in 0..n {
-            if seen[v] || !alive[v] || skipped(u, v) {
-                continue;
-            }
-            let linked = if reverse {
-                topo.has_link(v, u)
-            } else {
-                topo.has_link(u, v)
-            };
-            if linked {
-                seen[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    seen
-}
-
 /// True when every router in `alive` can reach every other alive router
-/// through alive routers only.  Uses one forward and one backward BFS from
-/// an arbitrary alive root (a directed graph is strongly connected iff some
-/// vertex reaches and is reached by every other), so the check is `O(n²)`
-/// on the dense adjacency rather than `O(n³)` for all-pairs distances.
+/// through alive routers only (vacuously true with no alive router).
 pub fn is_strongly_connected_among(topo: &Topology, alive: &[bool]) -> bool {
-    assert_eq!(alive.len(), topo.num_routers(), "alive mask size mismatch");
-    let Some(root) = alive.iter().position(|&a| a) else {
-        return true; // no alive routers: vacuously connected
-    };
-    let fwd = reach(topo, root, alive, None, false);
-    let bwd = reach(topo, root, alive, None, true);
-    alive
-        .iter()
-        .enumerate()
-        .all(|(r, &a)| !a || (fwd[r] && bwd[r]))
+    unreachable_pairs_among(topo, alive) == 0
 }
 
 /// Number of ordered alive `(s, d)` pairs (s != d) with no directed path
 /// through alive routers.  The degraded-topology analogue of
 /// [`crate::metrics::unreachable_pairs`].
 pub fn unreachable_pairs_among(topo: &Topology, alive: &[bool]) -> usize {
-    assert_eq!(alive.len(), topo.num_routers(), "alive mask size mismatch");
-    let n = topo.num_routers();
-    let mut count = 0usize;
-    for s in 0..n {
-        if !alive[s] {
-            continue;
-        }
-        let seen = reach(topo, s, alive, None, false);
-        for d in 0..n {
-            if d != s && alive[d] && !seen[d] {
-                count += 1;
-            }
-        }
-    }
-    count
+    unreachable_among(&BitAdjacency::among(topo, alive), alive)
 }
 
-/// True when the topology stays strongly connected after removing both
-/// directions of the duplex pair `(i, j)`.
-pub fn survives_pair_removal(topo: &Topology, i: RouterId, j: RouterId) -> bool {
-    let n = topo.num_routers();
-    let alive = vec![true; n];
-    let fwd = reach(topo, 0, &alive, Some((i, j)), false);
-    let bwd = reach(topo, 0, &alive, Some((i, j)), true);
-    (0..n).all(|r| fwd[r] && bwd[r])
-}
-
-/// Early-exit BFS: can `from` reach `to` over alive routers while skipping
-/// both directions of the duplex pair `skip`?
-fn reaches_with_skip(
-    topo: &Topology,
-    from: RouterId,
-    to: RouterId,
-    skip: (RouterId, RouterId),
-) -> bool {
-    let n = topo.num_routers();
-    let skipped =
-        |a: RouterId, b: RouterId| (a == skip.0 && b == skip.1) || (a == skip.1 && b == skip.0);
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    seen[from] = true;
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        let mut found = false;
-        for (v, s) in seen.iter_mut().enumerate() {
-            if !*s && !skipped(u, v) && topo.has_link(u, v) {
-                if v == to {
-                    found = true;
-                    break;
-                }
-                *s = true;
-                queue.push_back(v);
-            }
-        }
-        if found {
-            return true;
-        }
-    }
-    false
+/// Ordered alive pairs without a path in `adj`, which must have been
+/// packed with the same `alive` mask: one kernel search per alive source.
+fn unreachable_among(adj: &BitAdjacency, alive: &[bool]) -> usize {
+    let mut bfs = Bfs::new(adj);
+    let mut row = vec![UNREACHABLE; alive.len()];
+    let live = alive.iter().filter(|&&a| a).count();
+    (0..alive.len())
+        .filter(|&s| alive[s])
+        .map(|s| {
+            // The source and every router it reaches are alive.
+            bfs.levels(adj, s, &mut row);
+            live - row.iter().filter(|&&h| h != UNREACHABLE).count()
+        })
+        .sum()
 }
 
 /// The *critical* duplex pairs of a topology: physical links whose failure
@@ -167,42 +76,33 @@ fn reaches_with_skip(
 /// count to zero during synthesis (so this runs on every annealer move and
 /// is kept as cheap as possible).
 pub fn critical_link_pairs(topo: &Topology) -> Vec<(RouterId, RouterId)> {
+    let pairs = duplex_pairs(topo);
     let alive = vec![true; topo.num_routers()];
-    if is_strongly_connected_among(topo, &alive) {
-        // On a strongly connected digraph, removing the duplex pair (i, j)
-        // preserves strong connectivity iff i and j still reach each other:
-        // any other path that used a removed direction can splice in the
-        // surviving i→j / j→i detour.  Two early-exit BFS per pair instead
-        // of two full sweeps.
-        duplex_pairs(topo)
-            .into_iter()
-            .filter(|&(i, j)| {
-                !(reaches_with_skip(topo, i, j, (i, j)) && reaches_with_skip(topo, j, i, (i, j)))
-            })
-            .collect()
-    } else {
-        duplex_pairs(topo)
-            .into_iter()
-            .filter(|&(i, j)| !survives_pair_removal(topo, i, j))
-            .collect()
+    let mut adj = BitAdjacency::among(topo, &alive);
+    if unreachable_among(&adj, &alive) != 0 {
+        // Removing links never restores strong connectivity.
+        return pairs;
     }
-}
-
-/// Minimum over all routers of `min(out_degree, in_degree)` — the capacity
-/// of the weakest isolating cut.  The directed edge connectivity of the
-/// topology can never exceed this, so it acts as the cheap spare-min-cut
-/// proxy the FaultOp objective rewards: a fabric whose weakest router keeps
-/// several independent links can absorb that many link faults around it.
-pub fn min_directional_degree(topo: &Topology) -> usize {
-    (0..topo.num_routers())
-        .map(|r| topo.out_degree(r).min(topo.in_degree(r)))
-        .min()
-        .unwrap_or(0)
+    // On a strongly connected digraph, removing the duplex pair (i, j)
+    // preserves strong connectivity iff i and j still reach each other:
+    // any other path that used a removed direction can splice in the
+    // surviving i→j / j→i detour.
+    let mut bfs = Bfs::new(&adj);
+    let mut row = vec![UNREACHABLE; alive.len()];
+    let mut reaches = |adj: &BitAdjacency, from: RouterId, to: RouterId| {
+        bfs.levels(adj, from, &mut row);
+        row[to] != UNREACHABLE
+    };
+    pairs
+        .into_iter()
+        .filter(|&(i, j)| adj.without_pair(i, j, |adj| !(reaches(adj, i, j) && reaches(adj, j, i))))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::TopoAnalysis;
     use crate::expert;
     use crate::layout::Layout;
     use crate::linkclass::{LinkClass, LinkSpan};
@@ -224,7 +124,7 @@ mod tests {
         let t = chain();
         let critical = critical_link_pairs(&t);
         assert_eq!(critical.len(), 5);
-        assert_eq!(min_directional_degree(&t), 1);
+        assert_eq!(TopoAnalysis::new(&t).min_directional_degree(), 1);
     }
 
     #[test]
@@ -232,7 +132,7 @@ mod tests {
         let mesh = expert::mesh(&Layout::noi_4x5());
         assert!(critical_link_pairs(&mesh).is_empty());
         // Mesh corners have degree 2 in each direction.
-        assert_eq!(min_directional_degree(&mesh), 2);
+        assert_eq!(TopoAnalysis::new(&mesh).min_directional_degree(), 2);
     }
 
     #[test]
@@ -256,16 +156,6 @@ mod tests {
         // {0,1} and {5,4,3} are mutually unreachable: 2*3 ordered pairs
         // each way.
         assert_eq!(unreachable_pairs_among(&t, &alive), 12);
-    }
-
-    #[test]
-    fn survives_pair_removal_matches_critical_set() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        for (i, j) in duplex_pairs(&mesh) {
-            assert!(survives_pair_removal(&mesh, i, j));
-        }
-        let t = chain();
-        assert!(!survives_pair_removal(&t, 0, 1));
     }
 
     #[test]

@@ -64,6 +64,11 @@ fn format_err(msg: impl Into<String>) -> TraceError {
     TraceError::Format(msg.into())
 }
 
+/// `value` as a narrower integer, or a format error naming `what`.
+fn narrow<T: TryFrom<u64>>(value: u64, what: &str) -> Result<T, TraceError> {
+    T::try_from(value).map_err(|_| format_err(format!("{what} {value} is out of range")))
+}
+
 /// The versioned trace header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -221,8 +226,8 @@ impl Trace {
     /// Decode from a JSON tree.
     pub fn from_json(json: &Json) -> Result<Self, TraceError> {
         let field = |key: &str| json.require(key).map_err(format_err);
-        let version = field("version")?.as_u64().map_err(format_err)? as u16;
-        let routers = field("routers")?.as_u64().map_err(format_err)? as u32;
+        let version = narrow(field("version")?.as_u64().map_err(format_err)?, "version")?;
+        let routers = narrow(field("routers")?.as_u64().map_err(format_err)?, "routers")?;
         let horizon = field("horizon")?.as_u64().map_err(format_err)?;
         let mut messages = Vec::new();
         for (i, item) in field("messages")?
@@ -238,10 +243,12 @@ impl Trace {
                 )));
             }
             let num = |j: usize| quad[j].as_u64().map_err(format_err);
+            let narrow_num =
+                |j: usize, name: &str| narrow(num(j)?, &format!("message {i}: {name}"));
             messages.push(TraceMessage {
-                src: num(0)? as u32,
-                dst: num(1)? as u32,
-                flits: num(2)? as u32,
+                src: narrow_num(0, "src")?,
+                dst: narrow_num(1, "dst")?,
+                flits: narrow_num(2, "flits")?,
                 issue: num(3)?,
             });
         }
@@ -464,6 +471,30 @@ mod tests {
         let mut bad = sample();
         bad.header.messages = 7;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn json_integers_out_of_range_are_rejected_not_wrapped() {
+        // Narrowed with `as`, each field wraps into a different valid
+        // trace: version 1, 20 routers and one 4-flit message 1 -> 2.
+        let wrapping = |version: &str, routers: &str, message: &str| {
+            format!(
+                r#"{{"version": {version}, "routers": {routers}, "horizon": 100, "messages": [{message}]}}"#
+            )
+        };
+        let err = |text: String| Trace::from_json_str(&text).unwrap_err().to_string();
+        let message = "[4294967297, 2, 4294967300, 5]";
+        assert!(err(wrapping("65537", "4294967316", message)).contains("version 65537"));
+        assert!(err(wrapping("1", "4294967316", message)).contains("routers 4294967316"));
+        assert!(err(wrapping("1", "20", message)).contains("message 0: src 4294967297"));
+        let message = "[1, 4294967298, 4, 5]";
+        assert!(err(wrapping("1", "20", message)).contains("message 0: dst"));
+        let message = "[1, 2, 4294967300, 5]";
+        assert!(err(wrapping("1", "20", message)).contains("message 0: flits"));
+        Trace::from_json_str(&wrapping("1", "20", "[1, 2, 4, 5]"))
+            .unwrap()
+            .validate()
+            .unwrap();
     }
 
     #[test]
