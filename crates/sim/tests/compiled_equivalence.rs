@@ -7,7 +7,7 @@
 //! divergence in event order, tie-breaking or arithmetic shows up here.
 
 use netsmith_route::paths::all_shortest_paths;
-use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
 use netsmith_sim::{NetworkSim, SimConfig, Trace};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, Topology};
@@ -245,4 +245,91 @@ fn single_message_trace_is_replayed_exactly() {
     assert_eq!(report.packets_ejected, 10);
     assert!((report.injected_flits_per_node_cycle - 0.01).abs() < 1e-9);
     assert_eq!(report.packets_unfinished, 0);
+}
+
+/// Deep source backlogs: loads at and far past saturation on 48- and
+/// 70-router networks, where every source queue grows for the whole
+/// measurement window and most arrivals wait behind a head that cannot
+/// leave.  The epoch probe is on, Transpose traffic masks self-addressed
+/// arrivals, one router is failed, and traces replay at loads of 1.0 and
+/// above.  Load 5.0 clamps the per-cycle injection probability to 1.  The
+/// 70-router mesh has more than 64 sources, so its injection calendar
+/// spans two bitmap words per bucket.
+#[test]
+fn deep_source_backlogs_match_the_reference() {
+    let config = SimConfig {
+        warmup_cycles: 100,
+        measure_cycles: 500,
+        drain_cycles: 200,
+        seed: 29,
+        epoch_cycles: 120,
+        ..SimConfig::default()
+    };
+    let torus_layout = Layout::noi_8x6();
+    let networks = [
+        expert::folded_torus(&torus_layout),
+        expert::kite_medium(&torus_layout),
+        expert::mesh(&Layout::interposer_grid(10, 7, 4)),
+    ];
+    for topo in &networks {
+        let n = topo.num_routers();
+        let paths = all_shortest_paths(topo);
+        let table = ndbt_route(topo.layout(), &paths, 5).0;
+        let alloc = allocate_vcs(&table, 6, 5).unwrap();
+        let failed = [n / 3];
+        let trace = Arc::new(
+            TraceModel::by_name("onoff-hotspot")
+                .unwrap()
+                .generate(n as u32, 256, 13),
+        );
+        let synthetic = NetworkSim::builder(topo, &table)
+            .vcs(&alloc)
+            .pattern(TrafficPattern::Transpose)
+            .config(config.clone())
+            .failed_routers(&failed)
+            .build();
+        let replay = NetworkSim::builder(topo, &table)
+            .vcs(&alloc)
+            .trace(trace)
+            .config(config.clone())
+            .failed_routers(&failed)
+            .build();
+        for load in [0.9, 1.2, 5.0] {
+            let mut report = synthetic.run(load);
+            assert!(
+                report.packets_unfinished > 0,
+                "{n} routers, load {load}: no backlog"
+            );
+            // The reference engine has no epoch probe: the series must
+            // partition the window totals, and the rest of the report
+            // must match exactly.
+            let series = report.epochs.take().expect("probe enabled");
+            let injected: u64 = series.samples.iter().map(|s| s.injected_flits).sum();
+            let ejected: u64 = series.samples.iter().map(|s| s.packets_ejected).sum();
+            let window = (n as u64 * config.measure_cycles) as f64;
+            assert_eq!(
+                injected as f64 / window,
+                report.injected_flits_per_node_cycle
+            );
+            assert_eq!(ejected, report.packets_ejected);
+            assert_eq!(
+                report,
+                synthetic.run_reference(load),
+                "{n} routers, load {load}"
+            );
+            if load >= 1.0 {
+                let mut report = replay.run(load);
+                assert!(
+                    report.packets_unfinished > 0,
+                    "{n} routers, trace at {load}: no backlog"
+                );
+                assert!(report.epochs.take().is_some());
+                assert_eq!(
+                    report,
+                    replay.run_reference(load),
+                    "{n} routers, trace at load {load}"
+                );
+            }
+        }
+    }
 }
