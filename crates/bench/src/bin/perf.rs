@@ -9,6 +9,8 @@
 //! path — timed under the no-op recorder vs a live in-memory recorder),
 //! an `anneal_48r` probe (one-worker LatOp synthesis on the 8x6 layout,
 //! whose time is almost all incremental hop-distance updates), a
+//! `sim_48r_saturated` probe (one compiled run of the 8x6 folded torus
+//! past saturation, where every source is backlogged), a
 //! `serving_horizon` probe (a fig16-style closed-loop link-sleep
 //! lifetime on the folded torus, timed end to end), and `suite --quick`
 //! wall-clock, then writes everything — alongside the frozen pre-rework
@@ -29,7 +31,8 @@
 //! Flags:
 //! * `--probe <name>` — run a single probe (one of `fig08_sim`,
 //!   `fig11_sim`, `trace_replay`, `sim_5000_cycles_midload`,
-//!   `obs_overhead`, `anneal_48r`, `serving_horizon`, `suite_quick`) so hot-loop
+//!   `obs_overhead`, `anneal_48r`, `sim_48r_saturated`, `serving_horizon`,
+//!   `suite_quick`) so hot-loop
 //!   iteration doesn't pay for the full suite each time.
 //! * `--samples <n>` — sample count for the median-based probes
 //!   (default 15).
@@ -42,7 +45,7 @@ use netsmith_gen::anneal::{anneal, AnnealConfig};
 use netsmith_gen::{GenerationProblem, Objective};
 use netsmith_obs::{MemoryRecorder, Obs};
 use netsmith_route::paths::all_shortest_paths;
-use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
 use netsmith_sim::{NetworkSim, SimConfig};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, LinkClass, Topology};
@@ -68,6 +71,10 @@ const OBS_OVERHEAD_EVALS: u64 = 5_000;
 /// per-worker budget.
 const ANNEAL_48R_EVALS: u64 = 12_000;
 
+/// Offered load of the `sim_48r_saturated` probe (flits/node/cycle): past
+/// the 8x6 folded torus's saturation point.
+const SIM_48R_SATURATED_LOAD: f64 = 1.0;
+
 const PROBES: &[&str] = &[
     "fig08_sim",
     "fig11_sim",
@@ -75,6 +82,7 @@ const PROBES: &[&str] = &[
     "sim_5000_cycles_midload",
     "obs_overhead",
     "anneal_48r",
+    "sim_48r_saturated",
     "serving_horizon",
     "suite_quick",
 ];
@@ -313,6 +321,34 @@ fn anneal_48r_stats(samples: usize) -> SampleStats {
     )
 }
 
+/// Run times of one compiled run of the 8x6 folded torus (NDBT routing,
+/// 6 VCs, uniform random traffic, the Medium-class windows of nsbench
+/// design48) at [`SIM_48R_SATURATED_LOAD`].  Past saturation every source
+/// stays backlogged for the whole window, so this probe guards the
+/// injection path and the engine's cost per flit where design48's sweeps
+/// spend most of their simulator time.
+fn sim_48r_saturated_stats(samples: usize) -> SampleStats {
+    let layout = Layout::noi_8x6();
+    let torus = expert::folded_torus(&layout);
+    let paths = all_shortest_paths(&torus);
+    let table = ndbt_route(&layout, &paths, 42).0;
+    let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
+    let sim = NetworkSim::builder(&torus, &table)
+        .vcs(&alloc)
+        .pattern(TrafficPattern::UniformRandom)
+        .config(SimConfig::for_class(LinkClass::Medium))
+        .compile();
+    sample_stats(
+        (0..samples.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(sim.run(SIM_48R_SATURATED_LOAD));
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
 /// Horizon length of the serving probe: long enough that the per-epoch
 /// compile/run/gate cycle dominates, short enough for a sub-second probe.
 const SERVING_PROBE_EPOCHS: u64 = 48;
@@ -492,6 +528,18 @@ fn record(probe: Option<&str>, samples: usize) {
         anneal48 = Some(s);
     }
 
+    let mut saturated = None;
+    if run("sim_48r_saturated") {
+        eprintln!("# perf: sim_48r_saturated");
+        let s = sim_48r_saturated_stats(samples);
+        eprintln!(
+            "sim_48r_saturated: load {SIM_48R_SATURATED_LOAD}, median {:.3} ms, min {:.3} ms, \
+             IQR {:.3} ms over {} samples",
+            s.median_ms, s.min_ms, s.iqr_ms, s.samples,
+        );
+        saturated = Some(s);
+    }
+
     let mut serving = None;
     if run("serving_horizon") {
         eprintln!("# perf: serving_horizon");
@@ -521,7 +569,7 @@ fn record(probe: Option<&str>, samples: usize) {
     }
     let (fig08, fig11, trace) = (fig08.unwrap(), fig11.unwrap(), trace.unwrap());
     let (sim5000, obs, serving) = (sim5000.unwrap(), obs.unwrap(), serving.unwrap());
-    let anneal48 = anneal48.unwrap();
+    let (anneal48, saturated) = (anneal48.unwrap(), saturated.unwrap());
     let suite_seconds = suite_seconds.unwrap();
 
     let sim_section = |r: &SimBenchResult, baseline: f64| {
@@ -623,6 +671,17 @@ fn record(probe: Option<&str>, samples: usize) {
                     // annealer evaluation; only the median is gated.
                     "anneal_48r",
                     obj(vec![("median_ms", Json::Num(round3(anneal48.median_ms)))]),
+                ),
+                (
+                    // One post-saturation compiled run; only the median is
+                    // gated.
+                    "sim_48r_saturated",
+                    obj(vec![
+                        ("load", Json::Num(SIM_48R_SATURATED_LOAD)),
+                        ("median_ms", Json::Num(round3(saturated.median_ms))),
+                        ("min_ms", Json::Num(round3(saturated.min_ms))),
+                        ("samples", Json::Num(saturated.samples as f64)),
+                    ]),
                 ),
                 (
                     // New probe in bench 10 (landed with netsmith-serve):
@@ -746,6 +805,18 @@ fn check(probe: Option<&str>, samples: usize) {
              ({rec:.3} ms recorded x {tolerance} tolerance)"
         );
         eprintln!("# perf --check: anneal_48r median {got:.3} ms <= {limit:.3} ms, ok");
+        checked += 1;
+    }
+    if run("sim_48r_saturated") {
+        let rec = recorded(&doc, "sim_48r_saturated", "median_ms");
+        let limit = rec * tolerance;
+        let got = sim_48r_saturated_stats(samples).median_ms;
+        assert!(
+            got <= limit,
+            "sim_48r_saturated regressed: median {got:.3} ms > {limit:.3} ms \
+             ({rec:.3} ms recorded x {tolerance} tolerance)"
+        );
+        eprintln!("# perf --check: sim_48r_saturated median {got:.3} ms <= {limit:.3} ms, ok");
         checked += 1;
     }
     if run("serving_horizon") {

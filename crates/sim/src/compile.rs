@@ -2,7 +2,7 @@
 //!
 //! [`NetworkSim::run`](crate::NetworkSim::run) lowers the routing table and
 //! VC allocation into dense arrays once per `(topology, table, vcs)` and
-//! then drives a sequential hot loop built around two levers:
+//! then drives a sequential hot loop built around three levers:
 //!
 //! * **Batched injection sampling** — Bernoulli traffic comes from
 //!   per-source next-injection schedules ([`InjectionSchedule`]):
@@ -13,8 +13,17 @@
 //!   engine visits — a commit-free cycle can jump straight to the next
 //!   ready/free/due threshold even inside the measurement window, which
 //!   is where sub-saturation sweep points spend most of their cycles.
-//!   The reference engine consumes the identical schedule, so the two
-//!   stay bit-for-bit equal.
+//! * **One head packet per source** — a source holds only its oldest
+//!   packet that has not left (`SourceHead`); its backlog is the unread
+//!   rest of its arrival stream.  When the head leaves at cycle `c`, the
+//!   source draws its next arrival: one due by `c` becomes the new head,
+//!   created at its due cycle, and otherwise the source goes back on the
+//!   injection calendar.  Only headless sources are on the calendar, so
+//!   an idle jump lands on arrivals that make a head.  Arrivals are
+//!   counted by due cycle when drawn, and the arrivals still unread when
+//!   the loop ends are drawn and counted then.  Each source's stream is
+//!   drawn in the reference loop's order, and trace replay reads
+//!   per-source trace cursors the same way (`TraceSchedule`).
 //! * **Vectorized candidate scan** — each output link keeps its
 //!   candidates as two parallel slabs: a packed `(created << 20) | slot`
 //!   tie-break key and a `ready_at` cycle.  Arbitration is a branchless
@@ -35,18 +44,34 @@
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
 use crate::config::{PacketClass, SimConfig};
-use crate::inject::InjectionSchedule;
+use crate::inject::{InjectionEvent, InjectionSchedule, TraceSchedule};
 use crate::network::{EpochSample, EpochSeries, NetworkSim, SimReport};
 use crate::stats::LatencyStats;
 use netsmith_route::{Flow, RoutingTable, VcAllocation};
 use netsmith_topo::{Layout, RouterId, Topology};
-use netsmith_trace::TraceCursor;
-use std::collections::VecDeque;
 
-/// Sentinel for "no link": an unrouted flow, an empty source queue, a
+/// Sentinel for "no link": an unrouted flow, a source with no head, a
 /// resident with no physical output (packets on such flows block forever,
 /// exactly as under the reference scan).
 const NONE: u32 = u32::MAX;
+
+/// Upper bound on the wake ring's bucket count.  Wakes further out than
+/// the ring clamp to its far edge and re-park on each early visit, so the
+/// cap is exact; it keeps a huge trace message from sizing the ring.
+const RING_MAX_BUCKETS: usize = 1024;
+
+/// The wake ring's bucket count: a power of two covering the longest
+/// wake-up a run schedules (the largest packet's serialization plus the
+/// link and router latencies), at least 16 and at most
+/// [`RING_MAX_BUCKETS`].
+fn ring_len(max_flits: u64, link_latency: u64, router_latency: u64) -> usize {
+    let horizon = max_flits
+        .saturating_add(link_latency)
+        .saturating_add(router_latency)
+        .saturating_add(2);
+    let buckets = horizon.saturating_add(1).min(RING_MAX_BUCKETS as u64) as usize;
+    buckets.next_power_of_two().max(16)
+}
 
 /// Low bits of a packed candidate key holding the slab slot; the high
 /// bits hold the creation cycle, so an integer `min` over keys is the
@@ -167,13 +192,18 @@ struct FlatResident {
     cand_pos: u32,
 }
 
-/// A freshly injected packet waiting in a source queue.
-#[derive(Debug, Clone)]
-struct FlatPacket {
+/// The packet at the head of a source: its oldest arrival that has not
+/// left yet.  The arrivals behind it are the unread rest of the source's
+/// arrival stream, drawn one at a time as heads leave.
+#[derive(Debug, Clone, Copy)]
+struct SourceHead {
     created: u64,
     flits: u32,
     vc: u32,
     flow: u32,
+    /// The head's first-hop link, or `NONE` when the source has no head
+    /// or the head's flow is unrouted (it then blocks forever).
+    out: u32,
 }
 
 /// Winner read-out captured by [`St::arbitrate_pre`]: the fields of the
@@ -274,7 +304,7 @@ enum Decision {
     /// Nothing can move; park until the carried cycle (`u64::MAX` = go
     /// dark until an add / head / renumber wake re-arms the link).
     Park(u64),
-    /// The source queue's head packet wins.
+    /// The source's head packet wins.
     CommitSource,
     /// The resident in the carried slab slot wins.
     CommitSlot(u32),
@@ -301,6 +331,21 @@ struct Counters {
     outstanding: u64,
     packets_ejected: u64,
     flits_ejected: u64,
+}
+
+impl Counters {
+    /// Count an arrival of `flits` flits by its due cycle, whenever it is
+    /// drawn: the totals are sums, so the order arrivals are drawn in
+    /// does not matter.
+    #[inline]
+    fn count_injected(&mut self, due: u64, flits: u32, k: &Knobs<'_, '_>, probe: &mut EpochProbe) {
+        if due >= k.measure_start && due < k.measure_end {
+            self.packets += 1;
+            self.window_flits += flits as u64;
+            self.outstanding += 1;
+            probe.note_injected(due, flits as u64);
+        }
+    }
 }
 
 /// The optional per-epoch time-series accumulator (`len == 0` disables
@@ -450,9 +495,8 @@ struct St<'n> {
     /// bucket is a word-wise `OR` into the active set.
     ring: Vec<u64>,
     ring_mask: u64,
-    /// Source (injection) queues plus the out-link of each queue's head.
-    source_queues: Vec<VecDeque<FlatPacket>>,
-    head_out: Vec<u32>,
+    /// One head packet per source.
+    heads: Vec<SourceHead>,
 }
 
 impl St<'_> {
@@ -567,34 +611,57 @@ impl St<'_> {
         }
     }
 
-    /// Append a freshly injected packet to its source queue, waking the
-    /// first-hop link when the packet becomes the new head.
-    #[inline]
-    fn push_source_packet(&mut self, cycle: u64, src: usize, flits: u32, flow: u32) {
-        let queue = &mut self.source_queues[src];
-        queue.push_back(FlatPacket {
-            created: cycle,
-            flits,
-            vc: self.net.vc_of_flow[flow as usize],
-            flow,
-        });
-        if queue.len() == 1 {
-            let first = self.net.first_hop(flow);
-            self.head_out[src] = first;
-            if first != NONE {
-                self.wake(cycle, first);
+    /// Give source `src` — whose head just left, or which has none — its
+    /// next arrival due by `cycle` as the new head, waking the head's
+    /// first-hop link.  Every arrival drawn on the way is counted by its
+    /// due cycle; masked ones are consumed uncounted.  With nothing due by
+    /// `cycle`, the source goes back on the calendar.  Arrivals due by
+    /// `cycle` are exactly the ones the reference loop has queued by this
+    /// point of the cycle: its traffic generation runs before the link
+    /// scan.
+    fn next_head(
+        &mut self,
+        inj: &mut Injection<'_>,
+        src: usize,
+        cycle: u64,
+        k: &Knobs<'_, '_>,
+        counters: &mut Counters,
+        probe: &mut EpochProbe,
+    ) {
+        loop {
+            let due = inj.due(src);
+            if due > cycle {
+                inj.rearm(src);
+                return;
             }
+            let Some(ev) = inj.draw(src, k) else {
+                continue;
+            };
+            counters.count_injected(due, ev.flits, k, probe);
+            let flow = (src * self.net.n + ev.dst as usize) as u32;
+            let out = self.net.first_hop(flow);
+            self.heads[src] = SourceHead {
+                created: due,
+                flits: ev.flits,
+                vc: self.net.vc_of_flow[flow as usize],
+                flow,
+                out,
+            };
+            if out != NONE {
+                self.wake(cycle, out);
+            }
+            return;
         }
     }
 
     /// Decide what output link `o` does this cycle, with exactly the
     /// reference loop's semantics: oldest eligible candidate wins, ties to
-    /// the lowest slot, the source-queue head loses ties, and a forward
-    /// needs downstream credit for the whole packet.
+    /// the lowest slot, the source head loses ties, and a forward needs
+    /// downstream credit for the whole packet.
     ///
     /// Returns the decision plus the winner read-out: everything the
     /// commit needs about the winning packet, captured while its cache
-    /// lines are hot so [`St::commit_pre`] never re-reads the queue head,
+    /// lines are hot so [`St::commit_pre`] never re-reads the source head,
     /// resident slab or path table.  The read-out is meaningful only for
     /// commit decisions.
     #[inline]
@@ -613,20 +680,17 @@ impl St<'_> {
             next_ready = next_ready.min(if elig { u64::MAX } else { ready });
         }
         let (from, _) = self.net.links[o];
-        // The source-queue head loses ties to residents, as in the
-        // reference loop.  With no eligible resident `best_key >>
-        // SLOT_BITS` is an unreachable creation cycle, so any head wins.
-        let from_source = self.head_out[from] == o as u32
-            && self.source_queues[from]
-                .front()
-                .is_some_and(|h| h.created < (best_key >> SLOT_BITS));
+        // The source head loses ties to residents, as in the reference
+        // loop.  With no eligible resident `best_key >> SLOT_BITS` is an
+        // unreachable creation cycle, so any head wins.
+        let head = &self.heads[from];
+        let from_source = head.out == o as u32 && head.created < (best_key >> SLOT_BITS);
         if !from_source && best_key == u64::MAX {
             return (Decision::Park(next_ready), Pre::default());
         }
         let slot = (best_key & SLOT_MASK) as u32;
         let (created, flits, vc, flow, next_idx, in_link) = if from_source {
-            let h = self.source_queues[from].front().unwrap();
-            (h.created, h.flits, h.vc, h.flow, 0u32, NONE)
+            (head.created, head.flits, head.vc, head.flow, 0u32, NONE)
         } else {
             let r = &self.residents[from][slot as usize];
             (r.created, r.flits, r.vc, r.flow, r.next_idx, r.in_link)
@@ -661,9 +725,11 @@ impl St<'_> {
 
     /// Commit a winning decision on link `o` with the winner read-out of
     /// [`St::arbitrate_pre`] in hand: dequeue the winner, account the
-    /// serialization, and either eject or forward.  Deliberately not
-    /// inlined: folding the commit machinery into the scan loop costs
-    /// more in code size than the call saves.
+    /// serialization, and either eject or forward.  A departing source
+    /// head leaves its source headless; the caller draws the next one
+    /// ([`St::next_head`]).  Deliberately not inlined: folding the commit
+    /// machinery into the scan loop costs more in code size than the call
+    /// saves.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn commit_pre(
@@ -691,15 +757,7 @@ impl St<'_> {
         } = pre;
         let off = off as usize;
         if from_source {
-            self.source_queues[from].pop_front();
-            let next_head = match self.source_queues[from].front() {
-                Some(p) => self.net.first_hop(p.flow),
-                None => NONE,
-            };
-            self.head_out[from] = next_head;
-            if next_head != NONE && next_head != o as u32 {
-                self.wake(cycle, next_head);
-            }
+            self.heads[from].out = NONE;
         } else {
             let Decision::CommitSlot(slot) = dec else {
                 unreachable!();
@@ -727,7 +785,7 @@ impl St<'_> {
         let serialization = flits as u64;
         let free_at = cycle + serialization;
         clear_bit(&mut self.active, o as u32);
-        if !self.cand_keys[o].is_empty() || self.head_out[from] == o as u32 {
+        if !self.cand_keys[o].is_empty() || self.heads[from].out == o as u32 {
             self.ring_push(free_at.min(cycle + self.ring_mask), o as u32);
         }
         {
@@ -785,20 +843,70 @@ impl St<'_> {
     }
 }
 
-/// Where a run's packets come from.  Both sources draw no per-cycle RNG,
-/// so a commit-free cycle can always be jumped.
+/// Where a run's packets come from: each source's arrival stream, read
+/// one arrival at a time behind a calendar of the sources waiting on
+/// their next arrival.  Neither draws per-cycle RNG, so a commit-free
+/// cycle can always be jumped.
 enum Injection<'t> {
-    /// Trace replay: messages due per the load-stretched trace schedule.
-    Trace(TraceCursor<'t>),
+    /// Trace replay: each source's messages at the load-stretched trace
+    /// schedule.
+    Trace(TraceSchedule<'t>),
     /// Synthetic Bernoulli traffic from the batched injection schedule.
     Schedule(InjectionSchedule),
+}
+
+impl Injection<'_> {
+    /// See [`InjectionSchedule::next_due`].
+    #[inline]
+    fn next_due(&self) -> Option<u64> {
+        match self {
+            Injection::Trace(t) => t.next_due(),
+            Injection::Schedule(s) => s.next_due(),
+        }
+    }
+
+    /// See [`InjectionSchedule::pop_due_source`].
+    #[inline]
+    fn pop_due_source(&mut self, cycle: u64) -> Option<usize> {
+        match self {
+            Injection::Trace(t) => t.pop_due_source(cycle),
+            Injection::Schedule(s) => s.pop_due_source(cycle),
+        }
+    }
+
+    /// See [`InjectionSchedule::due`].
+    #[inline]
+    fn due(&self, src: usize) -> u64 {
+        match self {
+            Injection::Trace(t) => t.due(src),
+            Injection::Schedule(s) => s.due(src),
+        }
+    }
+
+    /// See [`InjectionSchedule::draw`].
+    #[inline]
+    fn draw(&mut self, src: usize, k: &Knobs<'_, '_>) -> Option<InjectionEvent> {
+        match self {
+            Injection::Trace(t) => t.draw(src, &k.sim.alive),
+            Injection::Schedule(s) => s.draw(src, &k.sim.pattern, &k.layout, &k.sim.alive),
+        }
+    }
+
+    /// See [`InjectionSchedule::rearm`].
+    #[inline]
+    fn rearm(&mut self, src: usize) {
+        match self {
+            Injection::Trace(t) => t.rearm(src),
+            Injection::Schedule(s) => s.rearm(src),
+        }
+    }
 }
 
 /// The cycle loop.
 fn run_cycles(
     st: &mut St<'_>,
     k: &Knobs<'_, '_>,
-    mut injection: Injection<'_>,
+    mut inj: Injection<'_>,
     counters: &mut Counters,
     probe: &mut EpochProbe,
 ) {
@@ -808,46 +916,15 @@ fn run_cycles(
         let in_window = cycle >= k.measure_start && cycle < k.measure_end;
         probe.close_finished(cycle, &st.routers);
         st.drain_ring(cycle);
-        // Traffic generation.  (Buffer occupancy for the router activity
-        // profile is integrated lazily at change points — see
-        // `RouterBuf::accrue` — instead of the reference loop's per-cycle
-        // sampling pass.)
+        // Traffic generation: a headless source whose next arrival is due
+        // takes it as its head.  Backlogged sources are off the calendar;
+        // they draw when their head leaves.  (Buffer occupancy for the
+        // router activity profile is integrated lazily at change points —
+        // see `RouterBuf::accrue` — instead of the reference loop's
+        // per-cycle sampling pass.)
         if cycle < k.measure_end {
-            match &mut injection {
-                Injection::Trace(cursor) => {
-                    // Trace replay: drain every message due this cycle,
-                    // mirroring the reference loop's trace branch exactly.
-                    while let Some(m) = cursor.pop_due(cycle) {
-                        let (src, dst) = (m.src as usize, m.dst as usize);
-                        if !k.sim.alive[src] || !k.sim.alive[dst] {
-                            continue;
-                        }
-                        let flits = m.flits;
-                        let flow = (src * st.net.n + dst) as u32;
-                        if in_window {
-                            counters.packets += 1;
-                            counters.window_flits += flits as u64;
-                            counters.outstanding += 1;
-                            probe.note_injected(cycle, flits as u64);
-                        }
-                        st.push_source_packet(cycle, src, flits, flow);
-                    }
-                }
-                Injection::Schedule(s) => {
-                    // Batched Bernoulli sampling: only cycles with an
-                    // arrival due reach the RNG at all.
-                    while let Some(ev) = s.pop_due(cycle, &k.sim.pattern, &k.layout, &k.sim.alive) {
-                        let src = ev.src as usize;
-                        let flow = (src * st.net.n + ev.dst as usize) as u32;
-                        if in_window {
-                            counters.packets += 1;
-                            counters.window_flits += ev.flits as u64;
-                            counters.outstanding += 1;
-                            probe.note_injected(cycle, ev.flits as u64);
-                        }
-                        st.push_source_packet(cycle, src, ev.flits, flow);
-                    }
-                }
+            while let Some(src) = inj.pop_due_source(cycle) {
+                st.next_head(&mut inj, src, cycle, k, counters, probe);
             }
         }
         // Visit active links in ascending id order (the reference loop's
@@ -883,6 +960,10 @@ fn run_cycles(
                 Decision::CommitSource | Decision::CommitSlot(_) => {
                     committed = true;
                     st.commit_pre(o, cycle, d, pre, k, counters, probe, in_window);
+                    if d == Decision::CommitSource {
+                        let src = st.net.links[o].0;
+                        st.next_head(&mut inj, src, cycle, k, counters, probe);
+                    }
                 }
             }
         }
@@ -916,50 +997,13 @@ fn run_cycles(
                 next_event = next_event.min(cycle + 1 + delta);
             }
         }
+        // Only headless sources are on the injection calendar, so its next
+        // due cycle is an arrival that makes a head (or a masked one, or
+        // a calendar park: an early visit that changes nothing).
         if cycle < k.measure_end {
-            match &mut injection {
-                Injection::Schedule(s) => {
-                    // Scheduled arrivals are not jump barriers in
-                    // themselves: one that lands in a non-empty source
-                    // queue only appends to the tail (`push_source_packet`
-                    // wakes the first-hop link solely on the empty→head
-                    // transition), so the idle stretch consumes such
-                    // arrivals in place — same per-source streams, same
-                    // due cycles, same order — and only ends where an
-                    // arrival finds its queue empty and can actually wake
-                    // something.  Saturated sweeps spend most of their
-                    // post-collapse cycles exactly here.
-                    while let Some(due) = s.next_due() {
-                        if due >= next_event || due >= k.measure_end {
-                            break;
-                        }
-                        let in_w = due >= k.measure_start;
-                        let mut woke = false;
-                        while let Some(ev) = s.pop_due(due, &k.sim.pattern, &k.layout, &k.sim.alive)
-                        {
-                            let src = ev.src as usize;
-                            let flow = (src * st.net.n + ev.dst as usize) as u32;
-                            if in_w {
-                                counters.packets += 1;
-                                counters.window_flits += ev.flits as u64;
-                                counters.outstanding += 1;
-                                probe.note_injected(due, ev.flits as u64);
-                            }
-                            woke |= st.source_queues[src].is_empty();
-                            st.push_source_packet(due, src, ev.flits, flow);
-                        }
-                        if woke {
-                            next_event = due;
-                            break;
-                        }
-                    }
-                }
-                Injection::Trace(t) => {
-                    if let Some(due) = t.next_due() {
-                        if due < k.measure_end {
-                            next_event = next_event.min(due);
-                        }
-                    }
+            if let Some(due) = inj.next_due() {
+                if due < k.measure_end {
+                    next_event = next_event.min(due);
                 }
             }
         }
@@ -967,6 +1011,20 @@ fn run_cycles(
             break;
         }
         cycle = next_event;
+    }
+    // The arrivals still unread — backlogs behind heads that never left,
+    // and everything due after a quiescence stop — were injected all the
+    // same: count them.
+    for src in 0..st.heads.len() {
+        loop {
+            let due = inj.due(src);
+            if due == u64::MAX {
+                break;
+            }
+            if let Some(ev) = inj.draw(src, k) {
+                counters.count_injected(due, ev.flits, k, probe);
+            }
+        }
     }
 }
 
@@ -983,11 +1041,15 @@ pub(crate) fn run_flat(
     let num_vcs = net.num_vcs;
     let l = net.links.len();
     let layout = sim.topo.layout().clone();
-    // Trace replay cursor or batched injection schedule; identical
-    // construction to the reference loop, so both engines drain the exact
-    // same injection sequence.
+    // Per-source trace cursors or the batched injection schedule; each
+    // source's arrivals are the reference loop's, read one at a time.
     let injection = match sim.trace.as_deref() {
-        Some(t) => Injection::Trace(TraceCursor::new(t, offered_flits_per_node_cycle)),
+        Some(t) => Injection::Trace(TraceSchedule::for_run(
+            cfg,
+            t,
+            offered_flits_per_node_cycle,
+            &sim.alive,
+        )),
         None => Injection::Schedule(InjectionSchedule::for_run(
             cfg,
             offered_flits_per_node_cycle,
@@ -1007,8 +1069,7 @@ pub(crate) fn run_flat(
         let largest = t.messages.iter().map(|m| m.flits as u64).max();
         max_flits = max_flits.max(largest.unwrap_or(0));
     }
-    let horizon = max_flits + cfg.link_latency + cfg.router_latency + 2;
-    let ring_len = (horizon as usize + 1).next_power_of_two().max(16);
+    let ring_len = ring_len(max_flits, cfg.link_latency, cfg.router_latency);
     let ring_mask = ring_len as u64 - 1;
 
     let total_cycles = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
@@ -1060,8 +1121,16 @@ pub(crate) fn run_flat(
         active: vec![0; l.div_ceil(64)],
         ring: vec![0; ring_len * l.div_ceil(64)],
         ring_mask,
-        source_queues: vec![VecDeque::new(); n],
-        head_out: vec![NONE; n],
+        heads: vec![
+            SourceHead {
+                created: 0,
+                flits: 0,
+                vc: 0,
+                flow: NONE,
+                out: NONE,
+            };
+            n
+        ],
     };
     run_cycles(&mut st, &k, injection, &mut counters, &mut probe);
 
@@ -1279,5 +1348,48 @@ mod tests {
         let report = sim.run(0.1);
         assert_eq!(report, sim.run_reference(0.1));
         assert_eq!(report.packets_unfinished, 0);
+    }
+
+    #[test]
+    fn ring_length_is_capped_whatever_the_largest_packet() {
+        let cfg = SimConfig::default();
+        let default_max = cfg.flits(PacketClass::Data) as u64;
+        assert_eq!(
+            ring_len(default_max, cfg.link_latency, cfg.router_latency),
+            16
+        );
+        assert_eq!(ring_len(1_000, 1, 2), RING_MAX_BUCKETS);
+        let largest = ring_len(u32::MAX as u64, u64::MAX, u64::MAX);
+        assert!(largest.is_power_of_two() && largest <= RING_MAX_BUCKETS);
+    }
+
+    #[test]
+    fn a_message_far_longer_than_the_ring_matches_reference() {
+        // A validated one-hop message of 2^23 flits, re-issued every 1000
+        // cycles: its link stays busy past the end of the run, and every
+        // wake-up clamps to the capped ring and re-parks on each lap.
+        let mesh = expert::mesh(&Layout::noi_4x5());
+        let ps = all_shortest_paths(&mesh);
+        let table = mclb_route(&ps, &MclbConfig::default());
+        let message = netsmith_trace::TraceMessage {
+            src: 0,
+            dst: 1,
+            flits: 1 << 23,
+            issue: 0,
+        };
+        let trace = netsmith_trace::Trace::new(20, 1_000, vec![message]);
+        trace.validate().unwrap();
+        let native = trace.offered_flits_per_node_cycle();
+        let sim = NetworkSim::builder(&mesh, &table)
+            .config(SimConfig::quick())
+            .trace(std::sync::Arc::new(trace))
+            .build();
+        let report = sim.run(native);
+        assert_eq!(report, sim.run_reference(native));
+        assert_eq!(
+            report.packets_injected, 1,
+            "cycle 1000 is the one in-window issue"
+        );
+        assert_eq!(report.packets_unfinished, 1);
     }
 }

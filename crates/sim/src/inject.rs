@@ -1,5 +1,5 @@
-//! Batched Bernoulli injection: precomputed per-source next-injection
-//! schedules.
+//! Batched injection: per-source arrival streams behind a calendar of
+//! the sources waiting on their next arrival.
 //!
 //! A per-cycle Bernoulli generator draws one coin per alive source per
 //! cycle — `n` RNG draws per simulated cycle whether or not anything
@@ -18,24 +18,38 @@
 //!
 //! `u` is built from the top 53 bits of one `u64` draw (`(bits >> 11) + 1`
 //! scaled by `2^-53`), an exact-integer construction, so the sampler is
-//! deterministic and platform-independent.  Each source owns an
+//! deterministic and platform-independent.  The common case needs no
+//! logarithm: the gap is one plus the number of exact-integer thresholds
+//! `floor((1-p)^j * 2^53)` above the draw, found by a table lookup on the
+//! draw's top ten bits and a short forward scan.  Each source owns an
 //! independent stream seeded from the run's [`point_seed`] material mixed
 //! with the source id; destination and packet-class draws come from the
 //! owning source's stream, in arrival order.  A cycle with no arrivals
 //! due draws **zero** RNG, and [`InjectionSchedule::next_due`] tells the
 //! compiled engine how far it may jump over provably idle cycles.
 //!
-//! Both simulation engines construct the schedule identically from
-//! `(config, offered load, alive mask)` and consume it through the same
-//! [`InjectionSchedule::pop_due`] drain, so runs are bit-identical
-//! between the compiled and reference engines — the
-//! `compiled_equivalence` proptests assert exactly that.
+//! A source's arrivals are read one at a time through three steps:
+//! [`InjectionSchedule::pop_due_source`] takes a source whose next
+//! arrival is due off the calendar without drawing,
+//! [`InjectionSchedule::draw`] draws that arrival and the gap to the next
+//! one, and [`InjectionSchedule::rearm`] puts the source back on the
+//! calendar.  [`InjectionSchedule::pop_due`] is their composition, which
+//! the reference engine drains every cycle.  The compiled engine keeps
+//! one head packet per source instead of a queue: it takes a source off
+//! the calendar when its head leaves and draws the next arrival then, so
+//! a backlogged source is nowhere on the calendar and its backlog is the
+//! unread rest of its stream.  Each source's stream is drawn in the same
+//! order either way, so runs are bit-identical between the engines — the
+//! `compiled_equivalence` tests assert exactly that.  The compiled engine
+//! reads trace replay through the same calendar and steps
+//! (`TraceSchedule`).
 //!
 //! [`point_seed`]: crate::point_seed
 
 use crate::config::{PacketClass, SimConfig};
 use crate::network::{point_seed, splitmix64};
 use netsmith_topo::{Layout, TrafficPattern};
+use netsmith_trace::{SourceCursors, Trace};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -43,10 +57,10 @@ use rand::{RngCore, SeedableRng};
 /// exact-integer gap and class thresholds are scaled by.
 const F53: f64 = 9_007_199_254_740_992.0;
 
-/// One resolved injection: the packet `src` puts into its source queue at
-/// the cycle [`InjectionSchedule::pop_due`] returned it for.  Destination
-/// and class are already drawn and validated (dead or unroutable
-/// destinations were consumed and dropped inside the schedule).
+/// One resolved injection: the packet `src` injects at the cycle its
+/// arrival was due.  Destination and class are already drawn and
+/// validated (dead or unroutable destinations were consumed and dropped
+/// inside the schedule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionEvent {
     /// Injecting (source) router.
@@ -62,24 +76,23 @@ pub struct InjectionEvent {
 /// one bit-op per lap per source, so even near-zero loads stay cheap.
 const CAL_MAX_BUCKETS: usize = 4096;
 
-/// Precomputed per-source injection schedule over a measurement horizon.
-/// See the [module docs](self) for the sampling construction.
+/// The calendar of sources waiting on their next arrival: each source's
+/// exact due cycle plus a ring of per-cycle source bitmaps.
 ///
-/// Arming uses a calendar ring of per-cycle source bitmaps rather than a
-/// heap: arming is one bit-OR, draining a cycle pops set bits in ascending
-/// source order, and a cycle with
-/// nothing armed costs one word load.  A source whose exact due cycle
-/// overshoots the calendar parks at the far edge and re-parks forward when
-/// the drain reaches it (`due` keeps the exact cycle).
+/// Arming is one bit-OR, draining a cycle pops set bits in ascending
+/// source order, and a cycle with nothing armed costs one word load.  A
+/// source whose exact due cycle overshoots the ring parks at its far edge
+/// and re-parks forward when the drain reaches it (`due` keeps the exact
+/// cycle).  A source off the calendar keeps its due cycle, so a caller
+/// can read it and draw ahead before re-arming.
 #[derive(Debug, Clone)]
-pub struct InjectionSchedule {
-    /// One independent stream per router (dead routers keep a never-used
-    /// stream so the vector stays indexable by source id).
-    streams: Vec<SmallRng>,
-    /// Exact next injection cycle per source (`u64::MAX` = retired).
+pub(crate) struct SourceCalendar {
+    /// Exact next arrival cycle per source (`u64::MAX` = retired).
     due: Vec<u64>,
-    /// Calendar ring: `cal_mask + 1` buckets of `words` source-bitmap
-    /// words each.
+    /// One past the last cycle that may inject; arrivals due at or past
+    /// it are retired, never armed.
+    horizon: u64,
+    /// Ring: `cal_mask + 1` buckets of `words` source-bitmap words each.
     cal: Vec<u64>,
     cal_mask: u64,
     words: usize,
@@ -89,136 +102,89 @@ pub struct InjectionSchedule {
     /// bits.
     cur_w: usize,
     cur_bits: u64,
-    /// `ln(1 - p)` (strictly negative for `0 < p < 1`); the deep-tail
-    /// fallback of the gap sampler.
-    ln_one_minus_p: f64,
-    /// Exact-integer gap thresholds: `gap_thr[j] = floor((1-p)^(j+1) *
-    /// 2^53)`, strictly decreasing.  A gap draw `B` (53 uniform bits)
-    /// resolves to `1 + #{j : B < gap_thr[j]}` by binary search — no
-    /// logarithm on the common path; only a draw below the last
-    /// threshold (probability `(1-p)^64` at most) falls back to the log
-    /// formula.
-    gap_thr: Vec<u64>,
-    /// `p >= 1`: every gap is 1 and the gap sampler draws no RNG.
-    every_cycle: bool,
-    /// One past the last cycle that may inject (`warmup + measure`);
-    /// arrivals scheduled at or past it are dropped, never re-armed.
-    horizon: u64,
-    /// Exact-integer class coin threshold: `ceil(data_fraction * 2^53)`.
-    data_thr: u64,
-    data_flits: u32,
-    ctrl_flits: u32,
 }
 
-impl InjectionSchedule {
-    /// Build the schedule both engines share for one run: seed material
-    /// from `point_seed(cfg.seed, offered)`, per-cycle probability
-    /// `offered / average_flits` (clamped to `[0, 1]`), horizon at the end
-    /// of the measurement window.
-    pub fn for_run(cfg: &SimConfig, offered_flits_per_node_cycle: f64, alive: &[bool]) -> Self {
-        let base = point_seed(cfg.seed, offered_flits_per_node_cycle);
-        let p = (offered_flits_per_node_cycle / cfg.average_flits()).clamp(0.0, 1.0);
-        let horizon = cfg.warmup_cycles + cfg.measure_cycles;
+impl SourceCalendar {
+    /// A calendar with every source armed at its first due cycle in
+    /// `due` (sources due at or past `horizon` are retired).
+    pub(crate) fn new(mut due: Vec<u64>, horizon: u64) -> Self {
+        for d in due.iter_mut().filter(|d| **d >= horizon) {
+            *d = u64::MAX;
+        }
         let buckets = (horizon as usize + 1)
             .next_power_of_two()
             .clamp(64, CAL_MAX_BUCKETS);
-        let words = alive.len().div_ceil(64);
-        let mut sched = InjectionSchedule {
-            streams: (0..alive.len())
-                .map(|src| SmallRng::seed_from_u64(splitmix64(base ^ splitmix64(src as u64))))
-                .collect(),
-            due: vec![u64::MAX; alive.len()],
+        let words = due.len().div_ceil(64);
+        let mut cal = SourceCalendar {
+            due,
+            horizon,
             cal: vec![0; buckets * words],
             cal_mask: buckets as u64 - 1,
             words,
             pos: 0,
             cur_w: 0,
             cur_bits: 0,
-            ln_one_minus_p: (-p).ln_1p(),
-            gap_thr: {
-                let mut thr = Vec::new();
-                if p > 0.0 && p < 1.0 {
-                    let mut qj = 1.0f64;
-                    for _ in 0..64 {
-                        qj *= 1.0 - p;
-                        let t = (qj * F53) as u64;
-                        if t == 0 {
-                            break;
-                        }
-                        thr.push(t);
-                    }
-                }
-                thr
-            },
-            every_cycle: p >= 1.0,
-            horizon,
-            data_thr: (cfg.data_fraction * F53).ceil() as u64,
-            data_flits: cfg.flits(PacketClass::Data) as u32,
-            ctrl_flits: cfg.flits(PacketClass::Control) as u32,
         };
-        if p > 0.0 {
-            for (src, &alive) in alive.iter().enumerate() {
-                if !alive {
-                    continue;
-                }
-                // The first gap counts from "one cycle before the run", so
-                // a gap of 1 lands on cycle 0 — a source is allowed to
-                // inject on the very first cycle.
-                let first = sched.gap(src) - 1;
-                if first < sched.horizon {
-                    sched.due[src] = first;
-                    sched.arm(first.min(sched.cal_mask), src as u32);
-                }
-            }
-            // Stage bucket 0's first word so the drain cursor invariant
-            // (`cur_bits` holds word `cur_w` of bucket `pos`) holds.
-            sched.cur_bits = std::mem::take(&mut sched.cal[0]);
+        for src in 0..cal.due.len() {
+            cal.arm(src);
         }
-        sched
+        // Stage bucket 0's first word so the drain cursor invariant
+        // (`cur_bits` holds word `cur_w` of bucket `pos`) holds.
+        if words > 0 {
+            cal.cur_bits = std::mem::take(&mut cal.cal[0]);
+        }
+        cal
     }
 
-    /// Set source `src`'s bit in the calendar bucket for cycle `t`.
+    /// Source `src`'s next arrival cycle (`u64::MAX` once retired).
     #[inline]
-    fn arm(&mut self, t: u64, src: u32) {
-        let idx = (t & self.cal_mask) as usize * self.words + (src / 64) as usize;
+    pub(crate) fn due(&self, src: usize) -> u64 {
+        self.due[src]
+    }
+
+    /// Record `src`'s next arrival cycle without arming it, retiring the
+    /// source when the cycle is at or past the horizon.
+    #[inline]
+    fn set_due(&mut self, src: usize, due: u64) {
+        self.due[src] = if due < self.horizon { due } else { u64::MAX };
+    }
+
+    /// Put `src` back on the calendar at its due cycle, parked at the
+    /// ring's far edge when that is further (no-op once retired).  The due
+    /// cycle must lie past the drain cursor: an entry in a bucket already
+    /// drained would wait a whole lap.
+    #[inline]
+    pub(crate) fn arm(&mut self, src: usize) {
+        let due = self.due[src];
+        if due == u64::MAX {
+            return;
+        }
+        debug_assert!(
+            due > self.pos || (self.pos == 0 && self.cur_w == 0 && self.cur_bits == 0),
+            "source {src} armed at {due}, at or behind the drain cursor {}",
+            self.pos
+        );
+        let t = due.min(self.pos + self.cal_mask);
+        let idx = (t & self.cal_mask) as usize * self.words + src / 64;
         self.cal[idx] |= 1u64 << (src % 64);
     }
 
-    /// Draw one geometric inter-arrival gap (in cycles, `>= 1`) from
-    /// `src`'s stream: binary search of the 53-bit draw against the
-    /// exact-integer threshold table, falling back to the log formula
-    /// only below the last threshold (where a tiny `u` saturates toward
-    /// `u64::MAX`, which the horizon check then drops).
-    #[inline]
-    fn gap(&mut self, src: usize) -> u64 {
-        if self.every_cycle {
-            return 1;
-        }
-        let bits = self.streams[src].next_u64() >> 11;
-        let hits = self.gap_thr.partition_point(|&t| bits < t);
-        if hits < self.gap_thr.len() {
-            return 1 + hits as u64;
-        }
-        let u = (bits + 1) as f64 * (1.0 / F53);
-        1 + (u.ln() / self.ln_one_minus_p) as u64
-    }
-
-    /// A lower bound on the earliest scheduled injection cycle, if any —
-    /// always strictly greater than the last fully drained cycle, which is
-    /// what lets the compiled engine jump idle stretches without missing
-    /// an arrival.  (A bound rather than the exact cycle: a far-future
-    /// arrival parks at the calendar edge, and a visit that finds only
-    /// such parks emits nothing and re-arms them forward — the engine
-    /// treats any returned cycle as "worth visiting", so an early visit is
+    /// A lower bound on the earliest armed due cycle, if any — always
+    /// strictly greater than the last fully drained cycle, which is what
+    /// lets the compiled engine jump idle stretches without missing an
+    /// arrival.  (A bound rather than the exact cycle: a far-future
+    /// arrival parks at the ring edge, and a visit that finds only such
+    /// parks pops nothing and re-parks them forward — the engine treats
+    /// any returned cycle as "worth visiting", so an early visit is
     /// harmless.)
     #[inline]
-    pub fn next_due(&self) -> Option<u64> {
+    pub(crate) fn next_due(&self) -> Option<u64> {
         if self.cur_bits != 0 {
             return Some(self.pos);
         }
         // Finish bucket `pos`'s remaining words, then whole buckets, one
-        // lap at most (every armed entry lives within one calendar lap of
-        // the drain cursor).
+        // lap at most (every armed entry lives within one lap of the
+        // drain cursor).
         for w in self.cur_w + 1..self.words {
             if self.cal[(self.pos & self.cal_mask) as usize * self.words + w] != 0 {
                 return Some(self.pos);
@@ -234,7 +200,7 @@ impl InjectionSchedule {
         None
     }
 
-    /// Advance the drain cursor to the next non-empty calendar word at or
+    /// Advance the drain cursor to the next non-empty ring word at or
     /// before `cycle`.  Returns `false` once every bucket through `cycle`
     /// is drained.
     #[inline]
@@ -261,26 +227,15 @@ impl InjectionSchedule {
         }
     }
 
-    /// Pop the next injection due at or before `cycle`, drawing its
-    /// destination and class from the source's stream and re-arming the
-    /// source at its next gap.  Arrivals whose destination is unroutable
-    /// (`sample_destination` returns `None`) or dead are consumed and
-    /// skipped — the source still advances.  Returns `None` once nothing
-    /// further is due this cycle.
-    ///
-    /// Events come out in `(due cycle, source)` order provided `cycle`
-    /// never exceeds an armed arrival's due cycle between calls — which
-    /// holds for both engines: the reference loop drains every cycle, and
-    /// the compiled loop's idle jumps are bounded by [`next_due`].
-    ///
-    /// [`next_due`]: InjectionSchedule::next_due
-    pub fn pop_due(
-        &mut self,
-        cycle: u64,
-        pattern: &TrafficPattern,
-        layout: &Layout,
-        alive: &[bool],
-    ) -> Option<InjectionEvent> {
+    /// Take the next source whose arrival is due at or before `cycle` off
+    /// the calendar, in `(due cycle, source)` order, re-parking sources
+    /// the ring edge held short of their real due cycle.  Returns `None`
+    /// once nothing further is due by `cycle`.
+    #[inline]
+    pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<usize> {
+        if self.words == 0 {
+            return None;
+        }
         loop {
             if self.cur_bits == 0 && !self.refill(cycle) {
                 return None;
@@ -288,41 +243,322 @@ impl InjectionSchedule {
             let b = self.cur_bits.trailing_zeros();
             self.cur_bits &= self.cur_bits - 1;
             let s = self.cur_w * 64 + b as usize;
-            let d = self.due[s];
-            if d > cycle {
-                // Parked short of its real due cycle by the calendar edge:
+            if self.due[s] > cycle {
+                // Parked short of its real due cycle by the ring edge:
                 // push it one more lap forward.
-                let t = d.min(self.pos + self.cal_mask);
-                self.arm(t, s as u32);
+                self.arm(s);
                 continue;
             }
-            let event = match pattern.sample_destination(layout, s, &mut self.streams[s]) {
-                Some(dst) if alive[dst] => {
-                    // Class coin only after the destination is validated.
-                    let flits = if (self.streams[s].next_u64() >> 11) < self.data_thr {
-                        self.data_flits
-                    } else {
-                        self.ctrl_flits
-                    };
-                    Some(InjectionEvent {
-                        src: s as u32,
-                        dst: dst as u32,
-                        flits,
-                    })
+            return Some(s);
+        }
+    }
+}
+
+/// The geometric inter-arrival gap sampler for one per-cycle injection
+/// probability `p`.
+#[derive(Debug, Clone)]
+struct GapSampler {
+    /// `p >= 1`: every gap is 1 and the sampler draws no RNG.
+    every_cycle: bool,
+    /// `ln(1 - p)` (strictly negative for `0 < p < 1`); the deep-tail
+    /// fallback.
+    ln_one_minus_p: f64,
+    /// Exact-integer gap thresholds: `thr[j] = floor((1-p)^(j+1) *
+    /// 2^53)`, strictly decreasing, at most 64 of them.  A draw `B` (53
+    /// uniform bits) resolves to `1 + #{j : B < thr[j]}`; only a draw
+    /// below the last threshold (probability `(1-p)^64` at most) falls
+    /// back to the log formula.
+    thr: Vec<u64>,
+    /// `start[h]`: the number of thresholds above every draw whose top
+    /// ten bits are `h`, where the forward scan over `thr` begins.
+    start: Vec<u8>,
+}
+
+impl GapSampler {
+    /// Bits of a 53-bit draw below its top ten: `draw >> START_SHIFT`
+    /// indexes [`GapSampler::start`].
+    const START_SHIFT: u32 = 43;
+
+    fn new(p: f64) -> Self {
+        let mut thr = Vec::new();
+        if p > 0.0 && p < 1.0 {
+            let mut qj = 1.0f64;
+            for _ in 0..64 {
+                qj *= 1.0 - p;
+                let t = (qj * F53) as u64;
+                if t == 0 {
+                    break;
                 }
-                _ => None,
-            };
-            let next = d.saturating_add(self.gap(s));
-            if next < self.horizon {
-                self.due[s] = next;
-                self.arm(next.min(self.pos + self.cal_mask), s as u32);
-            } else {
-                self.due[s] = u64::MAX;
-            }
-            if let Some(ev) = event {
-                return Some(ev);
+                thr.push(t);
             }
         }
+        // Thresholds strictly above bucket `h`'s largest draw
+        // `((h + 1) << START_SHIFT) - 1` are the ones at or above the next
+        // bucket's first draw.
+        let start = (1..=1u64 << (53 - Self::START_SHIFT))
+            .map(|h| thr.partition_point(|&t| t >= h << Self::START_SHIFT) as u8)
+            .collect();
+        GapSampler {
+            every_cycle: p >= 1.0,
+            ln_one_minus_p: (-p).ln_1p(),
+            thr,
+            start,
+        }
+    }
+
+    /// `#{j : bits < thr[j]}` for a 53-bit draw: the table gives the
+    /// thresholds above `bits`'s whole bucket, and the scan counts the
+    /// few inside it.  Equal to `thr.partition_point(|&t| bits < t)`.
+    #[inline]
+    fn hits(&self, bits: u64) -> usize {
+        let mut i = self.start[(bits >> Self::START_SHIFT) as usize] as usize;
+        while i < self.thr.len() && bits < self.thr[i] {
+            i += 1;
+        }
+        i
+    }
+
+    /// Draw one geometric inter-arrival gap (in cycles, `>= 1`) from
+    /// `rng`, falling back to the log formula only below the last
+    /// threshold (where a tiny `u` saturates toward `u64::MAX`, which the
+    /// horizon check then retires).
+    #[inline]
+    fn gap(&self, rng: &mut SmallRng) -> u64 {
+        if self.every_cycle {
+            return 1;
+        }
+        let bits = rng.next_u64() >> 11;
+        let hits = self.hits(bits);
+        if hits < self.thr.len() {
+            return 1 + hits as u64;
+        }
+        let u = (bits + 1) as f64 * (1.0 / F53);
+        1 + (u.ln() / self.ln_one_minus_p) as u64
+    }
+}
+
+/// Precomputed per-source Bernoulli injection schedule over a measurement
+/// horizon.  See the [module docs](self) for the sampling construction and
+/// the per-source steps.
+#[derive(Debug, Clone)]
+pub struct InjectionSchedule {
+    /// One independent stream per router (dead routers keep a never-used
+    /// stream so the vector stays indexable by source id).
+    streams: Vec<SmallRng>,
+    cal: SourceCalendar,
+    gaps: GapSampler,
+    /// Exact-integer class coin threshold: `ceil(data_fraction * 2^53)`.
+    data_thr: u64,
+    data_flits: u32,
+    ctrl_flits: u32,
+}
+
+impl InjectionSchedule {
+    /// Build the schedule both engines share for one run: seed material
+    /// from `point_seed(cfg.seed, offered)`, per-cycle probability
+    /// `offered / average_flits` (clamped to `[0, 1]`), horizon at the end
+    /// of the measurement window.
+    pub fn for_run(cfg: &SimConfig, offered_flits_per_node_cycle: f64, alive: &[bool]) -> Self {
+        let base = point_seed(cfg.seed, offered_flits_per_node_cycle);
+        let p = (offered_flits_per_node_cycle / cfg.average_flits()).clamp(0.0, 1.0);
+        let gaps = GapSampler::new(p);
+        let mut streams: Vec<SmallRng> = (0..alive.len())
+            .map(|src| SmallRng::seed_from_u64(splitmix64(base ^ splitmix64(src as u64))))
+            .collect();
+        // The first gap counts from "one cycle before the run", so a gap
+        // of 1 lands on cycle 0 — a source is allowed to inject on the
+        // very first cycle.
+        let first = alive
+            .iter()
+            .zip(streams.iter_mut())
+            .map(|(&alive, rng)| {
+                if alive && p > 0.0 {
+                    gaps.gap(rng) - 1
+                } else {
+                    u64::MAX
+                }
+            })
+            .collect();
+        InjectionSchedule {
+            streams,
+            cal: SourceCalendar::new(first, cfg.warmup_cycles + cfg.measure_cycles),
+            gaps,
+            data_thr: (cfg.data_fraction * F53).ceil() as u64,
+            data_flits: cfg.flits(PacketClass::Data) as u32,
+            ctrl_flits: cfg.flits(PacketClass::Control) as u32,
+        }
+    }
+
+    /// A lower bound on the earliest due cycle of any source on the
+    /// calendar, if any (see the module docs); strictly past the last
+    /// fully drained cycle.
+    #[inline]
+    pub fn next_due(&self) -> Option<u64> {
+        self.cal.next_due()
+    }
+
+    /// Take the next source whose arrival is due at or before `cycle` off
+    /// the calendar without drawing anything, in `(due cycle, source)`
+    /// order; `None` once nothing further is due by `cycle`.
+    #[inline]
+    pub fn pop_due_source(&mut self, cycle: u64) -> Option<usize> {
+        self.cal.pop_due(cycle)
+    }
+
+    /// The cycle `src`'s next arrival is due (`u64::MAX` once none is due
+    /// before the horizon).
+    #[inline]
+    pub fn due(&self, src: usize) -> u64 {
+        self.cal.due(src)
+    }
+
+    /// Draw `src`'s next arrival — its destination, then its class coin,
+    /// then the gap to the arrival after it — and advance the source's due
+    /// cycle by that gap.  An arrival whose destination is unroutable
+    /// (`sample_destination` returns `None`) or dead is consumed and
+    /// yields `None`; the source still advances.  The source stays off the
+    /// calendar until [`InjectionSchedule::rearm`].
+    #[inline]
+    pub fn draw(
+        &mut self,
+        src: usize,
+        pattern: &TrafficPattern,
+        layout: &Layout,
+        alive: &[bool],
+    ) -> Option<InjectionEvent> {
+        let rng = &mut self.streams[src];
+        let event = match pattern.sample_destination(layout, src, rng) {
+            Some(dst) if alive[dst] => {
+                // Class coin only after the destination is validated.
+                let flits = if (rng.next_u64() >> 11) < self.data_thr {
+                    self.data_flits
+                } else {
+                    self.ctrl_flits
+                };
+                Some(InjectionEvent {
+                    src: src as u32,
+                    dst: dst as u32,
+                    flits,
+                })
+            }
+            _ => None,
+        };
+        let next = self.cal.due(src).saturating_add(self.gaps.gap(rng));
+        self.cal.set_due(src, next);
+        event
+    }
+
+    /// Put `src` back on the calendar at its due cycle (no-op once
+    /// retired).  The due cycle must be later than every cycle already
+    /// drained.
+    #[inline]
+    pub fn rearm(&mut self, src: usize) {
+        self.cal.arm(src);
+    }
+
+    /// Pop the next injection due at or before `cycle`: the composition
+    /// of [`pop_due_source`], [`draw`] and [`rearm`], skipping consumed
+    /// masked arrivals.  Returns `None` once nothing further is due this
+    /// cycle.
+    ///
+    /// Events come out in `(due cycle, source)` order provided `cycle`
+    /// never exceeds an armed arrival's due cycle between calls — which
+    /// holds for the reference loop, which drains every cycle.
+    ///
+    /// [`pop_due_source`]: InjectionSchedule::pop_due_source
+    /// [`draw`]: InjectionSchedule::draw
+    /// [`rearm`]: InjectionSchedule::rearm
+    pub fn pop_due(
+        &mut self,
+        cycle: u64,
+        pattern: &TrafficPattern,
+        layout: &Layout,
+        alive: &[bool],
+    ) -> Option<InjectionEvent> {
+        while let Some(src) = self.pop_due_source(cycle) {
+            let event = self.draw(src, pattern, layout, alive);
+            self.rearm(src);
+            if event.is_some() {
+                return event;
+            }
+        }
+        None
+    }
+}
+
+/// Trace replay read one source at a time: per-source trace cursors
+/// behind the same calendar and steps as [`InjectionSchedule`], so the
+/// compiled engine consumes both kinds of traffic one head per source.
+/// Messages due at or past the end of the measurement window are never
+/// injected, and a message with a failed endpoint is consumed and
+/// dropped, as in the reference engine's cursor drain.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceSchedule<'t> {
+    cursors: SourceCursors<'t>,
+    cal: SourceCalendar,
+}
+
+impl<'t> TraceSchedule<'t> {
+    pub(crate) fn for_run(
+        cfg: &SimConfig,
+        trace: &'t Trace,
+        offered_flits_per_node_cycle: f64,
+        alive: &[bool],
+    ) -> Self {
+        let cursors = SourceCursors::new(trace, offered_flits_per_node_cycle);
+        // A failed source's messages are all dropped: it never arms.
+        let first = (0..alive.len())
+            .map(|src| match alive[src] {
+                true => cursors.next_due(src).unwrap_or(u64::MAX),
+                false => u64::MAX,
+            })
+            .collect();
+        TraceSchedule {
+            cursors,
+            cal: SourceCalendar::new(first, cfg.warmup_cycles + cfg.measure_cycles),
+        }
+    }
+
+    /// See [`InjectionSchedule::next_due`].
+    #[inline]
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        self.cal.next_due()
+    }
+
+    /// See [`InjectionSchedule::pop_due_source`].
+    #[inline]
+    pub(crate) fn pop_due_source(&mut self, cycle: u64) -> Option<usize> {
+        self.cal.pop_due(cycle)
+    }
+
+    /// See [`InjectionSchedule::due`].
+    #[inline]
+    pub(crate) fn due(&self, src: usize) -> u64 {
+        self.cal.due(src)
+    }
+
+    /// Consume `src`'s next message (`None` when its destination has
+    /// failed) and advance the source's due cycle to the message after it.
+    #[inline]
+    pub(crate) fn draw(&mut self, src: usize, alive: &[bool]) -> Option<InjectionEvent> {
+        let (due, m) = self
+            .cursors
+            .pop(src)
+            .expect("an armed source has a message");
+        debug_assert_eq!(due, self.cal.due(src));
+        let next = self.cursors.next_due(src).unwrap_or(u64::MAX);
+        self.cal.set_due(src, next);
+        alive[m.dst as usize].then_some(InjectionEvent {
+            src: m.src,
+            dst: m.dst,
+            flits: m.flits,
+        })
+    }
+
+    /// See [`InjectionSchedule::rearm`].
+    #[inline]
+    pub(crate) fn rearm(&mut self, src: usize) {
+        self.cal.arm(src);
     }
 }
 
@@ -450,6 +686,29 @@ mod tests {
                 assert!(next > cycle);
             }
             cycle += 1;
+        }
+    }
+
+    #[test]
+    fn gap_table_lookup_equals_the_threshold_binary_search() {
+        let mut rng = SmallRng::seed_from_u64(0x9A9);
+        for p in [1e-4, 0.004, 0.06, 0.24, 0.5, 0.99] {
+            let gaps = GapSampler::new(p);
+            assert!(!gaps.thr.is_empty());
+            let search = |bits: u64| gaps.thr.partition_point(|&t| bits < t);
+            let top = (1u64 << 53) - 1;
+            // Every bucket edge and its neighbours, every threshold and
+            // its neighbours, then uniform draws.
+            let edges = (0..=1u64 << 10).map(|h| h << GapSampler::START_SHIFT);
+            let mut draws: Vec<u64> = edges
+                .chain(gaps.thr.iter().copied())
+                .flat_map(|x| [x.saturating_sub(1), x, x + 1])
+                .filter(|&x| x <= top)
+                .collect();
+            draws.extend((0..20_000).map(|_| rng.next_u64() >> 11));
+            for bits in draws {
+                assert_eq!(gaps.hits(bits), search(bits), "p {p}, draw {bits:#x}");
+            }
         }
     }
 }

@@ -4,8 +4,10 @@
 //! the network (see [`crate::compile`]) that turns per-packet routing
 //! table lookups into dense array walks.  The original scan-based
 //! implementation is kept as [`NetworkSim::run_reference`], the test
-//! oracle; both paths consume the same injection schedule (or trace
-//! cursor) and produce bit-identical [`SimReport`]s, which the
+//! oracle.  It queues every arrival at its source, while the compiled
+//! engine keeps one head packet per source and reads the rest of each
+//! source's arrivals from the same injection schedule (or trace) when the
+//! head leaves; both produce bit-identical [`SimReport`]s, which the
 //! equivalence proptests assert.
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
@@ -135,8 +137,8 @@ pub struct SimReport {
     pub packets_injected: u64,
     /// Packets ejected during the measurement window.
     pub packets_ejected: u64,
-    /// Measured packets still stuck in the network or source queues when
-    /// the drain budget expired.
+    /// Measured packets still stuck in the network or at their sources
+    /// when the drain budget expired.
     pub packets_unfinished: u64,
     /// Average link utilization (flit-cycles used / link-cycles available)
     /// over the measurement window.
@@ -375,7 +377,7 @@ impl<'a> NetworkSim<'a> {
             .map(|t| TraceCursor::new(t, offered_flits_per_node_cycle));
         // Precomputed per-source injection schedule for synthetic
         // traffic.  Identical construction to the compiled engine, so both
-        // drain the same event sequence.
+        // draw the same per-source arrival streams.
         let mut schedule = self
             .trace
             .is_none()

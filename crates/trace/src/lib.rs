@@ -16,9 +16,11 @@
 //!   [`TraceReader`], and [`Trace::validate`] (in-range endpoints,
 //!   non-decreasing issue cycles).
 //! * [`replay`] — [`TraceCursor`], the sorted pending-arrival schedule
-//!   both simulation engines drain.  Load scaling works by *cycle
+//!   the reference simulation engine drains, and [`SourceCursors`], the
+//!   same schedule split by source, which the compiled engine reads one
+//!   message per source at a time.  Load scaling works by *cycle
 //!   stretch*: replaying at half the native load doubles every gap,
-//!   preserving burst structure.  The cursor consumes no RNG, so the
+//!   preserving burst structure.  Replay consumes no RNG, so the
 //!   reference and compiled engines stay bit-identical under replay.
 //! * [`generators`] + [`stats`] — [`TraceModel::PointerChase`] and
 //!   [`TraceModel::OnOffHotspot`] produce seeded reproducible traces, and
@@ -57,5 +59,5 @@ pub use format::{
 pub use generators::{
     generate_named, OnOffHotspotParams, PointerChaseParams, TraceModel, DATA_FLITS, REQUEST_FLITS,
 };
-pub use replay::TraceCursor;
+pub use replay::{SourceCursors, TraceCursor};
 pub use stats::TraceStats;

@@ -3,13 +3,15 @@
 //! [`TraceCursor`] turns a validated trace into the injection sequence a
 //! simulator consumes: per simulated cycle, [`TraceCursor::pop_due`] yields
 //! every message whose (scaled) issue cycle has arrived, in trace order.
-//! Two deliberately boring properties make it the shared foundation of the
-//! reference and compiled simulation loops:
+//! [`SourceCursors`] yields the same schedule one source at a time, for an
+//! engine that pulls a source's next message only when it needs it.  Both
+//! share one clock, and three deliberately boring properties make them the
+//! common foundation of the reference and compiled simulation loops:
 //!
 //! * **Determinism** — the schedule is a pure function of
-//!   `(trace, offered load)`; no RNG is consumed, so two engines that
-//!   construct the cursor with the same arguments and poll it at the same
-//!   cycles inject bit-identical traffic.
+//!   `(trace, offered load)`; no RNG is consumed, so a source's messages
+//!   come due at the same cycles whichever cursor reads them, and two
+//!   engines inject bit-identical traffic.
 //! * **Load scaling by cycle-stretch** — a trace natively offers
 //!   `total_flits / (routers * horizon)` flits per node per cycle; to
 //!   replay at a different offered load every issue cycle is multiplied by
@@ -21,16 +23,65 @@
 
 use crate::format::{Trace, TraceMessage};
 
+/// The load-scaled replay clock every cursor shares: issue cycles are
+/// multiplied by `stretch`, and wave `w` is offset by `w *
+/// scaled_horizon`.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    /// Scale factor applied to issue cycles (`native / offered`).
+    stretch: f64,
+    /// Horizon after scaling: the wave period.
+    scaled_horizon: u64,
+}
+
+impl Clock {
+    /// The clock for replaying `trace` at `offered` flits per node per
+    /// cycle, and the messages it replays: none at zero load or for an
+    /// empty trace.
+    fn new(trace: &Trace, offered_flits_per_node_cycle: f64) -> (&[TraceMessage], Clock) {
+        let native = trace.offered_flits_per_node_cycle();
+        let (messages, stretch) = if offered_flits_per_node_cycle > 0.0 && native > 0.0 {
+            (
+                trace.messages.as_slice(),
+                native / offered_flits_per_node_cycle,
+            )
+        } else {
+            (&trace.messages[..0], 1.0)
+        };
+        let scaled_horizon = ((trace.header.horizon as f64 * stretch).ceil() as u64).max(1);
+        (
+            messages,
+            Clock {
+                stretch,
+                scaled_horizon,
+            },
+        )
+    }
+
+    /// The cycle a message issued at `issue` is due in the wave starting
+    /// at `base`.  Same float expression on every engine; `as u64` and
+    /// the add saturate, so an extreme stretch parks the message past any
+    /// finite run.
+    #[inline]
+    fn due(&self, base: u64, issue: u64) -> u64 {
+        base.saturating_add((issue as f64 * self.stretch).floor() as u64)
+    }
+
+    /// The start of the wave after the one starting at `base`.  Scaled
+    /// issues stay strictly inside a wave (`scaled_horizon >= 1`), so the
+    /// next wave's cycles never precede this one's.
+    #[inline]
+    fn next_wave(&self, base: u64) -> u64 {
+        base.saturating_add(self.scaled_horizon)
+    }
+}
+
 /// A forward-only cursor yielding trace messages at their scaled issue
 /// cycles, wave after wave.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'t> {
     messages: &'t [TraceMessage],
-    /// Scale factor applied to issue cycles (`native / offered`).
-    stretch: f64,
-    /// Horizon after scaling; each wave `w` replays the trace with its
-    /// issue cycles offset by `w * scaled_horizon`.
-    scaled_horizon: u64,
+    clock: Clock,
     /// Cycle offset of the current wave.
     base: u64,
     /// Next message index within the current wave.
@@ -42,20 +93,10 @@ impl<'t> TraceCursor<'t> {
     /// node per cycle.  An offered load of zero (or an empty trace) yields
     /// an empty schedule.
     pub fn new(trace: &'t Trace, offered_flits_per_node_cycle: f64) -> Self {
-        let native = trace.offered_flits_per_node_cycle();
-        let (messages, stretch) = if offered_flits_per_node_cycle > 0.0 && native > 0.0 {
-            (
-                trace.messages.as_slice(),
-                native / offered_flits_per_node_cycle,
-            )
-        } else {
-            (&trace.messages[..0], 1.0)
-        };
-        let scaled_horizon = ((trace.header.horizon as f64 * stretch).ceil() as u64).max(1);
+        let (messages, clock) = Clock::new(trace, offered_flits_per_node_cycle);
         TraceCursor {
             messages,
-            stretch,
-            scaled_horizon,
+            clock,
             base: 0,
             idx: 0,
         }
@@ -63,39 +104,12 @@ impl<'t> TraceCursor<'t> {
 
     /// The stretch factor applied to issue cycles.
     pub fn stretch(&self) -> f64 {
-        self.stretch
+        self.clock.stretch
     }
 
     /// The scaled wrap-around period.
     pub fn scaled_horizon(&self) -> u64 {
-        self.scaled_horizon
-    }
-
-    #[inline]
-    fn scaled_issue(&self, issue: u64) -> u64 {
-        // Same float expression on every engine; `as u64` saturates, so an
-        // extreme stretch parks the message past any finite run.
-        self.base + (issue as f64 * self.stretch).floor() as u64
-    }
-
-    /// The next scheduled issue cycle, without advancing the cursor
-    /// (`None` for an empty schedule).  After a cycle has been fully
-    /// drained with [`TraceCursor::pop_due`], this is strictly in the
-    /// future — which is what lets the compiled engine jump over the idle
-    /// stretch between trace bursts instead of polling every cycle.
-    #[inline]
-    pub fn next_due(&self) -> Option<u64> {
-        if self.messages.is_empty() {
-            return None;
-        }
-        if self.idx == self.messages.len() {
-            // The next message is the first of the following wave; mirror
-            // `pop_due`'s wrap arithmetic without committing it.
-            let base = self.base.saturating_add(self.scaled_horizon);
-            Some(base.saturating_add((self.messages[0].issue as f64 * self.stretch).floor() as u64))
-        } else {
-            Some(self.scaled_issue(self.messages[self.idx].issue))
-        }
+        self.clock.scaled_horizon
     }
 
     /// The next message due at or before `cycle`, advancing the cursor
@@ -106,19 +120,102 @@ impl<'t> TraceCursor<'t> {
             return None;
         }
         if self.idx == self.messages.len() {
-            // Wave exhausted: wrap.  Scaled issues stay strictly inside
-            // the wave (`scaled_horizon >= 1`), so the next wave's cycles
-            // never precede this one's.
-            self.base = self.base.saturating_add(self.scaled_horizon);
+            self.base = self.clock.next_wave(self.base);
             self.idx = 0;
         }
-        let due = self.scaled_issue(self.messages[self.idx].issue);
+        let due = self.clock.due(self.base, self.messages[self.idx].issue);
         if due > cycle {
             return None;
         }
         let m = &self.messages[self.idx];
         self.idx += 1;
         Some(m)
+    }
+}
+
+/// The [`TraceCursor`] schedule split by source: the same issue cycles
+/// and waves, read one source at a time.  Restricted to one source, the
+/// trace cursor's sequence is exactly that source's sequence here, so an
+/// engine that keeps one pending message per source can pull each
+/// source's next message only when it needs it.
+#[derive(Debug, Clone)]
+pub struct SourceCursors<'t> {
+    messages: &'t [TraceMessage],
+    clock: Clock,
+    /// Message indices grouped by source, in trace order within a source:
+    /// source `s` owns `order[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    order: Vec<u32>,
+    /// Per source: the cycle offset of its current wave and its next
+    /// position in `order`.
+    base: Vec<u64>,
+    pos: Vec<u32>,
+}
+
+impl<'t> SourceCursors<'t> {
+    /// Per-source schedules for replaying `trace` at `offered` flits per
+    /// node per cycle, one per router of the trace header.
+    pub fn new(trace: &'t Trace, offered_flits_per_node_cycle: f64) -> Self {
+        let (messages, clock) = Clock::new(trace, offered_flits_per_node_cycle);
+        let n = trace.header.routers as usize;
+        let mut starts = vec![0u32; n + 1];
+        for m in messages {
+            starts[m.src as usize + 1] += 1;
+        }
+        for s in 0..n {
+            starts[s + 1] += starts[s];
+        }
+        let mut pos = starts[..n].to_vec();
+        let mut order = vec![0u32; messages.len()];
+        for (i, m) in messages.iter().enumerate() {
+            let at = &mut pos[m.src as usize];
+            order[*at as usize] = i as u32;
+            *at += 1;
+        }
+        pos.copy_from_slice(&starts[..n]);
+        SourceCursors {
+            messages,
+            clock,
+            starts,
+            order,
+            base: vec![0; n],
+            pos,
+        }
+    }
+
+    /// The issue cycle of source `src`'s next message, without advancing
+    /// (`None` when the source sends nothing).
+    #[inline]
+    pub fn next_due(&self, src: usize) -> Option<u64> {
+        let (lo, hi) = (self.starts[src], self.starts[src + 1]);
+        if lo == hi {
+            return None;
+        }
+        let (base, at) = if self.pos[src] == hi {
+            (self.clock.next_wave(self.base[src]), lo)
+        } else {
+            (self.base[src], self.pos[src])
+        };
+        let m = &self.messages[self.order[at as usize] as usize];
+        Some(self.clock.due(base, m.issue))
+    }
+
+    /// Source `src`'s next message and its issue cycle, advancing the
+    /// source (and its wave, at wrap-around); `None` when the source
+    /// sends nothing.
+    #[inline]
+    pub fn pop(&mut self, src: usize) -> Option<(u64, &'t TraceMessage)> {
+        let (lo, hi) = (self.starts[src], self.starts[src + 1]);
+        if lo == hi {
+            return None;
+        }
+        if self.pos[src] == hi {
+            self.base[src] = self.clock.next_wave(self.base[src]);
+            self.pos[src] = lo;
+        }
+        let m = &self.messages[self.order[self.pos[src] as usize] as usize];
+        self.pos[src] += 1;
+        Some((self.clock.due(self.base[src], m.issue), m))
     }
 }
 
@@ -236,21 +333,20 @@ mod tests {
     fn next_due_peeks_without_advancing_and_wraps() {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
-        let mut cursor = TraceCursor::new(&t, native);
-        assert_eq!(cursor.next_due(), Some(0));
-        assert_eq!(cursor.next_due(), Some(0), "peeking must not advance");
-        // Drain cycle 0; the next burst is at cycle 4.
-        while cursor.pop_due(0).is_some() {}
-        assert_eq!(cursor.next_due(), Some(4));
-        // Drain the whole wave: the peek wraps to the next wave's first
-        // message (issue 0 offset by the 10-cycle horizon).
-        for cycle in 1..10 {
-            while cursor.pop_due(cycle).is_some() {}
-        }
-        assert_eq!(cursor.next_due(), Some(10));
+        let mut cursors = SourceCursors::new(&t, native);
+        // Source 1 sends one message, issued at cycle 4.
+        assert_eq!(cursors.next_due(1), Some(4));
+        assert_eq!(cursors.next_due(1), Some(4), "peeking must not advance");
+        assert_eq!(cursors.pop(1), Some((4, &t.messages[1])));
+        // Its wave is exhausted: the peek wraps to the next wave's copy
+        // (issue 4 offset by the 10-cycle horizon), without committing.
+        assert_eq!(cursors.next_due(1), Some(14));
+        assert_eq!(cursors.next_due(1), Some(14));
+        assert_eq!(cursors.pop(1), Some((14, &t.messages[1])));
+        assert_eq!(cursors.next_due(1), Some(24));
         // An empty schedule has no next due cycle.
         let empty = Trace::new(4, 10, vec![]);
-        assert_eq!(TraceCursor::new(&empty, 0.3).next_due(), None);
+        assert_eq!(SourceCursors::new(&empty, 0.3).next_due(0), None);
     }
 
     #[test]
@@ -260,5 +356,45 @@ mod tests {
         let b = schedule(&mut TraceCursor::new(&t, 0.17), 500);
         assert_eq!(a, b);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn source_cursors_split_the_cursor_schedule_by_source() {
+        let t = trace();
+        let native = t.offered_flits_per_node_cycle();
+        for load in [native / 3.0, native, native * 2.5, 0.0] {
+            // Three waves or more, every message of the cursor schedule
+            // tagged with its due cycle.
+            let mut cursor = TraceCursor::new(&t, load);
+            let mut merged = Vec::new();
+            for cycle in 0..100 {
+                while let Some(m) = cursor.pop_due(cycle) {
+                    merged.push((cycle, *m));
+                }
+            }
+            let mut cursors = SourceCursors::new(&t, load);
+            for src in 0..4usize {
+                let expected: Vec<_> = merged
+                    .iter()
+                    .filter(|(_, m)| m.src as usize == src)
+                    .collect();
+                for &&(cycle, m) in &expected {
+                    assert_eq!(
+                        cursors.next_due(src),
+                        Some(cycle),
+                        "load {load}, source {src}"
+                    );
+                    assert_eq!(cursors.pop(src), Some((cycle, &m)));
+                }
+                if expected.is_empty() {
+                    // Source 3 sends nothing, as does every source at
+                    // zero load.
+                    assert_eq!(cursors.next_due(src), None);
+                    assert_eq!(cursors.pop(src), None);
+                } else {
+                    assert!(cursors.next_due(src).unwrap() >= 100);
+                }
+            }
+        }
     }
 }
