@@ -206,6 +206,16 @@ struct SourceHead {
     out: u32,
 }
 
+impl SourceHead {
+    const EMPTY: SourceHead = SourceHead {
+        created: 0,
+        flits: 0,
+        vc: 0,
+        flow: NONE,
+        out: NONE,
+    };
+}
+
 /// Winner read-out captured by [`St::arbitrate_pre`]: the fields of the
 /// winning packet a commit consumes, read while arbitration already has
 /// them hot.  `off` is the flow's offset into the hop table and
@@ -1121,16 +1131,7 @@ pub(crate) fn run_flat(
         active: vec![0; l.div_ceil(64)],
         ring: vec![0; ring_len * l.div_ceil(64)],
         ring_mask,
-        heads: vec![
-            SourceHead {
-                created: 0,
-                flits: 0,
-                vc: 0,
-                flow: NONE,
-                out: NONE,
-            };
-            n
-        ],
+        heads: vec![SourceHead::EMPTY; n],
     };
     run_cycles(&mut st, &k, injection, &mut counters, &mut probe);
 
