@@ -40,13 +40,13 @@
 //! The sibling `suite` binary must already be built; CI builds the whole
 //! workspace in release before invoking this target.
 
-use netsmith_exp::json::Json;
 use netsmith_gen::anneal::{anneal, AnnealConfig};
 use netsmith_gen::{GenerationProblem, Objective};
 use netsmith_obs::{MemoryRecorder, Obs};
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
 use netsmith_sim::{NetworkSim, SimConfig};
+use netsmith_topo::json::Json;
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, LinkClass, Topology};
 use std::path::PathBuf;

@@ -101,13 +101,15 @@ fn figure_headers_match_the_golden_schemas() {
     assert_eq!(figures::ALL.len(), GOLDEN_HEADERS.len());
 }
 
+/// Every registered figure passes the runner's spec check (no empty axis,
+/// known expert and trace model names, runnable loads) under both profiles.
 #[test]
 fn no_registered_figure_has_an_empty_axis() {
     for profile in [RunProfile::quick(), RunProfile::default()] {
         for (name, build) in figures::ALL {
             build(&profile)
                 .spec
-                .check_axes()
+                .check()
                 .unwrap_or_else(|e| panic!("{name} (quick: {}): {e}", profile.quick));
         }
     }

@@ -9,8 +9,9 @@
 //!
 //! * [`ExperimentSpec`] declares candidates (expert topologies by name, or
 //!   synthesis objectives), workloads (a pattern or a replayed trace ×
-//!   loads × [`SimProfile`]) and declarative [`Assertion`]s, and
-//!   round-trips through JSON.
+//!   loads × [`SimProfile`]) and declarative [`Assertion`]s;
+//!   [`ExperimentSpec::check`] rejects a matrix that cannot run before any
+//!   candidate is discovered.
 //! * [`Runner`] resolves candidates through a shared [`SuiteCache`] — each
 //!   synthesis spec is discovered at most once per suite run, keyed by its
 //!   objective decomposition, layout, class, seed and budget — prepares
@@ -52,10 +53,6 @@
 //!     Assertion::MinRows { count: 6 },
 //!     Assertion::ColumnPositive { column: "weighted_hops".into() },
 //! ];
-//!
-//! // Specs are data: they round-trip through JSON.
-//! let replayed = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
-//! assert_eq!(replayed, spec);
 //!
 //! // Attach the measurement (the code half of a figure) and run.  Both
 //! // workload sources yield a demand matrix: patterns analytically,
@@ -106,10 +103,6 @@ pub mod spec;
 
 pub use cache::{DiscoveryRequest, SuiteCache};
 pub use cli::{CliOptions, RunProfile, DEFAULT_SEED};
-/// The shared JSON tree (now home in `netsmith-topo`; re-exported so
-/// `netsmith_exp::json::Json` keeps working).
-pub use netsmith_topo::json;
-pub use netsmith_topo::json::Json;
 pub use row::{OutputMode, Row, Value};
 pub use runner::{Cell, CellOrder, Figure, ResolvedCandidate, RunOutput, Runner, VC_BUDGET};
 pub use spec::{

@@ -7,7 +7,7 @@
 //! (JSON Lines), inferring numbers and booleans from the rendered text so
 //! both sinks stay in lock-step by construction.
 
-use crate::json::Json;
+use netsmith_topo::json::Json;
 use std::fmt::Write as _;
 
 /// One rendered cell value.

@@ -347,17 +347,15 @@ impl<'c> Runner<'c> {
         Ok(resolved)
     }
 
-    /// Run a figure: check its axes and expert names, resolve its candidates,
+    /// Run a figure: check its spec, resolve its candidates,
     /// execute every cell (in parallel, deterministic row order),
     /// post-process.  Assertions are *not* checked here — the CLI emits
     /// rows first, then verifies, so a failing run still prints its data
     /// like the legacy binaries did.
     pub fn run(&self, figure: &Figure) -> Result<RunOutput, String> {
-        // Resolution discovers synthesized candidates in order: an empty
-        // axis, or an unknown expert listed after a synthesized candidate,
-        // must fail before any annealer runs.
-        figure.spec.check_axes()?;
-        figure.spec.check_expert_names()?;
+        // Resolution discovers synthesized candidates in order: a spec
+        // that cannot run must fail before any annealer runs.
+        figure.spec.check()?;
         let candidates = self.resolve_candidates(&figure.spec)?;
 
         // Build the cell list in the figure's grouping order.
@@ -544,7 +542,8 @@ pub fn check_assertions(output: &RunOutput, assertions: &[Assertion]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ObjectiveSpec;
+    use crate::spec::{ObjectiveSpec, ServingSpec, SimProfile, TraceSpec};
+    use netsmith_topo::traffic::TrafficPattern;
 
     #[test]
     fn synth_names_come_from_the_request_not_the_cache_entry() {
@@ -570,36 +569,164 @@ mod tests {
         assert_eq!(mix.topology.name(), "NS-Mix[1xHops]-medium");
     }
 
-    #[test]
-    fn unknown_expert_fails_before_any_discovery() {
+    /// Run `spec` with a measurement that emits nothing and return the
+    /// error it fails with, asserting that no candidate was discovered.
+    fn fails_before_any_discovery(spec: ExperimentSpec) -> String {
         let cache = SuiteCache::new();
         let runner = Runner::new(RunProfile::quick(), &cache);
+        let figure = Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new());
+        let err = runner.run(&figure).err().expect("the spec must fail");
+        assert_eq!(cache.discoveries(), 0, "{err}");
+        assert_eq!(cache.references(), 0, "{err}");
+        err
+    }
+
+    /// Run `spec` with a measurement that emits nothing; it must pass.
+    fn runs(spec: ExperimentSpec) {
+        let cache = SuiteCache::new();
+        let runner = Runner::new(RunProfile::quick(), &cache);
+        runner
+            .run(&Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new()))
+            .unwrap();
+    }
+
+    /// One workload after a synthesized candidate, which a check made after
+    /// resolution would already have discovered.
+    fn latop_spec_with(workload: WorkloadSpec) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::new("bad_workload");
+        spec.candidates = vec![CandidateSpec::synth(ObjectiveSpec::LatOp)];
+        spec.workloads = vec![workload];
+        spec
+    }
+
+    /// A mesh-only spec, which resolves without any discovery.
+    fn mesh_spec_with(workload: WorkloadSpec) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::new("mesh_workload");
+        spec.classes = vec![LinkClass::Medium];
+        spec.candidates = vec![CandidateSpec::expert("mesh")];
+        spec.workloads = vec![workload];
+        spec
+    }
+
+    fn hot_workload(loads: Vec<f64>) -> WorkloadSpec {
+        WorkloadSpec::new(TrafficPattern::Shuffle, loads, SimProfile::Quick).labeled("hot")
+    }
+
+    #[test]
+    fn unknown_expert_fails_before_any_discovery() {
         let mut spec = ExperimentSpec::new("bad_expert");
         spec.candidates = vec![
             CandidateSpec::synth(ObjectiveSpec::LatOp),
             CandidateSpec::expert("hypercube"),
         ];
-        let figure = Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new());
-        let err = runner.run(&figure).err().expect("unknown expert must fail");
+        let err = fails_before_any_discovery(spec);
         assert!(err.contains("bad_expert: candidate 1"), "{err}");
         assert!(err.contains("\"hypercube\""), "{err}");
         assert!(err.contains(crate::spec::tests::KNOWN_EXPERTS), "{err}");
-        assert_eq!(cache.discoveries(), 0);
-        assert_eq!(cache.references(), 0);
     }
+
     #[test]
     fn empty_axis_fails_before_any_discovery() {
-        let cache = SuiteCache::new();
-        let runner = Runner::new(RunProfile::quick(), &cache);
         for (axis, spec) in crate::spec::tests::specs_with_an_empty_axis() {
-            let figure = Figure::new(spec, "topology", |_: &Cell<'_>| Vec::new());
-            let err = runner
-                .run(&figure)
-                .err()
-                .unwrap_or_else(|| panic!("an empty {axis} list must fail"));
+            let err = fails_before_any_discovery(spec);
             assert!(err.contains(&format!("empty_axis: empty {axis} ")), "{err}");
         }
-        assert_eq!(cache.discoveries(), 0);
-        assert_eq!(cache.references(), 0);
+    }
+
+    #[test]
+    fn unknown_trace_model_fails_before_any_discovery() {
+        let bad = || TraceSpec::generator("no-such-model", 64, 0);
+        let known = "(known models: pointer-chase, onoff-hotspot)";
+        let mut direct = ExperimentSpec::new("bad_trace");
+        direct.candidates = vec![
+            CandidateSpec::synth(ObjectiveSpec::LatOp),
+            CandidateSpec::synth(ObjectiveSpec::TraceLatOp { trace: bad() }),
+        ];
+        let mut nested = direct.clone();
+        nested.candidates[1] = CandidateSpec::synth(ObjectiveSpec::Composite {
+            parts: vec![
+                (1.0, ObjectiveSpec::LatOp),
+                (0.5, ObjectiveSpec::TraceLatOp { trace: bad() }),
+            ],
+        });
+        for spec in [direct, nested] {
+            let err = fails_before_any_discovery(spec);
+            assert!(
+                err.contains("bad_trace: candidate 1: unknown trace model \"no-such-model\""),
+                "{err}"
+            );
+            assert!(err.contains(known), "{err}");
+        }
+        let workload = WorkloadSpec::trace(bad(), vec![0.1], SimProfile::Quick);
+        let err = fails_before_any_discovery(latop_spec_with(workload));
+        assert!(
+            err.contains("bad_workload: workload \"trace:no-such-model\": unknown trace model"),
+            "{err}"
+        );
+        assert!(err.contains(known), "{err}");
+    }
+
+    #[test]
+    fn valid_loads_pass_the_check() {
+        runs(mesh_spec_with(hot_workload(vec![0.1])));
+        runs(mesh_spec_with(hot_workload(vec![0.0, 0.5])));
+    }
+
+    #[test]
+    fn a_non_finite_load_fails_before_any_discovery() {
+        for (load, printed) in [
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (f64::NAN, "NaN"),
+        ] {
+            let err = fails_before_any_discovery(latop_spec_with(hot_workload(vec![0.1, load])));
+            let expected = format!("bad_workload: workload \"hot\": load {printed} is not");
+            assert!(err.contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_negative_load_fails_before_any_discovery() {
+        let err = fails_before_any_discovery(latop_spec_with(hot_workload(vec![0.1, -0.05])));
+        assert!(
+            err.contains("bad_workload: workload \"hot\": load -0.05 is not"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_empty_pattern_load_list_fails_before_any_discovery() {
+        let err = fails_before_any_discovery(latop_spec_with(hot_workload(Vec::new())));
+        assert!(
+            err.contains("bad_workload: workload \"hot\" has no loads"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_empty_trace_load_list_fails_before_any_discovery() {
+        let trace = TraceSpec::generator("pointer-chase", 1_024, 3);
+        let workload = WorkloadSpec::trace(trace, Vec::new(), SimProfile::Quick);
+        let err = fails_before_any_discovery(latop_spec_with(workload));
+        assert!(
+            err.contains("workload \"trace:pointer-chase\" has no loads"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_serving_workload_without_loads_passes_the_check() {
+        let serving = ServingSpec {
+            epochs: 32,
+            period_epochs: 16,
+            expected_faults: 1.0,
+            low_load_threshold: 0.12,
+            seed: 5,
+            tape_seed: 6,
+        };
+        runs(mesh_spec_with(WorkloadSpec::serving(
+            serving,
+            SimProfile::Quick,
+        )));
     }
 }

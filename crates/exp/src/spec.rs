@@ -4,19 +4,18 @@
 //! topologies (expert designs by name, or synthesis specs as objective
 //! descriptions), workloads (a traffic pattern or a replayed trace ×
 //! offered loads × simulator profile) and declarative assertions over the
-//! emitted rows — as plain data.  Specs round-trip through JSON ([`ExperimentSpec::to_json_string`]
-//! / [`ExperimentSpec::from_json_str`]) so a figure can be stored, diffed
-//! and replayed; the figure-specific *measurement* (which columns a cell
-//! produces) stays code, attached by the harness as a closure next to the
-//! spec.
+//! emitted rows — as plain data, built in code by each figure.
+//! [`ExperimentSpec::check`] rejects a matrix that cannot run before any
+//! candidate is discovered.  The figure-specific *measurement* (which
+//! columns a cell produces) stays code, attached by the harness as a
+//! closure next to the spec.
 
-use crate::json::Json;
 use netsmith::gen::Objective;
 use netsmith::prelude::RoutingScheme;
 use netsmith_sim::SimConfig;
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, LinkClass, Topology};
-use netsmith_trace::{generate_named, Trace, TraceStats};
+use netsmith_trace::{generate_named, Trace, TraceModel, TraceStats};
 
 /// The interposer layouts of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,15 +44,6 @@ impl LayoutSpec {
             LayoutSpec::Noi4x5 => "4x5",
             LayoutSpec::Noi6x5 => "6x5",
             LayoutSpec::Noi8x6 => "8x6",
-        }
-    }
-
-    fn from_label(label: &str) -> Result<Self, String> {
-        match label {
-            "4x5" => Ok(LayoutSpec::Noi4x5),
-            "6x5" => Ok(LayoutSpec::Noi6x5),
-            "8x6" => Ok(LayoutSpec::Noi8x6),
-            other => Err(format!("unknown layout {other:?}")),
         }
     }
 }
@@ -93,7 +83,8 @@ impl ObjectiveSpec {
     /// Panics when a [`ObjectiveSpec::TraceLatOp`] trace cannot be
     /// materialized (missing file, router-count mismatch, unknown model) —
     /// the runner treats an unservable candidate as fatal, exactly like an
-    /// unpreparable topology.
+    /// unpreparable topology.  [`ExperimentSpec::check`] rejects unknown
+    /// models before any candidate is resolved.
     pub fn resolve(&self, layout: &Layout) -> Objective {
         match self {
             ObjectiveSpec::LatOp => Objective::LatOp,
@@ -128,69 +119,15 @@ impl ObjectiveSpec {
         }
     }
 
-    fn to_json(&self) -> Json {
+    /// Check every generator model this objective names, including those
+    /// nested in [`ObjectiveSpec::Composite`] parts.
+    fn check_trace_models(&self) -> Result<(), String> {
         match self {
-            ObjectiveSpec::LatOp => Json::Str("lat-op".into()),
-            ObjectiveSpec::SCOp => Json::Str("sc-op".into()),
-            ObjectiveSpec::FaultOp => Json::Str("fault-op".into()),
-            ObjectiveSpec::EnergyOp { edp_weight } => Json::Obj(vec![
-                ("objective".into(), Json::Str("energy-op".into())),
-                ("edp_weight".into(), Json::Num(*edp_weight)),
-            ]),
-            ObjectiveSpec::PatternLatOp { pattern } => Json::Obj(vec![
-                ("objective".into(), Json::Str("pattern-lat-op".into())),
-                ("pattern".into(), pattern_to_json(pattern)),
-            ]),
-            ObjectiveSpec::TraceLatOp { trace } => Json::Obj(vec![
-                ("objective".into(), Json::Str("trace-lat-op".into())),
-                ("trace".into(), trace.to_json()),
-            ]),
-            ObjectiveSpec::Composite { parts } => Json::Obj(vec![
-                ("objective".into(), Json::Str("composite".into())),
-                (
-                    "parts".into(),
-                    Json::Arr(
-                        parts
-                            .iter()
-                            .map(|(w, o)| Json::Arr(vec![Json::Num(*w), o.to_json()]))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        if let Ok(tag) = json.as_str() {
-            return match tag {
-                "lat-op" => Ok(ObjectiveSpec::LatOp),
-                "sc-op" => Ok(ObjectiveSpec::SCOp),
-                "fault-op" => Ok(ObjectiveSpec::FaultOp),
-                other => Err(format!("unknown objective {other:?}")),
-            };
-        }
-        match json.require("objective")?.as_str()? {
-            "energy-op" => Ok(ObjectiveSpec::EnergyOp {
-                edp_weight: json.require("edp_weight")?.as_f64()?,
-            }),
-            "pattern-lat-op" => Ok(ObjectiveSpec::PatternLatOp {
-                pattern: pattern_from_json(json.require("pattern")?)?,
-            }),
-            "trace-lat-op" => Ok(ObjectiveSpec::TraceLatOp {
-                trace: TraceSpec::from_json(json.require("trace")?)?,
-            }),
-            "composite" => {
-                let mut parts = Vec::new();
-                for item in json.require("parts")?.as_arr()? {
-                    let pair = item.as_arr()?;
-                    if pair.len() != 2 {
-                        return Err("composite part must be [weight, objective]".into());
-                    }
-                    parts.push((pair[0].as_f64()?, ObjectiveSpec::from_json(&pair[1])?));
-                }
-                Ok(ObjectiveSpec::Composite { parts })
-            }
-            other => Err(format!("unknown objective {other:?}")),
+            ObjectiveSpec::TraceLatOp { trace } => trace.check_model(),
+            ObjectiveSpec::Composite { parts } => parts
+                .iter()
+                .try_for_each(|(_, part)| part.check_trace_models()),
+            _ => Ok(()),
         }
     }
 }
@@ -241,59 +178,6 @@ impl CandidateSpec {
             objective,
             symmetric: false,
         }
-    }
-
-    fn to_json(&self) -> Json {
-        match self {
-            CandidateSpec::Expert { name, only_class } => {
-                let mut members = vec![("expert".into(), Json::Str(name.clone()))];
-                if let Some(class) = only_class {
-                    members.push(("only_class".into(), Json::Str(class.name())));
-                }
-                Json::Obj(members)
-            }
-            CandidateSpec::ExpertBaselines => Json::Str("expert-baselines".into()),
-            CandidateSpec::Synth {
-                objective,
-                symmetric,
-            } => {
-                let mut members = vec![("synth".into(), objective.to_json())];
-                if *symmetric {
-                    members.push(("symmetric".into(), Json::Bool(true)));
-                }
-                Json::Obj(members)
-            }
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        if let Ok(tag) = json.as_str() {
-            return match tag {
-                "expert-baselines" => Ok(CandidateSpec::ExpertBaselines),
-                other => Err(format!("unknown candidate {other:?}")),
-            };
-        }
-        if let Some(name) = json.get("expert") {
-            let name = name.as_str()?;
-            check_expert_name(name)?;
-            return Ok(CandidateSpec::Expert {
-                name: name.into(),
-                only_class: match json.get("only_class") {
-                    Some(class) => Some(class_from_name(class.as_str()?)?),
-                    None => None,
-                },
-            });
-        }
-        if let Some(objective) = json.get("synth") {
-            return Ok(CandidateSpec::Synth {
-                objective: ObjectiveSpec::from_json(objective)?,
-                symmetric: match json.get("symmetric") {
-                    Some(flag) => flag.as_bool()?,
-                    None => false,
-                },
-            });
-        }
-        Err(format!("unknown candidate {json:?}"))
     }
 }
 
@@ -381,39 +265,6 @@ impl SimProfile {
             },
         }
     }
-
-    fn to_json(self) -> Json {
-        match self {
-            SimProfile::ClassDefault => Json::Str("class-default".into()),
-            SimProfile::Quick => Json::Str("quick".into()),
-            SimProfile::QuickClassClock => Json::Str("quick-class-clock".into()),
-            SimProfile::ClassWithWindows {
-                warmup,
-                measure,
-                drain,
-            } => Json::Obj(vec![
-                ("warmup".into(), Json::Num(warmup as f64)),
-                ("measure".into(), Json::Num(measure as f64)),
-                ("drain".into(), Json::Num(drain as f64)),
-            ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        if let Ok(tag) = json.as_str() {
-            return match tag {
-                "class-default" => Ok(SimProfile::ClassDefault),
-                "quick" => Ok(SimProfile::Quick),
-                "quick-class-clock" => Ok(SimProfile::QuickClassClock),
-                other => Err(format!("unknown sim profile {other:?}")),
-            };
-        }
-        Ok(SimProfile::ClassWithWindows {
-            warmup: json.require("warmup")?.as_u64()?,
-            measure: json.require("measure")?.as_u64()?,
-            drain: json.require("drain")?.as_u64()?,
-        })
-    }
 }
 
 /// Where a trace workload's messages come from.
@@ -485,42 +336,29 @@ impl TraceSpec {
                 horizon,
                 seed,
             } => generate_named(model, routers as u32, *horizon, *seed)
-                .ok_or_else(|| format!("unknown trace model {model:?}"))?,
+                .ok_or_else(|| unknown_trace_model(model))?,
         };
         trace.validate().map_err(|e| format!("trace: {e}"))?;
         Ok(trace)
     }
 
-    fn to_json(&self) -> Json {
+    /// Check that a generator trace names a known model.  A file trace is
+    /// read only when it is resolved.
+    fn check_model(&self) -> Result<(), String> {
         match self {
-            TraceSpec::File { path } => Json::Obj(vec![("file".into(), Json::Str(path.clone()))]),
-            TraceSpec::Generator {
-                model,
-                horizon,
-                seed,
-            } => Json::Obj(vec![
-                ("generator".into(), Json::Str(model.clone())),
-                ("horizon".into(), Json::Num(*horizon as f64)),
-                ("seed".into(), Json::Num(*seed as f64)),
-            ]),
+            TraceSpec::Generator { model, .. } if TraceModel::by_name(model).is_none() => {
+                Err(unknown_trace_model(model))
+            }
+            _ => Ok(()),
         }
     }
+}
 
-    fn from_json(json: &Json) -> Result<Self, String> {
-        if let Some(path) = json.get("file") {
-            return Ok(TraceSpec::File {
-                path: path.as_str()?.into(),
-            });
-        }
-        if let Some(model) = json.get("generator") {
-            return Ok(TraceSpec::Generator {
-                model: model.as_str()?.into(),
-                horizon: json.require("horizon")?.as_u64()?,
-                seed: json.require("seed")?.as_u64()?,
-            });
-        }
-        Err(format!("unknown trace spec {json:?}"))
-    }
+fn unknown_trace_model(model: &str) -> String {
+    format!(
+        "unknown trace model {model:?} (known models: {})",
+        TraceModel::names().join(", ")
+    )
 }
 
 /// A lifetime-serving workload: the knobs `netsmith-serve` needs to play
@@ -542,33 +380,6 @@ pub struct ServingSpec {
     pub seed: u64,
     /// Fault-tape seed.
     pub tape_seed: u64,
-}
-
-impl ServingSpec {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("epochs".into(), Json::Num(self.epochs as f64)),
-            ("period_epochs".into(), Json::Num(self.period_epochs as f64)),
-            ("expected_faults".into(), Json::Num(self.expected_faults)),
-            (
-                "low_load_threshold".into(),
-                Json::Num(self.low_load_threshold),
-            ),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("tape_seed".into(), Json::Num(self.tape_seed as f64)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        Ok(ServingSpec {
-            epochs: json.require("epochs")?.as_u64()?,
-            period_epochs: json.require("period_epochs")?.as_u64()?,
-            expected_faults: json.require("expected_faults")?.as_f64()?,
-            low_load_threshold: json.require("low_load_threshold")?.as_f64()?,
-            seed: json.require("seed")?.as_u64()?,
-            tape_seed: json.require("tape_seed")?.as_u64()?,
-        })
-    }
 }
 
 /// What a workload injects: a synthetic pattern sampled per cycle, a
@@ -674,64 +485,11 @@ impl WorkloadSpec {
         })
     }
 
-    fn to_json(&self) -> Json {
-        let mut members = Vec::new();
-        if let Some(label) = &self.label {
-            members.push(("label".into(), Json::Str(label.clone())));
-        }
-        match &self.source {
-            WorkloadSource::Pattern(pattern) => {
-                members.push(("pattern".into(), pattern_to_json(pattern)));
-            }
-            WorkloadSource::Trace(trace) => {
-                members.push(("trace".into(), trace.to_json()));
-            }
-            WorkloadSource::Serving(spec) => {
-                members.push(("serving".into(), spec.to_json()));
-            }
-        }
-        members.push((
-            "loads".into(),
-            Json::Arr(self.loads.iter().map(|&l| Json::Num(l)).collect()),
-        ));
-        members.push(("sim".into(), self.sim.to_json()));
-        Json::Obj(members)
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        let source = match (json.get("pattern"), json.get("trace"), json.get("serving")) {
-            (Some(pattern), None, None) => WorkloadSource::Pattern(pattern_from_json(pattern)?),
-            (None, Some(trace), None) => WorkloadSource::Trace(TraceSpec::from_json(trace)?),
-            (None, None, Some(spec)) => WorkloadSource::Serving(ServingSpec::from_json(spec)?),
-            _ => {
-                return Err(
-                    "workload needs exactly one of \"pattern\", \"trace\" or \"serving\"".into(),
-                )
-            }
-        };
-        let workload = WorkloadSpec {
-            label: match json.get("label") {
-                Some(label) => Some(label.as_str()?.into()),
-                None => None,
-            },
-            source,
-            loads: json
-                .require("loads")?
-                .as_arr()?
-                .iter()
-                .map(|l| l.as_f64())
-                .collect::<Result<_, _>>()?,
-            sim: SimProfile::from_json(json.require("sim")?)?,
-        };
-        workload.check_loads()?;
-        Ok(workload)
-    }
-
-    /// Reject offered loads no simulation can run: a non-finite or
-    /// negative load (`1e999` parses to infinity), and an empty list on a
-    /// pattern or trace workload.  A serving workload schedules its own
-    /// loads, so its list may be empty.
-    fn check_loads(&self) -> Result<(), String> {
+    /// Reject a workload no simulation can run: a non-finite or negative
+    /// load, an empty load list on a pattern or trace workload, and an
+    /// unknown trace model.  A serving workload schedules its own loads,
+    /// so its list may be empty.
+    fn check(&self) -> Result<(), String> {
         let name = self.name();
         if let Some(load) = self.loads.iter().find(|l| !l.is_finite() || **l < 0.0) {
             return Err(format!(
@@ -740,6 +498,11 @@ impl WorkloadSpec {
         }
         if self.loads.is_empty() && self.serving_spec().is_none() {
             return Err(format!("workload {name:?} has no loads"));
+        }
+        if let Some(trace) = self.trace_spec() {
+            trace
+                .check_model()
+                .map_err(|e| format!("workload {name:?}: {e}"))?;
         }
         Ok(())
     }
@@ -768,97 +531,6 @@ pub enum Assertion {
         column: String,
         filters: Vec<(String, String)>,
     },
-}
-
-impl Assertion {
-    fn to_json(&self) -> Json {
-        match self {
-            Assertion::MinRows { count } => {
-                Json::Obj(vec![("min_rows".into(), Json::Num(*count as f64))])
-            }
-            Assertion::ColumnPositive { column } => {
-                Json::Obj(vec![("column_positive".into(), Json::Str(column.clone()))])
-            }
-            Assertion::ColumnAllTrue { column } => {
-                Json::Obj(vec![("column_all_true".into(), Json::Str(column.clone()))])
-            }
-            Assertion::GroupedLess {
-                keys,
-                pivot,
-                lesser,
-                greater,
-                column,
-                filters,
-            } => Json::Obj(vec![(
-                "grouped_less".into(),
-                Json::Obj(vec![
-                    (
-                        "keys".into(),
-                        Json::Arr(keys.iter().map(|k| Json::Str(k.clone())).collect()),
-                    ),
-                    ("pivot".into(), Json::Str(pivot.clone())),
-                    ("lesser".into(), Json::Str(lesser.clone())),
-                    ("greater".into(), Json::Str(greater.clone())),
-                    ("column".into(), Json::Str(column.clone())),
-                    (
-                        "filters".into(),
-                        Json::Arr(
-                            filters
-                                .iter()
-                                .map(|(c, v)| {
-                                    Json::Arr(vec![Json::Str(c.clone()), Json::Str(v.clone())])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            )]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        if let Some(count) = json.get("min_rows") {
-            return Ok(Assertion::MinRows {
-                count: count.as_usize()?,
-            });
-        }
-        if let Some(column) = json.get("column_positive") {
-            return Ok(Assertion::ColumnPositive {
-                column: column.as_str()?.into(),
-            });
-        }
-        if let Some(column) = json.get("column_all_true") {
-            return Ok(Assertion::ColumnAllTrue {
-                column: column.as_str()?.into(),
-            });
-        }
-        if let Some(body) = json.get("grouped_less") {
-            let strings = |key: &str| -> Result<Vec<String>, String> {
-                body.require(key)?
-                    .as_arr()?
-                    .iter()
-                    .map(|s| s.as_str().map(String::from))
-                    .collect()
-            };
-            let mut filters = Vec::new();
-            for item in body.require("filters")?.as_arr()? {
-                let pair = item.as_arr()?;
-                if pair.len() != 2 {
-                    return Err("filter must be [column, value]".into());
-                }
-                filters.push((pair[0].as_str()?.into(), pair[1].as_str()?.into()));
-            }
-            return Ok(Assertion::GroupedLess {
-                keys: strings("keys")?,
-                pivot: body.require("pivot")?.as_str()?.into(),
-                lesser: body.require("lesser")?.as_str()?.into(),
-                greater: body.require("greater")?.as_str()?.into(),
-                column: body.require("column")?.as_str()?.into(),
-                filters,
-            });
-        }
-        Err(format!("unknown assertion {json:?}"))
-    }
 }
 
 /// A complete experiment matrix: the declarative half of a figure.
@@ -891,25 +563,14 @@ impl ExperimentSpec {
         }
     }
 
-    /// Check that every named expert candidate resolves, so a bad name
-    /// fails before any candidate is discovered.  The error names the
-    /// spec, the candidate's index and the name, and lists the known
-    /// experts.
-    pub fn check_expert_names(&self) -> Result<(), String> {
-        for (i, candidate) in self.candidates.iter().enumerate() {
-            if let CandidateSpec::Expert { name, .. } = candidate {
-                check_expert_name(name)
-                    .map_err(|e| format!("{}: candidate {i}: {e}", self.name))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Check that no axis of the matrix is empty: an empty `layouts`,
-    /// `classes`, `candidates` or `scheme_override` list runs no cell, and
-    /// the run would pass with no rows.  The error names the spec and the
-    /// empty axis.
-    pub fn check_axes(&self) -> Result<(), String> {
+    /// Check that the matrix can run, before any candidate is discovered:
+    /// no axis is empty (an empty `layouts`, `classes`, `candidates` or
+    /// `scheme_override` list runs no cell, and the run would pass with no
+    /// rows), every expert name and trace model resolves, and every
+    /// workload's loads can be simulated.  The error names the spec and the
+    /// empty axis, the candidate's index or the workload; an unknown name's
+    /// error lists the known ones.
+    pub fn check(&self) -> Result<(), String> {
         let axes = [
             ("layouts", self.layouts.is_empty()),
             ("classes", self.classes.is_empty()),
@@ -919,248 +580,29 @@ impl ExperimentSpec {
                 self.scheme_override.as_ref().is_some_and(Vec::is_empty),
             ),
         ];
-        match axes.into_iter().find(|&(_, empty)| empty) {
-            Some((axis, _)) => Err(format!("{}: empty {axis} list runs no cell", self.name)),
-            None => Ok(()),
+        if let Some((axis, _)) = axes.into_iter().find(|&(_, empty)| empty) {
+            return Err(format!("{}: empty {axis} list runs no cell", self.name));
         }
-    }
-
-    /// Encode as a JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut members = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "layouts".into(),
-                Json::Arr(
-                    self.layouts
-                        .iter()
-                        .map(|l| Json::Str(l.label().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "classes".into(),
-                Json::Arr(self.classes.iter().map(|c| Json::Str(c.name())).collect()),
-            ),
-            (
-                "candidates".into(),
-                Json::Arr(self.candidates.iter().map(|c| c.to_json()).collect()),
-            ),
-        ];
-        if let Some(schemes) = &self.scheme_override {
-            members.push((
-                "scheme_override".into(),
-                Json::Arr(
-                    schemes
-                        .iter()
-                        .map(|s| Json::Str(s.label().into()))
-                        .collect(),
-                ),
-            ));
-        }
-        members.push((
-            "workloads".into(),
-            Json::Arr(self.workloads.iter().map(|w| w.to_json()).collect()),
-        ));
-        members.push((
-            "assertions".into(),
-            Json::Arr(self.assertions.iter().map(|a| a.to_json()).collect()),
-        ));
-        Json::Obj(members).to_string()
-    }
-
-    /// Decode a JSON document produced by [`ExperimentSpec::to_json_string`].
-    /// A document with an empty axis fails [`ExperimentSpec::check_axes`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let json = Json::parse(text)?;
-        let mut layouts = Vec::new();
-        for l in json.require("layouts")?.as_arr()? {
-            layouts.push(LayoutSpec::from_label(l.as_str()?)?);
-        }
-        let mut classes = Vec::new();
-        for c in json.require("classes")?.as_arr()? {
-            classes.push(class_from_name(c.as_str()?)?);
-        }
-        let mut candidates = Vec::new();
-        for (i, c) in json.require("candidates")?.as_arr()?.iter().enumerate() {
-            candidates
-                .push(CandidateSpec::from_json(c).map_err(|e| format!("candidate {i}: {e}"))?);
-        }
-        let scheme_override = match json.get("scheme_override") {
-            None => None,
-            Some(schemes) => {
-                let mut out = Vec::new();
-                for s in schemes.as_arr()? {
-                    out.push(match s.as_str()? {
-                        "MCLB" => RoutingScheme::Mclb,
-                        "NDBT" => RoutingScheme::Ndbt,
-                        other => return Err(format!("unknown scheme {other:?}")),
-                    });
-                }
-                Some(out)
+        for (i, candidate) in self.candidates.iter().enumerate() {
+            match candidate {
+                CandidateSpec::Expert { name, .. } => check_expert_name(name),
+                CandidateSpec::Synth { objective, .. } => objective.check_trace_models(),
+                CandidateSpec::ExpertBaselines => Ok(()),
             }
-        };
-        let mut workloads = Vec::new();
-        for w in json.require("workloads")?.as_arr()? {
-            workloads.push(WorkloadSpec::from_json(w)?);
+            .map_err(|e| format!("{}: candidate {i}: {e}", self.name))?;
         }
-        let mut assertions = Vec::new();
-        for a in json.require("assertions")?.as_arr()? {
-            assertions.push(Assertion::from_json(a)?);
+        for workload in &self.workloads {
+            workload
+                .check()
+                .map_err(|e| format!("{}: {e}", self.name))?;
         }
-        let spec = ExperimentSpec {
-            name: json.require("name")?.as_str()?.into(),
-            layouts,
-            classes,
-            candidates,
-            scheme_override,
-            workloads,
-            assertions,
-        };
-        spec.check_axes()?;
-        Ok(spec)
+        Ok(())
     }
-}
-
-fn class_from_name(name: &str) -> Result<LinkClass, String> {
-    match name {
-        "small" => Ok(LinkClass::Small),
-        "medium" => Ok(LinkClass::Medium),
-        "large" => Ok(LinkClass::Large),
-        other => Err(format!("unknown link class {other:?}")),
-    }
-}
-
-fn pattern_to_json(pattern: &TrafficPattern) -> Json {
-    match pattern {
-        TrafficPattern::UniformRandom => Json::Str("uniform_random".into()),
-        TrafficPattern::Shuffle => Json::Str("shuffle".into()),
-        TrafficPattern::Transpose => Json::Str("transpose".into()),
-        TrafficPattern::Memory => Json::Str("memory".into()),
-        TrafficPattern::Coherence => Json::Str("coherence".into()),
-        TrafficPattern::BitComplement => Json::Str("bit_complement".into()),
-        TrafficPattern::Tornado => Json::Str("tornado".into()),
-        TrafficPattern::Hotspot { targets, fraction } => Json::Obj(vec![
-            (
-                "hotspot".into(),
-                Json::Arr(targets.iter().map(|&t| Json::Num(t as f64)).collect()),
-            ),
-            ("fraction".into(), Json::Num(*fraction)),
-        ]),
-    }
-}
-
-fn pattern_from_json(json: &Json) -> Result<TrafficPattern, String> {
-    if let Ok(tag) = json.as_str() {
-        return match tag {
-            "uniform_random" => Ok(TrafficPattern::UniformRandom),
-            "shuffle" => Ok(TrafficPattern::Shuffle),
-            "transpose" => Ok(TrafficPattern::Transpose),
-            "memory" => Ok(TrafficPattern::Memory),
-            "coherence" => Ok(TrafficPattern::Coherence),
-            "bit_complement" => Ok(TrafficPattern::BitComplement),
-            "tornado" => Ok(TrafficPattern::Tornado),
-            other => Err(format!("unknown traffic pattern {other:?}")),
-        };
-    }
-    Ok(TrafficPattern::Hotspot {
-        targets: json
-            .require("hotspot")?
-            .as_arr()?
-            .iter()
-            .map(|t| t.as_usize())
-            .collect::<Result<_, _>>()?,
-        fraction: json.require("fraction")?.as_f64()?,
-    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-
-    fn sample_spec() -> ExperimentSpec {
-        ExperimentSpec {
-            name: "fig_test".into(),
-            layouts: vec![LayoutSpec::Noi4x5, LayoutSpec::Noi8x6],
-            classes: vec![LinkClass::Medium, LinkClass::Large],
-            candidates: vec![
-                CandidateSpec::ExpertBaselines,
-                CandidateSpec::expert_in("mesh", LinkClass::Small),
-                CandidateSpec::synth(ObjectiveSpec::LatOp),
-                CandidateSpec::Synth {
-                    objective: ObjectiveSpec::Composite {
-                        parts: vec![
-                            (1.0, ObjectiveSpec::LatOp),
-                            (0.25, ObjectiveSpec::EnergyOp { edp_weight: 5.0 }),
-                        ],
-                    },
-                    symmetric: true,
-                },
-                CandidateSpec::synth(ObjectiveSpec::PatternLatOp {
-                    pattern: TrafficPattern::Shuffle,
-                }),
-                CandidateSpec::synth(ObjectiveSpec::TraceLatOp {
-                    trace: TraceSpec::generator("onoff-hotspot", 4_096, 11),
-                }),
-            ],
-            scheme_override: Some(vec![RoutingScheme::Ndbt, RoutingScheme::Mclb]),
-            workloads: vec![
-                WorkloadSpec::new(
-                    TrafficPattern::UniformRandom,
-                    vec![0.05, 0.3],
-                    SimProfile::QuickClassClock,
-                )
-                .labeled("coherence"),
-                WorkloadSpec::new(
-                    TrafficPattern::Hotspot {
-                        targets: vec![2, 17],
-                        fraction: 0.6,
-                    },
-                    vec![0.02],
-                    SimProfile::ClassWithWindows {
-                        warmup: 500,
-                        measure: 3_000,
-                        drain: 1_500,
-                    },
-                ),
-                WorkloadSpec::trace(
-                    TraceSpec::generator("pointer-chase", 2_048, 7),
-                    vec![0.05, 0.1],
-                    SimProfile::Quick,
-                ),
-                WorkloadSpec::trace(
-                    TraceSpec::File {
-                        path: "traces/parsec_x264.nstr".into(),
-                    },
-                    vec![0.08],
-                    SimProfile::QuickClassClock,
-                )
-                .labeled("x264"),
-            ],
-            assertions: vec![
-                Assertion::MinRows { count: 4 },
-                Assertion::ColumnPositive {
-                    column: "latency_ns".into(),
-                },
-                Assertion::GroupedLess {
-                    keys: vec!["class".into(), "topology".into()],
-                    pivot: "policy".into(),
-                    lesser: "link_sleep".into(),
-                    greater: "always_on".into(),
-                    column: "total_mw".into(),
-                    filters: vec![("load".into(), "0.02".into())],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let spec = sample_spec();
-        let text = spec.to_json_string();
-        let back = ExperimentSpec::from_json_str(&text).unwrap();
-        assert_eq!(back, spec);
-    }
 
     #[test]
     fn composite_objective_folds_shared_terms() {
@@ -1252,80 +694,6 @@ pub(crate) mod tests {
         assert_eq!(file.name(), "trace:parsec_x264");
     }
 
-    /// Decode `workload` after replacing its JSON `loads` array with
-    /// `loads`.
-    fn decode_with_loads(workload: &WorkloadSpec, loads: &str) -> Result<WorkloadSpec, String> {
-        let text = workload.to_json().to_string();
-        let start = text.find("\"loads\":[").expect("loads member") + "\"loads\":".len();
-        let end = start + text[start..].find(']').expect("loads array end") + 1;
-        let text = format!("{}{loads}{}", &text[..start], &text[end..]);
-        WorkloadSpec::from_json(&Json::parse(&text)?)
-    }
-
-    fn pattern_workload() -> WorkloadSpec {
-        WorkloadSpec::new(TrafficPattern::Shuffle, vec![0.1], SimProfile::Quick).labeled("hot")
-    }
-
-    #[test]
-    fn workload_decoding_keeps_valid_loads() {
-        let workload = pattern_workload();
-        assert_eq!(decode_with_loads(&workload, "[0.1]"), Ok(workload.clone()));
-        assert_eq!(
-            decode_with_loads(&workload, "[0, 0.5]").unwrap().loads,
-            vec![0.0, 0.5]
-        );
-    }
-
-    #[test]
-    fn workload_decoding_rejects_a_non_finite_load() {
-        let err = decode_with_loads(&pattern_workload(), "[0.1, 1e999]").unwrap_err();
-        assert!(err.contains("\"hot\"") && err.contains("inf"), "{err}");
-        let err = decode_with_loads(&pattern_workload(), "[-1e999]").unwrap_err();
-        assert!(err.contains("\"hot\"") && err.contains("-inf"), "{err}");
-    }
-
-    #[test]
-    fn workload_decoding_rejects_a_negative_load() {
-        let err = decode_with_loads(&pattern_workload(), "[0.1, -0.05]").unwrap_err();
-        assert!(err.contains("\"hot\"") && err.contains("-0.05"), "{err}");
-    }
-
-    #[test]
-    fn workload_decoding_rejects_an_empty_pattern_load_list() {
-        let err = decode_with_loads(&pattern_workload(), "[]").unwrap_err();
-        assert!(err.contains("\"hot\" has no loads"), "{err}");
-    }
-
-    #[test]
-    fn workload_decoding_rejects_an_empty_trace_load_list() {
-        let trace = WorkloadSpec::trace(
-            TraceSpec::generator("pointer-chase", 1_024, 3),
-            vec![0.1],
-            SimProfile::Quick,
-        );
-        let err = decode_with_loads(&trace, "[]").unwrap_err();
-        assert!(
-            err.contains("\"trace:pointer-chase\" has no loads"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn serving_workloads_decode_without_loads() {
-        let serving = WorkloadSpec::serving(
-            ServingSpec {
-                epochs: 32,
-                period_epochs: 16,
-                expected_faults: 1.0,
-                low_load_threshold: 0.12,
-                seed: 5,
-                tape_seed: 6,
-            },
-            SimProfile::Quick,
-        );
-        assert_eq!(decode_with_loads(&serving, "[]"), Ok(serving));
-    }
-
     #[test]
     #[should_panic(expected = "trace-driven")]
     fn pattern_accessor_rejects_trace_workloads() {
@@ -1362,17 +730,6 @@ pub(crate) mod tests {
         assert!(err.contains(KNOWN_EXPERTS), "{err}");
     }
 
-    #[test]
-    fn unknown_expert_names_fail_to_decode() {
-        let mut spec = ExperimentSpec::new("bad_expert");
-        spec.candidates = vec![
-            CandidateSpec::synth(ObjectiveSpec::LatOp),
-            CandidateSpec::expert("hypercube"),
-        ];
-        let err = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap_err();
-        assert!(err.contains("\"hypercube\""), "{err}");
-        assert!(err.contains(KNOWN_EXPERTS), "{err}");
-    }
     /// A LatOp spec with each axis emptied in turn, named after the axis.
     pub(crate) fn specs_with_an_empty_axis() -> Vec<(&'static str, ExperimentSpec)> {
         let full = || {
@@ -1394,17 +751,5 @@ pub(crate) mod tests {
             ("candidates", candidates),
             ("scheme_override", schemes),
         ]
-    }
-
-    #[test]
-    fn empty_axes_fail_to_decode() {
-        let mut spec = ExperimentSpec::new("full");
-        spec.candidates = vec![CandidateSpec::synth(ObjectiveSpec::LatOp)];
-        ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
-        for (axis, spec) in specs_with_an_empty_axis() {
-            let err = ExperimentSpec::from_json_str(&spec.to_json_string())
-                .expect_err(&format!("an empty {axis} list must not decode"));
-            assert!(err.contains(&format!("empty_axis: empty {axis} ")), "{err}");
-        }
     }
 }

@@ -1,18 +1,18 @@
 //! A minimal JSON tree, printer and parser.
 //!
 //! The workspace has no serialization framework dependency, so it carries
-//! its own small text codec.  It lives in the base crate so both the experiment API
-//! (`netsmith-exp`, which re-exports it) and the trace format
-//! (`netsmith-trace`) can share one tree.  [`Json`] covers the
-//! full JSON data model; numbers are `f64` (integers round-trip exactly up
-//! to 2^53, far beyond anything a spec stores) and are printed with Rust's
+//! its own small text codec.  It lives in the base crate so the experiment
+//! API's JSON Lines rows (`netsmith-exp`) and the trace format
+//! (`netsmith-trace`) share one tree.  [`Json`] covers the full JSON data
+//! model; numbers are `f64` (integers round-trip exactly up to 2^53, far
+//! beyond anything a trace header stores) and are printed with Rust's
 //! shortest-round-trip formatting so `parse(print(x)) == x` bit-for-bit.
 
 use std::fmt;
 
 /// Deepest array/object nesting [`Json::parse`] accepts.  The parser
-/// recurses once per level, so the bound keeps hostile input (a spec or
-/// trace header of 100 000 `[`) from overflowing the stack.
+/// recurses once per level, so the bound keeps hostile input (a trace
+/// header of 100 000 `[`) from overflowing the stack.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -24,7 +24,7 @@ pub enum Json {
     Str(String),
     Arr(Vec<Json>),
     /// Object as an ordered key/value list (insertion order is preserved,
-    /// which keeps printed specs diffable).
+    /// which keeps printed documents diffable).
     Obj(Vec<(String, Json)>),
 }
 
@@ -55,17 +55,6 @@ impl Json {
             Ok(n as u64)
         } else {
             Err(format!("expected unsigned integer, got {n}"))
-        }
-    }
-
-    pub fn as_usize(&self) -> Result<usize, String> {
-        Ok(self.as_u64()? as usize)
-    }
-
-    pub fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, got {other:?}")),
         }
     }
 
@@ -107,7 +96,7 @@ impl fmt::Display for Json {
                     // `{}` on f64 is the shortest string that round-trips.
                     write!(f, "{n}")
                 } else {
-                    // JSON has no Inf/NaN; specs never store them, but keep
+                    // JSON has no Inf/NaN; rows never emit them, but keep
                     // the printer total.
                     write!(f, "null")
                 }
