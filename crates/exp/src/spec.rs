@@ -270,8 +270,8 @@ impl SimProfile {
 /// Where a trace workload's messages come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceSpec {
-    /// A trace file on disk: the `netsmith-trace` binary format, or the
-    /// JSON encoding when the path ends in `.json`.
+    /// A trace file on disk in the `netsmith-trace` JSON format, whatever
+    /// the file's extension.
     File { path: String },
     /// A named generator model ([`netsmith_trace::TraceModel::by_name`]),
     /// materialized for the cell's router count at resolution time so one
@@ -313,16 +313,10 @@ impl TraceSpec {
     pub fn resolve(&self, routers: usize) -> Result<Trace, String> {
         let trace = match self {
             TraceSpec::File { path } => {
-                let bytes = std::fs::read(path).map_err(|e| format!("trace file {path:?}: {e}"))?;
-                let trace = if path.ends_with(".json") {
-                    Trace::from_json_str(
-                        std::str::from_utf8(&bytes)
-                            .map_err(|e| format!("trace file {path:?}: {e}"))?,
-                    )
-                } else {
-                    Trace::read_binary(&mut bytes.as_slice())
-                }
-                .map_err(|e| format!("trace file {path:?}: {e}"))?;
+                let trace = std::fs::read_to_string(path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| Trace::from_json_str(&text).map_err(|e| e.to_string()))
+                    .map_err(|e| format!("trace file {path:?}: {e}"))?;
                 if trace.header.routers as usize != routers {
                     return Err(format!(
                         "trace file {path:?} has {} routers, cell needs {routers}",
@@ -664,7 +658,7 @@ pub(crate) mod tests {
             .unwrap_err()
             .contains("unknown trace model"));
         assert!(TraceSpec::File {
-            path: "/nonexistent/trace.nstr".into()
+            path: "/nonexistent/trace.json".into()
         }
         .resolve(20)
         .unwrap_err()
@@ -686,7 +680,7 @@ pub(crate) mod tests {
         assert!(trace.trace_spec().is_some());
         let file = WorkloadSpec::trace(
             TraceSpec::File {
-                path: "traces/parsec_x264.nstr".into(),
+                path: "traces/parsec_x264.json".into(),
             },
             vec![0.1],
             SimProfile::Quick,

@@ -61,16 +61,6 @@ impl NetSmith {
         }
     }
 
-    /// Use an explicit problem definition (constraints included).
-    pub fn from_problem(problem: GenerationProblem) -> Self {
-        NetSmith {
-            problem,
-            config: AnnealConfig::default(),
-            workers: 4,
-            obs: Obs::noop(),
-        }
-    }
-
     /// Record annealer spans and move counters on an instrumentation
     /// handle (see [`netsmith_obs`]).  Every worker reports to the same
     /// recorder, so counter totals aggregate across the multi-start

@@ -94,5 +94,5 @@ pub mod prelude {
     pub use netsmith_topo::Layout;
     pub use netsmith_topo::PipelineError;
     pub use netsmith_topo::{expert, LinkClass};
-    pub use netsmith_trace::{Trace, TraceCursor, TraceStats};
+    pub use netsmith_trace::{Trace, TraceStats};
 }

@@ -48,13 +48,6 @@ impl Obs {
         }
     }
 
-    /// Record into an already-shared recorder.
-    pub fn from_arc(recorder: Arc<dyn Recorder>) -> Self {
-        Obs {
-            recorder: Some(recorder),
-        }
-    }
-
     /// Whether a recorder is attached.
     pub fn enabled(&self) -> bool {
         self.recorder.is_some()

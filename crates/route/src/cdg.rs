@@ -16,7 +16,6 @@
 //! rebuilding and re-searching it for every placement.
 
 use crate::paths::path_links;
-use crate::table::RoutingTable;
 use netsmith_topo::RouterId;
 use std::collections::HashMap;
 
@@ -63,11 +62,6 @@ impl ChannelDependencyGraph {
             cdg.add_path(p);
         }
         cdg
-    }
-
-    /// Build the CDG of a complete routing table.
-    pub fn from_table(table: &RoutingTable) -> Self {
-        Self::from_paths(table.flows().map(|(_, p)| p))
     }
 
     /// Add the dependencies induced by one path.

@@ -4,9 +4,9 @@
 //! VC allocation into dense arrays once per `(topology, table, vcs)` and
 //! then drives a sequential hot loop built around three levers:
 //!
-//! * **Batched injection sampling** — Bernoulli traffic comes from
-//!   per-source next-injection schedules ([`InjectionSchedule`]):
-//!   geometric inter-arrival gaps are skip-sampled once per *arrival*
+//! * **Batched injection sampling** — traffic comes from the per-source
+//!   arrival schedule ([`InjectionSchedule`]): Bernoulli geometric
+//!   inter-arrival gaps are skip-sampled once per *arrival*
 //!   instead of one coin per source per cycle, so an idle cycle draws
 //!   zero RNG.  Because the injection stream (like trace replay) is then
 //!   a pure function of `(seed, load)` — independent of which cycles the
@@ -21,9 +21,9 @@
 //!   injection calendar.  Only headless sources are on the calendar, so
 //!   an idle jump lands on arrivals that make a head.  Arrivals are
 //!   counted by due cycle when drawn, and the arrivals still unread when
-//!   the loop ends are drawn and counted then.  Each source's stream is
-//!   drawn in the reference loop's order, and trace replay reads
-//!   per-source trace cursors the same way (`TraceSchedule`).
+//!   the loop ends are drawn and counted then.  Each source's stream,
+//!   Bernoulli or trace replay, is drawn from the one schedule in the
+//!   reference loop's order.
 //! * **Vectorized candidate scan** — each output link keeps its
 //!   candidates as two parallel slabs: a packed `(created << 20) | slot`
 //!   tie-break key and a `ready_at` cycle.  Arbitration is a branchless
@@ -44,7 +44,7 @@
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
 use crate::config::{PacketClass, SimConfig};
-use crate::inject::{InjectionEvent, InjectionSchedule, TraceSchedule};
+use crate::inject::InjectionSchedule;
 use crate::network::{EpochSample, EpochSeries, NetworkSim, SimReport};
 use crate::stats::LatencyStats;
 use netsmith_route::{Flow, RoutingTable, VcAllocation};
@@ -631,7 +631,7 @@ impl St<'_> {
     /// scan.
     fn next_head(
         &mut self,
-        inj: &mut Injection<'_>,
+        inj: &mut InjectionSchedule<'_>,
         src: usize,
         cycle: u64,
         k: &Knobs<'_, '_>,
@@ -644,7 +644,7 @@ impl St<'_> {
                 inj.rearm(src);
                 return;
             }
-            let Some(ev) = inj.draw(src, k) else {
+            let Some(ev) = inj.draw(src, &k.sim.pattern, &k.layout, &k.sim.alive) else {
                 continue;
             };
             counters.count_injected(due, ev.flits, k, probe);
@@ -853,70 +853,11 @@ impl St<'_> {
     }
 }
 
-/// Where a run's packets come from: each source's arrival stream, read
-/// one arrival at a time behind a calendar of the sources waiting on
-/// their next arrival.  Neither draws per-cycle RNG, so a commit-free
-/// cycle can always be jumped.
-enum Injection<'t> {
-    /// Trace replay: each source's messages at the load-stretched trace
-    /// schedule.
-    Trace(TraceSchedule<'t>),
-    /// Synthetic Bernoulli traffic from the batched injection schedule.
-    Schedule(InjectionSchedule),
-}
-
-impl Injection<'_> {
-    /// See [`InjectionSchedule::next_due`].
-    #[inline]
-    fn next_due(&self) -> Option<u64> {
-        match self {
-            Injection::Trace(t) => t.next_due(),
-            Injection::Schedule(s) => s.next_due(),
-        }
-    }
-
-    /// See [`InjectionSchedule::pop_due_source`].
-    #[inline]
-    fn pop_due_source(&mut self, cycle: u64) -> Option<usize> {
-        match self {
-            Injection::Trace(t) => t.pop_due_source(cycle),
-            Injection::Schedule(s) => s.pop_due_source(cycle),
-        }
-    }
-
-    /// See [`InjectionSchedule::due`].
-    #[inline]
-    fn due(&self, src: usize) -> u64 {
-        match self {
-            Injection::Trace(t) => t.due(src),
-            Injection::Schedule(s) => s.due(src),
-        }
-    }
-
-    /// See [`InjectionSchedule::draw`].
-    #[inline]
-    fn draw(&mut self, src: usize, k: &Knobs<'_, '_>) -> Option<InjectionEvent> {
-        match self {
-            Injection::Trace(t) => t.draw(src, &k.sim.alive),
-            Injection::Schedule(s) => s.draw(src, &k.sim.pattern, &k.layout, &k.sim.alive),
-        }
-    }
-
-    /// See [`InjectionSchedule::rearm`].
-    #[inline]
-    fn rearm(&mut self, src: usize) {
-        match self {
-            Injection::Trace(t) => t.rearm(src),
-            Injection::Schedule(s) => s.rearm(src),
-        }
-    }
-}
-
 /// The cycle loop.
 fn run_cycles(
     st: &mut St<'_>,
     k: &Knobs<'_, '_>,
-    mut inj: Injection<'_>,
+    mut inj: InjectionSchedule<'_>,
     counters: &mut Counters,
     probe: &mut EpochProbe,
 ) {
@@ -1031,7 +972,7 @@ fn run_cycles(
             if due == u64::MAX {
                 break;
             }
-            if let Some(ev) = inj.draw(src, k) {
+            if let Some(ev) = inj.draw(src, &k.sim.pattern, &k.layout, &k.sim.alive) {
                 counters.count_injected(due, ev.flits, k, probe);
             }
         }
@@ -1051,21 +992,9 @@ pub(crate) fn run_flat(
     let num_vcs = net.num_vcs;
     let l = net.links.len();
     let layout = sim.topo.layout().clone();
-    // Per-source trace cursors or the batched injection schedule; each
+    // The per-source arrival schedule, trace replay or Bernoulli: each
     // source's arrivals are the reference loop's, read one at a time.
-    let injection = match sim.trace.as_deref() {
-        Some(t) => Injection::Trace(TraceSchedule::for_run(
-            cfg,
-            t,
-            offered_flits_per_node_cycle,
-            &sim.alive,
-        )),
-        None => Injection::Schedule(InjectionSchedule::for_run(
-            cfg,
-            offered_flits_per_node_cycle,
-            &sim.alive,
-        )),
-    };
+    let injection = sim.schedule(offered_flits_per_node_cycle);
 
     // Wake-ups past the ring horizon are clamped inward — an early wake is
     // harmless (the visit just re-parks), a missed one would not be.

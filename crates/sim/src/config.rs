@@ -1,8 +1,8 @@
 //! Simulator configuration.
 //!
-//! Synthetic traffic is always drawn from the batched injection schedule
-//! ([`crate::inject`]) and trace replay from the trace cursor; every run
-//! executes on the one sequential compiled engine.
+//! Synthetic traffic and trace replay both come from the one per-source
+//! arrival schedule ([`crate::inject`]); every run executes on the one
+//! sequential compiled engine.
 
 use netsmith_topo::LinkClass;
 

@@ -1,5 +1,7 @@
-//! Batched injection: per-source arrival streams behind a calendar of
-//! the sources waiting on their next arrival.
+//! The one per-source arrival schedule: each source's arrival stream,
+//! Bernoulli or trace replay, behind a calendar of the sources waiting on
+//! their next arrival.  Both simulation engines read it for both kinds of
+//! traffic.
 //!
 //! A per-cycle Bernoulli generator draws one coin per alive source per
 //! cycle — `n` RNG draws per simulated cycle whether or not anything
@@ -28,23 +30,27 @@
 //! due draws **zero** RNG, and [`InjectionSchedule::next_due`] tells the
 //! compiled engine how far it may jump over provably idle cycles.
 //!
+//! Trace replay ([`InjectionSchedule::for_trace`]) swaps the RNG streams
+//! for per-source trace cursors ([`SourceCursors`]): a source's next
+//! arrival is its next message at the load-stretched trace schedule, and
+//! several may come due at one cycle.
+//!
 //! A source's arrivals are read one at a time through three steps:
 //! [`InjectionSchedule::pop_due_source`] takes a source whose next
 //! arrival is due off the calendar without drawing,
-//! [`InjectionSchedule::draw`] draws that arrival and the gap to the next
-//! one, and [`InjectionSchedule::rearm`] puts the source back on the
-//! calendar.  [`InjectionSchedule::pop_due`] is their composition, which
-//! the reference engine drains every cycle.  The compiled engine keeps
-//! one head packet per source instead of a queue: it takes a source off
-//! the calendar when its head leaves and draws the next arrival then, so
-//! a backlogged source is nowhere on the calendar and its backlog is the
-//! unread rest of its stream.  Each source's stream is drawn in the same
-//! order either way, so runs are bit-identical between the engines — the
-//! `compiled_equivalence` tests assert exactly that.  The compiled engine
-//! reads trace replay through the same calendar and steps
-//! (`TraceSchedule`).
+//! [`InjectionSchedule::draw`] draws that arrival and advances the source
+//! to the next one, and [`InjectionSchedule::rearm`] puts the source back
+//! on the calendar.  [`InjectionSchedule::pop_due`] is their composition,
+//! which the reference engine drains every cycle.  The compiled engine
+//! keeps one head packet per source instead of a queue: it takes a source
+//! off the calendar when its head leaves and draws the next arrival then,
+//! so a backlogged source is nowhere on the calendar and its backlog is
+//! the unread rest of its stream.  Each source's stream is drawn in the
+//! same order either way, so runs are bit-identical between the engines —
+//! the `compiled_equivalence` tests assert exactly that.
 //!
 //! [`point_seed`]: crate::point_seed
+//! [`SourceCursors`]: netsmith_trace::SourceCursors
 
 use crate::config::{PacketClass, SimConfig};
 use crate::network::{point_seed, splitmix64};
@@ -126,7 +132,9 @@ impl SourceCalendar {
             cur_bits: 0,
         };
         for src in 0..cal.due.len() {
-            cal.arm(src);
+            if cal.due[src] != u64::MAX {
+                cal.park(src, cal.due[src].min(cal.cal_mask));
+            }
         }
         // Stage bucket 0's first word so the drain cursor invariant
         // (`cur_bits` holds word `cur_w` of bucket `pos`) holds.
@@ -149,24 +157,36 @@ impl SourceCalendar {
         self.due[src] = if due < self.horizon { due } else { u64::MAX };
     }
 
+    /// Set `src`'s bit in the ring bucket of cycle `t`.
+    #[inline]
+    fn park(&mut self, src: usize, t: u64) {
+        let idx = (t & self.cal_mask) as usize * self.words + src / 64;
+        self.cal[idx] |= 1u64 << (src % 64);
+    }
+
     /// Put `src` back on the calendar at its due cycle, parked at the
     /// ring's far edge when that is further (no-op once retired).  The due
-    /// cycle must lie past the drain cursor: an entry in a bucket already
-    /// drained would wait a whole lap.
+    /// cycle must lie past the drain cursor, unless `src` was just taken
+    /// off the bucket being drained (a trace source with several messages
+    /// due at one cycle): it then goes back into the drain cursor's word
+    /// and pops next.
     #[inline]
     pub(crate) fn arm(&mut self, src: usize) {
         let due = self.due[src];
         if due == u64::MAX {
             return;
         }
-        debug_assert!(
-            due > self.pos || (self.pos == 0 && self.cur_w == 0 && self.cur_bits == 0),
-            "source {src} armed at {due}, at or behind the drain cursor {}",
-            self.pos
-        );
-        let t = due.min(self.pos + self.cal_mask);
-        let idx = (t & self.cal_mask) as usize * self.words + src / 64;
-        self.cal[idx] |= 1u64 << (src % 64);
+        if due <= self.pos {
+            debug_assert_eq!(
+                src / 64,
+                self.cur_w,
+                "source {src} armed at {due}, at or behind the drain cursor {}",
+                self.pos
+            );
+            self.cur_bits |= 1u64 << (src % 64);
+        } else {
+            self.park(src, due.min(self.pos + self.cal_mask));
+        }
     }
 
     /// A lower bound on the earliest armed due cycle, if any — always
@@ -337,32 +357,46 @@ impl GapSampler {
     }
 }
 
-/// Precomputed per-source Bernoulli injection schedule over a measurement
-/// horizon.  See the [module docs](self) for the sampling construction and
-/// the per-source steps.
+/// The per-source arrival schedule over a measurement horizon: the
+/// calendar of sources waiting on their next arrival plus each source's
+/// arrival stream, Bernoulli or trace replay.  See the [module
+/// docs](self) for the sampling construction and the per-source steps.
 #[derive(Debug, Clone)]
-pub struct InjectionSchedule {
-    /// One independent stream per router (dead routers keep a never-used
-    /// stream so the vector stays indexable by source id).
-    streams: Vec<SmallRng>,
+pub struct InjectionSchedule<'t> {
     cal: SourceCalendar,
-    gaps: GapSampler,
-    /// Exact-integer class coin threshold: `ceil(data_fraction * 2^53)`.
-    data_thr: u64,
-    data_flits: u32,
-    ctrl_flits: u32,
+    streams: Streams<'t>,
 }
 
-impl InjectionSchedule {
-    /// Build the schedule both engines share for one run: seed material
-    /// from `point_seed(cfg.seed, offered)`, per-cycle probability
-    /// `offered / average_flits` (clamped to `[0, 1]`), horizon at the end
-    /// of the measurement window.
+/// Where each source's arrivals come from.
+#[derive(Debug, Clone)]
+enum Streams<'t> {
+    /// Synthetic traffic: one independent RNG stream per router (dead
+    /// routers keep a never-used stream so the vector stays indexable by
+    /// source id), the geometric gap sampler and the class coin.
+    Bernoulli {
+        rngs: Vec<SmallRng>,
+        gaps: GapSampler,
+        /// Exact-integer class coin threshold: `ceil(data_fraction *
+        /// 2^53)`.
+        data_thr: u64,
+        data_flits: u32,
+        ctrl_flits: u32,
+    },
+    /// Trace replay: each source's messages at the load-stretched trace
+    /// schedule.
+    Trace(SourceCursors<'t>),
+}
+
+impl InjectionSchedule<'static> {
+    /// The Bernoulli schedule both engines share for one run: seed
+    /// material from `point_seed(cfg.seed, offered)`, per-cycle
+    /// probability `offered / average_flits` (clamped to `[0, 1]`),
+    /// horizon at the end of the measurement window.
     pub fn for_run(cfg: &SimConfig, offered_flits_per_node_cycle: f64, alive: &[bool]) -> Self {
         let base = point_seed(cfg.seed, offered_flits_per_node_cycle);
         let p = (offered_flits_per_node_cycle / cfg.average_flits()).clamp(0.0, 1.0);
         let gaps = GapSampler::new(p);
-        let mut streams: Vec<SmallRng> = (0..alive.len())
+        let mut rngs: Vec<SmallRng> = (0..alive.len())
             .map(|src| SmallRng::seed_from_u64(splitmix64(base ^ splitmix64(src as u64))))
             .collect();
         // The first gap counts from "one cycle before the run", so a gap
@@ -370,7 +404,7 @@ impl InjectionSchedule {
         // very first cycle.
         let first = alive
             .iter()
-            .zip(streams.iter_mut())
+            .zip(rngs.iter_mut())
             .map(|(&alive, rng)| {
                 if alive && p > 0.0 {
                     gaps.gap(rng) - 1
@@ -380,12 +414,39 @@ impl InjectionSchedule {
             })
             .collect();
         InjectionSchedule {
-            streams,
             cal: SourceCalendar::new(first, cfg.warmup_cycles + cfg.measure_cycles),
-            gaps,
-            data_thr: (cfg.data_fraction * F53).ceil() as u64,
-            data_flits: cfg.flits(PacketClass::Data) as u32,
-            ctrl_flits: cfg.flits(PacketClass::Control) as u32,
+            streams: Streams::Bernoulli {
+                rngs,
+                gaps,
+                data_thr: (cfg.data_fraction * F53).ceil() as u64,
+                data_flits: cfg.flits(PacketClass::Data) as u32,
+                ctrl_flits: cfg.flits(PacketClass::Control) as u32,
+            },
+        }
+    }
+}
+
+impl<'t> InjectionSchedule<'t> {
+    /// The schedule replaying `trace` at `offered` flits per node per
+    /// cycle (see [`SourceCursors`]), horizon at the end of the
+    /// measurement window.  A failed source never arms: its messages are
+    /// all dropped.
+    pub fn for_trace(
+        cfg: &SimConfig,
+        trace: &'t Trace,
+        offered_flits_per_node_cycle: f64,
+        alive: &[bool],
+    ) -> Self {
+        let cursors = SourceCursors::new(trace, offered_flits_per_node_cycle);
+        let first = (0..alive.len())
+            .map(|src| match alive[src] {
+                true => cursors.next_due(src).unwrap_or(u64::MAX),
+                false => u64::MAX,
+            })
+            .collect();
+        InjectionSchedule {
+            cal: SourceCalendar::new(first, cfg.warmup_cycles + cfg.measure_cycles),
+            streams: Streams::Trace(cursors),
         }
     }
 
@@ -412,12 +473,13 @@ impl InjectionSchedule {
         self.cal.due(src)
     }
 
-    /// Draw `src`'s next arrival — its destination, then its class coin,
-    /// then the gap to the arrival after it — and advance the source's due
-    /// cycle by that gap.  An arrival whose destination is unroutable
-    /// (`sample_destination` returns `None`) or dead is consumed and
-    /// yields `None`; the source still advances.  The source stays off the
-    /// calendar until [`InjectionSchedule::rearm`].
+    /// Draw `src`'s next arrival and advance the source's due cycle to
+    /// the arrival after it.  A Bernoulli source draws its destination,
+    /// then its class coin, then the gap to its next arrival; a trace
+    /// source takes its next message.  An arrival whose destination is
+    /// unroutable (`sample_destination` returns `None`) or dead is
+    /// consumed and yields `None`; the source still advances.  The source
+    /// stays off the calendar until [`InjectionSchedule::rearm`].
     #[inline]
     pub fn draw(
         &mut self,
@@ -426,31 +488,52 @@ impl InjectionSchedule {
         layout: &Layout,
         alive: &[bool],
     ) -> Option<InjectionEvent> {
-        let rng = &mut self.streams[src];
-        let event = match pattern.sample_destination(layout, src, rng) {
-            Some(dst) if alive[dst] => {
-                // Class coin only after the destination is validated.
-                let flits = if (rng.next_u64() >> 11) < self.data_thr {
-                    self.data_flits
-                } else {
-                    self.ctrl_flits
+        let (event, next) = match &mut self.streams {
+            Streams::Bernoulli {
+                rngs,
+                gaps,
+                data_thr,
+                data_flits,
+                ctrl_flits,
+            } => {
+                let rng = &mut rngs[src];
+                let event = match pattern.sample_destination(layout, src, rng) {
+                    Some(dst) if alive[dst] => {
+                        // Class coin only after the destination is validated.
+                        let flits = if (rng.next_u64() >> 11) < *data_thr {
+                            *data_flits
+                        } else {
+                            *ctrl_flits
+                        };
+                        Some(InjectionEvent {
+                            src: src as u32,
+                            dst: dst as u32,
+                            flits,
+                        })
+                    }
+                    _ => None,
                 };
-                Some(InjectionEvent {
-                    src: src as u32,
-                    dst: dst as u32,
-                    flits,
-                })
+                (event, self.cal.due(src).saturating_add(gaps.gap(rng)))
             }
-            _ => None,
+            Streams::Trace(cursors) => {
+                let (due, m) = cursors.pop(src).expect("an armed source has a message");
+                debug_assert_eq!(due, self.cal.due(src));
+                let event = alive[m.dst as usize].then_some(InjectionEvent {
+                    src: m.src,
+                    dst: m.dst,
+                    flits: m.flits,
+                });
+                (event, cursors.next_due(src).unwrap_or(u64::MAX))
+            }
         };
-        let next = self.cal.due(src).saturating_add(self.gaps.gap(rng));
         self.cal.set_due(src, next);
         event
     }
 
     /// Put `src` back on the calendar at its due cycle (no-op once
     /// retired).  The due cycle must be later than every cycle already
-    /// drained.
+    /// drained; it may equal the cycle being drained only right after
+    /// `src` was taken off it.
     #[inline]
     pub fn rearm(&mut self, src: usize) {
         self.cal.arm(src);
@@ -461,9 +544,10 @@ impl InjectionSchedule {
     /// masked arrivals.  Returns `None` once nothing further is due this
     /// cycle.
     ///
-    /// Events come out in `(due cycle, source)` order provided `cycle`
-    /// never exceeds an armed arrival's due cycle between calls — which
-    /// holds for the reference loop, which drains every cycle.
+    /// Events come out in `(due cycle, source)` order, a source's
+    /// arrivals due at one cycle back to back, provided `cycle` never
+    /// exceeds an armed arrival's due cycle between calls — which holds
+    /// for the reference loop, which drains every cycle.
     ///
     /// [`pop_due_source`]: InjectionSchedule::pop_due_source
     /// [`draw`]: InjectionSchedule::draw
@@ -483,82 +567,6 @@ impl InjectionSchedule {
             }
         }
         None
-    }
-}
-
-/// Trace replay read one source at a time: per-source trace cursors
-/// behind the same calendar and steps as [`InjectionSchedule`], so the
-/// compiled engine consumes both kinds of traffic one head per source.
-/// Messages due at or past the end of the measurement window are never
-/// injected, and a message with a failed endpoint is consumed and
-/// dropped, as in the reference engine's cursor drain.
-#[derive(Debug, Clone)]
-pub(crate) struct TraceSchedule<'t> {
-    cursors: SourceCursors<'t>,
-    cal: SourceCalendar,
-}
-
-impl<'t> TraceSchedule<'t> {
-    pub(crate) fn for_run(
-        cfg: &SimConfig,
-        trace: &'t Trace,
-        offered_flits_per_node_cycle: f64,
-        alive: &[bool],
-    ) -> Self {
-        let cursors = SourceCursors::new(trace, offered_flits_per_node_cycle);
-        // A failed source's messages are all dropped: it never arms.
-        let first = (0..alive.len())
-            .map(|src| match alive[src] {
-                true => cursors.next_due(src).unwrap_or(u64::MAX),
-                false => u64::MAX,
-            })
-            .collect();
-        TraceSchedule {
-            cursors,
-            cal: SourceCalendar::new(first, cfg.warmup_cycles + cfg.measure_cycles),
-        }
-    }
-
-    /// See [`InjectionSchedule::next_due`].
-    #[inline]
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.cal.next_due()
-    }
-
-    /// See [`InjectionSchedule::pop_due_source`].
-    #[inline]
-    pub(crate) fn pop_due_source(&mut self, cycle: u64) -> Option<usize> {
-        self.cal.pop_due(cycle)
-    }
-
-    /// See [`InjectionSchedule::due`].
-    #[inline]
-    pub(crate) fn due(&self, src: usize) -> u64 {
-        self.cal.due(src)
-    }
-
-    /// Consume `src`'s next message (`None` when its destination has
-    /// failed) and advance the source's due cycle to the message after it.
-    #[inline]
-    pub(crate) fn draw(&mut self, src: usize, alive: &[bool]) -> Option<InjectionEvent> {
-        let (due, m) = self
-            .cursors
-            .pop(src)
-            .expect("an armed source has a message");
-        debug_assert_eq!(due, self.cal.due(src));
-        let next = self.cursors.next_due(src).unwrap_or(u64::MAX);
-        self.cal.set_due(src, next);
-        alive[m.dst as usize].then_some(InjectionEvent {
-            src: m.src,
-            dst: m.dst,
-            flits: m.flits,
-        })
-    }
-
-    /// See [`InjectionSchedule::rearm`].
-    #[inline]
-    pub(crate) fn rearm(&mut self, src: usize) {
-        self.cal.arm(src);
     }
 }
 

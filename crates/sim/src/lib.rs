@@ -43,7 +43,7 @@ pub use activity::{ActivityProfile, LinkActivity, RouterActivity};
 pub use compile::CompiledNetwork;
 pub use config::{PacketClass, SimConfig};
 pub use inject::{InjectionEvent, InjectionSchedule};
-pub use netsmith_trace::{Trace, TraceCursor};
+pub use netsmith_trace::Trace;
 pub use network::{
     point_seed, splitmix64, EpochSample, EpochSeries, NetworkSim, NetworkSimBuilder, SimReport,
 };

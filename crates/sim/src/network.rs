@@ -4,11 +4,12 @@
 //! the network (see [`crate::compile`]) that turns per-packet routing
 //! table lookups into dense array walks.  The original scan-based
 //! implementation is kept as [`NetworkSim::run_reference`], the test
-//! oracle.  It queues every arrival at its source, while the compiled
-//! engine keeps one head packet per source and reads the rest of each
-//! source's arrivals from the same injection schedule (or trace) when the
-//! head leaves; both produce bit-identical [`SimReport`]s, which the
-//! equivalence proptests assert.
+//! oracle.  Both engines read the one per-source arrival schedule
+//! ([`InjectionSchedule`]), Bernoulli or trace replay.  The reference
+//! engine drains it every cycle and queues every arrival at its source,
+//! while the compiled engine keeps one head packet per source and reads
+//! the rest of each source's arrivals when the head leaves; both produce
+//! bit-identical [`SimReport`]s, which the equivalence proptests assert.
 
 use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
 use crate::compile::CompiledNetwork;
@@ -19,7 +20,7 @@ use netsmith_route::Flow;
 use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{RouterId, Topology};
-use netsmith_trace::{Trace, TraceCursor};
+use netsmith_trace::Trace;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -355,6 +356,23 @@ impl<'a> NetworkSim<'a> {
         hops * per_hop + self.config.average_flits()
     }
 
+    /// The per-source arrival schedule of one run at `offered` flits per
+    /// node per cycle: trace replay when a trace is set, Bernoulli traffic
+    /// otherwise.  Both engines read the same one.
+    pub(crate) fn schedule(&self, offered_flits_per_node_cycle: f64) -> InjectionSchedule<'_> {
+        match self.trace.as_deref() {
+            Some(t) => InjectionSchedule::for_trace(
+                &self.config,
+                t,
+                offered_flits_per_node_cycle,
+                &self.alive,
+            ),
+            None => {
+                InjectionSchedule::for_run(&self.config, offered_flits_per_node_cycle, &self.alive)
+            }
+        }
+    }
+
     /// Run the simulation at an offered load expressed in flits per node
     /// per cycle, on the compiled flat state machine.
     pub fn run(&self, offered_flits_per_node_cycle: f64) -> SimReport {
@@ -369,19 +387,9 @@ impl<'a> NetworkSim<'a> {
         let cfg = &self.config;
         let n = self.topo.num_routers();
         let layout = self.topo.layout().clone();
-        // Trace replay schedule, when this run replays a trace instead of
-        // sampling Bernoulli traffic.
-        let mut trace_cursor = self
-            .trace
-            .as_deref()
-            .map(|t| TraceCursor::new(t, offered_flits_per_node_cycle));
-        // Precomputed per-source injection schedule for synthetic
-        // traffic.  Identical construction to the compiled engine, so both
-        // draw the same per-source arrival streams.
-        let mut schedule = self
-            .trace
-            .is_none()
-            .then(|| InjectionSchedule::for_run(cfg, offered_flits_per_node_cycle, &self.alive));
+        // The per-source arrival schedule, trace replay or Bernoulli: the
+        // compiled engine reads the same one.
+        let mut schedule = self.schedule(offered_flits_per_node_cycle);
 
         let links: Vec<(RouterId, RouterId)> = self.topo.links().collect();
         let mut link_free_at: Vec<u64> = vec![0; links.len()];
@@ -426,60 +434,29 @@ impl<'a> NetworkSim<'a> {
             // 1. Traffic generation (stops after the measurement window so
             //    the drain phase can empty the network).
             if cycle < measure_end {
-                if let Some(cursor) = trace_cursor.as_mut() {
-                    // Trace replay: drain every message due this cycle, in
-                    // trace order.  Messages whose endpoints are masked out
-                    // by failed routers are dropped at the source, exactly
-                    // like the Bernoulli path's alive checks.
-                    while let Some(m) = cursor.pop_due(cycle) {
-                        let (src, dst) = (m.src as usize, m.dst as usize);
-                        if !self.alive[src] || !self.alive[dst] {
-                            continue;
-                        }
-                        let vc = self
-                            .vcs
-                            .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
-                            .unwrap_or(0)
-                            .min(cfg.num_vcs - 1);
-                        let packet = Packet {
-                            src,
-                            dst,
-                            flits: m.flits as usize,
-                            vc,
-                            created: cycle,
-                        };
-                        if cycle >= measure_start {
-                            packets_injected += 1;
-                            flits_injected_in_window += packet.flits as u64;
-                            measured_outstanding += 1;
-                        }
-                        source_queues[src].push_back(packet);
+                // Drain the arrivals due this cycle (destination and size
+                // already drawn or read, and validated, inside the
+                // schedule).
+                while let Some(ev) = schedule.pop_due(cycle, &self.pattern, &layout, &self.alive) {
+                    let (src, dst) = (ev.src as usize, ev.dst as usize);
+                    let vc = self
+                        .vcs
+                        .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                        .unwrap_or(0)
+                        .min(cfg.num_vcs - 1);
+                    let packet = Packet {
+                        src,
+                        dst,
+                        flits: ev.flits as usize,
+                        vc,
+                        created: cycle,
+                    };
+                    if cycle >= measure_start {
+                        packets_injected += 1;
+                        flits_injected_in_window += packet.flits as u64;
+                        measured_outstanding += 1;
                     }
-                } else if let Some(sched) = schedule.as_mut() {
-                    // Synthetic traffic: drain the precomputed arrivals due
-                    // this cycle (destination and class already drawn and
-                    // validated inside the schedule).
-                    while let Some(ev) = sched.pop_due(cycle, &self.pattern, &layout, &self.alive) {
-                        let (src, dst) = (ev.src as usize, ev.dst as usize);
-                        let vc = self
-                            .vcs
-                            .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
-                            .unwrap_or(0)
-                            .min(cfg.num_vcs - 1);
-                        let packet = Packet {
-                            src,
-                            dst,
-                            flits: ev.flits as usize,
-                            vc,
-                            created: cycle,
-                        };
-                        if cycle >= measure_start {
-                            packets_injected += 1;
-                            flits_injected_in_window += packet.flits as u64;
-                            measured_outstanding += 1;
-                        }
-                        source_queues[src].push_back(packet);
-                    }
+                    source_queues[src].push_back(packet);
                 }
             }
 

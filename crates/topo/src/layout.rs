@@ -46,12 +46,6 @@ impl NodeKind {
         }
     }
 
-    /// Total local (injection/ejection) ports required by the attached
-    /// endpoints.
-    pub fn local_ports(&self) -> u8 {
-        self.cores() + self.memory_controllers()
-    }
-
     /// True if at least one memory controller hangs off this router.
     pub fn has_memory(&self) -> bool {
         self.memory_controllers() > 0
@@ -153,13 +147,6 @@ impl Layout {
         self.radix
     }
 
-    /// Return a copy of this layout with a different network radix.
-    pub fn with_radix(mut self, radix: usize) -> Self {
-        assert!(radix >= 1);
-        self.radix = radix;
-        self
-    }
-
     /// Physical pitch between adjacent routers (mm).
     pub fn pitch_mm(&self) -> f64 {
         self.pitch_mm
@@ -212,14 +199,6 @@ impl Layout {
     pub fn memory_routers(&self) -> Vec<RouterId> {
         self.kinds()
             .filter(|(_, k)| k.has_memory())
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// All routers that host at least one core.
-    pub fn core_routers(&self) -> Vec<RouterId> {
-        self.kinds()
-            .filter(|(_, k)| k.cores() > 0)
             .map(|(r, _)| r)
             .collect()
     }

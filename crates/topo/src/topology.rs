@@ -100,20 +100,6 @@ impl Topology {
         }
     }
 
-    /// Build a topology from an explicit list of directed links.
-    pub fn from_directed_links(
-        name: impl Into<String>,
-        layout: Layout,
-        class: LinkClass,
-        links: &[(RouterId, RouterId)],
-    ) -> Self {
-        let mut t = Topology::empty(name, layout, class);
-        for &(i, j) in links {
-            t.add_link(i, j);
-        }
-        t
-    }
-
     /// Build a topology from an explicit list of bidirectional links: each
     /// pair adds both directions.
     pub fn from_bidirectional_links(
@@ -183,14 +169,6 @@ impl Topology {
     pub fn add_bidirectional(&mut self, i: RouterId, j: RouterId) {
         self.add_link(i, j);
         self.add_link(j, i);
-    }
-
-    /// Toggle a directed link and return its new state.
-    pub fn toggle_link(&mut self, i: RouterId, j: RouterId) -> bool {
-        assert!(i != j);
-        let idx = self.idx(i, j);
-        self.adj[idx] = !self.adj[idx];
-        self.adj[idx]
     }
 
     /// Iterate over all directed links `(i, j)`.
@@ -373,16 +351,6 @@ impl Topology {
     /// `n*n`), matching the MIP variable `M`.
     pub fn adjacency(&self) -> &[bool] {
         &self.adj
-    }
-
-    /// Replace the adjacency wholesale (must have length `n*n`).
-    pub fn set_adjacency(&mut self, adj: Vec<bool>) {
-        assert_eq!(adj.len(), self.adj.len());
-        self.adj = adj;
-        let n = self.num_routers();
-        for i in 0..n {
-            self.adj[i * n + i] = false;
-        }
     }
 }
 

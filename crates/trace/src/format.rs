@@ -1,44 +1,27 @@
-//! The on-disk trace format: a versioned header plus a flat list of
-//! messages, with hand-written binary and JSON codecs.
-//!
-//! ## Binary layout (version 1, little-endian)
+//! The trace file format: a versioned header plus a flat list of
+//! messages, encoded as JSON through the workspace's one codec, the
+//! shared [`Json`] tree:
 //!
 //! ```text
-//! magic    4 bytes   b"NSTR"
-//! version  u16       1
-//! reserved u16       0
-//! routers  u32       router count the endpoints are defined over
-//! horizon  u64       cycle horizon; every issue cycle is < horizon
-//! messages u64       message record count
-//! ---- then `messages` records of 20 bytes each ----
-//! src      u32
-//! dst      u32
-//! flits    u32       packet size in flits (>= 1)
-//! issue    u64       issue cycle (non-decreasing across records)
+//! {"version": 1, "routers": R, "horizon": H,
+//!  "messages": [[src, dst, flits, issue], ...]}
 //! ```
 //!
-//! The JSON codec carries the same fields
-//! (`{"version", "routers", "horizon", "messages": [[src, dst, flits,
-//! issue], ...]}`) through the shared [`Json`] tree; `u64` values round-trip
-//! exactly up to 2^53, far beyond any cycle horizon a trace stores.
+//! Every field is an unsigned integer.  JSON numbers are exact up to
+//! 2^53, far beyond any cycle horizon a trace stores; the decoder rejects
+//! a larger value (or a `u32` field above `u32::MAX`) with an error naming
+//! the field instead of rounding or wrapping it.
 
 use netsmith_topo::json::Json;
 use std::fmt;
-use std::io::{Read, Write};
 
 /// Format version written by this crate.
 pub const TRACE_VERSION: u16 = 1;
 
-const MAGIC: [u8; 4] = *b"NSTR";
-const HEADER_BYTES: usize = 4 + 2 + 2 + 4 + 8 + 8;
-const RECORD_BYTES: usize = 4 + 4 + 4 + 8;
-
 /// Why a trace could not be decoded or fails validation.
 #[derive(Debug)]
 pub enum TraceError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// A malformed or inconsistent trace (bad magic, out-of-range
+    /// A malformed or inconsistent trace (out-of-range field or
     /// endpoint, non-monotone issue cycles, ...).
     Format(String),
 }
@@ -46,7 +29,6 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::Format(msg) => write!(f, "trace format error: {msg}"),
         }
     }
@@ -54,18 +36,16 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
-
 fn format_err(msg: impl Into<String>) -> TraceError {
     TraceError::Format(msg.into())
 }
 
-/// `value` as a narrower integer, or a format error naming `what`.
-fn narrow<T: TryFrom<u64>>(value: u64, what: &str) -> Result<T, TraceError> {
+/// `json` as an unsigned integer of type `T`, or a format error naming
+/// `what`.
+fn uint<T: TryFrom<u64>>(json: &Json, what: &str) -> Result<T, TraceError> {
+    let value = json
+        .as_u64()
+        .map_err(|e| format_err(format!("{what}: {e}")))?;
     T::try_from(value).map_err(|_| format_err(format!("{what} {value} is out of range")))
 }
 
@@ -131,7 +111,9 @@ impl Trace {
     /// Check the structural invariants replay relies on: the header counts
     /// match, every endpoint is in range and distinct, every packet has at
     /// least one flit, every issue cycle is inside the horizon, and issue
-    /// cycles are non-decreasing (replay uses a single forward cursor).
+    /// cycles are non-decreasing along the message list.  Replay reads
+    /// each source's messages in list order, which needs them
+    /// non-decreasing within the source; the list keeps one global order.
     pub fn validate(&self) -> Result<(), TraceError> {
         if self.header.version != TRACE_VERSION {
             return Err(format_err(format!(
@@ -177,27 +159,6 @@ impl Trace {
         Ok(())
     }
 
-    /// Encode to the version-1 binary layout.
-    pub fn write_binary<W: Write>(&self, w: &mut W) -> Result<(), TraceError> {
-        let mut writer = TraceWriter::new(w, self.header)?;
-        for m in &self.messages {
-            writer.write_message(m)?;
-        }
-        writer.finish()
-    }
-
-    /// Decode from the version-1 binary layout (streaming under the hood;
-    /// the whole message list is collected).
-    pub fn read_binary<R: Read>(r: &mut R) -> Result<Self, TraceError> {
-        let mut reader = TraceReader::new(r)?;
-        let header = reader.header();
-        let mut messages = Vec::with_capacity(header.messages.min(1 << 20) as usize);
-        while let Some(m) = reader.next_message()? {
-            messages.push(m);
-        }
-        Ok(Trace { header, messages })
-    }
-
     /// Encode as a JSON tree.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -226,9 +187,9 @@ impl Trace {
     /// Decode from a JSON tree.
     pub fn from_json(json: &Json) -> Result<Self, TraceError> {
         let field = |key: &str| json.require(key).map_err(format_err);
-        let version = narrow(field("version")?.as_u64().map_err(format_err)?, "version")?;
-        let routers = narrow(field("routers")?.as_u64().map_err(format_err)?, "routers")?;
-        let horizon = field("horizon")?.as_u64().map_err(format_err)?;
+        let version = uint(field("version")?, "version")?;
+        let routers = uint(field("routers")?, "routers")?;
+        let horizon = uint(field("horizon")?, "horizon")?;
         let mut messages = Vec::new();
         for (i, item) in field("messages")?
             .as_arr()
@@ -242,14 +203,12 @@ impl Trace {
                     "message {i}: expected [src, dst, flits, issue]"
                 )));
             }
-            let num = |j: usize| quad[j].as_u64().map_err(format_err);
-            let narrow_num =
-                |j: usize, name: &str| narrow(num(j)?, &format!("message {i}: {name}"));
+            let what = |name: &str| format!("message {i}: {name}");
             messages.push(TraceMessage {
-                src: narrow_num(0, "src")?,
-                dst: narrow_num(1, "dst")?,
-                flits: narrow_num(2, "flits")?,
-                issue: num(3)?,
+                src: uint(&quad[0], &what("src"))?,
+                dst: uint(&quad[1], &what("dst"))?,
+                flits: uint(&quad[2], &what("flits"))?,
+                issue: uint(&quad[3], &what("issue"))?,
             });
         }
         Ok(Trace {
@@ -271,126 +230,6 @@ impl Trace {
     /// Parse from a JSON string.
     pub fn from_json_str(text: &str) -> Result<Self, TraceError> {
         Trace::from_json(&Json::parse(text).map_err(format_err)?)
-    }
-}
-
-/// Streaming binary encoder: the header (with its message count) goes out
-/// first, then one record per [`TraceWriter::write_message`] call;
-/// [`TraceWriter::finish`] fails if the declared count was not met, so a
-/// truncated stream can never silently pass for a complete one.
-pub struct TraceWriter<'w, W: Write> {
-    out: &'w mut W,
-    declared: u64,
-    written: u64,
-}
-
-impl<'w, W: Write> TraceWriter<'w, W> {
-    /// Write the header and start the record stream.
-    pub fn new(out: &'w mut W, header: TraceHeader) -> Result<Self, TraceError> {
-        let mut buf = [0u8; HEADER_BYTES];
-        buf[0..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&header.version.to_le_bytes());
-        // bytes 6..8 reserved, zero
-        buf[8..12].copy_from_slice(&header.routers.to_le_bytes());
-        buf[12..20].copy_from_slice(&header.horizon.to_le_bytes());
-        buf[20..28].copy_from_slice(&header.messages.to_le_bytes());
-        out.write_all(&buf)?;
-        Ok(TraceWriter {
-            out,
-            declared: header.messages,
-            written: 0,
-        })
-    }
-
-    /// Append one record.
-    pub fn write_message(&mut self, m: &TraceMessage) -> Result<(), TraceError> {
-        if self.written == self.declared {
-            return Err(format_err(format!(
-                "more messages than the declared {}",
-                self.declared
-            )));
-        }
-        let mut buf = [0u8; RECORD_BYTES];
-        buf[0..4].copy_from_slice(&m.src.to_le_bytes());
-        buf[4..8].copy_from_slice(&m.dst.to_le_bytes());
-        buf[8..12].copy_from_slice(&m.flits.to_le_bytes());
-        buf[12..20].copy_from_slice(&m.issue.to_le_bytes());
-        self.out.write_all(&buf)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Close the stream, checking the declared record count was written.
-    pub fn finish(self) -> Result<(), TraceError> {
-        if self.written != self.declared {
-            return Err(format_err(format!(
-                "wrote {} of {} declared messages",
-                self.written, self.declared
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Streaming binary decoder: the header is read eagerly, records on
-/// demand, so a long trace never needs to fit in memory twice.
-pub struct TraceReader<'r, R: Read> {
-    input: &'r mut R,
-    header: TraceHeader,
-    read: u64,
-}
-
-impl<'r, R: Read> TraceReader<'r, R> {
-    /// Read and check the header.
-    pub fn new(input: &'r mut R) -> Result<Self, TraceError> {
-        let mut buf = [0u8; HEADER_BYTES];
-        input.read_exact(&mut buf)?;
-        if buf[0..4] != MAGIC {
-            return Err(format_err("bad magic (not an NSTR trace)"));
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != TRACE_VERSION {
-            return Err(format_err(format!(
-                "unsupported version {version} (expected {TRACE_VERSION})"
-            )));
-        }
-        let header = TraceHeader {
-            version,
-            routers: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
-            horizon: u64::from_le_bytes(buf[12..20].try_into().unwrap()),
-            messages: u64::from_le_bytes(buf[20..28].try_into().unwrap()),
-        };
-        Ok(TraceReader {
-            input,
-            header,
-            read: 0,
-        })
-    }
-
-    /// The decoded header.
-    pub fn header(&self) -> TraceHeader {
-        self.header
-    }
-
-    /// The next record, or `None` after the declared count.
-    pub fn next_message(&mut self) -> Result<Option<TraceMessage>, TraceError> {
-        if self.read == self.header.messages {
-            return Ok(None);
-        }
-        let mut buf = [0u8; RECORD_BYTES];
-        self.input.read_exact(&mut buf).map_err(|e| {
-            format_err(format!(
-                "truncated record {} of {}: {e}",
-                self.read, self.header.messages
-            ))
-        })?;
-        self.read += 1;
-        Ok(Some(TraceMessage {
-            src: u32::from_le_bytes(buf[0..4].try_into().unwrap()),
-            dst: u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-            flits: u32::from_le_bytes(buf[8..12].try_into().unwrap()),
-            issue: u64::from_le_bytes(buf[12..20].try_into().unwrap()),
-        }))
     }
 }
 
@@ -429,16 +268,6 @@ mod tests {
                 },
             ],
         )
-    }
-
-    #[test]
-    fn binary_round_trips() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        trace.write_binary(&mut buf).unwrap();
-        assert_eq!(buf.len(), HEADER_BYTES + 4 * RECORD_BYTES);
-        let back = Trace::read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]
@@ -491,32 +320,17 @@ mod tests {
         assert!(err(wrapping("1", "20", message)).contains("message 0: dst"));
         let message = "[1, 2, 4294967300, 5]";
         assert!(err(wrapping("1", "20", message)).contains("message 0: flits"));
+        // Past 2^53 a JSON number is no longer exact: the u64 fields name
+        // themselves instead of being rounded.
+        let above = "18014398509481984"; // 2^54
+        let text = wrapping("1", "20", "[1, 2, 4, 5]").replace("100", above);
+        assert!(err(text).contains("horizon: expected unsigned integer"));
+        let messages = format!("[1, 2, 4, 5], [1, 2, 4, 5], [2, 1, 4, 6], [1, 2, 4, {above}]");
+        assert!(err(wrapping("1", "20", &messages)).contains("message 3: issue: expected"));
         Trace::from_json_str(&wrapping("1", "20", "[1, 2, 4, 5]"))
             .unwrap()
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn corrupt_magic_and_truncation_are_rejected() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        trace.write_binary(&mut buf).unwrap();
-        let mut corrupted = buf.clone();
-        corrupted[0] = b'X';
-        assert!(Trace::read_binary(&mut corrupted.as_slice()).is_err());
-        let truncated = &buf[..buf.len() - 3];
-        let mut r = truncated;
-        assert!(Trace::read_binary(&mut r).is_err());
-    }
-
-    #[test]
-    fn writer_enforces_the_declared_count() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        let mut w = TraceWriter::new(&mut buf, trace.header).unwrap();
-        w.write_message(&trace.messages[0]).unwrap();
-        assert!(w.finish().is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # netsmith-trace
 //!
-//! Message traces for the NetSmith simulator: a compact on-disk format,
+//! Message traces for the NetSmith simulator: a JSON trace file format,
 //! deterministic replay scheduling, and seeded application-model
 //! generators.
 //!
@@ -10,15 +10,12 @@
 //! coherence storms arrive in ON/OFF bursts, and memory traffic piles onto
 //! a handful of controllers.  This crate closes that gap in three layers:
 //!
-//! * [`mod@format`] — [`Trace`] / [`TraceMessage`] with a versioned binary
-//!   codec (magic `NSTR`), a JSON codec over the shared
-//!   [`netsmith_topo::json::Json`] tree, streaming [`TraceWriter`] /
-//!   [`TraceReader`], and [`Trace::validate`] (in-range endpoints,
-//!   non-decreasing issue cycles).
-//! * [`replay`] — [`TraceCursor`], the sorted pending-arrival schedule
-//!   the reference simulation engine drains, and [`SourceCursors`], the
-//!   same schedule split by source, which the compiled engine reads one
-//!   message per source at a time.  Load scaling works by *cycle
+//! * [`mod@format`] — [`Trace`] / [`TraceMessage`], the JSON trace file
+//!   format over the shared [`netsmith_topo::json::Json`] tree, and
+//!   [`Trace::validate`] (in-range endpoints, non-decreasing issue
+//!   cycles).
+//! * [`replay`] — [`SourceCursors`], the replay schedule both simulation
+//!   engines read one source at a time.  Load scaling works by *cycle
 //!   stretch*: replaying at half the native load doubles every gap,
 //!   preserving burst structure.  Replay consumes no RNG, so the
 //!   reference and compiled engines stay bit-identical under replay.
@@ -29,7 +26,7 @@
 //!   a trace the same way they target a synthetic pattern.
 //!
 //! ```
-//! use netsmith_trace::{generate_named, TraceCursor, TraceStats};
+//! use netsmith_trace::{generate_named, SourceCursors, TraceStats};
 //!
 //! let trace = generate_named("onoff-hotspot", 20, 2048, 7).unwrap();
 //! trace.validate().unwrap();
@@ -41,9 +38,10 @@
 //! // Replay at a quarter of the native offered load: same messages,
 //! // stretched 4x in time.
 //! let load = stats.offered_flits_per_node_cycle / 4.0;
-//! let mut cursor = TraceCursor::new(&trace, load);
-//! let first = cursor.pop_due(u64::MAX).unwrap();
-//! assert_eq!(first.src, trace.messages[0].src);
+//! let mut cursors = SourceCursors::new(&trace, load);
+//! let first = trace.messages[0];
+//! let (due, m) = cursors.pop(first.src as usize).unwrap();
+//! assert_eq!((due, *m), (first.issue * 4, first));
 //! ```
 //!
 //! [`DemandMatrix`]: netsmith_topo::DemandMatrix
@@ -53,11 +51,9 @@ pub mod generators;
 pub mod replay;
 pub mod stats;
 
-pub use format::{
-    Trace, TraceError, TraceHeader, TraceMessage, TraceReader, TraceWriter, TRACE_VERSION,
-};
+pub use format::{Trace, TraceError, TraceHeader, TraceMessage, TRACE_VERSION};
 pub use generators::{
     generate_named, OnOffHotspotParams, PointerChaseParams, TraceModel, DATA_FLITS, REQUEST_FLITS,
 };
-pub use replay::{SourceCursors, TraceCursor};
+pub use replay::SourceCursors;
 pub use stats::TraceStats;

@@ -1,29 +1,28 @@
-//! The replay schedule: a sorted pending-arrival cursor over a trace.
+//! The replay schedule: each source's trace messages at their
+//! load-scaled issue cycles.
 //!
-//! [`TraceCursor`] turns a validated trace into the injection sequence a
-//! simulator consumes: per simulated cycle, [`TraceCursor::pop_due`] yields
-//! every message whose (scaled) issue cycle has arrived, in trace order.
-//! [`SourceCursors`] yields the same schedule one source at a time, for an
-//! engine that pulls a source's next message only when it needs it.  Both
-//! share one clock, and three deliberately boring properties make them the
-//! common foundation of the reference and compiled simulation loops:
+//! [`SourceCursors`] turns a validated trace into per-source injection
+//! sequences: [`SourceCursors::next_due`] peeks the cycle a source's next
+//! message comes due and [`SourceCursors::pop`] takes it.  Both simulation
+//! engines read replay through it, one source at a time, and three
+//! deliberately boring properties make it their common foundation:
 //!
 //! * **Determinism** — the schedule is a pure function of
 //!   `(trace, offered load)`; no RNG is consumed, so a source's messages
-//!   come due at the same cycles whichever cursor reads them, and two
+//!   come due at the same cycles whichever engine reads them, and the two
 //!   engines inject bit-identical traffic.
 //! * **Load scaling by cycle-stretch** — a trace natively offers
 //!   `total_flits / (routers * horizon)` flits per node per cycle; to
 //!   replay at a different offered load every issue cycle is multiplied by
 //!   `native / offered` (stretched when quieter, compressed when hotter),
 //!   preserving the trace's burst structure instead of resampling it.
-//! * **Wrap-around** — when the cursor exhausts the (stretched) horizon it
-//!   restarts at the next wave, so measurement windows longer than the
-//!   trace keep seeing traffic.
+//! * **Wrap-around** — when a source exhausts its messages of the
+//!   (stretched) horizon it restarts at the next wave, so measurement
+//!   windows longer than the trace keep seeing traffic.
 
 use crate::format::{Trace, TraceMessage};
 
-/// The load-scaled replay clock every cursor shares: issue cycles are
+/// The load-scaled replay clock: issue cycles are
 /// multiplied by `stretch`, and wave `w` is offset by `w *
 /// scaled_horizon`.
 #[derive(Debug, Clone, Copy)]
@@ -76,68 +75,10 @@ impl Clock {
     }
 }
 
-/// A forward-only cursor yielding trace messages at their scaled issue
-/// cycles, wave after wave.
-#[derive(Debug, Clone)]
-pub struct TraceCursor<'t> {
-    messages: &'t [TraceMessage],
-    clock: Clock,
-    /// Cycle offset of the current wave.
-    base: u64,
-    /// Next message index within the current wave.
-    idx: usize,
-}
-
-impl<'t> TraceCursor<'t> {
-    /// Build the schedule for replaying `trace` at `offered` flits per
-    /// node per cycle.  An offered load of zero (or an empty trace) yields
-    /// an empty schedule.
-    pub fn new(trace: &'t Trace, offered_flits_per_node_cycle: f64) -> Self {
-        let (messages, clock) = Clock::new(trace, offered_flits_per_node_cycle);
-        TraceCursor {
-            messages,
-            clock,
-            base: 0,
-            idx: 0,
-        }
-    }
-
-    /// The stretch factor applied to issue cycles.
-    pub fn stretch(&self) -> f64 {
-        self.clock.stretch
-    }
-
-    /// The scaled wrap-around period.
-    pub fn scaled_horizon(&self) -> u64 {
-        self.clock.scaled_horizon
-    }
-
-    /// The next message due at or before `cycle`, advancing the cursor
-    /// (and the wave, at wrap-around).  Call in a loop to drain a cycle.
-    #[inline]
-    pub fn pop_due(&mut self, cycle: u64) -> Option<&'t TraceMessage> {
-        if self.messages.is_empty() {
-            return None;
-        }
-        if self.idx == self.messages.len() {
-            self.base = self.clock.next_wave(self.base);
-            self.idx = 0;
-        }
-        let due = self.clock.due(self.base, self.messages[self.idx].issue);
-        if due > cycle {
-            return None;
-        }
-        let m = &self.messages[self.idx];
-        self.idx += 1;
-        Some(m)
-    }
-}
-
-/// The [`TraceCursor`] schedule split by source: the same issue cycles
-/// and waves, read one source at a time.  Restricted to one source, the
-/// trace cursor's sequence is exactly that source's sequence here, so an
-/// engine that keeps one pending message per source can pull each
-/// source's next message only when it needs it.
+/// The replay schedule of a trace, read one source at a time: each
+/// source's messages in trace order at their scaled issue cycles, wave
+/// after wave, so an engine can pull a source's next message only when it
+/// needs it.
 #[derive(Debug, Clone)]
 pub struct SourceCursors<'t> {
     messages: &'t [TraceMessage],
@@ -250,13 +191,17 @@ mod tests {
         )
     }
 
-    fn schedule(cursor: &mut TraceCursor<'_>, cycles: u64) -> Vec<(u64, u32)> {
+    /// Every message due before `cycles`, merged over the sources in
+    /// `(due cycle, source)` order.
+    fn schedule(cursors: &mut SourceCursors<'_>, cycles: u64) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
-        for cycle in 0..cycles {
-            while let Some(m) = cursor.pop_due(cycle) {
-                out.push((cycle, m.src));
+        for src in 0..cursors.base.len() {
+            while cursors.next_due(src).is_some_and(|due| due < cycles) {
+                let (due, m) = cursors.pop(src).unwrap();
+                out.push((due, m.src));
             }
         }
+        out.sort_unstable();
         out
     }
 
@@ -264,23 +209,19 @@ mod tests {
     fn native_rate_replays_issue_cycles_verbatim() {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
-        let mut cursor = TraceCursor::new(&t, native);
-        assert!((cursor.stretch() - 1.0).abs() < 1e-12);
-        assert_eq!(
-            schedule(&mut cursor, 10),
-            vec![(0, 0), (4, 1), (9, 2)],
-            "one wave at the native rate is the trace itself"
-        );
+        let mut cursors = SourceCursors::new(&t, native);
+        assert!((cursors.clock.stretch - 1.0).abs() < 1e-12);
+        assert_eq!(schedule(&mut cursors, 10), vec![(0, 0), (4, 1), (9, 2)]);
     }
 
     #[test]
     fn wrap_around_replays_waves_past_the_horizon() {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
-        let mut cursor = TraceCursor::new(&t, native);
+        let mut cursors = SourceCursors::new(&t, native);
         // Three full waves in 30 cycles, offset by the 10-cycle horizon.
         assert_eq!(
-            schedule(&mut cursor, 30),
+            schedule(&mut cursors, 30),
             vec![
                 (0, 0),
                 (4, 1),
@@ -299,10 +240,10 @@ mod tests {
     fn half_load_stretches_cycles_twofold() {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
-        let mut cursor = TraceCursor::new(&t, native / 2.0);
-        assert_eq!(cursor.scaled_horizon(), 20);
+        let mut cursors = SourceCursors::new(&t, native / 2.0);
+        assert_eq!(cursors.clock.scaled_horizon, 20);
         assert_eq!(
-            schedule(&mut cursor, 40),
+            schedule(&mut cursors, 40),
             vec![(0, 0), (8, 1), (18, 2), (20, 0), (28, 1), (38, 2)]
         );
     }
@@ -311,10 +252,10 @@ mod tests {
     fn double_load_compresses_cycles() {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
-        let mut cursor = TraceCursor::new(&t, native * 2.0);
-        assert_eq!(cursor.scaled_horizon(), 5);
+        let mut cursors = SourceCursors::new(&t, native * 2.0);
+        assert_eq!(cursors.clock.scaled_horizon, 5);
         assert_eq!(
-            schedule(&mut cursor, 10),
+            schedule(&mut cursors, 10),
             vec![(0, 0), (2, 1), (4, 2), (5, 0), (7, 1), (9, 2)]
         );
     }
@@ -322,11 +263,11 @@ mod tests {
     #[test]
     fn zero_load_and_empty_traces_yield_nothing() {
         let t = trace();
-        let mut cursor = TraceCursor::new(&t, 0.0);
-        assert_eq!(schedule(&mut cursor, 100), vec![]);
+        let mut cursors = SourceCursors::new(&t, 0.0);
+        assert_eq!(schedule(&mut cursors, 100), vec![]);
         let empty = Trace::new(4, 10, vec![]);
-        let mut cursor = TraceCursor::new(&empty, 0.3);
-        assert_eq!(schedule(&mut cursor, 100), vec![]);
+        let mut cursors = SourceCursors::new(&empty, 0.3);
+        assert_eq!(schedule(&mut cursors, 100), vec![]);
     }
 
     #[test]
@@ -352,8 +293,8 @@ mod tests {
     #[test]
     fn same_arguments_give_identical_schedules() {
         let t = trace();
-        let a = schedule(&mut TraceCursor::new(&t, 0.17), 500);
-        let b = schedule(&mut TraceCursor::new(&t, 0.17), 500);
+        let a = schedule(&mut SourceCursors::new(&t, 0.17), 500);
+        let b = schedule(&mut SourceCursors::new(&t, 0.17), 500);
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
@@ -363,22 +304,29 @@ mod tests {
         let t = trace();
         let native = t.offered_flits_per_node_cycle();
         for load in [native / 3.0, native, native * 2.5, 0.0] {
-            // Three waves or more, every message of the cursor schedule
-            // tagged with its due cycle.
-            let mut cursor = TraceCursor::new(&t, load);
-            let mut merged = Vec::new();
-            for cycle in 0..100 {
-                while let Some(m) = cursor.pop_due(cycle) {
-                    merged.push((cycle, *m));
-                }
-            }
             let mut cursors = SourceCursors::new(&t, load);
+            let Clock {
+                stretch,
+                scaled_horizon,
+            } = cursors.clock;
             for src in 0..4usize {
-                let expected: Vec<_> = merged
+                // Three waves or more of the source's messages, each due
+                // at its wave's start plus its stretched issue cycle.
+                let mine: Vec<&TraceMessage> = cursors
+                    .messages
                     .iter()
-                    .filter(|(_, m)| m.src as usize == src)
+                    .filter(|m| m.src as usize == src)
                     .collect();
-                for &&(cycle, m) in &expected {
+                let expected: Vec<(u64, TraceMessage)> = (0..100 / scaled_horizon + 1)
+                    .flat_map(|wave| {
+                        mine.iter().map(move |&&m| {
+                            let due = wave * scaled_horizon + (m.issue as f64 * stretch) as u64;
+                            (due, m)
+                        })
+                    })
+                    .filter(|&(due, _)| due < 100)
+                    .collect();
+                for &(cycle, m) in &expected {
                     assert_eq!(
                         cursors.next_due(src),
                         Some(cycle),
@@ -386,12 +334,13 @@ mod tests {
                     );
                     assert_eq!(cursors.pop(src), Some((cycle, &m)));
                 }
-                if expected.is_empty() {
+                if mine.is_empty() {
                     // Source 3 sends nothing, as does every source at
                     // zero load.
                     assert_eq!(cursors.next_due(src), None);
                     assert_eq!(cursors.pop(src), None);
                 } else {
+                    assert!(expected.len() >= 3);
                     assert!(cursors.next_due(src).unwrap() >= 100);
                 }
             }

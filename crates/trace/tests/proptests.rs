@@ -1,10 +1,9 @@
-//! Property tests: codec round-trips over random traces, streaming/whole-
-//! trace codec agreement, generator determinism, and decoders fed hostile
-//! bytes (truncated, bit-flipped, arbitrary) returning errors, never
-//! panicking.
+//! Property tests: JSON codec round-trips over random traces, replay and
+//! generator determinism, and decoders fed hostile bytes (truncated,
+//! bit-flipped, arbitrary) returning errors, never panicking.
 
 use netsmith_topo::json::Json;
-use netsmith_trace::{Trace, TraceCursor, TraceMessage, TraceModel, TraceReader, TraceWriter};
+use netsmith_trace::{SourceCursors, Trace, TraceMessage, TraceModel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,31 +32,15 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-/// Run every decoder over `bytes`: the whole-trace and streaming binary
-/// readers, and (on the lossy UTF-8 text) the JSON tree and trace JSON
-/// decoders.  Each may succeed or fail; a panic fails the calling test.
+/// Run every decoder over the lossy UTF-8 text of `bytes`: the JSON tree
+/// and trace JSON decoders.  Each may succeed or fail; a panic fails the
+/// calling test.
 fn decode_everything(bytes: &[u8]) {
-    if let Ok(trace) = Trace::read_binary(&mut &bytes[..]) {
-        let _ = trace.validate();
-    }
-    let mut input = bytes;
-    if let Ok(mut reader) = TraceReader::new(&mut input) {
-        // Every record consumes input, so this ends at the declared count,
-        // at a truncated record, or when the bytes run out.
-        while let Ok(Some(_)) = reader.next_message() {}
-    }
     let text = String::from_utf8_lossy(bytes);
     let _ = Json::parse(&text);
     if let Ok(trace) = Trace::from_json_str(&text) {
         let _ = trace.validate();
     }
-}
-
-/// Both encodings of a trace: binary bytes and JSON text bytes.
-fn encodings(trace: &Trace) -> [Vec<u8>; 2] {
-    let mut binary = Vec::new();
-    trace.write_binary(&mut binary).unwrap();
-    [binary, trace.to_json_string().into_bytes()]
 }
 
 /// A random JSON document up to `depth` levels deep, covering every value
@@ -100,10 +83,9 @@ proptest! {
     /// error.
     #[test]
     fn truncated_encodings_never_panic(trace in arb_trace(), keep in 0.0f64..1.0) {
-        for bytes in encodings(&trace) {
-            let cut = (bytes.len() as f64 * keep) as usize;
-            decode_everything(&bytes[..cut]);
-        }
+        let bytes = trace.to_json_string().into_bytes();
+        let cut = (bytes.len() as f64 * keep) as usize;
+        decode_everything(&bytes[..cut]);
     }
 
     /// Valid encodings with a few flipped bits decode to a value or an
@@ -113,28 +95,17 @@ proptest! {
         trace in arb_trace(),
         flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..8),
     ) {
-        for mut bytes in encodings(&trace) {
-            for &(at, bit) in &flips {
-                let len = bytes.len();
-                bytes[at % len] ^= 1 << bit;
-            }
-            decode_everything(&bytes);
+        let mut bytes = trace.to_json_string().into_bytes();
+        for &(at, bit) in &flips {
+            let len = bytes.len();
+            bytes[at % len] ^= 1 << bit;
         }
+        decode_everything(&bytes);
     }
 
-    /// Arbitrary bytes, optionally behind a valid magic and version so the
-    /// binary decoders reach the header fields and records.
+    /// Arbitrary bytes decode to a value or an error.
     #[test]
-    fn arbitrary_bytes_never_panic(
-        tail in proptest::collection::vec(any::<u8>(), 0..256),
-        with_magic in any::<bool>(),
-    ) {
-        let mut bytes = Vec::new();
-        if with_magic {
-            bytes.extend_from_slice(b"NSTR");
-            bytes.extend_from_slice(&1u16.to_le_bytes());
-        }
-        bytes.extend_from_slice(&tail);
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         decode_everything(&bytes);
     }
 
@@ -159,65 +130,33 @@ proptest! {
         decode_everything(&bytes);
     }
 
-    /// Binary and JSON codecs both reproduce the trace bit-for-bit, and
-    /// the streaming reader agrees with the whole-trace decoder.
+    /// The JSON codec reproduces the trace bit-for-bit.
     #[test]
     fn codecs_round_trip(trace in arb_trace()) {
         trace.validate().unwrap();
-
-        let mut bytes = Vec::new();
-        trace.write_binary(&mut bytes).unwrap();
-        let back = Trace::read_binary(&mut bytes.as_slice()).unwrap();
+        let back = Trace::from_json_str(&trace.to_json_string()).unwrap();
         prop_assert_eq!(&back, &trace);
-
-        let json_back = Trace::from_json_str(&trace.to_json_string()).unwrap();
-        prop_assert_eq!(&json_back, &trace);
-
-        let mut cursor = bytes.as_slice();
-        let mut reader = TraceReader::new(&mut cursor).unwrap();
-        prop_assert_eq!(reader.header(), trace.header);
-        let mut streamed = Vec::new();
-        while let Some(m) = reader.next_message().unwrap() {
-            streamed.push(m);
-        }
-        prop_assert_eq!(streamed, trace.messages);
     }
 
-    /// The streaming writer produces the same bytes as the whole-trace
-    /// encoder.
-    #[test]
-    fn streaming_writer_matches_whole_trace_encoder(trace in arb_trace()) {
-        let mut whole = Vec::new();
-        trace.write_binary(&mut whole).unwrap();
-
-        let mut streamed = Vec::new();
-        let mut writer = TraceWriter::new(&mut streamed, trace.header).unwrap();
-        for m in &trace.messages {
-            writer.write_message(m).unwrap();
-        }
-        writer.finish().unwrap();
-        prop_assert_eq!(streamed, whole);
-    }
-
-    /// Replay schedules are deterministic and respect the load-zero edge.
+    /// Replay schedules are deterministic, and each source's due cycles
+    /// are non-decreasing.
     #[test]
     fn replay_schedule_is_deterministic(trace in arb_trace(), load in 0.01f64..1.5) {
-        let drain = |cursor: &mut TraceCursor<'_>| {
+        let drain = |cursors: &mut SourceCursors<'_>| {
             let mut out = Vec::new();
-            for cycle in 0..2048u64 {
-                while let Some(m) = cursor.pop_due(cycle) {
-                    out.push((cycle, *m));
+            for src in 0..trace.header.routers as usize {
+                while cursors.next_due(src).is_some_and(|due| due < 2048) {
+                    let (due, m) = cursors.pop(src).unwrap();
+                    out.push((due, *m));
                 }
             }
             out
         };
-        let a = drain(&mut TraceCursor::new(&trace, load));
-        let b = drain(&mut TraceCursor::new(&trace, load));
+        let a = drain(&mut SourceCursors::new(&trace, load));
+        let b = drain(&mut SourceCursors::new(&trace, load));
         prop_assert_eq!(&a, &b);
-        // Due cycles are non-decreasing and messages come in trace order
-        // within a wave.
         for pair in a.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0);
+            prop_assert!(pair[0].1.src != pair[1].1.src || pair[0].0 <= pair[1].0);
         }
     }
 
