@@ -293,14 +293,6 @@ impl Model {
         }
         true
     }
-
-    /// Override a variable's bounds (used by branch-and-bound when
-    /// branching on fractional variables).
-    pub fn set_bounds(&mut self, v: VarId, lower: f64, upper: f64) {
-        let var = &mut self.variables[v.index()];
-        var.lower = lower;
-        var.upper = upper;
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   small instances and validation; the production engine is an
 //!   equivalent greedy + local-search optimizer.
 //! * [`cdg`] — channel dependency graph construction and cycle detection
-//!   (Dally & Seitz acyclicity criterion).
+//!   (Dally & Seitz acyclicity condition).
 //! * [`vc`] — DFSSSP-style partitioning of the selected paths into acyclic
 //!   routing subfunctions mapped onto escape virtual channels, plus
 //!   path-length-weighted VC load balancing, and [`require_servable`], the

@@ -142,11 +142,6 @@ impl<'a> ServingInputs<'a> {
             modulation: None,
         }
     }
-
-    pub fn modulated_by(mut self, trace: &'a Trace) -> Self {
-        self.modulation = Some(trace);
-        self
-    }
 }
 
 /// The fabric currently serving traffic: the healthy network at first,
