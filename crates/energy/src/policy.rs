@@ -48,7 +48,7 @@ pub struct EnergyContext<'a> {
 
 impl EnergyContext<'_> {
     /// Measured always-on power at this operating point.
-    pub fn baseline_power(&self) -> PowerReport {
+    fn baseline_power(&self) -> PowerReport {
         power_report_from_activity(
             self.topology,
             &self.config.power,

@@ -23,7 +23,7 @@ use crate::row::emit;
 use crate::runner::{Figure, Runner};
 use crate::spec::CandidateSpec;
 use netsmith_obs::{JsonlRecorder, Obs};
-use netsmith_pool::WorkerPool;
+use netsmith_pool::{PoolStats, WorkerPool};
 use netsmith_topo::json::Json;
 use std::path::{Path, PathBuf};
 
@@ -32,10 +32,10 @@ use std::path::{Path, PathBuf};
 pub const DEFAULT_SEED: u64 = 20_240_402;
 
 /// Per-worker annealing budget used by `--quick` runs.
-pub const QUICK_EVALS: u64 = 1_500;
+const QUICK_EVALS: u64 = 1_500;
 
 /// Worker count used by `--quick` runs.
-pub const QUICK_WORKERS: usize = 2;
+const QUICK_WORKERS: usize = 2;
 
 /// Search-budget and mode configuration for a run.  Construct directly in
 /// tests; CLI entry points build it from flags with env fallback.
@@ -65,7 +65,7 @@ impl Default for RunProfile {
 impl RunProfile {
     /// The default profile with `NETSMITH_EVALS` / `NETSMITH_WORKERS`
     /// applied as fallbacks when present.
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         let mut profile = RunProfile::default();
         if let Some(evals) = std::env::var("NETSMITH_EVALS")
             .ok()
@@ -276,9 +276,14 @@ fn verify_artifacts(
     for (i, line) in text.lines().enumerate() {
         let json = Json::parse(line)
             .map_err(|e| format!("{}:{}: unparsable event: {e}", event_log.display(), i + 1))?;
-        match json.require("ev")?.as_str()? {
+        let field = |key: &str| {
+            json.require(key)
+                .and_then(Json::as_str)
+                .map_err(|e| format!("{}:{}: {e}", event_log.display(), i + 1))
+        };
+        match field("ev")? {
             "span_close" => {
-                closed_spans.insert(json.require("name")?.as_str()?.to_string());
+                closed_spans.insert(field("name")?.to_string());
             }
             "series" => series += 1,
             _ => {}
@@ -303,7 +308,11 @@ fn verify_artifacts(
         .map_err(|e| format!("cannot re-read {}: {e}", manifest.display()))?;
     let parsed = Json::parse(&manifest_text)
         .map_err(|e| format!("{}: unparsable manifest: {e}", manifest.display()))?;
-    let listed = parsed.require("figures")?.as_arr()?.len();
+    let listed = parsed
+        .require("figures")
+        .and_then(Json::as_arr)
+        .map_err(|e| format!("{}: {e}", manifest.display()))?
+        .len();
     if listed != figures.len() {
         return Err(format!(
             "{} lists {listed} figures, expected {}",
@@ -328,10 +337,15 @@ fn finish_obs(
     let Some(event_log) = &options.obs_path else {
         return Ok(());
     };
-    let stats = WorkerPool::global().stats();
-    obs.add("pool.batches", stats.batches);
-    obs.add("pool.tasks", stats.tasks);
-    obs.add("pool.queue_wait_us", stats.queue_wait_us);
+    // Destructured in full so a new pool counter cannot go unpublished.
+    let PoolStats {
+        batches,
+        tasks,
+        queue_wait_us,
+    } = WorkerPool::global().stats();
+    obs.add("pool.batches", batches);
+    obs.add("pool.tasks", tasks);
+    obs.add("pool.queue_wait_us", queue_wait_us);
     obs.flush();
     let snapshot = obs.snapshot().expect("an observed run has a recorder");
     let hits = snapshot.counter("cache.hits") as usize;

@@ -169,7 +169,7 @@ pub fn render(header: &str, rows: &[Row], mode: OutputMode, json: bool) -> Strin
 
 /// One row as a JSON object keyed by the header's column names; numbers and
 /// booleans are inferred from the rendered column text.
-pub fn row_to_json(names: &[&str], row: &Row) -> Json {
+fn row_to_json(names: &[&str], row: &Row) -> Json {
     let members = names
         .iter()
         .zip(row.columns())

@@ -41,7 +41,7 @@ pub struct ResolvedCandidate {
 impl ResolvedCandidate {
     /// The routed, VC-allocated network; prepared on first use and shared.
     /// The typed error names why preparation failed.
-    pub fn try_network(&self) -> Result<Arc<EvaluatedNetwork>, PipelineError> {
+    fn try_network(&self) -> Result<Arc<EvaluatedNetwork>, PipelineError> {
         self.prepared
             .get_or_init(|| {
                 EvaluatedNetwork::prepare(&self.topology, self.scheme, VC_BUDGET, self.prepare_seed)
@@ -272,7 +272,7 @@ impl<'c> Runner<'c> {
     }
 
     /// Resolve an expert candidate (no discovery, NDBT routing).
-    pub fn resolve_expert(
+    fn resolve_expert(
         &self,
         layout_spec: LayoutSpec,
         class: LinkClass,
@@ -293,10 +293,7 @@ impl<'c> Runner<'c> {
 
     /// Expand a spec's candidate matrix into resolved candidates, in
     /// (layout, class, candidate, scheme) order.
-    pub fn resolve_candidates(
-        &self,
-        spec: &ExperimentSpec,
-    ) -> Result<Vec<ResolvedCandidate>, String> {
+    fn resolve_candidates(&self, spec: &ExperimentSpec) -> Result<Vec<ResolvedCandidate>, String> {
         let mut resolved = Vec::new();
         for &layout_spec in &spec.layouts {
             let layout = layout_spec.layout();
@@ -433,7 +430,7 @@ impl<'c> Runner<'c> {
 }
 
 /// Evaluate declarative assertions against an output's rendered rows.
-pub fn check_assertions(output: &RunOutput, assertions: &[Assertion]) -> Result<(), String> {
+fn check_assertions(output: &RunOutput, assertions: &[Assertion]) -> Result<(), String> {
     let columns: Vec<&str> = output.header.split(',').collect();
     let index = |name: &str| -> Result<usize, String> {
         columns

@@ -166,12 +166,6 @@ impl DegradedTopology {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Ordered surviving `(s, d)` pairs a complete repair must route.
-    pub fn num_surviving_pairs(&self) -> usize {
-        let k = self.num_alive();
-        k * k.saturating_sub(1)
-    }
-
     /// Surviving pairs with no directed path through surviving routers —
     /// traffic that no repair policy can restore.
     pub fn unreachable_pairs(&self) -> usize {
@@ -290,7 +284,6 @@ mod tests {
         let degraded = scenario.apply(&mesh);
         assert_eq!(degraded.failed_routers(), vec![7]);
         assert_eq!(degraded.num_alive(), 19);
-        assert_eq!(degraded.num_surviving_pairs(), 19 * 18);
         for other in 0..20 {
             if other != 7 {
                 assert!(!degraded.topology.has_link(7, other));

@@ -197,23 +197,10 @@ impl Objective {
         self.evaluate_analysis(topo, &TopoAnalysis::new(topo), CutEval::Exact)
     }
 
-    /// Evaluate using a cheaper surrogate for the cut term: the minimum
-    /// normalized bandwidth over a fixed pool of cuts (each a membership
-    /// vector).  The annealer maintains such a pool as a cutting-plane-style
-    /// approximation and periodically refreshes it with full heuristic cut
-    /// searches.
-    pub fn evaluate_with_cut_pool(
-        &self,
-        topo: &Topology,
-        cut_pool: &[Vec<bool>],
-    ) -> ObjectiveValue {
-        self.evaluate_analysis(topo, &TopoAnalysis::new(topo), CutEval::Pool(cut_pool))
-    }
-
     /// Evaluate against a pre-computed (possibly delta-updated) analysis —
-    /// the single scoring path shared by [`Objective::evaluate`],
-    /// [`Objective::evaluate_with_cut_pool`] and the annealer's cached move
-    /// evaluation.  `analysis` must describe `topo`.
+    /// the single scoring path shared by [`Objective::evaluate`] and the
+    /// annealer's cached move evaluation, which scores the cut term against
+    /// its cut pool ([`CutEval::Pool`]).  `analysis` must describe `topo`.
     pub fn evaluate_analysis(
         &self,
         topo: &Topology,
@@ -339,7 +326,8 @@ mod tests {
             (0..20).map(|i| i < 10).collect(),
             (0..20).map(|i| i % 2 == 0).collect(),
         ];
-        let pooled = Objective::SCOp.evaluate_with_cut_pool(&torus, &pool);
+        let analysis = TopoAnalysis::new(&torus);
+        let pooled = Objective::SCOp.evaluate_analysis(&torus, &analysis, CutEval::Pool(&pool));
         assert!(pooled.sparsest_cut >= exact.sparsest_cut - 1e-12);
     }
 

@@ -50,12 +50,6 @@ impl GenerationProblem {
         self
     }
 
-    /// Builder: require a minimum sparsest-cut bandwidth (constraint C7).
-    pub fn with_min_sparsest_cut(mut self, min_cut: f64) -> Self {
-        self.min_sparsest_cut = Some(min_cut);
-        self
-    }
-
     /// Number of routers.
     pub fn num_routers(&self) -> usize {
         self.layout.num_routers()
@@ -91,11 +85,9 @@ mod tests {
     fn builders_set_constraints() {
         let p = GenerationProblem::new(Layout::noi_4x5(), LinkClass::Small, Objective::SCOp)
             .with_symmetric_links(true)
-            .with_max_diameter(4)
-            .with_min_sparsest_cut(0.02);
+            .with_max_diameter(4);
         assert!(p.symmetric_links);
         assert_eq!(p.max_diameter, Some(4));
-        assert_eq!(p.min_sparsest_cut, Some(0.02));
         assert_eq!(p.topology_name(), "NS-SCOp-small");
     }
 

@@ -53,19 +53,6 @@ impl SolverProgress {
         &self.samples
     }
 
-    /// Final (smallest) gap reached.
-    pub fn final_gap(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.gap)
-    }
-
-    /// Best incumbent value reached.
-    pub fn best_incumbent(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.incumbent)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
     /// Merge another trace (e.g. from a parallel worker), keeping samples
     /// sorted by evaluation count and recomputing the running best
     /// incumbent.  The sort is stable, so merging workers in index order
@@ -114,8 +101,8 @@ mod tests {
         p.record(Duration::from_millis(1), 100.0, 90.0, 10);
         p.record(Duration::from_millis(2), 95.0, 90.0, 20);
         assert!((p.samples()[0].gap - 0.1).abs() < 1e-12);
-        assert!(p.final_gap().unwrap() < 0.06);
-        assert_eq!(p.best_incumbent(), Some(95.0));
+        assert!(p.samples()[1].gap < 0.06);
+        assert_eq!(p.samples()[1].incumbent, 95.0);
     }
 
     #[test]

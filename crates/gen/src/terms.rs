@@ -25,7 +25,7 @@ use netsmith_topo::Topology;
 
 /// Scale factor that keeps the bandwidth term dominant over the hop-count
 /// tiebreak in the SCOp score.
-pub const SCOP_BANDWIDTH_SCALE: f64 = 1.0e7;
+const SCOP_BANDWIDTH_SCALE: f64 = 1.0e7;
 
 /// Everything a term may consult when scoring one candidate topology: the
 /// topology itself, its cached [`TopoAnalysis`], and the sparsest-cut value
@@ -226,20 +226,20 @@ pub(crate) fn resolve_cut(topo: &Topology, cut: CutEval<'_>, needed: bool) -> f6
 /// defaults (kept as local constants so the search engine stays free of the
 /// simulator/power dependency chain); the proxy only needs the *relative*
 /// weighting of router vs. wire energy to rank candidate topologies.
-pub mod energy_proxy {
+mod energy_proxy {
     /// Router leakage per router in mW.
-    pub const ROUTER_LEAKAGE_MW: f64 = 4.0;
+    pub(super) const ROUTER_LEAKAGE_MW: f64 = 4.0;
     /// Wire leakage per millimetre in mW.
-    pub const WIRE_LEAKAGE_MW_PER_MM: f64 = 0.15;
+    pub(super) const WIRE_LEAKAGE_MW_PER_MM: f64 = 0.15;
     /// Dynamic energy per flit per router traversal in pJ.
-    pub const ROUTER_ENERGY_PJ: f64 = 3.0;
+    const ROUTER_ENERGY_PJ: f64 = 3.0;
     /// Dynamic energy per flit per millimetre of wire in pJ.
-    pub const WIRE_ENERGY_PJ_PER_MM: f64 = 0.9;
+    const WIRE_ENERGY_PJ_PER_MM: f64 = 0.9;
 
     /// Hop-count-dependent part of the proxy: energy per flit (router +
     /// wire traversals along an average path) times the delay proxy
     /// (average hops) — an analytic energy-delay product.
-    pub fn edp_term(average_hops: f64, avg_link_mm: f64) -> f64 {
+    pub(super) fn edp_term(average_hops: f64, avg_link_mm: f64) -> f64 {
         let energy_per_flit_pj = (average_hops + 1.0) * ROUTER_ENERGY_PJ
             + average_hops * avg_link_mm * WIRE_ENERGY_PJ_PER_MM;
         energy_per_flit_pj * average_hops

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Does a path double back along the horizontal (column) axis?
-pub fn doubles_back_horizontally(layout: &Layout, path: &[RouterId]) -> bool {
+fn doubles_back_horizontally(layout: &Layout, path: &[RouterId]) -> bool {
     let mut direction: i32 = 0; // -1 = moving left, +1 = moving right
     for w in path.windows(2) {
         let (_, c0) = layout.position(w[0]);

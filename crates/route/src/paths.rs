@@ -12,7 +12,7 @@ use netsmith_topo::metrics::{all_pairs_hops, UNREACHABLE};
 use netsmith_topo::{RouterId, Topology};
 
 /// Default cap on the number of shortest paths enumerated per flow.
-pub const DEFAULT_MAX_PATHS_PER_FLOW: usize = 64;
+const DEFAULT_MAX_PATHS_PER_FLOW: usize = 64;
 
 /// The set of shortest paths for every ordered `(src, dst)` pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,11 +45,6 @@ impl PathSet {
         } else {
             Some(v)
         }
-    }
-
-    /// Total number of enumerated paths across all flows.
-    pub fn total_paths(&self) -> usize {
-        self.paths.iter().map(|p| p.len()).sum()
     }
 
     /// Iterate over all flows `(s, d)` with `s != d` that have at least one
@@ -197,7 +192,8 @@ mod tests {
             assert!(capped.paths(s, d).len() <= 2);
         }
         let full = all_shortest_paths(&mesh);
-        assert!(full.total_paths() >= capped.total_paths());
+        let total = |ps: &PathSet| ps.paths.iter().map(Vec::len).sum::<usize>();
+        assert!(total(&full) >= total(&capped));
     }
 
     #[test]

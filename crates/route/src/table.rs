@@ -155,7 +155,7 @@ impl RoutingTable {
     }
 
     /// Channel-load report under a demand matrix.
-    pub fn channel_loads(&self, demand: &DemandMatrix) -> ChannelLoadReport {
+    fn channel_loads(&self, demand: &DemandMatrix) -> ChannelLoadReport {
         assert_eq!(demand.num_nodes(), self.n);
         let mut loads: HashMap<(RouterId, RouterId), f64> = HashMap::new();
         for (flow, path) in self.flows() {

@@ -52,18 +52,6 @@ impl VcAllocation {
     pub fn vc(&self, flow: Flow) -> usize {
         self.assignment[&flow]
     }
-
-    /// Largest/smallest weighted occupancy ratio — 1.0 means perfectly
-    /// balanced.
-    pub fn imbalance(&self) -> f64 {
-        let max = self.occupancy.iter().copied().fold(0.0f64, f64::max);
-        let min = self.occupancy.iter().copied().fold(f64::INFINITY, f64::min);
-        if min <= 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
 }
 
 /// Every routed flow of a table, in `table.flows()` order (ascending

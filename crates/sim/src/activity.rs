@@ -55,17 +55,6 @@ pub struct RouterActivity {
     pub buffer_flit_cycles: u64,
 }
 
-impl RouterActivity {
-    /// Mean buffered flits per cycle over the window.
-    pub fn avg_buffered_flits(&self, measured_cycles: u64) -> f64 {
-        if measured_cycles == 0 {
-            0.0
-        } else {
-            self.buffer_flit_cycles as f64 / measured_cycles as f64
-        }
-    }
-}
-
 /// Complete per-link / per-router activity record of one simulation run,
 /// measured over the measurement window only (warm-up and drain excluded).
 #[derive(Debug, Clone, PartialEq)]
@@ -98,14 +87,6 @@ impl ActivityProfile {
         }
         let busy: u64 = self.links.iter().map(|l| l.busy_cycles).sum();
         busy as f64 / (self.links.len() as f64 * self.measured_cycles as f64)
-    }
-
-    /// Utilization of a specific directed link, when present.
-    pub fn link_utilization(&self, from: RouterId, to: RouterId) -> Option<f64> {
-        self.links
-            .iter()
-            .find(|l| l.from == from && l.to == to)
-            .map(|l| l.utilization(self.measured_cycles))
     }
 
     /// Total flit-traversals across all links during the window.
@@ -165,9 +146,8 @@ mod tests {
     fn utilization_is_busy_over_window() {
         let p = profile();
         assert!((p.avg_link_utilization() - 0.3).abs() < 1e-12);
-        assert_eq!(p.link_utilization(0, 1), Some(0.5));
-        assert_eq!(p.link_utilization(1, 0), Some(0.1));
-        assert_eq!(p.link_utilization(0, 5), None);
+        assert_eq!(p.links[0].utilization(p.measured_cycles), 0.5);
+        assert_eq!(p.links[1].utilization(p.measured_cycles), 0.1);
     }
 
     #[test]
@@ -175,12 +155,6 @@ mod tests {
         let p = profile();
         assert_eq!(p.total_link_flits(), 60);
         assert!((p.flits_per_cycle() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn router_occupancy_averages_over_window() {
-        let p = profile();
-        assert!((p.routers[0].avg_buffered_flits(p.measured_cycles) - 2.0).abs() < 1e-12);
     }
 
     #[test]

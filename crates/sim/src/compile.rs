@@ -152,11 +152,6 @@ impl CompiledNetwork {
         self.path_offsets.windows(2).filter(|w| w[1] > w[0]).count()
     }
 
-    /// Total compiled hop entries across all flows.
-    pub fn num_hops(&self) -> usize {
-        self.hops.len()
-    }
-
     /// First-hop link of a flow (`NONE` when unrouted).
     #[inline]
     fn first_hop(&self, flow: u32) -> u32 {
@@ -1133,7 +1128,7 @@ mod tests {
         assert_eq!(net.num_routed_flows(), table.num_routed_flows());
         // Total hop entries = sum of per-flow hop counts.
         let expected_hops: usize = table.flows().map(|(_, p)| p.len() - 1).sum();
-        assert_eq!(net.num_hops(), expected_hops);
+        assert_eq!(net.hops.len(), expected_hops);
         // Every compiled hop refers to a real link, in path order.
         for (flow, path) in table.flows() {
             let fi = flow.src * 20 + flow.dst;
@@ -1155,7 +1150,7 @@ mod tests {
         let table = RoutingTable::new(20, "empty");
         let net = CompiledNetwork::compile(&mesh, &table, None, &SimConfig::quick());
         assert_eq!(net.num_routed_flows(), 0);
-        assert_eq!(net.num_hops(), 0);
+        assert_eq!(net.hops.len(), 0);
         assert_eq!(net.first_hop(0), NONE);
     }
 

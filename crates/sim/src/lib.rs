@@ -17,12 +17,16 @@
 //!   and credit-style backpressure (a packet only advances when the
 //!   downstream VC has room for all of its flits);
 //! * each packet travels on the virtual channel its flow was assigned by
-//!   the deadlock-free VC allocation of `netsmith-route`, so the per-VC
-//!   channel dependency graphs stay acyclic and the simulated network is
-//!   deadlock-free by construction, exactly like the escape-VC discipline
-//!   the paper uses;
+//!   the VC allocation of `netsmith-route`, so each VC's channel
+//!   dependency graph is acyclic, like the escape-VC discipline the paper
+//!   uses;
 //! * per-output-port arbitration is oldest-first (approximating the
-//!   iterative separable allocators of Garnet).
+//!   iterative separable allocators of Garnet).  That is **not** yet
+//!   deadlock-free: an output link shared by several VCs idles behind its
+//!   oldest packet when that packet's VC has no room downstream, so one
+//!   VC waits on another through the link.  Until the arbiter lets a
+//!   packet with credits pass a blocked older one (an open item in
+//!   `ROADMAP.md`), points past saturation can read near-zero throughput.
 //!
 //! Virtual cut-through reaches slightly *higher* saturation than an
 //! input-queued wormhole router (the paper itself notes the gap between

@@ -80,7 +80,7 @@ impl FullSystemResult {
 /// workload profile: every L2 miss produces a request packet and a response
 /// packet (one of them data-sized), issued by `cores_per_router` cores at
 /// `cpu_clock / base_cpi` instructions per second each.
-pub fn implied_injection_rate(
+fn implied_injection_rate(
     profile: &WorkloadProfile,
     config: &FullSystemConfig,
     noi_clock_ghz: f64,

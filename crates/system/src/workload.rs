@@ -11,7 +11,6 @@
 
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::Layout;
-use netsmith_trace::{OnOffHotspotParams, TraceModel};
 
 /// Network-relevant profile of one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,23 +46,6 @@ impl WorkloadProfile {
             targets: layout.memory_routers(),
             fraction: 1.0 - self.coherence_fraction,
         }
-    }
-
-    /// The trace generator this workload parameterizes: ON/OFF bursty
-    /// sources whose hotspot sinks are the layout's memory routers
-    /// (mirroring [`WorkloadProfile::traffic_pattern`]) and whose in-burst
-    /// injection intensity scales with the benchmark's L2 MPKI.  Feed the
-    /// resulting [`TraceModel`] to [`TraceModel::generate`] for a
-    /// deterministic replayable trace of this benchmark.
-    pub fn trace_model(&self, layout: &Layout) -> TraceModel {
-        TraceModel::OnOffHotspot(OnOffHotspotParams {
-            // canneal (7.5 MPKI) runs near-saturated bursts; swaptions
-            // (0.08 MPKI) barely grazes the floor.
-            inject_prob: (self.l2_mpki / 8.0).clamp(0.05, 0.9),
-            hotspot_fraction: 1.0 - self.coherence_fraction,
-            targets: layout.memory_routers(),
-            ..OnOffHotspotParams::default()
-        })
     }
 }
 
@@ -192,33 +174,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&fraction));
             assert!((fraction - (1.0 - w.coherence_fraction)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn trace_models_scale_with_mpki_and_target_memory_routers() {
-        let layout = Layout::noi_4x5();
-        let suite = parsec_suite();
-        let trace = |w: &WorkloadProfile| w.trace_model(&layout).generate(20, 2_048, 5);
-        let light = trace(&suite[0]); // swaptions
-        let heavy = trace(suite.last().unwrap()); // canneal
-        assert!(
-            heavy.offered_flits_per_node_cycle() > light.offered_flits_per_node_cycle(),
-            "canneal should inject more than swaptions"
-        );
-        // The memory routers soak up the hotspot fraction of the demand.
-        let stats = netsmith_trace::TraceStats::of(&heavy);
-        let mem = layout.memory_routers();
-        let mem_share: f64 = mem
-            .iter()
-            .flat_map(|&d| (0..20).map(move |s| (s, d)))
-            .map(|(s, d)| stats.demand_matrix().demand(s, d))
-            .sum();
-        assert!(
-            mem_share > 0.4,
-            "memory routers draw {mem_share} of normalized demand"
-        );
-        // Pure in all inputs: the bridge is deterministic.
-        assert_eq!(trace(&suite[0]), light);
     }
 
     #[test]

@@ -66,18 +66,6 @@ impl ThroughputBounds {
             .min(self.occupancy_bound)
             .min(self.injection_bound)
     }
-
-    /// Which bound is binding, as a human-readable label.
-    pub fn limiting_kind(&self) -> &'static str {
-        let l = self.limiting();
-        if l == self.cut_bound {
-            "cut"
-        } else if l == self.occupancy_bound {
-            "occupancy"
-        } else {
-            "injection"
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,17 +111,5 @@ mod tests {
         let b = ThroughputBounds::compute(&t);
         assert_eq!(b.occupancy_bound, 0.0);
         assert_eq!(b.limiting(), 0.0);
-    }
-
-    #[test]
-    fn limiting_kind_is_consistent() {
-        let mesh = expert::mesh(&Layout::noi_4x5());
-        let b = ThroughputBounds::compute(&mesh);
-        match b.limiting_kind() {
-            "cut" => assert_eq!(b.limiting(), b.cut_bound),
-            "occupancy" => assert_eq!(b.limiting(), b.occupancy_bound),
-            "injection" => assert_eq!(b.limiting(), b.injection_bound),
-            other => panic!("unexpected kind {other}"),
-        }
     }
 }

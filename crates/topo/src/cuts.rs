@@ -10,7 +10,7 @@
 //! must cross the cut.  For asymmetric topologies the minimum of the two
 //! directions is taken, because the weaker direction is the true bottleneck.
 //!
-//! Up to [`EXHAUSTIVE_LIMIT`] routers (the paper's 20-router configurations)
+//! Up to 24 routers (`EXHAUSTIVE_LIMIT`; the paper's 20-router configurations)
 //! both metrics are exact and come from one sweep over the 2^(n-1)
 //! bipartitions.  For larger networks (30/48 routers) an exhaustive sweep is
 //! infeasible, so seeded multi-start local searches are used instead
@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Largest router count for which cuts are enumerated exhaustively.
-pub const EXHAUSTIVE_LIMIT: usize = 24;
+const EXHAUSTIVE_LIMIT: usize = 24;
 
 /// Report describing the minimizing cut found.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,13 +50,6 @@ pub struct CutReport {
     pub is_bisection: bool,
     /// Whether the value is exact (exhaustive enumeration) or heuristic.
     pub exact: bool,
-}
-
-impl CutReport {
-    /// Bottleneck crossing capacity (the weaker direction).
-    pub fn crossing_min(&self) -> usize {
-        self.crossing_forward.min(self.crossing_backward)
-    }
 }
 
 /// Count directed links crossing a bipartition given membership flags
@@ -384,7 +377,7 @@ mod tests {
         );
         let cut = sparsest_cut_exhaustive(&t);
         assert!(cut.exact);
-        assert_eq!(cut.crossing_min(), 2);
+        assert_eq!(cut.crossing_forward.min(cut.crossing_backward), 2);
         // Minimum normalized value is 2 / (3*3).
         assert!((cut.normalized_bandwidth - 2.0 / 9.0).abs() < 1e-9);
     }
@@ -499,7 +492,7 @@ mod tests {
         let one = Topology::empty("one", layout, LinkClass::Small);
         let cut = sparsest_cut_heuristic(&one, 4, 7);
         assert_eq!(cut.partition, vec![0]);
-        assert_eq!(cut.crossing_min(), 0);
+        assert_eq!(cut.crossing_forward.min(cut.crossing_backward), 0);
         assert_eq!(cut.normalized_bandwidth, f64::INFINITY);
         assert!(!cut.exact);
     }

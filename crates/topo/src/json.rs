@@ -13,7 +13,7 @@ use std::fmt;
 /// Deepest array/object nesting [`Json::parse`] accepts.  The parser
 /// recurses once per level, so the bound keeps hostile input (a trace
 /// header of 100 000 `[`) from overflowing the stack.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +28,59 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Why [`Json::parse`] rejected a document, or why an accessor found a
+/// value of another shape than it asked for.  Parse errors carry the byte
+/// offset `at` into the text where the problem was found.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonError {
+    /// The input ended inside a value (an unterminated string, array or
+    /// object) or before any value; `at` is the input length.
+    UnexpectedEnd { at: usize },
+    /// Another byte than `token` was found where `token` must appear.
+    Expected { at: usize, token: &'static str },
+    /// A backslash escape JSON does not define, or a `\u` escape that is
+    /// not four hex digits naming a `char`; `at` is the backslash.
+    BadEscape { at: usize },
+    /// A token that does not parse as a number.
+    BadNumber { at: usize },
+    /// An array or object nested more than 128 levels deep.
+    TooDeep { at: usize },
+    /// Non-whitespace input after the document.
+    TrailingInput { at: usize },
+    /// [`Json::require`] found no member with this key.
+    MissingKey(String),
+    /// An accessor expected one JSON type and found another.
+    WrongType {
+        expected: &'static str,
+        found: &'static str,
+    },
+    /// [`Json::as_u64`] found a number that is negative, fractional or
+    /// above 2^53.
+    NotUnsignedInteger(f64),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::UnexpectedEnd { at } => write!(f, "unexpected end of input at byte {at}"),
+            JsonError::Expected { at, token } => write!(f, "expected {token} at byte {at}"),
+            JsonError::BadEscape { at } => write!(f, "invalid escape at byte {at}"),
+            JsonError::BadNumber { at } => write!(f, "invalid number at byte {at}"),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::TrailingInput { at } => write!(f, "trailing input at byte {at}"),
+            JsonError::MissingKey(key) => write!(f, "missing key {key:?}"),
+            JsonError::WrongType { expected, found } => {
+                write!(f, "expected {expected}, got {found}")
+            }
+            JsonError::NotUnsignedInteger(n) => write!(f, "expected unsigned integer, got {n}"),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 impl Json {
     /// Object member lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -38,49 +91,61 @@ impl Json {
     }
 
     /// Object member lookup that errors with the missing key's name.
-    pub fn require(&self, key: &str) -> Result<&Json, String> {
-        self.get(key).ok_or_else(|| format!("missing key {key:?}"))
+    pub fn require(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::MissingKey(key.to_string()))
     }
 
-    pub fn as_f64(&self) -> Result<f64, String> {
+    pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Json::Num(n) => Ok(*n),
-            other => Err(format!("expected number, got {other:?}")),
+            other => Err(other.wrong_type("number")),
         }
     }
 
-    pub fn as_u64(&self) -> Result<u64, String> {
+    pub fn as_u64(&self) -> Result<u64, JsonError> {
         let n = self.as_f64()?;
         if n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
             Ok(n as u64)
         } else {
-            Err(format!("expected unsigned integer, got {n}"))
+            Err(JsonError::NotUnsignedInteger(n))
         }
     }
 
-    pub fn as_str(&self) -> Result<&str, String> {
+    pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
+            other => Err(other.wrong_type("string")),
         }
     }
 
-    pub fn as_arr(&self) -> Result<&[Json], String> {
+    pub fn as_arr(&self) -> Result<&[Json], JsonError> {
         match self {
             Json::Arr(items) => Ok(items),
-            other => Err(format!("expected array, got {other:?}")),
+            other => Err(other.wrong_type("array")),
         }
+    }
+
+    fn wrong_type(&self, expected: &'static str) -> JsonError {
+        let found = match self {
+            Json::Null => "null",
+            Json::Bool(_) => "bool",
+            Json::Num(_) => "number",
+            Json::Str(_) => "string",
+            Json::Arr(_) => "array",
+            Json::Obj(_) => "object",
+        };
+        JsonError::WrongType { expected, found }
     }
 
     /// Parse a JSON document.  Fails on malformed input and on arrays or
-    /// objects nested deeper than [`MAX_DEPTH`].
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
+    /// objects nested more than 128 levels deep.
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
+        let mut parser = Parser { text, pos: 0 };
+        let value = parser.value(0)?;
+        parser.skip_ws();
+        if parser.pos != text.len() {
+            return Err(JsonError::TrailingInput { at: parser.pos });
         }
         Ok(value)
     }
@@ -143,152 +208,176 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A cursor over the text being parsed.  `pos` is a byte offset and
+/// always sits on a `char` boundary.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {}, found {:?}",
-            byte as char,
-            *pos,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-/// Parse one value whose enclosing arrays/objects are `depth` deep.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {}",
-            *pos
-        )),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
+    /// The error for `peek()` not being what was required: the input ended,
+    /// or another byte stands where `token` must.
+    fn unexpected(&self, token: &'static str) -> JsonError {
+        match self.peek() {
+            None => JsonError::UnexpectedEnd { at: self.pos },
+            Some(_) => JsonError::Expected {
+                at: self.pos,
+                token,
+            },
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8, token: &'static str) -> Result<(), JsonError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.unexpected(token))
+        }
+    }
+
+    /// Parse one value whose enclosing arrays/objects are `depth` deep.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(JsonError::UnexpectedEnd { at: self.pos }),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::TooDeep { at: self.pos }),
+            Some(b'{') => {
+                self.pos += 1;
+                let mut members = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':', "':'")?;
+                    let value = self.value(depth + 1)?;
+                    members.push((key, value));
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            return Ok(Json::Obj(members));
+                        }
+                        _ => return Err(self.unexpected("',' or '}'")),
                     }
-                    other => return Err(format!("expected ',' or '}}', found {other:?}")),
                 }
             }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value(depth + 1)?);
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(self.unexpected("',' or ']'")),
                     }
-                    other => return Err(format!("expected ',' or ']', found {other:?}")),
                 }
             }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
     }
-}
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
+    fn literal(&mut self, lit: &'static str, value: Json) -> Result<Json, JsonError> {
+        if self.text[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(JsonError::Expected {
+                at: self.pos,
+                token: lit,
+            })
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| JsonError::BadNumber { at: start })
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|e| format!("invalid number {text:?}: {e}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some((_, '"')) => {
-                *pos += 1;
+    /// Parse a string literal.  Runs of plain characters are copied as
+    /// whole slices up to the next quote or backslash (both ASCII, so
+    /// always `char` boundaries), which keeps a literal linear in its
+    /// length.
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"', "'\"'")?;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
+                return Err(JsonError::UnexpectedEnd { at: self.pos });
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if rest[run] == b'"' {
+                self.pos += 1;
                 return Ok(out);
             }
-            Some((_, '\\')) => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("invalid escape {other:?}")),
+            let bad_escape = JsonError::BadEscape { at: self.pos };
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or(bad_escape)?;
+                    out.push(code);
+                    self.pos += 4;
                 }
-                *pos += 1;
+                None => return Err(JsonError::UnexpectedEnd { at: self.pos }),
+                Some(_) => return Err(bad_escape),
             }
-            Some((_, c)) => {
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            self.pos += 1;
         }
     }
 }
@@ -335,12 +424,82 @@ mod tests {
     fn nesting_is_bounded() {
         let deep = "[".repeat(100_000);
         let err = Json::parse(&deep).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
+        assert_eq!(err, JsonError::TooDeep { at: MAX_DEPTH }, "{err}");
         assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
         let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&limit).is_ok());
         let over = format!("[{limit}]");
         assert!(Json::parse(&over).is_err());
+    }
+
+    fn err(text: &str) -> JsonError {
+        Json::parse(text).unwrap_err()
+    }
+
+    #[test]
+    fn a_truncated_string_is_an_unexpected_end() {
+        assert_eq!(err("\"abc"), JsonError::UnexpectedEnd { at: 4 });
+        assert_eq!(err("[\"a\\"), JsonError::UnexpectedEnd { at: 4 });
+        assert_eq!(err("{\"k"), JsonError::UnexpectedEnd { at: 3 });
+    }
+
+    #[test]
+    fn a_bad_unicode_escape_is_rejected() {
+        for text in [
+            "\"\\uZZZZ\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\u12",
+            "\"\\q\"",
+        ] {
+            assert_eq!(err(text), JsonError::BadEscape { at: 1 }, "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_too_deep() {
+        let over = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(err(&over), JsonError::TooDeep { at: MAX_DEPTH });
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(matches!(err(&objects), JsonError::TooDeep { .. }));
+    }
+
+    #[test]
+    fn trailing_input_is_rejected_at_its_offset() {
+        assert_eq!(err("{} x"), JsonError::TrailingInput { at: 3 });
+        assert_eq!(err("1 2"), JsonError::TrailingInput { at: 2 });
+    }
+
+    #[test]
+    fn non_integer_as_u64_is_a_typed_error() {
+        for n in [1.5, -1.0, 2f64.powi(54)] {
+            assert_eq!(Json::Num(n).as_u64(), Err(JsonError::NotUnsignedInteger(n)));
+        }
+        let wrong = JsonError::WrongType {
+            expected: "number",
+            found: "string",
+        };
+        assert_eq!(Json::Str("7".into()).as_u64(), Err(wrong));
+        let missing = JsonError::MissingKey("k".into());
+        assert_eq!(Json::Obj(vec![]).require("k"), Err(missing));
+    }
+
+    #[test]
+    fn a_two_mebibyte_string_parses_in_linear_time() {
+        // One two-byte char and one escape per 9 bytes, so the run copy
+        // and the escape path both cover the whole literal.
+        let reps = (2 << 20) / 9 + 1;
+        let body = "abc\u{e9}de\\n".repeat(reps);
+        let text = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Str("abc\u{e9}de\n".repeat(reps)));
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

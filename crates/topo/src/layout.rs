@@ -37,7 +37,7 @@ impl NodeKind {
     }
 
     /// Number of memory controllers attached to the router.
-    pub fn memory_controllers(&self) -> u8 {
+    fn memory_controllers(&self) -> u8 {
         match *self {
             NodeKind::Cores { .. } => 0,
             NodeKind::CoresAndMemory {
@@ -47,7 +47,7 @@ impl NodeKind {
     }
 
     /// True if at least one memory controller hangs off this router.
-    pub fn has_memory(&self) -> bool {
+    fn has_memory(&self) -> bool {
         self.memory_controllers() > 0
     }
 }
@@ -63,10 +63,11 @@ pub struct Layout {
     /// routers) per router, in each direction.  The paper's cost-neutral
     /// comparison keeps this equal to the radix the expert topologies use.
     radix: usize,
-    /// Physical pitch between adjacent router columns/rows in millimetres,
-    /// used by the power/area model to derive wire lengths.
-    pitch_mm: f64,
 }
+
+/// Physical pitch between adjacent router columns/rows in millimetres,
+/// used by the power/area model to derive wire lengths.
+const PITCH_MM: f64 = 4.0;
 
 impl Layout {
     /// Create a layout over a `rows x cols` grid with an explicit kind per
@@ -83,7 +84,6 @@ impl Layout {
             cols,
             kinds,
             radix,
-            pitch_mm: 4.0,
         }
     }
 
@@ -147,18 +147,6 @@ impl Layout {
         self.radix
     }
 
-    /// Physical pitch between adjacent routers (mm).
-    pub fn pitch_mm(&self) -> f64 {
-        self.pitch_mm
-    }
-
-    /// Return a copy of this layout with a different physical pitch.
-    pub fn with_pitch_mm(mut self, pitch_mm: f64) -> Self {
-        assert!(pitch_mm > 0.0);
-        self.pitch_mm = pitch_mm;
-        self
-    }
-
     /// Kind of router `r`.
     pub fn kind(&self, r: RouterId) -> NodeKind {
         self.kinds[r]
@@ -192,7 +180,7 @@ impl Layout {
     /// delay/energy estimates.
     pub fn distance_mm(&self, a: RouterId, b: RouterId) -> f64 {
         let (dx, dy) = self.span(a, b);
-        ((dx * dx + dy * dy) as f64).sqrt() * self.pitch_mm
+        ((dx * dx + dy * dy) as f64).sqrt() * PITCH_MM
     }
 
     /// All routers that host at least one memory controller.
@@ -205,12 +193,12 @@ impl Layout {
 
     /// Total number of cores across the system (64 for the 4x5 layout used
     /// in the paper's full-system evaluation).
-    pub fn total_cores(&self) -> usize {
+    fn total_cores(&self) -> usize {
         self.kinds.iter().map(|k| k.cores() as usize).sum()
     }
 
     /// Total number of memory controllers (16 for the 4x5 layout).
-    pub fn total_memory_controllers(&self) -> usize {
+    fn total_memory_controllers(&self) -> usize {
         self.kinds
             .iter()
             .map(|k| k.memory_controllers() as usize)
@@ -298,10 +286,10 @@ mod tests {
 
     #[test]
     fn distance_is_scaled_by_pitch() {
-        let l = Layout::noi_4x5().with_pitch_mm(2.0);
+        let l = Layout::noi_4x5();
         let a = l.router_at(0, 0);
         let b = l.router_at(0, 3);
-        assert!((l.distance_mm(a, b) - 6.0).abs() < 1e-9);
+        assert!((l.distance_mm(a, b) - 3.0 * PITCH_MM).abs() < 1e-9);
     }
 
     #[test]

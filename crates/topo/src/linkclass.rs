@@ -37,13 +37,8 @@ impl LinkSpan {
         }
     }
 
-    /// Manhattan length of the span in grid hops.
-    pub fn manhattan(self) -> usize {
-        self.dx + self.dy
-    }
-
     /// Euclidean length of the span in grid hops.
-    pub fn euclidean(self) -> f64 {
+    fn euclidean(self) -> f64 {
         ((self.dx * self.dx + self.dy * self.dy) as f64).sqrt()
     }
 }
@@ -149,19 +144,6 @@ impl LinkClass {
         }
         links
     }
-
-    /// Number of valid outgoing candidate links per router.
-    pub fn candidate_degree(&self, layout: &Layout, r: RouterId) -> usize {
-        let n = layout.num_routers();
-        (0..n)
-            .filter(|&j| {
-                j != r && {
-                    let (dx, dy) = layout.span(r, j);
-                    self.allows(LinkSpan::new(dx, dy))
-                }
-            })
-            .count()
-    }
 }
 
 impl fmt::Display for LinkClass {
@@ -241,7 +223,8 @@ mod tests {
     fn corner_router_candidate_degree_small() {
         // Corner of the 4x5 grid has 3 neighbours within (1,1).
         let layout = Layout::noi_4x5();
-        assert_eq!(LinkClass::Small.candidate_degree(&layout, 0), 3);
+        let links = LinkClass::Small.valid_links(&layout);
+        assert_eq!(links.iter().filter(|&&(i, _)| i == 0).count(), 3);
     }
 
     #[test]
@@ -256,6 +239,5 @@ mod tests {
     fn span_canonicalisation() {
         assert_eq!(LinkSpan::new(1, 2).canonical(), LinkSpan::new(2, 1));
         assert_eq!(LinkSpan::new(2, 1).canonical(), LinkSpan::new(2, 1));
-        assert_eq!(LinkSpan::new(0, 2).manhattan(), 2);
     }
 }

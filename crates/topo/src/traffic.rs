@@ -59,18 +59,18 @@ impl TrafficPattern {
     }
 
     /// The bit-complement destination for `src` in an `n`-router network.
-    pub fn bit_complement_destination(src: usize, n: usize) -> usize {
+    fn bit_complement_destination(src: usize, n: usize) -> usize {
         (n - 1) - src
     }
 
     /// The tornado destination for `src` in an `n`-router network.
-    pub fn tornado_destination(src: usize, n: usize) -> usize {
+    fn tornado_destination(src: usize, n: usize) -> usize {
         (src + n.div_ceil(2) - 1) % n
     }
 
     /// The shuffle permutation destination for `src` in an `n`-router
     /// network (paper Section V-E).
-    pub fn shuffle_destination(src: usize, n: usize) -> usize {
+    fn shuffle_destination(src: usize, n: usize) -> usize {
         if src < n / 2 {
             2 * src
         } else {

@@ -57,21 +57,6 @@ pub fn adjacency_listing(topo: &Topology) -> String {
     out
 }
 
-/// ASCII grid summary showing each router's total degree, handy for a quick
-/// look at how evenly the port budget is used.
-pub fn degree_grid(topo: &Topology) -> String {
-    let layout = topo.layout();
-    let mut out = String::new();
-    for row in 0..layout.rows() {
-        for col in 0..layout.cols() {
-            let r = layout.router_at(row, col);
-            let _ = write!(out, "{:>3}", topo.out_degree(r));
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,13 +90,6 @@ mod tests {
         let m = mesh(&Layout::noi_4x5());
         let listing = adjacency_listing(&m);
         assert_eq!(listing.lines().count(), 20);
-    }
-
-    #[test]
-    fn degree_grid_shape() {
-        let m = mesh(&Layout::noi_4x5());
-        let grid = degree_grid(&m);
-        assert_eq!(grid.lines().count(), 4);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! a larger value (or a `u32` field above `u32::MAX`) with an error naming
 //! the field instead of rounding or wrapping it.
 
-use netsmith_topo::json::Json;
+use netsmith_topo::json::{Json, JsonError};
 use std::fmt;
 
 /// Format version written by this crate.
@@ -36,8 +36,14 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-fn format_err(msg: impl Into<String>) -> TraceError {
-    TraceError::Format(msg.into())
+impl From<JsonError> for TraceError {
+    fn from(e: JsonError) -> Self {
+        format_err(e)
+    }
+}
+
+fn format_err(msg: impl fmt::Display) -> TraceError {
+    TraceError::Format(msg.to_string())
 }
 
 /// `json` as an unsigned integer of type `T`, or a format error naming
@@ -159,8 +165,8 @@ impl Trace {
         Ok(())
     }
 
-    /// Encode as a JSON tree.
-    pub fn to_json(&self) -> Json {
+    /// Render as a JSON string.
+    pub fn to_json_string(&self) -> String {
         Json::Obj(vec![
             ("version".into(), Json::Num(self.header.version as f64)),
             ("routers".into(), Json::Num(self.header.routers as f64)),
@@ -182,22 +188,18 @@ impl Trace {
                 ),
             ),
         ])
+        .to_string()
     }
 
-    /// Decode from a JSON tree.
-    pub fn from_json(json: &Json) -> Result<Self, TraceError> {
-        let field = |key: &str| json.require(key).map_err(format_err);
-        let version = uint(field("version")?, "version")?;
-        let routers = uint(field("routers")?, "routers")?;
-        let horizon = uint(field("horizon")?, "horizon")?;
+    /// Parse from a JSON string.
+    pub fn from_json_str(text: &str) -> Result<Self, TraceError> {
+        let json = Json::parse(text)?;
+        let version = uint(json.require("version")?, "version")?;
+        let routers = uint(json.require("routers")?, "routers")?;
+        let horizon = uint(json.require("horizon")?, "horizon")?;
         let mut messages = Vec::new();
-        for (i, item) in field("messages")?
-            .as_arr()
-            .map_err(format_err)?
-            .iter()
-            .enumerate()
-        {
-            let quad = item.as_arr().map_err(format_err)?;
+        for (i, item) in json.require("messages")?.as_arr()?.iter().enumerate() {
+            let quad = item.as_arr()?;
             if quad.len() != 4 {
                 return Err(format_err(format!(
                     "message {i}: expected [src, dst, flits, issue]"
@@ -220,16 +222,6 @@ impl Trace {
             },
             messages,
         })
-    }
-
-    /// Render as a JSON string.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-
-    /// Parse from a JSON string.
-    pub fn from_json_str(text: &str) -> Result<Self, TraceError> {
-        Trace::from_json(&Json::parse(text).map_err(format_err)?)
     }
 }
 
