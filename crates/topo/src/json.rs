@@ -79,8 +79,6 @@ impl fmt::Display for JsonError {
     }
 }
 
-impl std::error::Error for JsonError {}
-
 impl Json {
     /// Object member lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
