@@ -23,7 +23,7 @@ use crate::row::emit;
 use crate::runner::{Figure, Runner};
 use crate::spec::CandidateSpec;
 use netsmith_obs::{JsonlRecorder, Obs};
-use netsmith_pool::{PoolStats, WorkerPool};
+use netsmith_pool::WorkerPool;
 use netsmith_topo::json::Json;
 use std::path::{Path, PathBuf};
 
@@ -337,15 +337,10 @@ fn finish_obs(
     let Some(event_log) = &options.obs_path else {
         return Ok(());
     };
-    // Destructured in full so a new pool counter cannot go unpublished.
-    let PoolStats {
-        batches,
-        tasks,
-        queue_wait_us,
-    } = WorkerPool::global().stats();
-    obs.add("pool.batches", batches);
-    obs.add("pool.tasks", tasks);
-    obs.add("pool.queue_wait_us", queue_wait_us);
+    let stats = WorkerPool::global().stats();
+    obs.add("pool.batches", stats.batches);
+    obs.add("pool.tasks", stats.tasks);
+    obs.add("pool.queue_wait_us", stats.queue_wait_us);
     obs.flush();
     let snapshot = obs.snapshot().expect("an observed run has a recorder");
     let hits = snapshot.counter("cache.hits") as usize;

@@ -10,7 +10,7 @@
 //! must cross the cut.  For asymmetric topologies the minimum of the two
 //! directions is taken, because the weaker direction is the true bottleneck.
 //!
-//! Up to 24 routers (`EXHAUSTIVE_LIMIT`; the paper's 20-router configurations)
+//! Up to `EXHAUSTIVE_LIMIT` routers (the paper's 20-router configurations)
 //! both metrics are exact and come from one sweep over the 2^(n-1)
 //! bipartitions.  For larger networks (30/48 routers) an exhaustive sweep is
 //! infeasible, so seeded multi-start local searches are used instead

@@ -43,7 +43,7 @@ pub enum JsonError {
     BadEscape { at: usize },
     /// A token that does not parse as a number.
     BadNumber { at: usize },
-    /// An array or object nested more than 128 levels deep.
+    /// An array or object nested more than `MAX_DEPTH` levels deep.
     TooDeep { at: usize },
     /// Non-whitespace input after the document.
     TrailingInput { at: usize },
@@ -137,7 +137,7 @@ impl Json {
     }
 
     /// Parse a JSON document.  Fails on malformed input and on arrays or
-    /// objects nested more than 128 levels deep.
+    /// objects nested more than `MAX_DEPTH` levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser { text, pos: 0 };
         let value = parser.value(0)?;

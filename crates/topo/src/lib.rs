@@ -46,7 +46,7 @@ pub mod topology;
 pub mod traffic;
 pub mod viz;
 
-pub use analysis::{TopoAnalysis, WireStats};
+pub use analysis::TopoAnalysis;
 pub use bounds::ThroughputBounds;
 pub use cuts::{bisection_bandwidth, sparsest_cut, CutReport};
 pub use error::PipelineError;
