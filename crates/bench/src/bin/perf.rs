@@ -10,10 +10,10 @@
 //!   `sim_48r_saturated` (the compiled engine past saturation),
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
-//! * **Per-layer probes** (27, named `group/case`) time LP solves,
-//!   topology metrics and cuts, paths, MCLB and VC allocation, objective
-//!   evaluation, annealing, injection, the compiled engine and the
-//!   serving gate at 20 and 48 routers. They are printed, not recorded.
+//! * **Per-layer probes** (25, named `group/case`) time topology metrics
+//!   and cuts, paths, MCLB and VC allocation, objective evaluation,
+//!   annealing, injection, the compiled engine and the serving gate at 20
+//!   and 48 routers. They are printed, not recorded.
 //!
 //! Modes: `--record` (the default) runs the selected probes and prints
 //! each report; with no `--probe` it also rewrites `BENCH_10.json` from
@@ -34,7 +34,6 @@ use netsmith::gen::terms::CutEval;
 use netsmith::gen::{GenerationProblem, Objective};
 use netsmith::prelude::*;
 use netsmith::topo::analysis::TopoAnalysis;
-use netsmith_lp::{Cmp, LinExpr, MilpSolver, Model, Sense};
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_sim::sweep::default_load_grid;
 use netsmith_sim::{InjectionSchedule, NetworkSim};
@@ -274,14 +273,6 @@ const PROBES: &[Probe] = &[
             assert!(status.success(), "suite --quick failed: {status}");
         });
         vec![("seconds", field(&timing, "min_ms") / 1e3)]
-    }),
-    layer("lp/simplex_20var_lp", |calls| {
-        let model = simplex_model();
-        sample(calls, || netsmith_lp::simplex::solve_lp(&model).unwrap())
-    }),
-    layer("lp/milp_knapsack_12items", |calls| {
-        let model = knapsack_model();
-        sample(calls, || MilpSolver::default().solve(&model).unwrap())
     }),
     layer("metrics/average_hops_20r", |calls| {
         on_topology(calls, kite_large_20r(), metrics::average_hops)
@@ -540,36 +531,6 @@ fn kite_large_20r() -> Topology {
 
 fn torus_48r() -> Topology {
     expert::folded_torus(&Layout::noi_8x6())
-}
-
-fn simplex_model() -> Model {
-    let mut m = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..20)
-        .map(|i| m.add_continuous(1.0 + (i % 7) as f64, format!("x{i}")))
-        .collect();
-    for r in 0..12 {
-        let expr = LinExpr::from_terms(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 1.0 + ((i * r) % 5) as f64)),
-        );
-        m.add_constr(expr, Cmp::Le, 40.0 + r as f64);
-    }
-    m
-}
-
-fn knapsack_model() -> Model {
-    let mut m = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..12)
-        .map(|i| m.add_binary(((i * 13) % 17 + 1) as f64, format!("b{i}")))
-        .collect();
-    let expr = LinExpr::from_terms(
-        vars.iter()
-            .enumerate()
-            .map(|(i, &v)| (v, ((i * 7) % 11 + 1) as f64)),
-    );
-    m.add_constr(expr, Cmp::Le, 30.0);
-    m
 }
 
 fn composite3() -> Objective {
@@ -861,7 +822,7 @@ mod tests {
         let names = |filter| -> Vec<_> { select(Some(filter)).iter().map(|p| p.name).collect() };
         assert_eq!(names("fig08_sim"), ["fig08_sim"]);
         let layers = select(Some("/"));
-        assert_eq!(layers.len(), 27);
+        assert_eq!(layers.len(), 25);
         assert!(layers.iter().all(|p| p.gate.is_none()));
         assert!(names("nosuch").is_empty());
     }

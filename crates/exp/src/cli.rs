@@ -16,7 +16,8 @@
 //! Budget configuration flows through [`RunProfile`] with the historical
 //! `NETSMITH_EVALS` / `NETSMITH_WORKERS` environment variables as
 //! fallbacks, so scripted runs keep working while tests construct profiles
-//! directly instead of mutating process-global state.
+//! directly instead of mutating process-global state.  A value that does
+//! not parse stops the suite with exit code 2.
 
 use crate::cache::SuiteCache;
 use crate::row::emit;
@@ -64,22 +65,17 @@ impl Default for RunProfile {
 
 impl RunProfile {
     /// The default profile with `NETSMITH_EVALS` / `NETSMITH_WORKERS`
-    /// applied as fallbacks when present.
-    fn from_env() -> Self {
+    /// applied when set.  A value that does not parse is an error naming
+    /// the variable and the value.
+    fn from_env() -> Result<Self, String> {
         let mut profile = RunProfile::default();
-        if let Some(evals) = std::env::var("NETSMITH_EVALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
+        if let Some(evals) = env_number("NETSMITH_EVALS")? {
             profile.evals = evals;
         }
-        if let Some(workers) = std::env::var("NETSMITH_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
+        if let Some(workers) = env_number("NETSMITH_WORKERS")? {
             profile.workers = workers;
         }
-        profile
+        Ok(profile)
     }
 
     /// The CI smoke profile: fixed small budget regardless of environment.
@@ -90,6 +86,17 @@ impl RunProfile {
             quick: true,
             ..RunProfile::default()
         }
+    }
+}
+
+/// Environment variable `name` parsed as a number, or `None` when unset.
+fn env_number<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+    let Some(value) = std::env::var_os(name) else {
+        return Ok(None);
+    };
+    match value.to_str().map(str::parse) {
+        Some(Ok(number)) => Ok(Some(number)),
+        _ => Err(format!("invalid {name} value {value:?}")),
     }
 }
 
@@ -112,7 +119,7 @@ impl CliOptions {
     /// positional figure names from an argument list (without the program
     /// name).  Names are checked against the registry when the suite runs.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut profile = RunProfile::from_env();
+        let mut profile = RunProfile::from_env()?;
         let mut json = false;
         let mut obs_path = None;
         let mut figures = Vec::new();
@@ -599,7 +606,7 @@ mod tests {
         // Reads (never mutates) the environment: defaults apply when the
         // variables are unset, and any value present must parse into the
         // profile unchanged.
-        let profile = RunProfile::from_env();
+        let profile = RunProfile::from_env().expect("budget variables parse when set");
         assert!(profile.evals > 0);
         assert!(profile.workers >= 1);
         assert_eq!(profile.seed, DEFAULT_SEED);

@@ -1,12 +1,11 @@
 //! Simulated-annealing search over connectivity maps.
 //!
-//! This is the production engine behind the NetSmith reproduction.  The
-//! exact MIP of Table I is preserved in [`crate::milp`] and validated on
-//! small layouts, but a dense-tableau branch-and-bound cannot match Gurobi
-//! on 20+ router instances, so the searcher used for the paper-scale
-//! experiments explores the same feasible set (radix, link-length, and
-//! connectivity constraints; optional link symmetry) with a seeded
-//! Metropolis annealer:
+//! This is the search engine behind the NetSmith reproduction.  The paper
+//! solves the MIP of Table I with Gurobi; this engine explores the same
+//! feasible set (radix, link-length, and connectivity constraints;
+//! optional link symmetry) with a seeded Metropolis annealer, and its unit
+//! tests check it against exhaustively proven optima on layouts of at most
+//! nine routers:
 //!
 //! * moves rewire, add, remove or endpoint-swap links, always staying
 //!   within the valid-link set and the radix budget;

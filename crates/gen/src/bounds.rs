@@ -11,10 +11,11 @@
 //!   distance `d` than there are routers within the physical reach of `d`
 //!   link-length-budget hops.  Summing the per-source minima gives a lower
 //!   bound on total hops no topology under the constraints can beat.
-//! * **SCOp (sparsest cut)** — for any subset size `k`, the number of links
-//!   leaving a set of `k` routers is at most `k * r` in each direction and
-//!   at most the number of valid links crossing the cut, so the normalized
-//!   sparsest cut is at most `min_k min(k*r, valid(k)) / (k * (n-k))`.
+//! * **SCOp (sparsest cut)** — a cut between `k` and `n-k` routers
+//!   carries at most `min(k, n-k) * r` links in each direction (each
+//!   router has `r` ports), so the normalized sparsest cut is at most
+//!   `min_k min(k, n-k) * r / (k * (n-k))`.  The link-length limit is not
+//!   counted, which leaves this bound loose on small layouts.
 //!
 //! The bounds are cheap to compute and valid for *every* topology the
 //! search can produce, so the reported gap is conservative (never smaller

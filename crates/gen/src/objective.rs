@@ -76,9 +76,8 @@ pub enum Objective {
     /// An arbitrary non-negative weighted sum of objective terms — the
     /// general form every other variant is a special case of.  Build with
     /// [`Objective::composite`], which rejects negative/non-finite weights;
-    /// constructing (or deserializing) the variant directly bypasses that
-    /// check, and a negative weight makes [`Objective::lower_bound`]
-    /// inadmissible.
+    /// constructing the variant directly bypasses that check, and a
+    /// negative weight makes [`Objective::lower_bound`] inadmissible.
     Composite(Vec<WeightedTerm>),
 }
 

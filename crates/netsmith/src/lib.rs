@@ -15,8 +15,7 @@
 //! | crate | role |
 //! |-------|------|
 //! | [`topo`] | layouts, link classes, expert baselines, analytical metrics |
-//! | [`lp`] | from-scratch LP/MILP solver (Gurobi substitute) |
-//! | [`gen`] | the NetSmith generator: Table I MIP + annealing engines |
+//! | [`gen`] | the NetSmith generator: annealing search, Table I objectives and bounds |
 //! | [`route`] | shortest paths, NDBT, MCLB routing, deadlock-free VC allocation |
 //! | [`sim`] | cycle-driven NoI simulator (gem5/HeteroGarnet substitute) |
 //! | [`trace`] | compact message traces: format, deterministic replay, workload generators |
@@ -55,7 +54,6 @@
 pub use netsmith_energy as energy;
 pub use netsmith_fault as fault;
 pub use netsmith_gen as gen;
-pub use netsmith_lp as lp;
 pub use netsmith_obs as obs;
 pub use netsmith_power as power;
 pub use netsmith_route as route;

@@ -10,9 +10,9 @@
 //!   Folded Torus).
 //! * [`mclb`] — NetSmith's Maximum Channel Load Bottleneck routing: select
 //!   one shortest path per flow such that the maximum channel load is
-//!   minimized.  An exact MILP lowering onto `netsmith-lp` is provided for
-//!   small instances and validation; the production engine is an
-//!   equivalent greedy + local-search optimizer.
+//!   minimized.  The paper solves it as a MILP; this crate uses a greedy
+//!   construction with local search, checked against an enumeration of
+//!   every path choice on a small instance.
 //! * [`cdg`] — channel dependency graph construction and cycle detection
 //!   (Dally & Seitz acyclicity condition).
 //! * [`vc`] — DFSSSP-style partitioning of the selected paths into acyclic
@@ -30,7 +30,7 @@ pub mod table;
 pub mod vc;
 
 pub use cdg::ChannelDependencyGraph;
-pub use mclb::{mclb_route, mclb_route_milp, MclbConfig};
+pub use mclb::{mclb_route, MclbConfig};
 pub use ndbt::ndbt_route;
 pub use netsmith_topo::PipelineError;
 pub use paths::{all_shortest_paths, PathSet};

@@ -2,18 +2,12 @@
 //!
 //! NetSmith's routing contribution (Table III of the paper): given the set
 //! of all shortest paths per flow, choose exactly one path per flow such
-//! that the maximum channel load is minimized.  Two engines are provided:
-//!
-//! * [`mclb_route_milp`] — the exact MILP from Table III lowered onto
-//!   `netsmith-lp`.  Because the path set is enumerated up front (the key
-//!   simplification the paper highlights versus earlier formulations), the
-//!   model only needs one binary per candidate path, a load expression per
-//!   channel, and a min-max objective.  Intended for small instances and
-//!   for validating the heuristic engine.
-//! * [`mclb_route`] — the production engine: greedy construction (flows
-//!   with the fewest alternatives are committed first) followed by up to
-//!   64 sweeps that re-route the flows crossing the hottest channels, run
-//!   from 4 seeded restarts with the best result kept.
+//! that the maximum channel load is minimized.  The paper solves this as a
+//! MILP; [`mclb_route`] is a heuristic instead: greedy construction (flows
+//! with the fewest alternatives are committed first) followed by up to 64
+//! sweeps that re-route the flows crossing the hottest channels, run from
+//! 4 seeded restarts with the best result kept.  A unit test checks it
+//! against an enumeration of every path choice on a small instance.
 //!
 //! Every flow carries unit demand, so channel loads are small integers.
 //! The heuristic keeps them in a `u32` array indexed by channel, together
@@ -25,13 +19,10 @@
 
 use crate::paths::{path_links, PathSet};
 use crate::table::{Flow, RoutingTable};
-use netsmith_lp::{BranchBoundConfig, Cmp, LinExpr, MilpSolver, Model, Sense, VarType};
 use netsmith_topo::RouterId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::time::Duration;
 
 /// Improvement sweeps per restart (fewer when a sweep changes nothing).
 const MAX_SWEEPS: usize = 64;
@@ -202,58 +193,6 @@ fn single_run(
     (loads.objective(), selected)
 }
 
-/// Exact MCLB via the MILP of Table III.  Only practical for small
-/// networks; returns `None` when the solver hits its budget without an
-/// incumbent.
-pub fn mclb_route_milp(paths: &PathSet, time_limit: Duration) -> Option<RoutingTable> {
-    let n = paths.num_routers();
-    let mut model = Model::new(Sense::Minimize);
-    // The min-max objective variable C_total (O1).
-    let cmax = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, 1.0, "cmax");
-
-    // One binary per candidate path (path_used, C3/C4 of Table III).
-    let mut path_vars: HashMap<(usize, usize), Vec<netsmith_lp::VarId>> = HashMap::new();
-    // Channel load expressions (C1).
-    let mut channel_exprs: HashMap<(usize, usize), LinExpr> = HashMap::new();
-    for (s, d) in paths.flows() {
-        let mut vars = Vec::new();
-        for (idx, p) in paths.paths(s, d).iter().enumerate() {
-            let v = model.add_binary(0.0, format!("p_{s}_{d}_{idx}"));
-            vars.push(v);
-            for (a, b) in path_links(p) {
-                channel_exprs.entry((a, b)).or_default().add_term(v, 1.0);
-            }
-        }
-        // Exactly one path per flow (C4).
-        model.add_constr(LinExpr::sum(vars.iter().copied()), Cmp::Eq, 1.0);
-        path_vars.insert((s, d), vars);
-    }
-    // cmax >= channel load for every channel (O1 lowering).
-    for (_, expr) in channel_exprs.iter() {
-        let mut e = expr.clone();
-        e.add_term(cmax, -1.0);
-        model.add_constr(e, Cmp::Le, 0.0);
-    }
-
-    let solver = MilpSolver::new(BranchBoundConfig {
-        time_limit,
-        ..Default::default()
-    });
-    let sol = solver.solve(&model).ok()?;
-    if !sol.status.has_solution() {
-        return None;
-    }
-    let mut table = RoutingTable::new(n, "MCLB-MILP");
-    for ((s, d), vars) in &path_vars {
-        let chosen = vars
-            .iter()
-            .position(|v| sol.values[v.index()] > 0.5)
-            .unwrap_or(0);
-        table.set_path(Flow::new(*s, *d), paths.paths(*s, *d)[chosen].clone());
-    }
-    Some(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,9 +236,34 @@ mod tests {
         );
     }
 
+    /// The smallest unit-demand maximum channel load over every choice of
+    /// one shortest path per flow (a branch stops once it is no better
+    /// than the best complete choice so far).
+    fn brute_force_max_load(ps: &PathSet) -> u32 {
+        fn search(ps: &PathSet, flows: &[Flow], loads: &mut Loads, best: &mut u32) {
+            if loads.max >= *best {
+                return;
+            }
+            let Some((f, rest)) = flows.split_first() else {
+                *best = loads.max;
+                return;
+            };
+            for p in ps.paths(f.src, f.dst) {
+                loads.add(p);
+                search(ps, rest, loads, best);
+                loads.remove(p);
+            }
+        }
+        let flows: Vec<_> = ps.flows().map(|(s, d)| Flow::new(s, d)).collect();
+        let mut best = u32::MAX;
+        let mut loads = Loads::new(ps.num_routers(), flows.len());
+        search(ps, &flows, &mut loads, &mut best);
+        best
+    }
+
     #[test]
-    fn milp_and_heuristic_agree_on_a_small_instance() {
-        // 2x3 ring-ish topology small enough for the exact MILP.
+    fn heuristic_matches_an_enumeration_of_every_path_choice() {
+        // A 2x3 ring with one chord: small enough to try every path choice.
         let layout = Layout::interposer_grid(2, 3, 4);
         let mut t = Topology::empty("small", layout, LinkClass::Large);
         for (a, b) in [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0), (1, 4)] {
@@ -307,11 +271,12 @@ mod tests {
         }
         let ps = all_shortest_paths(&t);
         let heuristic = mclb_route(&ps, &MclbConfig::default());
-        let exact = mclb_route_milp(&ps, Duration::from_secs(30)).expect("milp solved");
-        let h = heuristic.uniform_channel_loads().max_load;
-        let e = exact.uniform_channel_loads().max_load;
-        assert!((h - e).abs() < 1e-9, "heuristic {h} differs from exact {e}");
-        exact.validate(&t).unwrap();
+        heuristic.validate(&t).unwrap();
+        let mut loads = Loads::new(ps.num_routers(), ps.flows().count());
+        for (_, p) in heuristic.flows() {
+            loads.add(p);
+        }
+        assert_eq!(loads.max, brute_force_max_load(&ps));
     }
 
     #[test]

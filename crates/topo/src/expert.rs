@@ -24,8 +24,6 @@
 //!   were synthesized for an objective (power/resource) that does not match
 //!   general-purpose traffic, yielding low bisection bandwidth and higher
 //!   average hops.
-//!
-//! Every substitution is also recorded in `DESIGN.md`.
 
 use crate::layout::{Layout, RouterId};
 use crate::linkclass::{LinkClass, LinkSpan};

@@ -38,10 +38,12 @@ pub enum JsonError {
     UnexpectedEnd { at: usize },
     /// Another byte than `token` was found where `token` must appear.
     Expected { at: usize, token: &'static str },
-    /// A backslash escape JSON does not define, or a `\u` escape that is
-    /// not four hex digits naming a `char`; `at` is the backslash.
+    /// A backslash escape JSON does not define, a `\u` escape that is not
+    /// four hex digits, or a UTF-16 surrogate that is not half of a pair;
+    /// `at` is the backslash.
     BadEscape { at: usize },
-    /// A token that does not parse as a number.
+    /// A number that breaks JSON's grammar (`+1`, `.5`, `01`, `1.`) or
+    /// overflows `f64` (`1e400`).
     BadNumber { at: usize },
     /// An array or object nested more than `MAX_DEPTH` levels deep.
     TooDeep { at: usize },
@@ -318,18 +320,55 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Skip ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::BadNumber { at: start })
+        self.pos - start
+    }
+
+    /// Skip `byte` if it is next; returns whether it was.
+    fn skip(&mut self, byte: u8) -> bool {
+        let found = self.peek() == Some(byte);
+        self.pos += usize::from(found);
+        found
+    }
+
+    /// Parse a number: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`,
+    /// finite as an `f64`.
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        let bad = JsonError::BadNumber { at: start };
+        self.skip(b'-');
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        if int_digits == 0 || (leading_zero && int_digits > 1) {
+            return Err(bad);
+        }
+        if self.skip(b'.') && self.digits() == 0 {
+            return Err(bad);
+        }
+        if self.skip(b'e') || self.skip(b'E') {
+            let _ = self.skip(b'+') || self.skip(b'-');
+            if self.digits() == 0 {
+                return Err(bad);
+            }
+        }
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(bad),
+        }
+    }
+
+    /// The value of the four hex digits at byte `at`, if there are four.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let hex = self.text.get(at..at + 4)?;
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        u32::from_str_radix(hex, 16).ok()
     }
 
     /// Parse a string literal.  Runs of plain characters are copied as
@@ -363,14 +402,20 @@ impl Parser<'_> {
                 Some(b'b') => out.push('\u{8}'),
                 Some(b'f') => out.push('\u{c}'),
                 Some(b'u') => {
-                    let code = self
-                        .text
-                        .get(self.pos + 1..self.pos + 5)
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .and_then(char::from_u32)
-                        .ok_or(bad_escape)?;
-                    out.push(code);
+                    let mut code = self.hex4(self.pos + 1).ok_or(bad_escape.clone())?;
                     self.pos += 4;
+                    if (0xD800..0xDC00).contains(&code) {
+                        // A high surrogate: the low half must follow.
+                        let low = self.text[self.pos + 1..]
+                            .starts_with("\\u")
+                            .then(|| self.hex4(self.pos + 3))
+                            .flatten()
+                            .filter(|low| (0xDC00..0xE000).contains(low))
+                            .ok_or(bad_escape.clone())?;
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        self.pos += 6;
+                    }
+                    out.push(char::from_u32(code).ok_or(bad_escape)?);
                 }
                 None => return Err(JsonError::UnexpectedEnd { at: self.pos }),
                 Some(_) => return Err(bad_escape),
@@ -449,6 +494,64 @@ mod tests {
             "\"\\ud800\"",
             "\"\\u12",
             "\"\\q\"",
+        ] {
+            assert_eq!(err(text), JsonError::BadEscape { at: 1 }, "{text}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for text in [
+            "+1", ".5", "01", "-01", "1.", "1.e5", "-", "1e", "1e+", "--1",
+        ] {
+            assert_eq!(err(text), JsonError::BadNumber { at: 0 }, "{text}");
+        }
+        assert_eq!(err("0x1"), JsonError::TrailingInput { at: 1 });
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("1.25e2", 125.0),
+            ("2E-1", 0.2),
+            ("1e+1", 10.0),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(value)), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_number_beyond_f64_is_rejected() {
+        assert_eq!(err("1e400"), JsonError::BadNumber { at: 0 });
+        assert_eq!(err("[-1e400]"), JsonError::BadNumber { at: 1 });
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        for text in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\""] {
+            assert_eq!(err(text), JsonError::BadEscape { at: 1 }, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_surrogate_pair_decodes_to_one_char() {
+        for text in ["\"\\ud83d\\ude00\"", "\"\\uD83D\\uDE00\""] {
+            assert_eq!(
+                Json::parse(text),
+                Ok(Json::Str("\u{1f600}".into())),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_surrogate_is_a_bad_escape() {
+        for text in [
+            "\"\\ude00\"",
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\n\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
         ] {
             assert_eq!(err(text), JsonError::BadEscape { at: 1 }, "{text}");
         }

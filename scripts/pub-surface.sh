@@ -16,19 +16,12 @@
 # The check is by name only: a mention in a comment, or an unrelated item
 # of the same name elsewhere, passes, and so does a mention in another
 # file of the same crate (the item may then still be narrower than `pub`).
-#
-# The LP solver (crates/lp) and the exact MILP formulation
-# (crates/gen/src/milp.rs) are exempt: ROADMAP item 5 decides which of
-# that code stays.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 all_rs=$(find crates tests examples nsbench/src -name '*.rs' | sort)
 found=0
 for file in $(find crates/*/src -name '*.rs' | sort); do
-    case "$file" in
-    crates/lp/* | crates/gen/src/milp.rs) continue ;;
-    esac
     others=$(grep -vxF "$file" <<<"$all_rs")
     # Every identifier in the signature of a `pub fn` of this file, one
     # per line: the text from `pub fn` up to the body's `{` or a `;`.
