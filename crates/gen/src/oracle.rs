@@ -9,12 +9,16 @@
 //! adding a link never lengthens a path and never shrinks a cut, so a set
 //! never scores better than a maximal set that contains it.
 //!
-//! Routers are assigned in index order.  A partial assignment is pruned
-//! when its relaxation (the assigned links plus every valid out-link of
-//! every unassigned router, radix ignored) already scores no better than
-//! the incumbent: every completion is a subset of the relaxation.  Leaves
-//! and relaxations are scored with [`Objective::evaluate`], so the proven
-//! optima are in the annealer's own units.
+//! Routers are assigned one at a time, those with the most valid
+//! out-links first.  A partial assignment is pruned when its relaxation
+//! (the assigned links plus every valid out-link of every unassigned
+//! router into a router whose in-degree is not yet full, radix ignored)
+//! already scores no better than the incumbent: every completion is a
+//! subset of the relaxation.  Leaves and relaxations are scored with
+//! [`Objective::evaluate`], so the proven optima are in the annealer's own
+//! units.  The first router tries one out-link set per orbit of the grid
+//! symmetries that fix it, which keeps the 3x3 search to a few seconds in
+//! a debug build.
 
 use crate::{GenerationProblem, Objective};
 use netsmith_topo::{RouterId, Topology};
@@ -68,10 +72,8 @@ pub(crate) fn optimum(problem: &GenerationProblem) -> Optimum {
             let mut masks: Vec<u32> = (0..1u32 << targets.len())
                 .filter(|&m| m.count_ones() as usize <= radix)
                 .filter(|&m| {
-                    i != order[0]
-                        || symmetries
-                            .iter()
-                            .all(|p| ids(m, p) >= ids(m, &symmetries[0]))
+                    let own = ids(m, &symmetries[0]);
+                    i != order[0] || symmetries.iter().all(|p| ids(m, p) >= own)
                 })
                 .collect();
             masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
@@ -154,18 +156,21 @@ fn symmetries_fixing(problem: &GenerationProblem, root: RouterId) -> Vec<Vec<Rou
 struct Search<'a> {
     objective: &'a Objective,
     radix: usize,
+    /// Routers in assignment order.
     order: Vec<RouterId>,
     /// Valid out-link targets of each router.
     out: Vec<Vec<RouterId>>,
     /// Out-link masks over `out[i]` to try at router `i`.
     choices: Vec<Vec<u32>>,
-    /// `later[i][j]`: routers after `i` with a valid link to `j`.
+    /// `later[pos][j]`: routers after position `pos` of `order` with a
+    /// valid link to `j`.
     later: Vec<Vec<usize>>,
     in_degree: Vec<usize>,
     /// Assigned links `i -> j` left out while `i` had a free port: the set
     /// is maximal only if each such `j` ends with a full in-degree.
     must_fill: Vec<usize>,
-    /// The assigned links plus every valid out-link of later routers.
+    /// The assigned links plus every valid out-link of later routers into
+    /// a router whose in-degree is not full.
     relaxation: Topology,
     best: Option<Optimum>,
 }
@@ -206,33 +211,36 @@ impl Search<'_> {
         }
     }
 
-    /// Give router `order[pos]` the out-links in `mask` and drop its other
-    /// links from the relaxation, along with the later routers' links into
-    /// a router whose in-degree is now full.  Returns those dropped links.
+    /// Give router `order[pos]` the out-links in `mask`, and drop from the
+    /// relaxation its other links and the later routers' links into a
+    /// router whose in-degree is now full.  Returns the dropped links.
     fn apply(&mut self, pos: usize, mask: u32) -> Vec<(RouterId, RouterId)> {
         let i = self.order[pos];
         let full = mask.count_ones() as usize == self.radix;
         let mut dropped = Vec::new();
         for k in 0..self.out[i].len() {
             let j = self.out[i][k];
-            if mask >> k & 1 == 1 {
+            let unwanted: Vec<RouterId> = if mask >> k & 1 == 1 {
                 self.in_degree[j] += 1;
-                if self.in_degree[j] == self.radix {
-                    for &l in &self.order[pos + 1..] {
-                        if self.relaxation.has_link(l, j) {
-                            self.relaxation.remove_link(l, j);
-                            dropped.push((l, j));
-                        }
-                    }
+                if self.in_degree[j] < self.radix {
+                    continue;
                 }
+                self.order[pos + 1..].to_vec()
             } else {
-                self.relaxation.remove_link(i, j);
                 self.must_fill[j] += usize::from(!full);
+                vec![i]
+            };
+            for l in unwanted {
+                if self.relaxation.has_link(l, j) {
+                    self.relaxation.remove_link(l, j);
+                    dropped.push((l, j));
+                }
             }
         }
         dropped
     }
 
+    /// Reverse [`Search::apply`].
     fn undo(&mut self, pos: usize, mask: u32, dropped: Vec<(RouterId, RouterId)>) {
         let i = self.order[pos];
         let full = mask.count_ones() as usize == self.radix;
@@ -244,7 +252,6 @@ impl Search<'_> {
             if mask >> k & 1 == 1 {
                 self.in_degree[j] -= 1;
             } else {
-                self.relaxation.add_link(i, j);
                 self.must_fill[j] -= usize::from(!full);
             }
         }
