@@ -353,3 +353,26 @@ fn folded_torus_8x6_ndbt_allocation_matches_recorded_reference() {
     // Recorded from the reference allocator in a release build.
     assert_eq!(digest(&alloc), 0xd7d7_f747_0749_c6a3);
 }
+
+/// The balancing pass on these two retries many flows that a cold VC
+/// rejected before, so they pin the rejection cache.  Recorded in a
+/// release build, where the reference allocator gives the same allocation.
+#[test]
+fn kite_medium_and_mesh_8x6_ndbt_allocations_match_recorded_digests() {
+    let layout = Layout::noi_8x6();
+    for (topo, recorded) in [
+        (expert::kite_medium(&layout), 0x1a57_8587_ffb4_3351),
+        (expert::mesh(&layout), 0x12b0_7f6d_c1c3_0bad),
+    ] {
+        let table = ndbt_table(&topo, 42);
+        let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
+        assert_eq!(alloc.assignment.len(), 48 * 47);
+        assert_eq!(
+            digest(&alloc),
+            recorded,
+            "{}: {:#018x}",
+            topo.name(),
+            digest(&alloc)
+        );
+    }
+}
