@@ -10,7 +10,7 @@
 //!   `sim_48r_saturated` (the compiled engine past saturation),
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
-//! * **Per-layer probes** (25, named `group/case`) time topology metrics
+//! * **Per-layer probes** (27, named `group/case`) time topology metrics
 //!   and cuts, paths, MCLB and VC allocation, objective evaluation,
 //!   annealing, injection, the compiled engine and the serving gate at 20
 //!   and 48 routers. They are printed, not recorded.
@@ -307,6 +307,9 @@ const PROBES: &[Probe] = &[
     layer("routing/all_shortest_paths_20r", |calls| {
         on_topology(calls, kite_large_20r(), all_shortest_paths)
     }),
+    layer("routing/all_shortest_paths_48r", |calls| {
+        on_topology(calls, torus_48r(), all_shortest_paths)
+    }),
     layer("routing/mclb_route_20r", |calls| {
         let paths = all_shortest_paths(&kite_large_20r());
         sample(calls, || mclb_route(&paths, &MclbConfig::default()))
@@ -320,6 +323,14 @@ const PROBES: &[Probe] = &[
             &all_shortest_paths(&kite_large_20r()),
             &MclbConfig::default(),
         );
+        sample(calls, || allocate_vcs(&table, 6, 3).unwrap())
+    }),
+    layer("routing/vc_allocation_48r", |calls| {
+        // NDBT on Kite-Medium: the balancing pass makes many moves whose
+        // cold VC rejects flows.
+        let layout = Layout::noi_8x6();
+        let paths = all_shortest_paths(&expert::kite_medium(&layout));
+        let table = ndbt_route(&layout, &paths, 3).0;
         sample(calls, || allocate_vcs(&table, 6, 3).unwrap())
     }),
     layer("objective_eval/latop_scratch", |calls| {
@@ -822,7 +833,7 @@ mod tests {
         let names = |filter| -> Vec<_> { select(Some(filter)).iter().map(|p| p.name).collect() };
         assert_eq!(names("fig08_sim"), ["fig08_sim"]);
         let layers = select(Some("/"));
-        assert_eq!(layers.len(), 25);
+        assert_eq!(layers.len(), 27);
         assert!(layers.iter().all(|p| p.gate.is_none()));
         assert!(names("nosuch").is_empty());
     }

@@ -25,7 +25,6 @@ use netsmith_route::{mclb_route, require_servable, MclbConfig, RoutingTable, VcA
 use netsmith_sim::{SimConfig, SimReport};
 use netsmith_topo::metrics::unreachable_pairs;
 use netsmith_topo::{PipelineError, RouterId, Topology};
-use std::collections::HashMap;
 
 /// Everything a policy may inspect: the prepared network, the simulator
 /// configuration it was measured under, the measured report (latency +
@@ -274,33 +273,27 @@ impl LinkSleep {
     ) -> Result<GatedNetwork, PipelineError> {
         let topo = ctx.topology;
         let activity = &ctx.report.activity;
-        let util: HashMap<(RouterId, RouterId), f64> = activity
-            .links
-            .iter()
-            .map(|l| ((l.from, l.to), l.utilization(activity.measured_cycles)))
-            .collect();
-        let flits: HashMap<(RouterId, RouterId), u64> = activity
-            .links
-            .iter()
-            .map(|l| ((l.from, l.to), l.flits))
-            .collect();
+        // Utilization and flits per directed link, dense `n x n`.
+        let n = topo.num_routers();
+        let mut util = vec![0.0f64; n * n];
+        let mut flits = vec![0u64; n * n];
+        for l in &activity.links {
+            util[l.from * n + l.to] = l.utilization(activity.measured_cycles);
+            flits[l.from * n + l.to] = l.flits;
+        }
 
         // Candidate full-duplex pairs, largest net benefit first
         // (deterministic tie-break on the pair itself).
-        let n = topo.num_routers();
         let mut candidates: Vec<((RouterId, RouterId), f64)> = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 if !topo.has_link(i, j) && !topo.has_link(j, i) {
                     continue;
                 }
-                let fwd = util.get(&(i, j)).copied().unwrap_or(0.0);
-                let rev = util.get(&(j, i)).copied().unwrap_or(0.0);
-                if fwd.max(rev) >= self.idle_threshold {
+                if util[i * n + j].max(util[j * n + i]) >= self.idle_threshold {
                     continue;
                 }
-                let pair_flits = flits.get(&(i, j)).copied().unwrap_or(0)
-                    + flits.get(&(j, i)).copied().unwrap_or(0);
+                let pair_flits = flits[i * n + j] + flits[j * n + i];
                 let net_mw = Self::pair_savings_mw(ctx, i, j) - Self::pair_wake_mw(ctx, pair_flits);
                 if net_mw > 0.0 {
                     candidates.push(((i, j), net_mw));
@@ -312,7 +305,7 @@ impl LinkSleep {
         // Greedy gating with a cheap strong-connectivity check per step,
         // stopping at the gated-fraction cap.
         let cap = (topo.num_links() as f64 * self.max_gated_fraction).floor() as usize;
-        let mut gated_topo = topo.clone();
+        let mut gated_topo = topo.clone().with_name(format!("{}-gated", topo.name()));
         let mut gated: Vec<(RouterId, RouterId)> = Vec::new();
         for &((i, j), _) in &candidates {
             if gated.len() >= cap {
@@ -339,12 +332,10 @@ impl LinkSleep {
         // Restoration pops the smallest-net-benefit pair first, giving up
         // the least savings per unit of routability regained.
         loop {
-            let name = format!("{}-gated", topo.name());
-            let candidate = gated_topo.clone().with_name(name);
-            match memo.route(&candidate, seed, ctx.config.vc_budget) {
+            match memo.route(&gated_topo, seed, ctx.config.vc_budget) {
                 Ok((routing, vcs)) => {
                     return Ok(GatedNetwork {
-                        topology: candidate,
+                        topology: gated_topo,
                         routing,
                         vcs,
                         gated_pairs: gated,

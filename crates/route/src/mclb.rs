@@ -9,13 +9,26 @@
 //! 4 seeded restarts with the best result kept.  A unit test checks it
 //! against an enumeration of every path choice on a small instance.
 //!
-//! Every flow carries unit demand, so channel loads are small integers.
-//! The heuristic keeps them in a `u32` array indexed by channel, together
-//! with a histogram of load values, so the objective — (max load, channels
-//! at max load, Σload²), compared as a plain tuple — is exact and costs
-//! O(path length) to update when a path is added or removed.  A candidate
-//! replaces the incumbent only on a strict improvement, so ties go to the
-//! incumbent, then to the earliest candidate.
+//! Every candidate path is lowered once per call to a chain of dense
+//! channel ids, which all restarts share.  Every flow carries unit demand,
+//! so channel loads are small integers: the heuristic keeps them in a
+//! `u32` array indexed by channel, together with a histogram of load
+//! values, so the objective — (max load, channels at max load, Σload²),
+//! compared as a plain tuple — is exact and costs O(path length) to update
+//! when a path is added or removed.
+//!
+//! A candidate is scored without touching the loads.  A shortest path
+//! crosses each channel at most once, so adding it raises each of its
+//! channel loads `l` by one, and with `max` the current maximum and
+//! `hist[max]` the channels at it:
+//!
+//! * max' = max + 1 if the path crosses a channel at `max`, else `max`;
+//! * count' = the path's channels at `max` when max' > max, else
+//!   `hist[max]` + the path's channels at `max - 1`;
+//! * Σl²' = Σl² + Σ(2l + 1) over the path's channels.
+//!
+//! A candidate replaces the incumbent only on a strict improvement, so ties
+//! go to the incumbent, then to the earliest candidate.
 
 use crate::paths::{path_links, PathSet};
 use crate::table::{Flow, RoutingTable};
@@ -45,11 +58,61 @@ impl Default for MclbConfig {
 /// (max load, channels at max load, Σload²), minimized lexicographically.
 type Objective = (u32, u32, u64);
 
+/// Every flow's candidate paths as chains of dense channel ids.
+struct Candidates {
+    /// The chains of every candidate, back to back, flow by flow in
+    /// [`PathSet::flows`] order and each flow's candidates in path order.
+    chans: Vec<u32>,
+    /// `start[f]`: where flow `f`'s candidates begin in `chans`.
+    start: Vec<usize>,
+    /// `hops[f]`: channels per candidate of flow `f` (all are shortest).
+    hops: Vec<usize>,
+    /// `count[f]`: candidates of flow `f`.
+    count: Vec<usize>,
+    num_channels: usize,
+}
+
+impl Candidates {
+    fn lower(paths: &PathSet, flows: &[(RouterId, RouterId)]) -> Self {
+        let n = paths.num_routers();
+        let mut id = vec![u32::MAX; n * n];
+        let mut lowered = Candidates {
+            chans: Vec::new(),
+            start: Vec::with_capacity(flows.len()),
+            hops: Vec::with_capacity(flows.len()),
+            count: Vec::with_capacity(flows.len()),
+            num_channels: 0,
+        };
+        for &(s, d) in flows {
+            let candidates = paths.paths(s, d);
+            lowered.start.push(lowered.chans.len());
+            for p in candidates.iter() {
+                for (a, b) in path_links(p) {
+                    let slot = &mut id[a * n + b];
+                    if *slot == u32::MAX {
+                        *slot = lowered.num_channels as u32;
+                        lowered.num_channels += 1;
+                    }
+                    lowered.chans.push(*slot);
+                }
+            }
+            lowered.hops.push(candidates[0].len() - 1);
+            lowered.count.push(candidates.len());
+        }
+        lowered
+    }
+
+    /// Candidate `i` of flow `f`.
+    fn path(&self, f: usize, i: usize) -> &[u32] {
+        let at = self.start[f] + i * self.hops[f];
+        &self.chans[at..at + self.hops[f]]
+    }
+}
+
 /// Unit-demand channel loads of a partial routing, with the objective
 /// maintained incrementally.
 struct Loads {
-    n: usize,
-    /// `load[a * n + b]` — flows routed over channel `a -> b`.
+    /// `load[c]` — flows routed over channel `c`.
     load: Vec<u32>,
     /// `hist[l]` — entries of `load` equal to `l`.
     hist: Vec<u32>,
@@ -58,22 +121,21 @@ struct Loads {
 }
 
 impl Loads {
-    /// Empty loads for `n` routers and at most `flows` flows.
-    fn new(n: usize, flows: usize) -> Self {
+    /// Empty loads for `channels` channels and at most `flows` flows.
+    fn new(channels: usize, flows: usize) -> Self {
         let mut hist = vec![0; flows + 1];
-        hist[0] = (n * n) as u32;
+        hist[0] = channels as u32;
         Loads {
-            n,
-            load: vec![0; n * n],
+            load: vec![0; channels],
             hist,
             max: 0,
             sumsq: 0,
         }
     }
 
-    fn add(&mut self, path: &[RouterId]) {
-        for (a, b) in path_links(path) {
-            let l = &mut self.load[a * self.n + b];
+    fn add(&mut self, chain: &[u32]) {
+        for &c in chain {
+            let l = &mut self.load[c as usize];
             self.hist[*l as usize] -= 1;
             self.sumsq += 2 * u64::from(*l) + 1;
             *l += 1;
@@ -82,9 +144,9 @@ impl Loads {
         }
     }
 
-    fn remove(&mut self, path: &[RouterId]) {
-        for (a, b) in path_links(path) {
-            let l = &mut self.load[a * self.n + b];
+    fn remove(&mut self, chain: &[u32]) {
+        for &c in chain {
+            let l = &mut self.load[c as usize];
             self.hist[*l as usize] -= 1;
             if *l == self.max && self.hist[*l as usize] == 0 {
                 self.max -= 1;
@@ -99,28 +161,37 @@ impl Loads {
         (self.max, self.hist[self.max as usize], self.sumsq)
     }
 
-    /// The objective with `path` added, leaving the loads unchanged.
-    fn objective_with(&mut self, path: &[RouterId]) -> Objective {
-        self.add(path);
-        let obj = self.objective();
-        self.remove(path);
-        obj
+    /// The objective with `chain` (a path: no channel twice) added,
+    /// computed from the loads it crosses without changing them.
+    fn score(&self, chain: &[u32]) -> Objective {
+        let (mut at_max, mut below_max, mut sum) = (0u32, 0u32, 0u64);
+        for &c in chain {
+            let l = self.load[c as usize];
+            at_max += u32::from(l == self.max);
+            below_max += u32::from(l + 1 == self.max);
+            sum += u64::from(l);
+        }
+        let sumsq = self.sumsq + 2 * sum + chain.len() as u64;
+        if at_max > 0 {
+            (self.max + 1, at_max, sumsq)
+        } else {
+            (self.max, self.hist[self.max as usize] + below_max, sumsq)
+        }
     }
 
-    /// The candidate whose addition gives the smallest objective.
-    /// `incumbent` is tried first and the others follow in index order; a
-    /// later candidate wins only on a strict improvement.
-    fn best_candidate(&mut self, candidates: &[Vec<RouterId>], incumbent: usize) -> usize {
-        if candidates.len() < 2 {
+    /// The candidate of flow `f` whose addition gives the smallest
+    /// objective.  `incumbent` is tried first and the others follow in
+    /// index order; a later candidate wins only on a strict improvement.
+    fn best_candidate(&self, candidates: &Candidates, f: usize, incumbent: usize) -> usize {
+        let count = candidates.count[f];
+        if count < 2 {
             return incumbent;
         }
-        let mut best = (incumbent, self.objective_with(&candidates[incumbent]));
-        for (idx, p) in candidates.iter().enumerate() {
-            if idx != incumbent {
-                let obj = self.objective_with(p);
-                if obj < best.1 {
-                    best = (idx, obj);
-                }
+        let mut best = (incumbent, self.score(candidates.path(f, incumbent)));
+        for idx in (0..count).filter(|&idx| idx != incumbent) {
+            let obj = self.score(candidates.path(f, idx));
+            if obj < best.1 {
+                best = (idx, obj);
             }
         }
         best.0
@@ -130,10 +201,11 @@ impl Loads {
 /// Heuristic MCLB routing over all flows with unit demand.
 pub fn mclb_route(paths: &PathSet, config: &MclbConfig) -> RoutingTable {
     let flows: Vec<(RouterId, RouterId)> = paths.flows().collect();
+    let candidates = Candidates::lower(paths, &flows);
     let mut best: Option<(Objective, Vec<usize>)> = None;
     for restart in 0..RESTARTS {
         let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart));
-        let run = single_run(paths, &flows, &mut rng);
+        let run = single_run(&candidates, &mut rng);
         if best.as_ref().is_none_or(|cur| run.0 < cur.0) {
             best = Some(run);
         }
@@ -141,30 +213,26 @@ pub fn mclb_route(paths: &PathSet, config: &MclbConfig) -> RoutingTable {
     let (_, selected) = best.expect("at least one restart");
     let mut table = RoutingTable::new(paths.num_routers(), "MCLB");
     for (&(s, d), idx) in flows.iter().zip(selected) {
-        table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].clone());
+        table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].to_vec());
     }
     table
 }
 
 /// One greedy construction plus improvement sweeps; returns the final
 /// objective and the selected path index of every flow.
-fn single_run(
-    paths: &PathSet,
-    flows: &[(RouterId, RouterId)],
-    rng: &mut SmallRng,
-) -> (Objective, Vec<usize>) {
-    let candidates = |f: usize| paths.paths(flows[f].0, flows[f].1);
-    let mut loads = Loads::new(paths.num_routers(), flows.len());
-    let mut selected = vec![0usize; flows.len()];
+fn single_run(candidates: &Candidates, rng: &mut SmallRng) -> (Objective, Vec<usize>) {
+    let flows = candidates.hops.len();
+    let mut loads = Loads::new(candidates.num_channels, flows);
+    let mut selected = vec![0usize; flows];
 
     // Greedy construction: commit constrained flows (fewest alternatives)
     // first; break ties randomly.
-    let mut order: Vec<usize> = (0..flows.len()).collect();
+    let mut order: Vec<usize> = (0..flows).collect();
     order.shuffle(rng);
-    order.sort_by_key(|&f| candidates(f).len());
+    order.sort_by_key(|&f| candidates.count[f]);
     for &f in &order {
-        selected[f] = loads.best_candidate(candidates(f), 0);
-        loads.add(&candidates(f)[selected[f]]);
+        selected[f] = loads.best_candidate(candidates, f, 0);
+        loads.add(candidates.path(f, selected[f]));
     }
 
     // Local improvement: re-route flows that cross the hottest channels.
@@ -174,16 +242,18 @@ fn single_run(
             .iter()
             .copied()
             .filter(|&f| {
-                path_links(&candidates(f)[selected[f]])
-                    .any(|(a, b)| loads.load[a * loads.n + b] == max)
+                candidates
+                    .path(f, selected[f])
+                    .iter()
+                    .any(|&c| loads.load[c as usize] == max)
             })
             .collect();
         let mut improved = false;
         for f in hot_flows {
             let current = selected[f];
-            loads.remove(&candidates(f)[current]);
-            selected[f] = loads.best_candidate(candidates(f), current);
-            loads.add(&candidates(f)[selected[f]]);
+            loads.remove(candidates.path(f, current));
+            selected[f] = loads.best_candidate(candidates, f, current);
+            loads.add(candidates.path(f, selected[f]));
             improved |= selected[f] != current;
         }
         if !improved {
@@ -199,6 +269,7 @@ mod tests {
     use crate::paths::all_shortest_paths;
     use netsmith_topo::expert;
     use netsmith_topo::{Layout, LinkClass, Topology};
+    use proptest::prelude::*;
 
     #[test]
     fn mclb_routes_every_flow_on_mesh() {
@@ -225,7 +296,7 @@ mod tests {
         // Naive: always the first enumerated path.
         let mut naive = RoutingTable::new(20, "first");
         for (s, d) in ps.flows() {
-            naive.set_path(Flow::new(s, d), ps.paths(s, d)[0].clone());
+            naive.set_path(Flow::new(s, d), ps.paths(s, d)[0].to_vec());
         }
         let mclb = mclb_route(&ps, &MclbConfig::default());
         let naive_max = naive.uniform_channel_loads().max_load;
@@ -240,24 +311,25 @@ mod tests {
     /// one shortest path per flow (a branch stops once it is no better
     /// than the best complete choice so far).
     fn brute_force_max_load(ps: &PathSet) -> u32 {
-        fn search(ps: &PathSet, flows: &[Flow], loads: &mut Loads, best: &mut u32) {
+        fn search(candidates: &Candidates, f: usize, loads: &mut Loads, best: &mut u32) {
             if loads.max >= *best {
                 return;
             }
-            let Some((f, rest)) = flows.split_first() else {
+            if f == candidates.hops.len() {
                 *best = loads.max;
                 return;
-            };
-            for p in ps.paths(f.src, f.dst) {
-                loads.add(p);
-                search(ps, rest, loads, best);
-                loads.remove(p);
+            }
+            for i in 0..candidates.count[f] {
+                loads.add(candidates.path(f, i));
+                search(candidates, f + 1, loads, best);
+                loads.remove(candidates.path(f, i));
             }
         }
-        let flows: Vec<_> = ps.flows().map(|(s, d)| Flow::new(s, d)).collect();
+        let flows: Vec<_> = ps.flows().collect();
+        let candidates = Candidates::lower(ps, &flows);
         let mut best = u32::MAX;
-        let mut loads = Loads::new(ps.num_routers(), flows.len());
-        search(ps, &flows, &mut loads, &mut best);
+        let mut loads = Loads::new(candidates.num_channels, flows.len());
+        search(&candidates, 0, &mut loads, &mut best);
         best
     }
 
@@ -272,11 +344,67 @@ mod tests {
         let ps = all_shortest_paths(&t);
         let heuristic = mclb_route(&ps, &MclbConfig::default());
         heuristic.validate(&t).unwrap();
-        let mut loads = Loads::new(ps.num_routers(), ps.flows().count());
+        let mut load = [0u32; 36];
         for (_, p) in heuristic.flows() {
-            loads.add(p);
+            for (a, b) in path_links(p) {
+                load[a * 6 + b] += 1;
+            }
         }
-        assert_eq!(loads.max, brute_force_max_load(&ps));
+        assert_eq!(load.iter().max(), Some(&brute_force_max_load(&ps)));
+    }
+
+    /// `score` against adding the chain, reading the objective and
+    /// removing it again, on loads built from `background` chains.
+    fn check_score(channels: usize, background: &[Vec<u32>], chain: &[u32]) {
+        let mut loads = Loads::new(channels, background.len() + 1);
+        for b in background {
+            loads.add(b);
+        }
+        let before = (loads.load.clone(), loads.hist.clone(), loads.objective());
+        let scored = loads.score(chain);
+        loads.add(chain);
+        let want = loads.objective();
+        loads.remove(chain);
+        assert_eq!(scored, want, "background {background:?}, chain {chain:?}");
+        let after = loads.objective();
+        assert_eq!((loads.load, loads.hist, after), before);
+    }
+
+    #[test]
+    fn score_matches_add_then_remove_on_edge_cases() {
+        // Empty loads.
+        check_score(4, &[], &[2]);
+        check_score(4, &[], &[0, 1, 3]);
+        // A tie at the maximum, the path crossing one, several or none of
+        // the channels at it, and channels just below it.
+        let tie = [vec![0, 1], vec![1, 2], vec![2, 0], vec![3]];
+        check_score(5, &tie, &[0]);
+        check_score(5, &tie, &[0, 1, 2]);
+        check_score(5, &tie, &[3, 4]);
+        check_score(5, &tie, &[4]);
+    }
+
+    /// A chain of distinct channels below `channels`.
+    fn chain(channels: u32) -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(0..channels, 1..6).prop_map(|mut c| {
+            let mut seen = Vec::new();
+            c.retain(|x| {
+                let fresh = !seen.contains(x);
+                seen.push(*x);
+                fresh
+            });
+            c
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn score_matches_add_then_remove(
+            background in proptest::collection::vec(chain(8), 0..16),
+            probe in chain(8),
+        ) {
+            check_score(8, &background, &probe);
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn ndbt_route(layout: &Layout, paths: &PathSet, seed: u64) -> (RoutingTable,
     let mut fallbacks = 0usize;
     for (s, d) in paths.flows() {
         let candidates = paths.paths(s, d);
-        let valid: Vec<&Vec<RouterId>> = candidates
+        let valid: Vec<&[RouterId]> = candidates
             .iter()
             .filter(|p| !doubles_back_horizontally(layout, p))
             .collect();
@@ -56,7 +56,7 @@ pub fn ndbt_route(layout: &Layout, paths: &PathSet, seed: u64) -> (RoutingTable,
         } else {
             valid[rng.gen_range(0..valid.len())]
         };
-        table.set_path(Flow::new(s, d), chosen.clone());
+        table.set_path(Flow::new(s, d), chosen.to_vec());
     }
     (table, fallbacks)
 }

@@ -7,9 +7,19 @@
 //! shortest-path DAG.  A per-flow cap guards against combinatorial blow-up
 //! on dense topologies; the cap is far above what 20–48 router NoIs
 //! produce.
+//!
+//! The whole set lives in one arena of router ids.  Flows are stored in
+//! `(s, d)` order, and a flow's paths follow one another in the order of
+//! a depth-first walk from `s` that tries out-neighbours in ascending id,
+//! keeping the first 64 paths it reaches.  MCLB and NDBT choose paths by
+//! their index in that order, so it is part of the routing result.  Every
+//! path of a flow has the flow's hop distance, so a flow needs only its
+//! offset in the arena: path `i` starts `i * (hops + 1)` ids after it.
 
 use netsmith_topo::metrics::{all_pairs_hops, UNREACHABLE};
 use netsmith_topo::{RouterId, Topology};
+use std::ops::Index;
+use std::slice::ChunksExact;
 
 /// Default cap on the number of shortest paths enumerated per flow.
 const DEFAULT_MAX_PATHS_PER_FLOW: usize = 64;
@@ -18,11 +28,56 @@ const DEFAULT_MAX_PATHS_PER_FLOW: usize = 64;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathSet {
     n: usize,
-    /// `paths[s * n + d]` = list of shortest paths, each a router sequence
-    /// starting at `s` and ending at `d`.
-    paths: Vec<Vec<Vec<RouterId>>>,
+    /// Router ids of every path, back to back, flow by flow.
+    routers: Vec<RouterId>,
+    /// `flow_start[s * n + d]..flow_start[s * n + d + 1]`: the router ids
+    /// of the paths from `s` to `d`.
+    flow_start: Vec<usize>,
     /// Hop distance matrix used to build the set.
     dist: Vec<u32>,
+}
+
+/// The shortest paths of one flow, a view into a [`PathSet`]: indexing
+/// and iteration give each path as a router sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct Paths<'a> {
+    /// The flow's router ids, `path_len` per path.
+    routers: &'a [RouterId],
+    path_len: usize,
+}
+
+impl<'a> Paths<'a> {
+    /// Number of paths.
+    pub fn len(&self) -> usize {
+        self.routers.len() / self.path_len
+    }
+
+    /// True for an unreachable pair or `s == d`.
+    pub fn is_empty(&self) -> bool {
+        self.routers.is_empty()
+    }
+
+    /// The paths in enumeration order.
+    pub fn iter(&self) -> ChunksExact<'a, RouterId> {
+        self.routers.chunks_exact(self.path_len)
+    }
+}
+
+impl Index<usize> for Paths<'_> {
+    type Output = [RouterId];
+
+    fn index(&self, i: usize) -> &[RouterId] {
+        &self.routers[i * self.path_len..(i + 1) * self.path_len]
+    }
+}
+
+impl<'a> IntoIterator for Paths<'a> {
+    type Item = &'a [RouterId];
+    type IntoIter = ChunksExact<'a, RouterId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 impl PathSet {
@@ -33,8 +88,13 @@ impl PathSet {
 
     /// All shortest paths from `s` to `d` (empty for unreachable pairs or
     /// when `s == d`).
-    pub fn paths(&self, s: RouterId, d: RouterId) -> &[Vec<RouterId>] {
-        &self.paths[s * self.n + d]
+    pub fn paths(&self, s: RouterId, d: RouterId) -> Paths<'_> {
+        let flow = s * self.n + d;
+        Paths {
+            routers: &self.routers[self.flow_start[flow]..self.flow_start[flow + 1]],
+            // Any non-zero length for an empty flow.
+            path_len: self.dist[flow].wrapping_add(1).max(1) as usize,
+        }
     }
 
     /// Shortest hop distance from `s` to `d`.
@@ -53,7 +113,7 @@ impl PathSet {
         let n = self.n;
         (0..n).flat_map(move |s| {
             (0..n)
-                .filter(move |&d| d != s && !self.paths[s * n + d].is_empty())
+                .filter(move |&d| self.flow_start[s * n + d] < self.flow_start[s * n + d + 1])
                 .map(move |d| (s, d))
         })
     }
@@ -68,51 +128,71 @@ pub fn all_shortest_paths(topo: &Topology) -> PathSet {
 fn all_shortest_paths_capped(topo: &Topology, max_per_flow: usize) -> PathSet {
     let n = topo.num_routers();
     let dist = all_pairs_hops(topo);
-    let mut paths = vec![Vec::new(); n * n];
-    // Outgoing adjacency once.
     let adj: Vec<Vec<RouterId>> = (0..n).map(|i| topo.neighbours_out(i)).collect();
+    let mut routers = Vec::new();
+    let mut flow_start = Vec::with_capacity(n * n + 1);
+    let mut current = Vec::new();
     for s in 0..n {
         for d in 0..n {
+            flow_start.push(routers.len());
             if s == d || dist[s * n + d] == UNREACHABLE {
                 continue;
             }
-            let mut found = Vec::new();
-            let mut current = vec![s];
-            enumerate_dag_paths(s, d, n, &dist, &adj, &mut current, &mut found, max_per_flow);
-            paths[s * n + d] = found;
+            let dag = Dag {
+                n,
+                d,
+                dist: &dist,
+                adj: &adj,
+                cap: max_per_flow,
+            };
+            current.clear();
+            current.push(s);
+            dag.walk(s, &mut current, &mut routers, &mut 0);
         }
     }
-    PathSet { n, paths, dist }
+    flow_start.push(routers.len());
+    PathSet {
+        n,
+        routers,
+        flow_start,
+        dist,
+    }
 }
 
-/// DFS over the shortest-path DAG: from `u`, a neighbour `v` is on a
+/// The shortest-path DAG towards `d`: from `u`, a neighbour `v` is on a
 /// shortest path to `d` iff `dist(v, d) == dist(u, d) - 1`.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_dag_paths(
-    u: RouterId,
-    d: RouterId,
+struct Dag<'a> {
     n: usize,
-    dist: &[u32],
-    adj: &[Vec<RouterId>],
-    current: &mut Vec<RouterId>,
-    found: &mut Vec<Vec<RouterId>>,
+    d: RouterId,
+    dist: &'a [u32],
+    adj: &'a [Vec<RouterId>],
     cap: usize,
-) {
-    if found.len() >= cap {
-        return;
-    }
-    if u == d {
-        found.push(current.clone());
-        return;
-    }
-    let remaining = dist[u * n + d];
-    for &v in &adj[u] {
-        if dist[v * n + d] != UNREACHABLE && dist[v * n + d] + 1 == remaining {
-            current.push(v);
-            enumerate_dag_paths(v, d, n, dist, adj, current, found, cap);
-            current.pop();
-            if found.len() >= cap {
-                return;
+}
+
+impl Dag<'_> {
+    /// Depth-first walk from `u` (the last router of `current`), appending
+    /// each path that reaches `d` to `out` until `found` reaches the cap.
+    fn walk(
+        &self,
+        u: RouterId,
+        current: &mut Vec<RouterId>,
+        out: &mut Vec<RouterId>,
+        found: &mut usize,
+    ) {
+        if u == self.d {
+            out.extend_from_slice(current);
+            *found += 1;
+            return;
+        }
+        let remaining = self.dist[u * self.n + self.d];
+        for &v in &self.adj[u] {
+            if self.dist[v * self.n + self.d].wrapping_add(1) == remaining {
+                current.push(v);
+                self.walk(v, current, out, found);
+                current.pop();
+                if *found >= self.cap {
+                    return;
+                }
             }
         }
     }
@@ -192,8 +272,8 @@ mod tests {
             assert!(capped.paths(s, d).len() <= 2);
         }
         let full = all_shortest_paths(&mesh);
-        let total = |ps: &PathSet| ps.paths.iter().map(Vec::len).sum::<usize>();
-        assert!(total(&full) >= total(&capped));
+        let total = |ps: &PathSet| ps.flows().map(|(s, d)| ps.paths(s, d).len()).sum::<usize>();
+        assert!(total(&full) > total(&capped));
     }
 
     #[test]
@@ -214,7 +294,7 @@ mod tests {
         let ps = all_shortest_paths(&bd);
         for (s, d) in ps.flows() {
             for p in ps.paths(s, d) {
-                let mut sorted = p.clone();
+                let mut sorted = p.to_vec();
                 sorted.sort_unstable();
                 sorted.dedup();
                 assert_eq!(sorted.len(), p.len(), "path revisits a router: {p:?}");

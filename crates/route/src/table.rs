@@ -269,7 +269,7 @@ mod tests {
         let ps = all_shortest_paths(&mesh);
         let mut table = RoutingTable::new(20, "first-path");
         for (s, d) in ps.flows() {
-            table.set_path(Flow::new(s, d), ps.paths(s, d)[0].clone());
+            table.set_path(Flow::new(s, d), ps.paths(s, d)[0].to_vec());
         }
         (mesh, table)
     }

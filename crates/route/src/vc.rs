@@ -16,12 +16,21 @@
 //! the whole VC budget, using path-length-weighted occupancy as the balance
 //! metric as in the paper's Section IV-A: it repeatedly moves one flow from
 //! the most to the least occupied VC, never below the flow's escape layer
-//! and only when the destination VC stays acyclic.
+//! and only when the destination VC stays acyclic.  The flow moved is the
+//! first that qualifies in ascending flow order, so each VC keeps its
+//! members in an ascending list, and a move walks only the hot VC's list.
 //!
 //! Every per-VC CDG stays acyclic throughout, so each placement or move is
 //! checked incrementally: the path is added to the destination's dense CDG,
 //! and only the dependencies it created are searched for a closing cycle
 //! (the CDG's `try_add_path`).
+//!
+//! The balancing pass also remembers rejections: once VC `c` rejects a
+//! flow, the flow is not tried on `c` again until `c` loses a path.  That
+//! is exact.  A rejection means `c`'s CDG plus the flow's path has a cycle.
+//! Adding dependencies never removes a cycle, and a VC's CDG only shrinks
+//! when it is the hot VC a flow moves out of, so until then every retry
+//! would be rejected too.
 
 use crate::cdg::ChannelDependencyGraph;
 use crate::paths::path_links;
@@ -47,18 +56,14 @@ pub struct VcAllocation {
     pub occupancy: Vec<f64>,
 }
 
-impl VcAllocation {
-    /// The VC assigned to a flow (panics when the flow was not routed).
-    pub fn vc(&self, flow: Flow) -> usize {
-        self.assignment[&flow]
-    }
-}
-
 /// Every routed flow of a table, in `table.flows()` order (ascending
 /// `Flow`), with its path as a chain of dense channel ids.
 struct ChannelChains {
     flows: Vec<Flow>,
-    chains: Vec<Vec<u32>>,
+    /// The chains of every flow, back to back.
+    chans: Vec<u32>,
+    /// `start[f]..start[f + 1]`: flow `f`'s chain in `chans`.
+    start: Vec<usize>,
     num_channels: usize,
 }
 
@@ -66,28 +71,30 @@ impl ChannelChains {
     fn of(table: &RoutingTable) -> Self {
         let n = table.num_routers();
         let mut id = vec![u32::MAX; n * n];
-        let mut num_channels = 0usize;
-        let (flows, chains) = table
-            .flows()
-            .map(|(flow, path)| {
-                let chain = path_links(path)
-                    .map(|(a, b)| {
-                        let slot = &mut id[a * n + b];
-                        if *slot == u32::MAX {
-                            *slot = num_channels as u32;
-                            num_channels += 1;
-                        }
-                        *slot
-                    })
-                    .collect();
-                (flow, chain)
-            })
-            .unzip();
-        ChannelChains {
-            flows,
-            chains,
-            num_channels,
+        let mut chains = ChannelChains {
+            flows: Vec::new(),
+            chans: Vec::new(),
+            start: vec![0],
+            num_channels: 0,
+        };
+        for (flow, path) in table.flows() {
+            for (a, b) in path_links(path) {
+                let slot = &mut id[a * n + b];
+                if *slot == u32::MAX {
+                    *slot = chains.num_channels as u32;
+                    chains.num_channels += 1;
+                }
+                chains.chans.push(*slot);
+            }
+            chains.flows.push(flow);
+            chains.start.push(chains.chans.len());
         }
+        chains
+    }
+
+    /// Flow `f`'s path as channel ids.
+    fn chain(&self, f: usize) -> &[u32] {
+        &self.chans[self.start[f]..self.start[f + 1]]
     }
 }
 
@@ -102,35 +109,31 @@ pub fn allocate_vcs(
     seed: u64,
 ) -> Result<VcAllocation, PipelineError> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let ChannelChains {
-        flows,
-        chains,
-        num_channels,
-    } = ChannelChains::of(table);
+    let chains = ChannelChains::of(table);
+    let num_flows = chains.flows.len();
+    let weight = |f: usize| chains.chain(f).len() as f64;
 
     // Layered escape partition (DFSSSP/LASH style), built greedily: flows
     // are considered one at a time (longest paths first — they constrain
     // the CDG the most — with seeded random tie-breaking) and each flow is
     // placed in the lowest layer whose channel dependency graph stays
     // acyclic after adding the flow's path.
-    let mut order: Vec<usize> = (0..flows.len()).collect();
+    let mut order: Vec<usize> = (0..num_flows).collect();
     for i in (1..order.len()).rev() {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
     }
-    order.sort_by_key(|&f| std::cmp::Reverse(chains[f].len()));
-    let mut layer_of = vec![0usize; flows.len()];
-    let mut vc_cdgs = vec![ChannelDependencyGraph::with_channels(num_channels)];
+    order.sort_by_key(|&f| std::cmp::Reverse(chains.chain(f).len()));
+    let mut layer_of = vec![0usize; num_flows];
+    let mut vc_cdgs = vec![ChannelDependencyGraph::with_channels(chains.num_channels)];
     for &f in &order {
-        layer_of[f] = match vc_cdgs
-            .iter_mut()
-            .position(|cdg| cdg.try_add_path(&chains[f]))
-        {
+        let chain = chains.chain(f);
+        layer_of[f] = match vc_cdgs.iter_mut().position(|cdg| cdg.try_add_path(chain)) {
             Some(layer) => layer,
             None => {
                 // A path never revisits a router, so it fits an empty layer.
-                let mut cdg = ChannelDependencyGraph::with_channels(num_channels);
-                cdg.try_add_path(&chains[f]);
+                let mut cdg = ChannelDependencyGraph::with_channels(chains.num_channels);
+                cdg.try_add_path(chain);
                 vc_cdgs.push(cdg);
                 vc_cdgs.len() - 1
             }
@@ -150,14 +153,20 @@ pub fn allocate_vcs(
     // from the most occupied VC to the least occupied higher-indexed VC.
     vc_cdgs.resize(
         total_vcs,
-        ChannelDependencyGraph::with_channels(num_channels),
+        ChannelDependencyGraph::with_channels(chains.num_channels),
     );
     let mut assignment = layer_of.clone();
-    let weight = |f: usize| chains[f].len() as f64;
     let mut occupancy = vec![0.0f64; total_vcs];
+    // `members[vc]`: the flows on `vc`, ascending.
+    let mut members = vec![Vec::new(); total_vcs];
     for (f, &vc) in assignment.iter().enumerate() {
         occupancy[vc] += weight(f);
+        members[vc].push(f);
     }
+    // `losses[vc]`: paths `vc` has lost so far.  `rejected[f * total_vcs +
+    // vc] == losses[vc] + 1` when `vc` rejected flow `f` since its last loss.
+    let mut losses = vec![0u32; total_vcs];
+    let mut rejected = vec![0u32; num_flows * total_vcs];
     // Spread into unused upper VCs.
     let mut improved = true;
     let mut guard = 0usize;
@@ -181,29 +190,40 @@ pub fn allocate_vcs(
         // Try to move one flow from hot to cold, in ascending flow order,
         // keeping the cold VC acyclic and never moving a flow below its
         // escape layer.
-        for f in 0..flows.len() {
-            if assignment[f] != hot_vc || layer_of[f] > cold_vc {
-                continue;
-            }
+        let moved = members[hot_vc].iter().position(|&f| {
             let w = weight(f);
             // Moving must actually reduce the imbalance.
-            if occupancy[hot_vc] - w < occupancy[cold_vc] + w - 1e-9 {
-                continue;
+            if layer_of[f] > cold_vc || occupancy[hot_vc] - w < occupancy[cold_vc] + w - 1e-9 {
+                return false;
             }
-            if vc_cdgs[cold_vc].try_add_path(&chains[f]) {
-                vc_cdgs[hot_vc].remove_path(&chains[f]);
-                assignment[f] = cold_vc;
-                occupancy[hot_vc] -= w;
-                occupancy[cold_vc] += w;
-                improved = true;
-                break;
+            let mark = &mut rejected[f * total_vcs + cold_vc];
+            if *mark == losses[cold_vc] + 1 {
+                return false;
             }
+            let fits = vc_cdgs[cold_vc].try_add_path(chains.chain(f));
+            if !fits {
+                *mark = losses[cold_vc] + 1;
+            }
+            fits
+        });
+        if let Some(at) = moved {
+            let f = members[hot_vc].remove(at);
+            vc_cdgs[hot_vc].remove_path(chains.chain(f));
+            losses[hot_vc] += 1;
+            let cold = &mut members[cold_vc];
+            let slot = cold.partition_point(|&g| g < f);
+            cold.insert(slot, f);
+            assignment[f] = cold_vc;
+            let w = weight(f);
+            occupancy[hot_vc] -= w;
+            occupancy[cold_vc] += w;
+            improved = true;
         }
     }
 
     let num_vcs = assignment.iter().copied().max().unwrap_or(0) + 1;
     Ok(VcAllocation {
-        assignment: flows.into_iter().zip(assignment).collect(),
+        assignment: chains.flows.into_iter().zip(assignment).collect(),
         num_vcs,
         escape_layers: num_layers,
         occupancy,
@@ -222,9 +242,9 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
     routed
         .flows
         .iter()
-        .zip(&routed.chains)
-        .all(|(flow, chain)| match alloc.assignment.get(flow) {
-            Some(&vc) if vc < alloc.num_vcs => vc_cdgs[vc].try_add_path(chain),
+        .enumerate()
+        .all(|(f, flow)| match alloc.assignment.get(flow) {
+            Some(&vc) if vc < alloc.num_vcs => vc_cdgs[vc].try_add_path(routed.chain(f)),
             _ => true,
         })
 }
@@ -290,7 +310,7 @@ mod tests {
                     true
                 })
                 .expect("mesh always has an XY shortest path")
-                .clone();
+                .to_vec();
             table.set_path(crate::table::Flow::new(s, d), xy);
         }
         let alloc = allocate_vcs(&table, 6, 11).expect("fits trivially");

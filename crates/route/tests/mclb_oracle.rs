@@ -179,7 +179,7 @@ mod reference {
         }
 
         for (&(s, d), &idx) in &selected {
-            table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].clone());
+            table.set_path(Flow::new(s, d), paths.paths(s, d)[idx].to_vec());
         }
         table
     }

@@ -35,7 +35,7 @@ proptest! {
         // Worst case: every flow picks its first enumerated path.
         let mut naive = netsmith_route::RoutingTable::new(topo.num_routers(), "naive");
         for (s, d) in paths.flows() {
-            naive.set_path(netsmith_route::Flow::new(s, d), paths.paths(s, d)[0].clone());
+            naive.set_path(netsmith_route::Flow::new(s, d), paths.paths(s, d)[0].to_vec());
         }
         prop_assert!(
             mclb.uniform_channel_loads().max_load <= naive.uniform_channel_loads().max_load + 1e-9
