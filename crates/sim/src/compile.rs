@@ -306,9 +306,12 @@ fn clear_bit(active: &mut [u64], link: u32) {
 enum Decision {
     /// Still serializing: park until `free_at`.
     Busy,
-    /// Nothing can move; park until the carried cycle (`u64::MAX` = go
+    /// No ready packet; park until the carried cycle (`u64::MAX` = go
     /// dark until an add / head / renumber wake re-arms the link).
     Park(u64),
+    /// The oldest ready packet lacks downstream credit; park like
+    /// [`Decision::Park`].
+    Blocked(u64),
     /// The source's head packet wins.
     CommitSource,
     /// The resident in the carried slab slot wins.
@@ -326,6 +329,20 @@ struct Knobs<'s, 'a> {
     link_latency: u64,
     router_latency: u64,
     num_links: usize,
+}
+
+/// Link visits of one run, by outcome: the engine's deterministic work
+/// count.  Each visit is one [`St::arbitrate_pre`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Visits {
+    /// Visits that committed a packet.
+    commits: u64,
+    /// Visits to a link still serializing.
+    busy: u64,
+    /// Visits whose oldest ready packet lacked downstream credit.
+    credit_parks: u64,
+    /// Visits that found no ready packet at all.
+    idle_parks: u64,
 }
 
 /// Window counters folded into the final [`SimReport`].
@@ -708,7 +725,7 @@ impl St<'_> {
             // of *this* link; without credit for all of it, nothing moves.
             let occ = self.vc_occ[o * self.num_vcs + vc as usize];
             if occ as u64 + flits as u64 > self.vc_buffer_flits {
-                return (Decision::Park(next_ready), Pre::default());
+                return (Decision::Blocked(next_ready), Pre::default());
             }
         }
         let pre = Pre {
@@ -855,6 +872,7 @@ fn run_cycles(
     mut inj: InjectionSchedule<'_>,
     counters: &mut Counters,
     probe: &mut EpochProbe,
+    visits: &mut Visits,
 ) {
     let l = k.num_links;
     let mut cycle: u64 = 0;
@@ -890,20 +908,27 @@ fn run_cycles(
             match d {
                 Decision::Busy => {
                     // Still serializing: park until the link frees.
+                    visits.busy += 1;
                     clear_bit(&mut st.active, o as u32);
                     st.ring_push(st.lstate[o].free_at.min(cycle + st.ring_mask), o as u32);
                 }
-                Decision::Park(next_ready) => {
+                Decision::Park(next_ready) | Decision::Blocked(next_ready) => {
                     // Nothing can move.  With no candidate at all the
                     // link goes dark until an add or a new source head
                     // re-arms it; otherwise everything is still in
                     // flight — re-arm at the earliest arrival.
+                    if matches!(d, Decision::Park(_)) {
+                        visits.idle_parks += 1;
+                    } else {
+                        visits.credit_parks += 1;
+                    }
                     clear_bit(&mut st.active, o as u32);
                     if next_ready != u64::MAX {
                         st.ring_push(next_ready.min(cycle + st.ring_mask), o as u32);
                     }
                 }
                 Decision::CommitSource | Decision::CommitSlot(_) => {
+                    visits.commits += 1;
                     committed = true;
                     st.commit_pre(o, cycle, d, pre, k, counters, probe, in_window);
                     if d == Decision::CommitSource {
@@ -982,6 +1007,15 @@ pub(crate) fn run_flat(
     net: &CompiledNetwork,
     offered_flits_per_node_cycle: f64,
 ) -> SimReport {
+    run_counted(sim, net, offered_flits_per_node_cycle).0
+}
+
+/// [`run_flat`], also returning the run's link visits.
+fn run_counted(
+    sim: &NetworkSim<'_>,
+    net: &CompiledNetwork,
+    offered_flits_per_node_cycle: f64,
+) -> (SimReport, Visits) {
     let cfg = sim.config();
     let n = net.n;
     let num_vcs = net.num_vcs;
@@ -1057,7 +1091,15 @@ pub(crate) fn run_flat(
         ring_mask,
         heads: vec![SourceHead::EMPTY; n],
     };
-    run_cycles(&mut st, &k, injection, &mut counters, &mut probe);
+    let mut visits = Visits::default();
+    run_cycles(
+        &mut st,
+        &k,
+        injection,
+        &mut counters,
+        &mut probe,
+        &mut visits,
+    );
 
     // Settle the lazily integrated buffer occupancies up to the end of the
     // measurement window, then close any epochs still open.
@@ -1091,7 +1133,7 @@ pub(crate) fn run_flat(
             .collect(),
     };
     let avg_latency_cycles = counters.stats.mean();
-    SimReport {
+    let report = SimReport {
         offered_flits_per_node_cycle,
         injected_flits_per_node_cycle: injected,
         accepted_flits_per_node_cycle: accepted,
@@ -1106,16 +1148,17 @@ pub(crate) fn run_flat(
         activity,
         epochs,
         latency: counters.stats,
-    }
+    };
+    (report, visits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsmith_route::paths::all_shortest_paths;
-    use netsmith_route::{allocate_vcs, mclb_route, MclbConfig};
+    use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
     use netsmith_topo::expert;
-    use netsmith_topo::Layout;
+    use netsmith_topo::{Layout, LinkClass};
 
     #[test]
     fn compiled_tables_cover_every_routed_flow() {
@@ -1316,5 +1359,70 @@ mod tests {
             "cycle 1000 is the one in-window issue"
         );
         assert_eq!(report.packets_unfinished, 1);
+    }
+
+    /// Link visits of the compiled engine on two networks: the NDBT 8x6
+    /// folded torus with Medium-class windows (`perf`'s
+    /// `sim_48r_saturated` network) at loads 0.05, 0.2 and 0.4, and the
+    /// MCLB 4x5 torus with a serving epoch's 100/400/200-cycle windows and
+    /// epoch probe at loads 0.06 and 0.2.
+    fn pinned_visits() -> Vec<(&'static str, f64, Visits)> {
+        let mut out = Vec::new();
+        let layout = Layout::noi_8x6();
+        let torus = expert::folded_torus(&layout);
+        let table = ndbt_route(&layout, &all_shortest_paths(&torus), 42).0;
+        let alloc = allocate_vcs(&table, 6, 42).unwrap();
+        let sim = NetworkSim::builder(&torus, &table)
+            .vcs(&alloc)
+            .config(SimConfig::for_class(LinkClass::Medium))
+            .build();
+        for load in [0.05, 0.2, 0.4] {
+            out.push(("8x6 torus", load, run_counted(&sim, sim.compiled(), load).1));
+        }
+        let torus = expert::folded_torus(&Layout::noi_4x5());
+        let table = mclb_route(&all_shortest_paths(&torus), &MclbConfig::default());
+        let alloc = allocate_vcs(&table, 6, 42).unwrap();
+        let sim = NetworkSim::builder(&torus, &table)
+            .vcs(&alloc)
+            .config(SimConfig {
+                warmup_cycles: 100,
+                measure_cycles: 400,
+                drain_cycles: 200,
+                epoch_cycles: 400,
+                ..SimConfig::default()
+            })
+            .build();
+        for load in [0.06, 0.2] {
+            out.push(("4x5 torus", load, run_counted(&sim, sim.compiled(), load).1));
+        }
+        out
+    }
+
+    /// Link visits per pinned run, recorded from this engine.
+    const RECORDED_VISITS: [Visits; 5] = [
+        visits(20_455, 422, 68, 9_047),
+        visits(82_098, 6_453, 1_250, 46_741),
+        visits(164_852, 25_440, 6_463, 91_790),
+        visits(286, 6, 0, 94),
+        visits(882, 27, 6, 288),
+    ];
+
+    const fn visits(commits: u64, busy: u64, credit_parks: u64, idle_parks: u64) -> Visits {
+        Visits {
+            commits,
+            busy,
+            credit_parks,
+            idle_parks,
+        }
+    }
+
+    #[test]
+    fn link_visits_are_pinned() {
+        let runs = pinned_visits();
+        assert_eq!(runs.len(), RECORDED_VISITS.len());
+        for ((net, load, v), recorded) in runs.into_iter().zip(RECORDED_VISITS) {
+            eprintln!("{net} @ {load}: {v:?}");
+            assert_eq!(v, recorded, "{net} at load {load}");
+        }
     }
 }

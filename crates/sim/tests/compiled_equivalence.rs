@@ -172,6 +172,63 @@ proptest! {
             .build();
         prop_assert_eq!(sim.run(load), sim.run_reference(load));
     }
+
+    /// Credit-bound runs: VC buffers of 9 to 12 flits hold one data packet
+    /// at a time, so data packets often wait for credit, on 2 to 8 VCs
+    /// (every flow on VC 0 when the routing needs more escape layers),
+    /// over random topologies, some with a failed router, with the epoch
+    /// probe on.  Replay cases add one message longer than the wake ring's
+    /// 1024-bucket cap: it serializes past the ring on a one-hop flow and
+    /// blocks its source for good on a longer one.
+    #[test]
+    fn credit_bound_runs_match_the_reference(
+        topo_choice in 0u8..5,
+        extra in proptest::collection::vec((0usize..20, 0usize..20), 0..4),
+        pattern_choice in 0u8..5,
+        num_vcs in 2usize..=8,
+        vc_buffer_flits in 9usize..=12,
+        failed in proptest::collection::vec(0usize..20, 0..2),
+        replay in 0u8..2,
+        (trace_seed, src, dst) in (0u64..100_000, 0usize..20, 0usize..20),
+        seed in 0u64..100_000,
+        load in 0.05f64..1.0,
+    ) {
+        let topo = topology(topo_choice, &extra);
+        let paths = all_shortest_paths(&topo);
+        let table = mclb_route(&paths, &MclbConfig::default());
+        let alloc = allocate_vcs(&table, num_vcs, 11).ok();
+        let mut builder = NetworkSim::builder(&topo, &table)
+            .pattern(pattern(pattern_choice))
+            .config(SimConfig {
+                num_vcs,
+                vc_buffer_flits,
+                epoch_cycles: 150,
+                ..equivalence_config(seed)
+            })
+            .failed_routers(&failed);
+        if let Some(alloc) = &alloc {
+            builder = builder.vcs(alloc);
+        }
+        if replay == 1 {
+            let mut trace = TraceModel::by_name("onoff-hotspot")
+                .unwrap()
+                .generate(20, 512, trace_seed);
+            trace.messages.push(netsmith_trace::TraceMessage {
+                src: src as u32,
+                dst: if dst == src { (dst as u32 + 1) % 20 } else { dst as u32 },
+                flits: 1_500,
+                issue: 40,
+            });
+            trace.messages.sort_by_key(|m| m.issue);
+            let trace = Trace::new(20, 512, trace.messages);
+            trace.validate().unwrap();
+            builder = builder.trace(Arc::new(trace));
+        }
+        let sim = builder.build();
+        let mut report = sim.run(load);
+        prop_assert!(report.epochs.take().is_some());
+        prop_assert_eq!(report, sim.run_reference(load));
+    }
 }
 
 /// The measurement window here is ~5x the trace horizon at the native

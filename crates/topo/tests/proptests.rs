@@ -7,7 +7,10 @@ use netsmith_topo::cuts::{
 use netsmith_topo::expert;
 use netsmith_topo::layout::{Layout, NodeKind};
 use netsmith_topo::linkclass::{LinkClass, LinkSpan};
-use netsmith_topo::metrics::{all_pairs_hops, average_hops, UNREACHABLE};
+use netsmith_topo::metrics::{
+    all_pairs_hops, average_hops, is_strongly_connected, unreachable_pairs, UNREACHABLE,
+};
+use netsmith_topo::resilience::duplex_pairs;
 use netsmith_topo::topology::Topology;
 use netsmith_topo::traffic::{DemandMatrix, TrafficPattern};
 use proptest::prelude::*;
@@ -249,5 +252,36 @@ proptest! {
         t.remove_link(pick.0, pick.1);
         t.add_link(pick.0, pick.1);
         prop_assert!(t.is_valid());
+    }
+
+    /// The link-sleep gate's greedy step asks whether a topology stays
+    /// strongly connected after a duplex pair leaves it.
+    /// `is_strongly_connected` must answer as counting unreachable pairs
+    /// does, on random 9-router topologies, the 8x6 folded torus and
+    /// Kite-Medium, and a 70-router mesh (two bitset words per row), as
+    /// random duplex pairs are removed one after another.
+    #[test]
+    fn strong_connectivity_agrees_with_unreachable_pairs_under_removals(
+        random in random_connected_topology(),
+        choice in 0u8..4,
+        picks in proptest::collection::vec(0usize..10_000, 1..10),
+    ) {
+        let mut t = match choice {
+            0 => random,
+            1 => expert::folded_torus(&Layout::noi_8x6()),
+            2 => expert::kite_medium(&Layout::noi_8x6()),
+            _ => expert::mesh(&Layout::interposer_grid(10, 7, 4)),
+        };
+        prop_assert!(is_strongly_connected(&t));
+        for pick in picks {
+            let pairs = duplex_pairs(&t);
+            let (i, j) = pairs[pick % pairs.len()];
+            t.remove_link(i, j);
+            t.remove_link(j, i);
+            prop_assert_eq!(is_strongly_connected(&t), unreachable_pairs(&t) == 0);
+            if duplex_pairs(&t).is_empty() {
+                break;
+            }
+        }
     }
 }
