@@ -25,6 +25,14 @@
 //! and only the dependencies it created are searched for a closing cycle
 //! (the CDG's `try_add_path`).
 //!
+//! The result is a dense table laid out like the routing table's: entry
+//! `src * n + dst` holds flow `src -> dst`'s VC, and an unrouted pair holds
+//! none, so readers index it instead of hashing a `Flow`.
+//! [`verify_deadlock_free`] checks an allocation from scratch in time
+//! linear in the paths' total length: it lays every VC's dependencies out
+//! once, as one graph over `(VC, channel)` nodes, and runs Kahn's algorithm
+//! over it.
+//!
 //! The balancing pass also remembers rejections: once VC `c` rejects a
 //! flow, the flow is not tried on `c` again until `c` loses a path.  That
 //! is exact.  A rejection means `c`'s CDG plus the flow's path has a cycle.
@@ -34,17 +42,18 @@
 
 use crate::cdg::ChannelDependencyGraph;
 use crate::paths::path_links;
-use crate::table::{Flow, RoutingTable};
+use crate::table::RoutingTable;
 use netsmith_topo::PipelineError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Result of VC allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VcAllocation {
-    /// Virtual channel assigned to each flow.
-    pub assignment: HashMap<Flow, usize>,
+    /// Virtual channel of every ordered router pair of an `n`-router
+    /// table: entry `src * n + dst` is flow `src -> dst`'s VC, `None` for
+    /// a pair the table does not route.
+    pub assignment: Vec<Option<usize>>,
     /// Number of virtual channels actually used after load balancing
     /// (max index + 1).
     pub num_vcs: usize,
@@ -59,7 +68,8 @@ pub struct VcAllocation {
 /// Every routed flow of a table, in `table.flows()` order (ascending
 /// `Flow`), with its path as a chain of dense channel ids.
 struct ChannelChains {
-    flows: Vec<Flow>,
+    /// Each flow's pair index `src * n + dst`.
+    pairs: Vec<usize>,
     /// The chains of every flow, back to back.
     chans: Vec<u32>,
     /// `start[f]..start[f + 1]`: flow `f`'s chain in `chans`.
@@ -72,7 +82,7 @@ impl ChannelChains {
         let n = table.num_routers();
         let mut id = vec![u32::MAX; n * n];
         let mut chains = ChannelChains {
-            flows: Vec::new(),
+            pairs: Vec::new(),
             chans: Vec::new(),
             start: vec![0],
             num_channels: 0,
@@ -86,7 +96,7 @@ impl ChannelChains {
                 }
                 chains.chans.push(*slot);
             }
-            chains.flows.push(flow);
+            chains.pairs.push(flow.src * n + flow.dst);
             chains.start.push(chains.chans.len());
         }
         chains
@@ -110,7 +120,7 @@ pub fn allocate_vcs(
 ) -> Result<VcAllocation, PipelineError> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let chains = ChannelChains::of(table);
-    let num_flows = chains.flows.len();
+    let num_flows = chains.pairs.len();
     let weight = |f: usize| chains.chain(f).len() as f64;
 
     // Layered escape partition (DFSSSP/LASH style), built greedily: flows
@@ -222,8 +232,13 @@ pub fn allocate_vcs(
     }
 
     let num_vcs = assignment.iter().copied().max().unwrap_or(0) + 1;
+    let n = table.num_routers();
+    let mut dense = vec![None; n * n];
+    for (&pair, vc) in chains.pairs.iter().zip(assignment) {
+        dense[pair] = Some(vc);
+    }
     Ok(VcAllocation {
-        assignment: chains.flows.into_iter().zip(assignment).collect(),
+        assignment: dense,
         num_vcs,
         escape_layers: num_layers,
         occupancy,
@@ -233,20 +248,61 @@ pub fn allocate_vcs(
 /// Verify that an allocation is deadlock-free: for every VC, the CDG of the
 /// flows assigned to it must be acyclic.  Flows without a VC below
 /// `num_vcs` are not part of any VC.
+///
+/// Channel `c` of VC `v` is node `v * channels + c` of one graph, so the
+/// VCs' CDGs are disjoint parts of it and it is acyclic exactly when each
+/// of them is.  Its dependencies go into compressed rows in two passes
+/// over the paths (a repeated dependency stays repeated, which Kahn's
+/// algorithm counts like any other), and Kahn's algorithm removes every
+/// node exactly when the graph is acyclic.
 pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool {
     let routed = ChannelChains::of(table);
-    let mut vc_cdgs =
-        vec![ChannelDependencyGraph::with_channels(routed.num_channels); alloc.num_vcs];
-    // Each per-VC CDG starts empty, so the first path it rejects proves the
-    // VC's full CDG cyclic.
-    routed
-        .flows
-        .iter()
-        .enumerate()
-        .all(|(f, flow)| match alloc.assignment.get(flow) {
-            Some(&vc) if vc < alloc.num_vcs => vc_cdgs[vc].try_add_path(routed.chain(f)),
-            _ => true,
-        })
+    let channels = routed.num_channels;
+    let vc_of = |f: usize| {
+        let vc = alloc.assignment.get(routed.pairs[f]).copied().flatten();
+        vc.filter(|&vc| vc < alloc.num_vcs)
+    };
+    // `start[u]..start[u + 1]`: node `u`'s dependencies in `succ`.
+    let nodes = alloc.num_vcs * channels;
+    let mut start = vec![0u32; nodes + 1];
+    for f in 0..routed.pairs.len() {
+        if let Some(vc) = vc_of(f) {
+            for w in routed.chain(f).windows(2) {
+                start[vc * channels + w[0] as usize + 1] += 1;
+            }
+        }
+    }
+    for u in 0..nodes {
+        start[u + 1] += start[u];
+    }
+    let mut fill = start.clone();
+    let mut succ = vec![0u32; start[nodes] as usize];
+    let mut indegree = vec![0u32; nodes];
+    for f in 0..routed.pairs.len() {
+        if let Some(vc) = vc_of(f) {
+            let base = vc * channels;
+            for w in routed.chain(f).windows(2) {
+                let (u, v) = (base + w[0] as usize, base + w[1] as usize);
+                succ[fill[u] as usize] = v as u32;
+                fill[u] += 1;
+                indegree[v] += 1;
+            }
+        }
+    }
+    let mut ready: Vec<u32> = (0..nodes as u32)
+        .filter(|&u| indegree[u as usize] == 0)
+        .collect();
+    let mut removed = 0usize;
+    while let Some(u) = ready.pop() {
+        removed += 1;
+        for &v in &succ[start[u as usize] as usize..start[u as usize + 1] as usize] {
+            indegree[v as usize] -= 1;
+            if indegree[v as usize] == 0 {
+                ready.push(v);
+            }
+        }
+    }
+    removed == nodes
 }
 
 /// Check that a routing table can be served and return its verified VC
@@ -327,7 +383,7 @@ mod tests {
         let alloc = allocate_vcs(&table, 6, 11).expect("allocation fits in 6 VCs");
         assert!(verify_deadlock_free(&table, &alloc));
         assert!(alloc.num_vcs <= 6);
-        assert_eq!(alloc.assignment.len(), 380);
+        assert_eq!(alloc.assignment.iter().flatten().count(), 380);
     }
 
     #[test]
@@ -455,7 +511,7 @@ mod tests {
         let table = mclb_route(&ps, &MclbConfig::default());
         let vcs = require_servable(&table, 19, 6, 1).expect("survivors are served");
         assert!(verify_deadlock_free(&table, &vcs));
-        assert_eq!(vcs.assignment.len(), 19 * 18);
+        assert_eq!(vcs.assignment.iter().flatten().count(), 19 * 18);
         assert_eq!(
             require_servable(&table, 20, 6, 1),
             Err(PipelineError::IncompleteRouting { missing_pairs: 38 })

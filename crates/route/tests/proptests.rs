@@ -4,7 +4,7 @@
 use netsmith_route::cdg::ChannelDependencyGraph;
 use netsmith_route::paths::{all_shortest_paths, path_length};
 use netsmith_route::vc::verify_deadlock_free;
-use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig};
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig, VcAllocation};
 use netsmith_topo::expert;
 use netsmith_topo::Layout;
 use proptest::prelude::*;
@@ -42,6 +42,40 @@ proptest! {
         );
     }
 
+    /// `verify_deadlock_free` answers as one CDG per VC, built from that
+    /// VC's paths and checked on its own, on arbitrary assignments: random
+    /// VCs, some pairs without one and some at or above `num_vcs`.
+    #[test]
+    fn deadlock_check_agrees_with_one_cdg_per_vc(
+        seed in 0u64..10_000,
+        extra in 0usize..24,
+        num_vcs in 1usize..=4,
+        picks in proptest::collection::vec(0usize..6, 1..40),
+    ) {
+        let topo = random_topology(seed, extra);
+        let table = mclb_route(&all_shortest_paths(&topo), &MclbConfig { seed });
+        let n = table.num_routers();
+        let mut assignment = vec![None; n * n];
+        for (i, (flow, _)) in table.flows().enumerate() {
+            let pick = picks[i % picks.len()];
+            assignment[flow.src * n + flow.dst] = (pick < 5).then_some(pick);
+        }
+        let alloc = VcAllocation {
+            assignment,
+            num_vcs,
+            escape_layers: num_vcs,
+            occupancy: vec![0.0; num_vcs],
+        };
+        let per_vc = (0..num_vcs).all(|vc| {
+            let members = table
+                .flows()
+                .filter(|(f, _)| alloc.assignment[f.src * n + f.dst] == Some(vc))
+                .map(|(_, p)| p);
+            ChannelDependencyGraph::from_paths(members).is_acyclic()
+        });
+        prop_assert_eq!(verify_deadlock_free(&table, &alloc), per_vc);
+    }
+
     #[test]
     fn vc_allocation_is_always_deadlock_free_when_it_fits(seed in 0u64..10_000) {
         let topo = random_topology(seed, 16);
@@ -49,13 +83,13 @@ proptest! {
         let table = mclb_route(&paths, &MclbConfig { seed });
         if let Ok(alloc) = allocate_vcs(&table, 8, seed) {
             prop_assert!(verify_deadlock_free(&table, &alloc));
-            prop_assert_eq!(alloc.assignment.len(), table.num_routed_flows());
+            prop_assert_eq!(alloc.assignment.iter().flatten().count(), table.num_routed_flows());
             prop_assert!(alloc.escape_layers <= alloc.num_vcs.max(8));
             // Every per-VC CDG is acyclic by construction; the union need not be.
             for vc in 0..alloc.num_vcs {
                 let members: Vec<&[usize]> = table
                     .flows()
-                    .filter(|(f, _)| alloc.assignment[f] == vc)
+                    .filter(|(f, _)| alloc.assignment[f.src * table.num_routers() + f.dst] == Some(vc))
                     .map(|(_, p)| p)
                     .collect();
                 prop_assert!(ChannelDependencyGraph::from_paths(members).is_acyclic());

@@ -12,7 +12,7 @@
 //! recorded once in a release build.
 
 use netsmith_route::paths::all_shortest_paths;
-use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, Flow, MclbConfig, RoutingTable};
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig, RoutingTable};
 use netsmith_route::{PipelineError, VcAllocation};
 use netsmith_topo::{expert, Layout, Topology};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ mod reference {
     use netsmith_topo::RouterId;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet};
 
     type Channel = (RouterId, RouterId);
 
@@ -219,8 +219,14 @@ mod reference {
         }
 
         let num_vcs = assignment.values().copied().max().unwrap_or(0) + 1;
+        // The compared allocation's dense per-pair table.
+        let n = table.num_routers();
+        let mut dense = vec![None; n * n];
+        for (f, vc) in assignment {
+            dense[f.src * n + f.dst] = Some(vc);
+        }
         Ok(VcAllocation {
-            assignment: assignment.into_iter().collect::<HashMap<_, _>>(),
+            assignment: dense,
             num_vcs,
             escape_layers: num_layers,
             occupancy,
@@ -328,12 +334,13 @@ fn digest(alloc: &VcAllocation) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    let mut flows: Vec<(&Flow, &usize)> = alloc.assignment.iter().collect();
-    flows.sort();
-    for (f, &vc) in flows {
-        eat(f.src as u64);
-        eat(f.dst as u64);
-        eat(vc as u64);
+    let n = alloc.assignment.len().isqrt();
+    for (pair, vc) in alloc.assignment.iter().enumerate() {
+        if let Some(vc) = vc {
+            eat((pair / n) as u64);
+            eat((pair % n) as u64);
+            eat(*vc as u64);
+        }
     }
     eat(alloc.num_vcs as u64);
     eat(alloc.escape_layers as u64);
@@ -349,7 +356,7 @@ fn folded_torus_8x6_ndbt_allocation_matches_recorded_reference() {
     let topo = expert::folded_torus(&layout);
     let table = ndbt_table(&topo, 42);
     let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
-    assert_eq!(alloc.assignment.len(), 48 * 47);
+    assert_eq!(alloc.assignment.iter().flatten().count(), 48 * 47);
     // Recorded from the reference allocator in a release build.
     assert_eq!(digest(&alloc), 0xd7d7_f747_0749_c6a3);
 }
@@ -366,7 +373,7 @@ fn kite_medium_and_mesh_8x6_ndbt_allocations_match_recorded_digests() {
     ] {
         let table = ndbt_table(&topo, 42);
         let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
-        assert_eq!(alloc.assignment.len(), 48 * 47);
+        assert_eq!(alloc.assignment.iter().flatten().count(), 48 * 47);
         assert_eq!(
             digest(&alloc),
             recorded,

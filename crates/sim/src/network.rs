@@ -16,7 +16,6 @@ use crate::compile::CompiledNetwork;
 use crate::config::SimConfig;
 use crate::inject::InjectionSchedule;
 use crate::stats::LatencyStats;
-use netsmith_route::Flow;
 use netsmith_route::{RoutingTable, VcAllocation};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{RouterId, Topology};
@@ -441,7 +440,7 @@ impl<'a> NetworkSim<'a> {
                     let (src, dst) = (ev.src as usize, ev.dst as usize);
                     let vc = self
                         .vcs
-                        .and_then(|a| a.assignment.get(&Flow::new(src, dst)).copied())
+                        .and_then(|a| a.assignment.get(src * n + dst).copied().flatten())
                         .unwrap_or(0)
                         .min(cfg.num_vcs - 1);
                     let packet = Packet {

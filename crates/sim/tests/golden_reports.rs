@@ -16,7 +16,6 @@ use netsmith_sim::{NetworkSim, SimConfig, SimReport};
 use netsmith_topo::traffic::TrafficPattern;
 use netsmith_topo::{expert, Layout, Topology};
 use netsmith_trace::TraceModel;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// FNV-1a over 64-bit words.
@@ -154,11 +153,11 @@ fn xy_routing(topo: &Topology) -> RoutingTable {
 /// whose channel dependency graph is acyclic, so any spread is
 /// deadlock-free.
 fn spread_vcs(n: usize, num_vcs: usize) -> VcAllocation {
-    let mut assignment = HashMap::new();
+    let mut assignment = vec![None; n * n];
     for src in 0..n {
         for dst in 0..n {
             if src != dst {
-                assignment.insert(Flow::new(src, dst), (src + 3 * dst) % num_vcs);
+                assignment[src * n + dst] = Some((src + 3 * dst) % num_vcs);
             }
         }
     }
