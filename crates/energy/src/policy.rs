@@ -23,7 +23,7 @@ use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::vc::verify_deadlock_free;
 use netsmith_route::{mclb_route, require_servable, MclbConfig, RoutingTable, VcAllocation};
 use netsmith_sim::{SimConfig, SimReport};
-use netsmith_topo::metrics::unreachable_pairs;
+use netsmith_topo::metrics::is_strongly_connected;
 use netsmith_topo::{PipelineError, RouterId, Topology};
 
 /// Everything a policy may inspect: the prepared network, the simulator
@@ -315,7 +315,7 @@ impl LinkSleep {
             let had_rev = gated_topo.has_link(j, i);
             gated_topo.remove_link(i, j);
             gated_topo.remove_link(j, i);
-            if unreachable_pairs(&gated_topo) == 0 {
+            if is_strongly_connected(&gated_topo) {
                 gated.push((i, j));
             } else {
                 if had_fwd {
@@ -553,6 +553,7 @@ mod tests {
     use netsmith_route::allocate_vcs;
     use netsmith_sim::{NetworkSim, SimConfig};
     use netsmith_topo::expert;
+    use netsmith_topo::metrics::unreachable_pairs;
     use netsmith_topo::traffic::TrafficPattern;
     use netsmith_topo::Layout;
 

@@ -314,9 +314,16 @@ impl GapSampler {
         }
         // Thresholds strictly above bucket `h`'s largest draw
         // `((h + 1) << START_SHIFT) - 1` are the ones at or above the next
-        // bucket's first draw.
+        // bucket's first draw: a prefix of the decreasing `thr` that
+        // shrinks as `h` grows, so one merge pass walks its end down.
+        let mut above = thr.len();
         let start = (1..=1u64 << (53 - Self::START_SHIFT))
-            .map(|h| thr.partition_point(|&t| t >= h << Self::START_SHIFT) as u8)
+            .map(|h| {
+                while above > 0 && thr[above - 1] < h << Self::START_SHIFT {
+                    above -= 1;
+                }
+                above as u8
+            })
             .collect();
         GapSampler {
             every_cycle: p >= 1.0,

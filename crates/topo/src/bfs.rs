@@ -7,11 +7,13 @@
 //! into `ceil(n/64)` 64-bit words per router, built once per call.  So
 //! does every reachability answer of [`crate::resilience`]: a router
 //! reaches the routers its level row marks as reachable.
-//! [`crate::resilience::unreachable_pairs_among`] and
-//! [`crate::resilience::is_strongly_connected_among`] pack only the alive
-//! routers' links, and [`crate::resilience::critical_link_pairs`] clears
-//! one duplex pair at a time and checks that its ends still reach each
-//! other.
+//! [`crate::resilience::unreachable_pairs_among`] packs only the alive
+//! routers' links and searches from every alive router;
+//! [`crate::resilience::is_strongly_connected_among`] (and with it
+//! [`crate::metrics::is_strongly_connected`]) searches from one alive
+//! router over those links and once more over them reversed; and
+//! [`crate::resilience::critical_link_pairs`] clears one duplex pair at a
+//! time and checks that its ends still reach each other.
 //!
 //! The search is level-synchronous.  The next frontier is the OR of the
 //! frontier routers' rows with the visited set masked out, and each newly
@@ -57,6 +59,24 @@ impl BitAdjacency {
             }
         }
         BitAdjacency { n, words, bits }
+    }
+
+    /// [`Self::among`] with every link reversed: bit `v % 64` of word
+    /// `v / 64` of router `u`'s row is set when the link `v -> u` exists
+    /// between alive routers.
+    pub(crate) fn reversed_among(topo: &Topology, alive: &[bool]) -> Self {
+        let n = topo.num_routers();
+        assert_eq!(alive.len(), n, "alive mask size mismatch");
+        let mut adj = BitAdjacency {
+            n,
+            words: n.div_ceil(64),
+            bits: vec![0; n.div_ceil(64) * n],
+        };
+        for (v, u) in topo.links().filter(|&(v, u)| alive[v] && alive[u]) {
+            let slot = adj.slot(u, v);
+            adj.bits[slot] |= 1 << (v % 64);
+        }
+        adj
     }
 
     /// Run `f` on the adjacency with both directions of the duplex pair

@@ -45,9 +45,10 @@ pub fn unreachable_pairs(topo: &Topology) -> usize {
     TopoAnalysis::new(topo).unreachable_pairs()
 }
 
-/// True when every router can reach every other router.
+/// True when every router can reach every other router: one kernel
+/// search from router 0 along the links and one against them.
 pub fn is_strongly_connected(topo: &Topology) -> bool {
-    TopoAnalysis::new(topo).is_connected()
+    crate::resilience::is_strongly_connected_among(topo, &vec![true; topo.num_routers()])
 }
 
 /// Average hop count over all ordered source/destination pairs (excluding

@@ -42,8 +42,21 @@ pub fn duplex_pairs(topo: &Topology) -> Vec<(RouterId, RouterId)> {
 
 /// True when every router in `alive` can reach every other alive router
 /// through alive routers only (vacuously true with no alive router).
+///
+/// Two kernel searches answer it: the first alive router must reach every
+/// alive router along the links and against them, since then any router
+/// reaches any other through it.
 pub fn is_strongly_connected_among(topo: &Topology, alive: &[bool]) -> bool {
-    unreachable_pairs_among(topo, alive) == 0
+    let Some(root) = alive.iter().position(|&a| a) else {
+        return true;
+    };
+    let mut row = vec![UNREACHABLE; alive.len()];
+    let mut reaches_all = |adj: &BitAdjacency| {
+        Bfs::new(adj).levels(adj, root, &mut row);
+        row.iter().zip(alive).all(|(&h, &a)| !a || h != UNREACHABLE)
+    };
+    reaches_all(&BitAdjacency::among(topo, alive))
+        && reaches_all(&BitAdjacency::reversed_among(topo, alive))
 }
 
 /// Number of ordered alive `(s, d)` pairs (s != d) with no directed path

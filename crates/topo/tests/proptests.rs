@@ -257,20 +257,19 @@ proptest! {
     /// The link-sleep gate's greedy step asks whether a topology stays
     /// strongly connected after a duplex pair leaves it.
     /// `is_strongly_connected` must answer as counting unreachable pairs
-    /// does, on random 9-router topologies, the 8x6 folded torus and
-    /// Kite-Medium, and a 70-router mesh (two bitset words per row), as
-    /// random duplex pairs are removed one after another.
+    /// does, on random 9-router topologies and the 8x6 folded torus and
+    /// mesh, as random duplex pairs are removed one after another.
+    /// (`bfs_oracle` covers rows of several bitset words.)
     #[test]
     fn strong_connectivity_agrees_with_unreachable_pairs_under_removals(
         random in random_connected_topology(),
-        choice in 0u8..4,
+        choice in 0u8..3,
         picks in proptest::collection::vec(0usize..10_000, 1..10),
     ) {
         let mut t = match choice {
             0 => random,
             1 => expert::folded_torus(&Layout::noi_8x6()),
-            2 => expert::kite_medium(&Layout::noi_8x6()),
-            _ => expert::mesh(&Layout::interposer_grid(10, 7, 4)),
+            _ => expert::mesh(&Layout::noi_8x6()),
         };
         prop_assert!(is_strongly_connected(&t));
         for pick in picks {
