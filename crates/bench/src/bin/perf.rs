@@ -10,10 +10,11 @@
 //!   `sim_48r_saturated` (the compiled engine past saturation),
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
-//! * **Per-layer probes** (27, named `group/case`) time topology metrics
-//!   and cuts, paths, MCLB and VC allocation, objective evaluation,
-//!   annealing, injection, the compiled engine and the serving gate at 20
-//!   and 48 routers. They are printed, not recorded.
+//! * **Per-layer probes** (29, named `group/case`) time topology metrics
+//!   and cuts, paths, MCLB, VC allocation and its deadlock check,
+//!   objective evaluation, annealing, injection, the compiled engine and
+//!   the serving gate at 20 and 48 routers. They are printed, not
+//!   recorded.
 //!
 //! Modes: `--record` (the default) runs the selected probes and prints
 //! each report; with no `--probe` it also rewrites `BENCH_10.json` from
@@ -35,6 +36,7 @@ use netsmith::gen::{GenerationProblem, Objective};
 use netsmith::prelude::*;
 use netsmith::topo::analysis::TopoAnalysis;
 use netsmith_route::paths::all_shortest_paths;
+use netsmith_route::vc::verify_deadlock_free;
 use netsmith_sim::sweep::default_load_grid;
 use netsmith_sim::{InjectionSchedule, NetworkSim};
 use netsmith_topo::json::Json;
@@ -333,6 +335,14 @@ const PROBES: &[Probe] = &[
         let table = ndbt_route(&layout, &paths, 3).0;
         sample(calls, || allocate_vcs(&table, 6, 3).unwrap())
     }),
+    layer("routing/verify_deadlock_free_48r", |calls| {
+        // The from-scratch deadlock check of `vc_allocation_48r`'s result.
+        let layout = Layout::noi_8x6();
+        let paths = all_shortest_paths(&expert::kite_medium(&layout));
+        let table = ndbt_route(&layout, &paths, 3).0;
+        let alloc = allocate_vcs(&table, 6, 3).unwrap();
+        sample(calls, || assert!(verify_deadlock_free(&table, &alloc)))
+    }),
     layer("objective_eval/latop_scratch", |calls| {
         objective_scratch(calls, Objective::LatOp)
     }),
@@ -398,6 +408,20 @@ const PROBES: &[Probe] = &[
             .config(SimConfig::quick())
             .compile();
         sample(calls, || sim.run(0.6))
+    }),
+    layer("sim/run_48r_midload", |calls| {
+        // One compiled run of `sim_48r_saturated`'s network below
+        // saturation, where link wakes and parks dominate the loop.
+        let layout = Layout::noi_8x6();
+        let torus = expert::folded_torus(&layout);
+        let table = ndbt_route(&layout, &all_shortest_paths(&torus), 42).0;
+        let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
+        let sim = NetworkSim::builder(&torus, &table)
+            .vcs(&alloc)
+            .pattern(TrafficPattern::UniformRandom)
+            .config(SimConfig::for_class(LinkClass::Medium))
+            .compile();
+        sample(calls, || sim.run(0.3))
     }),
     layer("serving/link_sleep_gate_20r", |calls| {
         // One cold link-sleep gate decision: greedy selection, then paths,
@@ -833,7 +857,7 @@ mod tests {
         let names = |filter| -> Vec<_> { select(Some(filter)).iter().map(|p| p.name).collect() };
         assert_eq!(names("fig08_sim"), ["fig08_sim"]);
         let layers = select(Some("/"));
-        assert_eq!(layers.len(), 27);
+        assert_eq!(layers.len(), 29);
         assert!(layers.iter().all(|p| p.gate.is_none()));
         assert!(names("nosuch").is_empty());
     }
