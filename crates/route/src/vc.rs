@@ -29,9 +29,9 @@
 //! `src * n + dst` holds flow `src -> dst`'s VC, and an unrouted pair holds
 //! none, so readers index it instead of hashing a `Flow`.
 //! [`verify_deadlock_free`] checks an allocation from scratch in time
-//! linear in the paths' total length: it lays every VC's dependencies out
-//! once, as one graph over `(VC, channel)` nodes, and runs Kahn's algorithm
-//! over it.
+//! linear in the paths' total length plus the number of `(VC, channel)`
+//! pairs: it lays every VC's dependencies out once, as one graph over those
+//! pairs, and runs Kahn's algorithm over it.
 //!
 //! The balancing pass also remembers rejections: once VC `c` rejects a
 //! flow, the flow is not tried on `c` again until `c` loses a path.  That
@@ -264,7 +264,7 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
     };
     // `start[u]..start[u + 1]`: node `u`'s dependencies in `succ`.
     let nodes = alloc.num_vcs * channels;
-    let mut start = vec![0u32; nodes + 1];
+    let mut start = vec![0usize; nodes + 1];
     for f in 0..routed.pairs.len() {
         if let Some(vc) = vc_of(f) {
             for w in routed.chain(f).windows(2) {
@@ -276,28 +276,26 @@ pub fn verify_deadlock_free(table: &RoutingTable, alloc: &VcAllocation) -> bool 
         start[u + 1] += start[u];
     }
     let mut fill = start.clone();
-    let mut succ = vec![0u32; start[nodes] as usize];
-    let mut indegree = vec![0u32; nodes];
+    let mut succ = vec![0usize; start[nodes]];
+    let mut indegree = vec![0usize; nodes];
     for f in 0..routed.pairs.len() {
         if let Some(vc) = vc_of(f) {
             let base = vc * channels;
             for w in routed.chain(f).windows(2) {
                 let (u, v) = (base + w[0] as usize, base + w[1] as usize);
-                succ[fill[u] as usize] = v as u32;
+                succ[fill[u]] = v;
                 fill[u] += 1;
                 indegree[v] += 1;
             }
         }
     }
-    let mut ready: Vec<u32> = (0..nodes as u32)
-        .filter(|&u| indegree[u as usize] == 0)
-        .collect();
+    let mut ready: Vec<usize> = (0..nodes).filter(|&u| indegree[u] == 0).collect();
     let mut removed = 0usize;
     while let Some(u) = ready.pop() {
         removed += 1;
-        for &v in &succ[start[u as usize] as usize..start[u as usize + 1] as usize] {
-            indegree[v as usize] -= 1;
-            if indegree[v as usize] == 0 {
+        for &v in &succ[start[u]..start[u + 1]] {
+            indegree[v] -= 1;
+            if indegree[v] == 0 {
                 ready.push(v);
             }
         }

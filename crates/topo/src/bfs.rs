@@ -67,16 +67,12 @@ impl BitAdjacency {
     pub(crate) fn reversed_among(topo: &Topology, alive: &[bool]) -> Self {
         let n = topo.num_routers();
         assert_eq!(alive.len(), n, "alive mask size mismatch");
-        let mut adj = BitAdjacency {
-            n,
-            words: n.div_ceil(64),
-            bits: vec![0; n.div_ceil(64) * n],
-        };
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; words * n];
         for (v, u) in topo.links().filter(|&(v, u)| alive[v] && alive[u]) {
-            let slot = adj.slot(u, v);
-            adj.bits[slot] |= 1 << (v % 64);
+            bits[v / 64 * n + u] |= 1 << (v % 64);
         }
-        adj
+        BitAdjacency { n, words, bits }
     }
 
     /// Run `f` on the adjacency with both directions of the duplex pair
