@@ -447,7 +447,6 @@ const PROBES: &[Probe] = &[
         };
         let sleep = LinkSleep {
             idle_threshold: 0.12,
-            ..LinkSleep::default()
         };
         assert!(!sleep.gate(&ctx).unwrap().gated_pairs.is_empty());
         sample(calls, || sleep.gate(&ctx).unwrap())
@@ -462,7 +461,6 @@ const PROBES: &[Probe] = &[
             load: LoadSpec {
                 period_epochs: 16,
                 burst_rate: 0.0,
-                ..LoadSpec::default()
             },
             tape: TapeSpec {
                 expected_faults: 1.0,

@@ -8,14 +8,15 @@
 //! * [`AlwaysOn`] — the baseline: every link powered, power taken straight
 //!   from the measured per-link accounting.
 //! * [`LinkSleep`] — power-gate full-duplex links whose measured
-//!   utilization falls below a threshold.  Residual traffic on a gated
-//!   link wakes it, paying a configurable latency penalty and wake energy;
-//!   the gated sub-topology is re-routed and re-allocated through the
-//!   standard MCLB + escape-VC machinery and any link whose removal would
-//!   break strong connectivity or deadlock freedom is kept awake.
-//! * [`Dvfs`] — scale the NoI clock and voltage down to the slowest level
-//!   that still leaves headroom over the measured utilization (dynamic
-//!   power scales with `f·V²`, leakage with `V`).
+//!   utilization falls below a threshold, at most a quarter of the links
+//!   at once.  Residual traffic on a gated link wakes it, paying an
+//!   8-cycle latency penalty and the wake energy; the gated sub-topology is
+//!   re-routed and re-allocated through the standard MCLB + escape-VC
+//!   machinery and any link whose removal would break strong connectivity
+//!   or deadlock freedom is kept awake.
+//! * [`Dvfs`] — scale the NoI clock and voltage down to the slowest of
+//!   three levels that keeps the scaled utilization at or below 0.75
+//!   (dynamic power scales with `f·V²`, leakage with `V`).
 
 use crate::report::{EnergyConfig, EnergyReport};
 use netsmith_power::{power_report_from_activity, PowerReport};
@@ -200,27 +201,27 @@ pub struct LinkSleep {
     /// A full-duplex link is a gating candidate when the busier of its two
     /// directions was busy less than this fraction of the window.
     pub idle_threshold: f64,
-    /// Latency charged to every packet that traverses a gated (sleeping)
-    /// link, in cycles.
-    pub wake_penalty_cycles: u64,
-    /// At most this fraction of the physical links may sleep at once.
-    /// Gating is worth wire + port leakage per pair, but every gated pair
-    /// lengthens the reroutes of the traffic it used to carry — a dynamic
-    /// cost the per-pair model cannot see.  Capping the gated fraction
-    /// keeps the consolidation shallow enough that the leakage saved is
-    /// not handed straight back as extra router/wire traversals.
-    pub max_gated_fraction: f64,
 }
 
 impl Default for LinkSleep {
     fn default() -> Self {
         LinkSleep {
             idle_threshold: 0.05,
-            wake_penalty_cycles: 8,
-            max_gated_fraction: 0.25,
         }
     }
 }
+
+/// Latency charged to every packet that traverses a gated (sleeping)
+/// link, in cycles.
+const WAKE_PENALTY_CYCLES: u64 = 8;
+
+/// At most this fraction of the physical links may sleep at once.  Gating
+/// is worth wire + port leakage per pair, but every gated pair lengthens
+/// the reroutes of the traffic it used to carry — a dynamic cost the
+/// per-pair model cannot see.  Capping the gated fraction keeps the
+/// consolidation shallow enough that the leakage saved is not handed
+/// straight back as extra router/wire traversals.
+const MAX_GATED_FRACTION: f64 = 0.25;
 
 impl LinkSleep {
     /// Leakage saved per gated pair, in mW: the wire's repeaters plus the
@@ -304,7 +305,7 @@ impl LinkSleep {
 
         // Greedy gating with a cheap strong-connectivity check per step,
         // stopping at the gated-fraction cap.
-        let cap = (topo.num_links() as f64 * self.max_gated_fraction).floor() as usize;
+        let cap = (topo.num_links() as f64 * MAX_GATED_FRACTION).floor() as usize;
         let mut gated_topo = topo.clone().with_name(format!("{}-gated", topo.name()));
         let mut gated: Vec<(RouterId, RouterId)> = Vec::new();
         for &((i, j), _) in &candidates {
@@ -403,7 +404,7 @@ impl EnergyPolicy for LinkSleep {
         // Latency penalty: expected wakes per delivered packet.
         let packets = ctx.report.packets_ejected.max(1) as f64;
         let penalty_cycles =
-            self.wake_penalty_cycles as f64 * (Self::wake_events(ctx, gated_flits) / packets);
+            WAKE_PENALTY_CYCLES as f64 * (Self::wake_events(ctx, gated_flits) / packets);
         let latency_cycles = ctx.report.avg_latency_cycles + penalty_cycles;
 
         EnergyReport {
@@ -442,69 +443,44 @@ impl DvfsLevel {
 }
 
 /// Scale clock and voltage to the measured load.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dvfs {
-    /// Available operating points.  The policy picks the lowest-frequency
-    /// level whose scaled utilization stays below [`Dvfs::headroom`].
-    pub levels: Vec<DvfsLevel>,
-    /// Maximum tolerated link utilization after down-clocking; keeps the
-    /// slowed network out of saturation.
-    pub headroom: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Dvfs;
 
-impl Default for Dvfs {
-    fn default() -> Self {
-        Dvfs {
-            levels: vec![
-                DvfsLevel::nominal(),
-                DvfsLevel {
-                    freq_scale: 0.75,
-                    voltage_scale: 0.9,
-                },
-                DvfsLevel {
-                    freq_scale: 0.5,
-                    voltage_scale: 0.8,
-                },
-            ],
-            headroom: 0.75,
-        }
-    }
-}
+/// The operating points, slowest first.
+const DVFS_LEVELS: [DvfsLevel; 3] = [
+    DvfsLevel {
+        freq_scale: 0.5,
+        voltage_scale: 0.8,
+    },
+    DvfsLevel {
+        freq_scale: 0.75,
+        voltage_scale: 0.9,
+    },
+    DvfsLevel {
+        freq_scale: 1.0,
+        voltage_scale: 1.0,
+    },
+];
+
+/// Maximum tolerated link utilization after down-clocking; keeps the
+/// slowed network out of saturation.
+const DVFS_HEADROOM: f64 = 0.75;
 
 impl Dvfs {
     /// Select the operating level for a measured utilization: the slowest
-    /// level that keeps `utilization / freq_scale` under the headroom.
-    /// Falls back to the fastest available level when nothing qualifies.
+    /// level that keeps `utilization / freq_scale` at or below 0.75, or the
+    /// nominal level when none does.
     pub fn select_level(&self, avg_link_utilization: f64) -> DvfsLevel {
-        let mut feasible: Option<DvfsLevel> = None;
-        for level in &self.levels {
-            if level.freq_scale <= 0.0 {
-                continue;
-            }
-            if avg_link_utilization / level.freq_scale <= self.headroom {
-                let better = match feasible {
-                    None => true,
-                    Some(best) => level.freq_scale < best.freq_scale,
-                };
-                if better {
-                    feasible = Some(*level);
-                }
-            }
-        }
-        feasible.unwrap_or_else(|| {
-            self.levels
-                .iter()
-                .copied()
-                .filter(|l| l.freq_scale > 0.0)
-                .max_by(|a, b| a.freq_scale.total_cmp(&b.freq_scale))
-                .unwrap_or_else(DvfsLevel::nominal)
-        })
+        DVFS_LEVELS
+            .into_iter()
+            .find(|level| avg_link_utilization / level.freq_scale <= DVFS_HEADROOM)
+            .unwrap_or_else(DvfsLevel::nominal)
     }
 }
 
 impl EnergyPolicy for Dvfs {
     fn name(&self) -> String {
-        format!("dvfs({} levels)", self.levels.len())
+        format!("dvfs({} levels)", DVFS_LEVELS.len())
     }
 
     fn evaluate(&self, ctx: &EnergyContext<'_>) -> EnergyReport {
@@ -538,11 +514,8 @@ impl EnergyPolicy for Dvfs {
 pub fn standard_policies(idle_threshold: f64) -> Vec<Box<dyn EnergyPolicy>> {
     vec![
         Box::new(AlwaysOn),
-        Box::new(LinkSleep {
-            idle_threshold,
-            ..Default::default()
-        }),
-        Box::new(Dvfs::default()),
+        Box::new(LinkSleep { idle_threshold }),
+        Box::new(Dvfs),
     ]
 }
 
@@ -608,7 +581,6 @@ mod tests {
         let always = AlwaysOn.evaluate(&ctx);
         let sleep = LinkSleep {
             idle_threshold: 0.15,
-            ..LinkSleep::default()
         }
         .evaluate(&ctx);
         assert!(sleep.gated_links > 0, "no links gated at 2% load");
@@ -640,7 +612,6 @@ mod tests {
         };
         let gated = LinkSleep {
             idle_threshold: 0.2,
-            ..LinkSleep::default()
         }
         .gate(&ctx)
         .expect("original network routes, so gating must succeed");
@@ -667,22 +638,21 @@ mod tests {
             config: &config,
         };
         let always = AlwaysOn.evaluate(&ctx);
-        let dvfs = Dvfs::default().evaluate(&ctx);
+        let dvfs = Dvfs.evaluate(&ctx);
         // At 2% load the slowest level applies: both power components drop,
         // wall-clock latency stretches.
         assert!(dvfs.total_mw() < always.total_mw());
         assert!(dvfs.avg_latency_ns > always.avg_latency_ns);
-        let level = Dvfs::default().select_level(report.activity.avg_link_utilization());
+        let level = Dvfs.select_level(report.activity.avg_link_utilization());
         assert!((level.freq_scale - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn dvfs_keeps_the_nominal_clock_near_saturation() {
-        let d = Dvfs::default();
-        let level = d.select_level(0.7);
+        let level = Dvfs.select_level(0.7);
         assert!((level.freq_scale - 1.0).abs() < 1e-9);
-        // Nothing feasible: fall back to the fastest level.
-        let level = d.select_level(0.95);
+        // Nothing feasible: fall back to the nominal level.
+        let level = Dvfs.select_level(0.95);
         assert!((level.freq_scale - 1.0).abs() < 1e-9);
     }
 

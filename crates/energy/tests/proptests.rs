@@ -163,7 +163,7 @@ proptest! {
             report: &report,
             config: &config,
         };
-        let policy = LinkSleep { idle_threshold: threshold, ..LinkSleep::default() };
+        let policy = LinkSleep { idle_threshold: threshold };
         let energy = policy.evaluate(&ctx);
         prop_assert!(energy.gated_savings_mw >= 0.0);
         prop_assert!(energy.gated_savings_mw <= static_power_mw(&topo, &config.power) + 1e-9);
@@ -205,7 +205,7 @@ proptest! {
         // so both fabrics gate the same pairs.
         let profiles = [(profiles.0, 0.2), (profiles.1, 0.3), (profiles.2, 0.3)];
         let sim = quick_config(3);
-        let policy = LinkSleep { idle_threshold: 0.12, ..LinkSleep::default() };
+        let policy = LinkSleep { idle_threshold: 0.12 };
         let mut memo = GateMemo::default();
         let mut attempts = 0;
         let (mut fabric, mut profile, mut seed, mut vc_budget) = (0, 0, 0, 6);
@@ -262,7 +262,6 @@ fn a_repeated_gate_decision_reuses_the_last_route() {
     };
     let policy = LinkSleep {
         idle_threshold: 0.12,
-        ..LinkSleep::default()
     };
     let mut memo = GateMemo::default();
     let first = policy.gate_with(&ctx, &mut memo).expect("the torus gates");

@@ -664,6 +664,53 @@ mod tests {
     }
 
     #[test]
+    fn bad_objective_weights_fail_before_any_discovery() {
+        let composite = |parts| ObjectiveSpec::Composite { parts };
+        let energy = |edp_weight| ObjectiveSpec::EnergyOp { edp_weight };
+        let not_a_weight = "is not a finite non-negative number";
+        for (objective, expected) in [
+            (
+                composite(vec![
+                    (1.0, ObjectiveSpec::LatOp),
+                    (-0.5, ObjectiveSpec::FaultOp),
+                ]),
+                "composite scale -0.5",
+            ),
+            (
+                composite(vec![(
+                    1.0,
+                    composite(vec![(f64::NAN, ObjectiveSpec::LatOp)]),
+                )]),
+                "composite scale NaN",
+            ),
+            (energy(-1.0), "EnergyOp edp_weight -1"),
+            (
+                composite(vec![(0.5, energy(f64::INFINITY))]),
+                "EnergyOp edp_weight inf",
+            ),
+        ] {
+            let mut spec = ExperimentSpec::new("bad_weight");
+            spec.candidates = vec![
+                CandidateSpec::synth(ObjectiveSpec::LatOp),
+                CandidateSpec::synth(objective),
+            ];
+            let err = fails_before_any_discovery(spec);
+            let expected = format!("bad_weight: candidate 1: {expected} {not_a_weight}");
+            assert!(err.contains(&expected), "{err}");
+        }
+        let mut spec = ExperimentSpec::new("no_parts");
+        spec.candidates = vec![CandidateSpec::synth(composite(vec![(
+            1.0,
+            composite(Vec::new()),
+        )]))];
+        let err = fails_before_any_discovery(spec);
+        assert!(
+            err.contains("no_parts: candidate 0: composite objective has no parts"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn valid_loads_pass_the_check() {
         runs(mesh_spec_with(hot_workload(vec![0.1])));
         runs(mesh_spec_with(hot_workload(vec![0.0, 0.5])));

@@ -119,16 +119,38 @@ impl ObjectiveSpec {
         }
     }
 
-    /// Check every generator model this objective names, including those
-    /// nested in [`ObjectiveSpec::Composite`] parts.
-    fn check_trace_models(&self) -> Result<(), String> {
+    /// Check that this objective resolves, nested
+    /// [`ObjectiveSpec::Composite`] parts included: every generator model
+    /// it names is known, every composite has a part, and every composite
+    /// scale and `EnergyOp` weight is a finite non-negative number.  A bad
+    /// scale would panic in [`Objective::composite`]; a bad `edp_weight`
+    /// gives NaN scores or an inadmissible lower bound.
+    fn check(&self) -> Result<(), String> {
         match self {
             ObjectiveSpec::TraceLatOp { trace } => trace.check_model(),
-            ObjectiveSpec::Composite { parts } => parts
-                .iter()
-                .try_for_each(|(_, part)| part.check_trace_models()),
+            ObjectiveSpec::EnergyOp { edp_weight } => {
+                check_weight("EnergyOp edp_weight", *edp_weight)
+            }
+            ObjectiveSpec::Composite { parts } if parts.is_empty() => {
+                Err("composite objective has no parts".into())
+            }
+            ObjectiveSpec::Composite { parts } => parts.iter().try_for_each(|(scale, part)| {
+                check_weight("composite scale", *scale)?;
+                part.check()
+            }),
             _ => Ok(()),
         }
+    }
+}
+
+/// Reject a weight that is NaN, infinite or negative.
+fn check_weight(what: &str, weight: f64) -> Result<(), String> {
+    if weight.is_finite() && weight >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} {weight} is not a finite non-negative number"
+        ))
     }
 }
 
@@ -560,10 +582,11 @@ impl ExperimentSpec {
     /// Check that the matrix can run, before any candidate is discovered:
     /// no axis is empty (an empty `layouts`, `classes`, `candidates` or
     /// `scheme_override` list runs no cell, and the run would pass with no
-    /// rows), every expert name and trace model resolves, and every
-    /// workload's loads can be simulated.  The error names the spec and the
-    /// empty axis, the candidate's index or the workload; an unknown name's
-    /// error lists the known ones.
+    /// rows), every expert name and synthesis objective resolves (known
+    /// trace models, finite non-negative weights), and every workload's
+    /// loads can be simulated.  The error names the spec and the empty
+    /// axis, the candidate's index or the workload; an unknown name's error
+    /// lists the known ones.
     pub fn check(&self) -> Result<(), String> {
         let axes = [
             ("layouts", self.layouts.is_empty()),
@@ -580,7 +603,7 @@ impl ExperimentSpec {
         for (i, candidate) in self.candidates.iter().enumerate() {
             match candidate {
                 CandidateSpec::Expert { name, .. } => check_expert_name(name),
-                CandidateSpec::Synth { objective, .. } => objective.check_trace_models(),
+                CandidateSpec::Synth { objective, .. } => objective.check(),
                 CandidateSpec::ExpertBaselines => Ok(()),
             }
             .map_err(|e| format!("{}: candidate {i}: {e}", self.name))?;

@@ -7,6 +7,8 @@
 //! tests check it against exhaustively proven optima on layouts of at most
 //! nine routers:
 //!
+//! * a geometric temperature schedule cools from 2 to 0.001, in units of a
+//!   move's typical `|Δscore|` sampled at startup;
 //! * moves rewire, add, remove or endpoint-swap links, always staying
 //!   within the valid-link set and the radix budget;
 //! * every move is scored through the cached/delta path: the incumbent's
@@ -15,8 +17,8 @@
 //!   [`netsmith_topo::analysis`]), and all objective terms share that one
 //!   analysis;
 //! * the SCOp objective uses a cutting-plane-style pool of candidate cuts
-//!   that is periodically refreshed with heuristic sparsest-cut searches,
-//!   and the final result is re-scored with the exact cut;
+//!   that is refreshed with a heuristic sparsest-cut search every 200
+//!   accepted moves, and the final result is re-scored with the exact cut;
 //! * the best feasible topology and a progress trace (incumbent vs the
 //!   combinatorial bound, i.e. the objective-bounds gap of Figure 5) are
 //!   returned.
@@ -43,16 +45,17 @@ pub struct AnnealConfig {
     pub max_evaluations: u64,
     /// Wall-clock budget.
     pub time_budget: Duration,
-    /// Starting temperature, in units of the typical `|Δscore|` of a
-    /// single move (sampled at startup, so one schedule works for both the
-    /// hop-scale LatOp objective and the cut-scale SCOp objective).
-    pub initial_temperature: f64,
-    /// Final temperature, in the same relative units.
-    pub final_temperature: f64,
-    /// For cut-based objectives: refresh the cut pool every this many
-    /// accepted moves.
-    pub cut_pool_refresh: u64,
 }
+
+/// Starting temperature, in units of the typical `|Δscore|` of a single
+/// move (sampled at startup, so one schedule works for both the hop-scale
+/// LatOp objective and the cut-scale SCOp objective).
+const INITIAL_TEMPERATURE: f64 = 2.0;
+/// Final temperature, in the same relative units.
+const FINAL_TEMPERATURE: f64 = 1e-3;
+/// For cut-based objectives: refresh the cut pool every this many accepted
+/// moves.
+const CUT_POOL_REFRESH: u64 = 200;
 
 impl Default for AnnealConfig {
     fn default() -> Self {
@@ -60,9 +63,6 @@ impl Default for AnnealConfig {
             seed: 0x5EED_0001,
             max_evaluations: 60_000,
             time_budget: Duration::from_secs(30),
-            initial_temperature: 2.0,
-            final_temperature: 1e-3,
-            cut_pool_refresh: 200,
         }
     }
 }
@@ -133,23 +133,22 @@ pub fn anneal(
         "link class admits no links on this layout"
     );
 
-    let mut current = initial_topology(problem, &mut rng);
-    let mut current_analysis = TopoAnalysis::new(&current);
-    let mut cut_pool: Vec<Vec<bool>> = Vec::new();
-    if problem.objective.needs_cut() {
-        seed_cut_pool(&current, &mut cut_pool);
-    }
-    let mut progress = SolverProgress::new();
-
     // Decompose the objective once; every candidate evaluation — exact or
     // cut-pool surrogate — scores these weighted terms against a cached
     // (delta-updated) analysis through the single shared code path.
     let terms: Vec<WeightedTerm> = problem.objective.decomposition();
+    let needs_cut = terms.iter().any(|wt| wt.term.needs_cut());
     let score_of = |topo: &Topology, analysis: &TopoAnalysis, pool: &[Vec<bool>]| -> f64 {
-        let mut value = evaluate_weighted(&terms, topo, analysis, CutEval::Pool(pool));
-        value.score += constraint_penalty(problem, analysis, &value);
-        value.score
+        evaluate_weighted(&terms, topo, analysis, CutEval::Pool(pool)).score
     };
+
+    let mut current = initial_topology(problem, &mut rng);
+    let mut current_analysis = TopoAnalysis::new(&current);
+    let mut cut_pool: Vec<Vec<bool>> = Vec::new();
+    if needs_cut {
+        seed_cut_pool(&current, &mut cut_pool);
+    }
+    let mut progress = SolverProgress::new();
 
     let mut current_score = score_of(&current, &current_analysis, &cut_pool);
     let mut best = current.clone();
@@ -235,7 +234,6 @@ pub fn anneal(
         }
         let temperature = delta_scale
             * temperature_at(
-                config,
                 evaluations - schedule_anchor,
                 (sa_end - schedule_anchor).max(1),
             );
@@ -260,9 +258,7 @@ pub fn anneal(
             current_analysis = candidate_analysis;
             current_score = candidate_score;
             accepted += 1;
-            if problem.objective.needs_cut()
-                && accepted.is_multiple_of(config.cut_pool_refresh.max(1))
-            {
+            if needs_cut && accepted.is_multiple_of(CUT_POOL_REFRESH) {
                 refresh_cut_pool(&current, &mut cut_pool, &mut rng);
                 // Pool change can alter the score scale; re-evaluate.
                 current_score = score_of(&current, &current_analysis, &cut_pool);
@@ -349,34 +345,9 @@ pub fn anneal(
 }
 
 /// Geometric temperature schedule.
-fn temperature_at(config: &AnnealConfig, evaluation: u64, horizon: u64) -> f64 {
+fn temperature_at(evaluation: u64, horizon: u64) -> f64 {
     let frac = evaluation as f64 / horizon.max(1) as f64;
-    let t0 = config.initial_temperature.max(1e-9);
-    let tf = config.final_temperature.max(1e-12);
-    t0 * (tf / t0).powf(frac)
-}
-
-/// Penalty for violating the optional diameter / minimum-cut constraints.
-/// The diameter comes for free from the cached distance matrix.
-fn constraint_penalty(
-    problem: &GenerationProblem,
-    analysis: &TopoAnalysis,
-    value: &ObjectiveValue,
-) -> f64 {
-    let mut penalty = 0.0;
-    if let Some(max_diam) = problem.max_diameter {
-        if let Some(d) = analysis.diameter() {
-            if d > max_diam {
-                penalty += 1e6 * (d - max_diam) as f64;
-            }
-        }
-    }
-    if let Some(min_cut) = problem.min_sparsest_cut {
-        if value.connected && problem.objective.needs_cut() && value.sparsest_cut < min_cut {
-            penalty += 1e6 * (min_cut - value.sparsest_cut);
-        }
-    }
-    penalty
+    INITIAL_TEMPERATURE * (FINAL_TEMPERATURE / INITIAL_TEMPERATURE).powf(frac)
 }
 
 /// Initial solution: a Hamiltonian ring of unit links for guaranteed
@@ -747,18 +718,6 @@ mod tests {
         }
         // Final recorded incumbent equals the exact objective score.
         assert!((samples.last().unwrap().incumbent - result.objective.score).abs() < 1e-6);
-    }
-
-    #[test]
-    fn diameter_constraint_is_respected_when_feasible() {
-        let problem = quick_problem(LinkClass::Large, Objective::LatOp).with_max_diameter(4);
-        let cfg = AnnealConfig {
-            max_evaluations: 6_000,
-            ..AnnealConfig::quick()
-        };
-        let result = anneal(&problem, &cfg, 0.0, &Obs::noop());
-        let d = TopoAnalysis::new(&result.topology).diameter().unwrap();
-        assert!(d <= 5, "diameter {d} far above the requested bound");
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl NetSmith {
         self
     }
 
-    /// Bound the network diameter — constraint C8.
-    pub fn max_diameter(mut self, diameter: u32) -> Self {
-        self.problem.max_diameter = Some(diameter);
-        self
-    }
-
     /// Set the per-worker evaluation budget.
     pub fn evaluations(mut self, evaluations: u64) -> Self {
         self.config.max_evaluations = evaluations;
@@ -337,7 +331,8 @@ mod tests {
         let ns = NetSmith::new(Layout::noi_4x5(), LinkClass::Medium)
             .composite_objective([(1.0, Term::Hops), (0.5, Term::SpareCapacity)]);
         assert_eq!(ns.problem().objective.short_name(), "Mix[1xHops+0.5xSpare]");
-        assert!(!ns.problem().objective.needs_cut());
+        let decomposition = ns.problem().objective.decomposition();
+        assert!(decomposition.iter().all(|wt| !wt.term.needs_cut()));
     }
 
     #[test]
@@ -345,11 +340,9 @@ mod tests {
         let ns = NetSmith::new(Layout::noi_4x5(), LinkClass::Small)
             .objective(Objective::SCOp)
             .symmetric_links(true)
-            .max_diameter(5)
             .workers(7)
             .seed(99);
         assert_eq!(ns.problem().objective.short_name(), "SCOp");
         assert!(ns.problem().symmetric_links);
-        assert_eq!(ns.problem().max_diameter, Some(5));
     }
 }

@@ -7,7 +7,7 @@
 //! candidate topology to such a score, including the connectivity penalty
 //! that lets the annealer recover from transiently disconnected states.
 //!
-//! Every objective — the legacy enum variants and arbitrary
+//! Every objective — the named variants and arbitrary
 //! [`Objective::Composite`]s alike — decomposes into weighted
 //! [`Term`]s ([`Objective::decomposition`]) scored over one shared
 //! [`TopoAnalysis`], so exact evaluation, the annealer's cut-pool
@@ -36,14 +36,6 @@ pub enum Objective {
     /// Minimize the demand-weighted hop count for an arbitrary traffic
     /// pattern (used for the paper's shuffle-optimized topologies).
     PatternLatOp(DemandMatrix),
-    /// Weighted combination: `latency_weight * total_hops -
-    /// bandwidth_weight * scaled_sparsest_cut`.  Exposes the latency/
-    /// bandwidth trade-off knob that populates the Pareto frontier of
-    /// Figure 1.
-    Combined {
-        latency_weight: f64,
-        bandwidth_weight: f64,
-    },
     /// Minimize an analytic energy proxy: static (leakage) power of the
     /// link/router inventory plus `edp_weight` times an energy-delay
     /// product built from the average hop count and the wire length each
@@ -106,13 +98,12 @@ impl Objective {
     }
 
     /// The weighted-term decomposition every objective scores through.
-    /// Legacy variants map onto the canonical terms; `Composite` is its own
+    /// Named variants map onto the canonical terms; `Composite` is its own
     /// decomposition.
     ///
-    /// Legacy variants are decomposed verbatim — their struct fields accept
-    /// any weight (as they always did), so only [`Objective::composite`]
-    /// enforces the non-negativity that keeps composed lower bounds
-    /// admissible.
+    /// Named variants are decomposed verbatim: their struct fields accept
+    /// any weight, so only [`Objective::composite`] enforces the
+    /// non-negativity that keeps composed lower bounds admissible.
     pub fn decomposition(&self) -> Vec<WeightedTerm> {
         let wt = |weight: f64, term: Term| WeightedTerm { weight, term };
         match self {
@@ -121,13 +112,6 @@ impl Objective {
             Objective::PatternLatOp(demand) => {
                 vec![wt(1.0, Term::PatternHops(demand.clone()))]
             }
-            Objective::Combined {
-                latency_weight,
-                bandwidth_weight,
-            } => vec![
-                wt(*latency_weight, Term::Hops),
-                wt(*bandwidth_weight, Term::SparsestCut),
-            ],
             Objective::EnergyOp { edp_weight } => vec![wt(
                 1.0,
                 Term::EnergyProxy {
@@ -147,36 +131,19 @@ impl Objective {
     }
 
     /// Short name used in generated topology names ("LatOp", "SCOp", …).
-    /// Weighted objectives encode their weights so CSV rows from different
-    /// weight points stay distinguishable.
+    /// Composites encode their weights so CSV rows from different weight
+    /// points stay distinguishable.
     pub fn short_name(&self) -> String {
         match self {
             Objective::LatOp => "LatOp".into(),
             Objective::SCOp => "SCOp".into(),
             Objective::PatternLatOp(_) => "ShufOpt".into(),
-            Objective::Combined {
-                latency_weight,
-                bandwidth_weight,
-            } => format!(
-                "Combined[L{}+B{}]",
-                crate::terms::fmt_weight(*latency_weight),
-                crate::terms::fmt_weight(*bandwidth_weight)
-            ),
             Objective::EnergyOp { .. } => "EnergyOp".into(),
             Objective::FaultOp { .. } => "FaultOp".into(),
             Objective::Composite(terms) => {
                 let labels: Vec<String> = terms.iter().map(WeightedTerm::label).collect();
                 format!("Mix[{}]", labels.join("+"))
             }
-        }
-    }
-
-    /// Does the objective need sparsest-cut evaluations?
-    pub fn needs_cut(&self) -> bool {
-        match self {
-            Objective::SCOp | Objective::Combined { .. } => true,
-            Objective::Composite(terms) => terms.iter().any(|wt| wt.term.needs_cut()),
-            _ => false,
         }
     }
 
@@ -331,19 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn combined_objective_interpolates() {
-        let layout = Layout::noi_4x5();
-        let kite = expert::kite_medium(&layout);
-        let pure_lat = Objective::Combined {
-            latency_weight: 1.0,
-            bandwidth_weight: 0.0,
-        };
-        let v = pure_lat.evaluate(&kite);
-        let l = Objective::LatOp.evaluate(&kite);
-        assert!((v.score - l.score).abs() < 1e-9);
-    }
-
-    #[test]
     fn short_names_are_stable() {
         assert_eq!(Objective::LatOp.short_name(), "LatOp");
         assert_eq!(Objective::SCOp.short_name(), "SCOp");
@@ -352,23 +306,6 @@ mod tests {
             "EnergyOp"
         );
         assert_eq!(Objective::fault_op_default().short_name(), "FaultOp");
-    }
-
-    #[test]
-    fn combined_short_name_encodes_weights() {
-        // Different weight points must produce distinguishable CSV rows.
-        let a = Objective::Combined {
-            latency_weight: 1.0,
-            bandwidth_weight: 0.5,
-        };
-        let b = Objective::Combined {
-            latency_weight: 2.0,
-            bandwidth_weight: 0.5,
-        };
-        assert_eq!(a.short_name(), "Combined[L1+B0.5]");
-        assert_eq!(b.short_name(), "Combined[L2+B0.5]");
-        assert_ne!(a.short_name(), b.short_name());
-        assert!(!a.short_name().contains(','), "names must stay CSV-safe");
     }
 
     #[test]
@@ -383,7 +320,7 @@ mod tests {
 
     #[test]
     fn legacy_variants_match_their_decomposition() {
-        // Scoring a legacy variant and its explicit composite decomposition
+        // Scoring a named variant and its explicit composite decomposition
         // must agree exactly — they share the same code path.
         let layout = Layout::noi_4x5();
         let shuffle = TrafficPattern::Shuffle.demand_matrix(&layout);
@@ -391,10 +328,6 @@ mod tests {
             Objective::LatOp,
             Objective::SCOp,
             Objective::PatternLatOp(shuffle),
-            Objective::Combined {
-                latency_weight: 2.0,
-                bandwidth_weight: 0.5,
-            },
             Objective::EnergyOp { edp_weight: 5.0 },
             Objective::fault_op_default(),
         ];
@@ -410,18 +343,11 @@ mod tests {
 
     #[test]
     fn legacy_variants_accept_any_weight_sign() {
-        // The legacy struct variants never validated their weights; the
+        // The named struct variants never validated their weights; the
         // composite constructor's non-negativity check must not leak into
         // their evaluation path.
         let layout = Layout::noi_4x5();
         let mesh = expert::mesh(&layout);
-        let odd = Objective::Combined {
-            latency_weight: 1.0,
-            bandwidth_weight: -0.5,
-        };
-        let v = odd.evaluate(&mesh);
-        assert!(v.connected);
-        assert!(v.score.is_finite());
         let odd_fault = Objective::FaultOp {
             articulation_penalty: 1.0,
             spare_capacity_weight: -40.0,
@@ -440,8 +366,10 @@ mod tests {
         assert_eq!(decomposition.len(), 3);
         assert_eq!(decomposition[0], WeightedTerm::new(1.0, Term::Hops));
         assert_eq!(decomposition[2].weight, 40.0);
-        assert!(o.needs_cut(), "cut term must propagate needs_cut");
-        assert!(!Objective::composite([(1.0, Term::Hops)]).needs_cut());
+        assert!(
+            decomposition[1].term.needs_cut(),
+            "cut term must keep needs_cut"
+        );
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub(crate) fn optimum(problem: &GenerationProblem) -> Optimum {
         problem.objective,
         Objective::LatOp | Objective::SCOp
     ));
-    assert!(!problem.symmetric_links && problem.max_diameter.is_none());
-    assert!(problem.min_sparsest_cut.is_none());
+    assert!(!problem.symmetric_links);
     let n = problem.num_routers();
     assert!(n <= 9, "the oracle enumerates at most nine routers");
     let radix = problem.layout.radix();

@@ -6,7 +6,11 @@ use netsmith_topo::{Layout, LinkClass, RouterId};
 /// A fully specified topology-generation problem: NetSmith's inputs are the
 /// physical layout of routers, the link-length budget (which induces the
 /// valid-link set `L` and the NoI clock), the router radix (carried by the
-/// layout), the objective, and optional extra constraints.
+/// layout), the objective, and whether links come in symmetric pairs.
+///
+/// Table I's optional diameter bound (C8) and sparsest-cut floor (C7) are
+/// not inputs: no experiment sets them, and the annealer needs no bound
+/// to find first solutions.
 #[derive(Debug, Clone)]
 pub struct GenerationProblem {
     pub layout: Layout,
@@ -16,37 +20,22 @@ pub struct GenerationProblem {
     /// reverse.  The paper's headline results use asymmetric links (a ~3%
     /// throughput gain); symmetric mode is kept for the ablation.
     pub symmetric_links: bool,
-    /// Optional network diameter bound (constraint C8).  Bounding the
-    /// diameter is optional but helps the solver find first solutions
-    /// faster, exactly as the paper notes.
-    pub max_diameter: Option<u32>,
-    /// Optional minimum sparsest-cut bandwidth (constraint C7).
-    pub min_sparsest_cut: Option<f64>,
 }
 
 impl GenerationProblem {
-    /// New problem with the paper's defaults: asymmetric links, no diameter
-    /// bound, no cut floor.
+    /// New problem with the paper's default of asymmetric links.
     pub fn new(layout: Layout, class: LinkClass, objective: Objective) -> Self {
         GenerationProblem {
             layout,
             class,
             objective,
             symmetric_links: false,
-            max_diameter: None,
-            min_sparsest_cut: None,
         }
     }
 
     /// Builder: force symmetric links (constraint C9).
     pub fn with_symmetric_links(mut self, symmetric: bool) -> Self {
         self.symmetric_links = symmetric;
-        self
-    }
-
-    /// Builder: bound the network diameter (constraint C8).
-    pub fn with_max_diameter(mut self, diameter: u32) -> Self {
-        self.max_diameter = Some(diameter);
         self
     }
 
@@ -76,7 +65,6 @@ mod tests {
     fn defaults_follow_the_paper() {
         let p = GenerationProblem::new(Layout::noi_4x5(), LinkClass::Medium, Objective::LatOp);
         assert!(!p.symmetric_links);
-        assert!(p.max_diameter.is_none());
         assert_eq!(p.num_routers(), 20);
         assert_eq!(p.topology_name(), "NS-LatOp-medium");
     }
@@ -84,10 +72,8 @@ mod tests {
     #[test]
     fn builders_set_constraints() {
         let p = GenerationProblem::new(Layout::noi_4x5(), LinkClass::Small, Objective::SCOp)
-            .with_symmetric_links(true)
-            .with_max_diameter(4);
+            .with_symmetric_links(true);
         assert!(p.symmetric_links);
-        assert_eq!(p.max_diameter, Some(4));
         assert_eq!(p.topology_name(), "NS-SCOp-small");
     }
 

@@ -23,6 +23,10 @@
 //! * `B` — the sparsest-cut bandwidth (SCOp model only), constrained by an
 //!   exhaustive enumeration of bipartitions exactly as constraint C6
 //!   prescribes.
+//!
+//! Table I's two optional constraints are not part of a
+//! [`GenerationProblem`]: the LatOp builder takes C8's diameter bound as an
+//! argument, and C7's floor on `B` is left out.
 
 use crate::problem::GenerationProblem;
 use netsmith_topo::metrics::{all_pairs_hops, UNREACHABLE};
@@ -188,8 +192,9 @@ struct LatOpModel {
 }
 
 /// Build the LatOp MIP: minimize `Σ D(i,j)` (objective O1) under
-/// constraints C1–C5, plus C8 and C9 when the problem asks for them.
-fn build_latop_model(problem: &GenerationProblem) -> LatOpModel {
+/// constraints C1–C5, plus C8 when `max_diameter` bounds the distances and
+/// C9 when the problem asks for symmetric links.
+fn build_latop_model(problem: &GenerationProblem, max_diameter: Option<u32>) -> LatOpModel {
     let n = problem.num_routers();
     let inf = big_m(n);
     let valid = problem.valid_links();
@@ -210,7 +215,7 @@ fn build_latop_model(problem: &GenerationProblem) -> LatOpModel {
     model.add_radix_limits(problem.layout.radix() as f64, &link_vars);
 
     // D(i,j): integer distances, objective coefficient 1 (O1); C8 bounds them.
-    let dist_upper = problem.max_diameter.map_or(inf, f64::from);
+    let dist_upper = max_diameter.map_or(inf, f64::from);
     let mut dist_vars = HashMap::new();
     for i in 0..n {
         for j in (0..n).filter(|&j| j != i) {
@@ -293,8 +298,8 @@ struct ScOpModel {
 }
 
 /// Build the SCOp MIP: maximize the sparsest-cut bandwidth `B` (objective
-/// O2) under constraints C1–C3, C6 and C7.  C6 enumerates every
-/// bipartition, so this is limited to small router counts.
+/// O2) under constraints C1–C3 and C6.  C6 enumerates every bipartition, so
+/// this is limited to small router counts.
 fn build_scop_model(problem: &GenerationProblem) -> ScOpModel {
     let n = problem.num_routers();
     assert!(n <= 16, "SCOp model enumeration limited to 16 routers");
@@ -305,7 +310,7 @@ fn build_scop_model(problem: &GenerationProblem) -> ScOpModel {
     let bandwidth_var = model.add_var(false, 0.0, radix * n as f64, 1.0);
     let link_vars: HashMap<_, _> = valid.iter().map(|&l| (l, model.add_binary())).collect();
     model.add_radix_limits(radix, &link_vars);
-    // C6/C7: for every bipartition (router 0 pinned to U), both directions
+    // C6: for every bipartition (router 0 pinned to U), both directions
     // must carry at least B * |U| * |V| links in aggregate.
     for mask in 0u32..(1 << (n - 1)) {
         let in_u = |r: usize| r == 0 || mask >> (r - 1) & 1 == 1;
@@ -327,9 +332,6 @@ fn build_scop_model(problem: &GenerationProblem) -> ScOpModel {
         model.add_constr(fwd, Cmp::Ge, 0.0);
         model.add_constr(bwd, Cmp::Ge, 0.0);
     }
-    if let Some(min_cut) = problem.min_sparsest_cut {
-        model.add_constr(LinExpr::var(bandwidth_var), Cmp::Ge, min_cut);
-    }
     ScOpModel {
         model,
         link_vars,
@@ -347,7 +349,7 @@ mod tests {
     /// Check that `topo`'s assignment is feasible in the LatOp model and
     /// scores its total hop count.
     fn assert_latop_model_scores(problem: &GenerationProblem, topo: &Topology) {
-        let built = build_latop_model(problem);
+        let built = build_latop_model(problem, None);
         let assignment = latop_assignment_for_topology(&built, topo)
             .expect("connected topology has a full assignment");
         assert!(
@@ -387,7 +389,7 @@ mod tests {
     fn radix_violation_is_infeasible_in_the_model() {
         let layout = Layout::noi_4x5();
         let problem = GenerationProblem::new(layout.clone(), LinkClass::Small, Objective::LatOp);
-        let built = build_latop_model(&problem);
+        let built = build_latop_model(&problem, None);
         // Mesh already gives interior router 6 four links; a fifth
         // (diagonal) link exceeds radix 4.
         let mut topo = expert::mesh(&layout);
@@ -403,10 +405,10 @@ mod tests {
         assert_eq!(proven.score, 16.0);
         assert_latop_model_scores(&problem, &proven.topology);
         // C8: a diameter bound of 2 admits the optimum, 1 does not.
-        let built = build_latop_model(&problem.clone().with_max_diameter(1));
+        let built = build_latop_model(&problem, Some(1));
         let assignment = latop_assignment_for_topology(&built, &proven.topology).unwrap();
         assert!(!built.model.is_feasible(&assignment, 1e-6));
-        let built = build_latop_model(&problem.with_max_diameter(2));
+        let built = build_latop_model(&problem, Some(2));
         let assignment = latop_assignment_for_topology(&built, &proven.topology).unwrap();
         assert!(built.model.is_feasible(&assignment, 1e-6));
     }

@@ -183,7 +183,7 @@ impl WeightedTerm {
 /// Compact weight rendering for objective names: integers print bare,
 /// everything else rounds to four decimals with trailing zeros trimmed
 /// (names are CSV labels, not round-trippable encodings).
-pub(crate) fn fmt_weight(w: f64) -> String {
+fn fmt_weight(w: f64) -> String {
     if w == w.trunc() && w.abs() < 1e15 {
         return format!("{}", w as i64);
     }

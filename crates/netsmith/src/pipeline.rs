@@ -2,8 +2,7 @@
 
 use netsmith_energy::{EnergyConfig, EnergyContext, EnergyPolicy, EnergyReport};
 use netsmith_fault::{
-    assess_resilience, DegradedTopology, FaultScenario, RepairPolicy, RepairedNetwork,
-    ResilienceConfig, ResilienceReport,
+    assess_resilience, FaultScenario, RepairPolicy, ResilienceConfig, ResilienceReport,
 };
 use netsmith_route::paths::all_shortest_paths;
 use netsmith_route::{
@@ -149,32 +148,6 @@ impl EvaluatedNetwork {
         })
     }
 
-    /// Apply a fault scenario to this network's topology, yielding the
-    /// surviving sub-topology and alive mask.
-    pub fn degrade(&self, scenario: &FaultScenario) -> DegradedTopology {
-        scenario.apply(&self.topology)
-    }
-
-    /// Repair a fault scenario with a [`RepairPolicy`]: re-route and
-    /// re-allocate escape VCs on the surviving sub-topology.  When the
-    /// degraded fabric cannot serve every surviving pair deadlock-free
-    /// within the policy's budget, the error is
-    /// [`PipelineError::RepairInfeasible`], wrapping the scenario label and
-    /// the underlying pipeline failure.
-    pub fn repair(
-        &self,
-        scenario: &FaultScenario,
-        policy: &dyn RepairPolicy,
-        config: &netsmith_fault::RepairConfig,
-    ) -> Result<RepairedNetwork, PipelineError> {
-        policy
-            .repair(&self.degrade(scenario), config)
-            .map_err(|reason| PipelineError::RepairInfeasible {
-                scenario: scenario.label(),
-                reason: Box::new(reason),
-            })
-    }
-
     /// Assess resilience against a scenario set: repair every scenario
     /// with `policy` and (unless `config.simulate` is off) re-measure the
     /// degraded latency/throughput against this network's healthy
@@ -268,7 +241,6 @@ mod tests {
         let sleep = network.energy_report(
             &LinkSleep {
                 idle_threshold: 0.15,
-                ..LinkSleep::default()
             },
             &sim_config,
             &report,
@@ -303,13 +275,10 @@ mod tests {
         assert!((report.coverage() - 1.0).abs() < 1e-12);
         assert_eq!(report.total_unreachable_pairs(), 0);
         assert_eq!(report.outcomes.len(), scenarios.len());
-        // The repair facade agrees scenario by scenario.
-        let repaired = network
-            .repair(
-                &scenarios[0],
-                &RerouteRepair,
-                &netsmith_fault::RepairConfig::default(),
-            )
+        // Repairing one scenario directly agrees with the report.
+        let degraded = scenarios[0].apply(&network.topology);
+        let repaired = RerouteRepair
+            .repair(&degraded, &netsmith_fault::RepairConfig::default())
             .expect("single link failure repairs");
         assert!(repaired.verify());
     }
@@ -335,30 +304,6 @@ mod tests {
                 assert_eq!(budget, 1);
             }
             other => panic!("expected VcBudgetExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repair_wraps_failures_with_the_scenario() {
-        use netsmith_fault::Fault;
-        let layout = Layout::noi_4x5();
-        let mesh = expert::mesh(&layout);
-        let network = EvaluatedNetwork::prepare(&mesh, RoutingScheme::Mclb, 6, 3).unwrap();
-        // Severing both links of corner router 0 partitions it off.
-        let scenario = FaultScenario::new(vec![Fault::link(0, 1), Fault::link(0, 5)]);
-        match network.repair(
-            &scenario,
-            &netsmith_fault::RerouteRepair,
-            &netsmith_fault::RepairConfig::default(),
-        ) {
-            Err(PipelineError::RepairInfeasible {
-                scenario: s,
-                reason,
-            }) => {
-                assert_eq!(s, scenario.label());
-                assert!(matches!(*reason, PipelineError::Disconnected { .. }));
-            }
-            other => panic!("expected RepairInfeasible, got {other:?}"),
         }
     }
 

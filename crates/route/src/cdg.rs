@@ -1,4 +1,4 @@
-//! Channel dependency graph (CDG) construction and cycle detection.
+//! Channel dependency graph (CDG) with incremental cycle checks.
 //!
 //! Dally & Seitz: wormhole routing is deadlock-free if the channel
 //! dependency graph of the routing function is acyclic.  The CDG has one
@@ -12,21 +12,13 @@
 //! short list of `(successor, multiplicity)` pairs, the multiplicity being
 //! the number of added paths that induce the dependency.  That lets VC
 //! allocation add and remove single paths and keep a graph acyclic
-//! incrementally (its crate-internal `try_add_path`) instead of
-//! rebuilding and re-searching it for every placement.
+//! incrementally ([`ChannelDependencyGraph::try_add_path`]) instead of
+//! rebuilding and re-searching it for every placement.  Checking a whole
+//! allocation at once is [`crate::vc::verify_deadlock_free`]'s job.
 
-use crate::paths::path_links;
-use netsmith_topo::RouterId;
-use std::collections::HashMap;
-
-/// A directed channel (link) of the topology.
-pub type Channel = (RouterId, RouterId);
-
-/// Channel dependency graph for a set of routed paths.
+/// Channel dependency graph over channel ids `0..num_channels`.
 #[derive(Debug, Clone, Default)]
-pub struct ChannelDependencyGraph {
-    /// Ids of the channels added through [`Self::add_path`].
-    ids: HashMap<Channel, u32>,
+pub(crate) struct ChannelDependencyGraph {
     /// `succ[c]`: the dependencies out of channel `c`, each with the number
     /// of paths inducing it (always at least 1).
     succ: Vec<Vec<(u32, u32)>>,
@@ -40,66 +32,13 @@ pub struct ChannelDependencyGraph {
 }
 
 impl ChannelDependencyGraph {
-    /// Empty CDG.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty CDG over the pre-interned channel ids `0..num_channels`, for
-    /// [`Self::try_add_path`] and [`Self::remove_path`].
+    /// Empty CDG over the channel ids `0..num_channels`.
     pub(crate) fn with_channels(num_channels: usize) -> Self {
         ChannelDependencyGraph {
             succ: vec![Vec::new(); num_channels],
             seen: vec![0; num_channels],
             ..Self::default()
         }
-    }
-
-    /// Build the CDG induced by a set of paths.
-    pub fn from_paths<'a>(paths: impl IntoIterator<Item = &'a [RouterId]>) -> Self {
-        let mut cdg = Self::new();
-        for p in paths {
-            cdg.add_path(p);
-        }
-        cdg
-    }
-
-    /// Add the dependencies induced by one path.
-    pub fn add_path(&mut self, path: &[RouterId]) {
-        let chain: Vec<u32> = path_links(path).map(|l| self.intern(l)).collect();
-        for w in chain.windows(2) {
-            self.bump(w[0], w[1]);
-        }
-    }
-
-    /// Number of channels present.
-    pub fn num_channels(&self) -> usize {
-        self.succ.len()
-    }
-
-    /// Is the CDG acyclic (the Dally & Seitz sufficient condition)?
-    ///
-    /// Kahn's algorithm: the graph is acyclic exactly when repeatedly
-    /// removing channels without incoming dependencies removes them all.
-    pub fn is_acyclic(&self) -> bool {
-        let mut indegree = vec![0u32; self.succ.len()];
-        for &(t, _) in self.succ.iter().flatten() {
-            indegree[t as usize] += 1;
-        }
-        let mut ready: Vec<u32> = (0..self.succ.len() as u32)
-            .filter(|&c| indegree[c as usize] == 0)
-            .collect();
-        let mut removed = 0usize;
-        while let Some(c) = ready.pop() {
-            removed += 1;
-            for &(t, _) in &self.succ[c as usize] {
-                indegree[t as usize] -= 1;
-                if indegree[t as usize] == 0 {
-                    ready.push(t);
-                }
-            }
-        }
-        removed == self.succ.len()
     }
 
     /// Add the dependencies of a path given as a chain of channel ids and
@@ -140,17 +79,6 @@ impl ChannelDependencyGraph {
                 succ.swap_remove(at);
             }
         }
-    }
-
-    /// The id of a channel, assigning the next free one on first sight.
-    fn intern(&mut self, channel: Channel) -> u32 {
-        let next = self.succ.len() as u32;
-        let id = *self.ids.entry(channel).or_insert(next);
-        if id == next {
-            self.succ.push(Vec::new());
-            self.seen.push(0);
-        }
-        id
     }
 
     /// Count one more path inducing `u -> v`; true when the dependency is new.
@@ -214,57 +142,58 @@ mod tests {
     }
 
     /// Does the dependency `from -> to` exist?
-    fn has_dependency(cdg: &ChannelDependencyGraph, from: Channel, to: Channel) -> bool {
-        match (cdg.ids.get(&from), cdg.ids.get(&to)) {
-            (Some(&u), Some(&v)) => cdg.succ[u as usize].iter().any(|&(t, _)| t == v),
-            _ => false,
-        }
+    fn has_dependency(cdg: &ChannelDependencyGraph, from: u32, to: u32) -> bool {
+        cdg.succ[from as usize].iter().any(|&(t, _)| t == to)
     }
 
     #[test]
     fn single_path_is_acyclic() {
-        let cdg = ChannelDependencyGraph::from_paths([vec![0usize, 1, 2, 3].as_slice()]);
-        assert_eq!(cdg.num_channels(), 3);
+        let mut cdg = ChannelDependencyGraph::with_channels(3);
+        assert!(cdg.try_add_path(&[0, 1, 2]));
         assert_eq!(num_dependencies(&cdg), 2);
-        assert!(cdg.is_acyclic());
     }
 
     #[test]
     fn ring_routes_create_a_cycle() {
-        // Three paths that each wrap part of a 3-node ring create the cyclic
-        // dependency (0,1)->(1,2)->(2,0)->(0,1).
-        let paths = [vec![0usize, 1, 2], vec![1usize, 2, 0], vec![2usize, 0, 1]];
-        let cdg = ChannelDependencyGraph::from_paths(paths.iter().map(|p| p.as_slice()));
-        assert!(!cdg.is_acyclic());
-        assert!(has_dependency(&cdg, (0, 1), (1, 2)));
-        assert!(has_dependency(&cdg, (1, 2), (2, 0)));
-        assert!(has_dependency(&cdg, (2, 0), (0, 1)));
-        assert_eq!(num_dependencies(&cdg), 3);
+        // Three paths that each wrap part of a 3-node ring, with channels
+        // 0 = (0,1), 1 = (1,2) and 2 = (2,0): the third closes the cyclic
+        // dependency 0 -> 1 -> 2 -> 0 and is rolled back.
+        let mut cdg = ChannelDependencyGraph::with_channels(3);
+        assert!(cdg.try_add_path(&[0, 1]));
+        assert!(cdg.try_add_path(&[1, 2]));
+        assert!(!cdg.try_add_path(&[2, 0]));
+        assert!(has_dependency(&cdg, 0, 1));
+        assert!(has_dependency(&cdg, 1, 2));
+        assert!(!has_dependency(&cdg, 2, 0));
+        assert_eq!(num_dependencies(&cdg), 2);
     }
 
     #[test]
     fn dependencies_require_consecutive_links() {
-        let cdg = ChannelDependencyGraph::from_paths([
-            vec![0usize, 1, 2].as_slice(),
-            vec![3usize, 4].as_slice(),
-        ]);
-        assert!(has_dependency(&cdg, (0, 1), (1, 2)));
-        assert!(!has_dependency(&cdg, (0, 1), (3, 4)));
+        let mut cdg = ChannelDependencyGraph::with_channels(3);
+        assert!(cdg.try_add_path(&[0, 1]));
+        assert!(cdg.try_add_path(&[2]));
+        assert!(has_dependency(&cdg, 0, 1));
+        assert!(!has_dependency(&cdg, 0, 2));
+        assert!(!has_dependency(&cdg, 1, 2));
     }
 
     #[test]
     fn xy_routing_on_a_ring_is_acyclic_when_no_wraparound() {
-        // Paths that always travel "clockwise but never complete the loop".
-        let paths = [vec![0usize, 1, 2], vec![1usize, 2, 3], vec![2usize, 3]];
-        let cdg = ChannelDependencyGraph::from_paths(paths.iter().map(|p| p.as_slice()));
-        assert!(cdg.is_acyclic());
+        // Paths that always travel "clockwise but never complete the loop",
+        // over channels 0 = (0,1), 1 = (1,2) and 2 = (2,3).
+        let mut cdg = ChannelDependencyGraph::with_channels(3);
+        for chain in [&[0, 1][..], &[1, 2], &[2]] {
+            assert!(cdg.try_add_path(chain));
+        }
+        assert_eq!(num_dependencies(&cdg), 2);
     }
 
     #[test]
     fn empty_cdg_is_acyclic() {
-        let cdg = ChannelDependencyGraph::new();
-        assert!(cdg.is_acyclic());
-        assert_eq!(cdg.num_channels(), 0);
+        let mut cdg = ChannelDependencyGraph::with_channels(0);
+        assert_eq!(num_dependencies(&cdg), 0);
+        assert!(cdg.try_add_path(&[]));
     }
 
     #[test]
@@ -276,13 +205,12 @@ mod tests {
         assert!(cdg.try_add_path(&[0, 1])); // a second path on a known dependency
         assert!(!cdg.try_add_path(&[2, 0]));
         assert_eq!(num_dependencies(&cdg), 2);
-        assert!(cdg.is_acyclic());
         // Once both paths inducing 0 -> 1 are gone the ring can close.
         cdg.remove_path(&[0, 1]);
         assert!(!cdg.try_add_path(&[2, 0]));
         cdg.remove_path(&[0, 1]);
         assert!(cdg.try_add_path(&[2, 0]));
         assert_eq!(num_dependencies(&cdg), 2);
-        assert!(cdg.is_acyclic());
+        assert!(!has_dependency(&cdg, 0, 1));
     }
 }

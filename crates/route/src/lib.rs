@@ -13,7 +13,8 @@
 //!   minimized.  The paper solves it as a MILP; this crate uses a greedy
 //!   construction with local search, checked against an enumeration of
 //!   every path choice on a small instance.
-//! * [`cdg`] — channel dependency graph construction and cycle detection
+//! * `cdg` (crate-private) — the channel dependency graph VC allocation
+//!   grows one path at a time, rejecting any path that would close a cycle
 //!   (Dally & Seitz acyclicity condition).
 //! * [`vc`] — DFSSSP-style partitioning of the selected paths into acyclic
 //!   routing subfunctions mapped onto escape virtual channels, plus
@@ -22,14 +23,13 @@
 //!   VC budget.
 //! * [`table`] — the per-flow routing tables consumed by the simulator.
 
-pub mod cdg;
+mod cdg;
 pub mod mclb;
 pub mod ndbt;
 pub mod paths;
 pub mod table;
 pub mod vc;
 
-pub use cdg::ChannelDependencyGraph;
 pub use mclb::{mclb_route, MclbConfig};
 pub use ndbt::ndbt_route;
 pub use netsmith_topo::PipelineError;

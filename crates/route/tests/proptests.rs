@@ -1,16 +1,16 @@
 //! Property-based tests for routing, channel-dependency analysis and VC
 //! allocation.
 
-use netsmith_route::cdg::ChannelDependencyGraph;
 use netsmith_route::paths::{all_shortest_paths, path_length};
 use netsmith_route::vc::verify_deadlock_free;
-use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, MclbConfig, VcAllocation};
+use netsmith_route::VcAllocation;
+use netsmith_route::{allocate_vcs, mclb_route, ndbt_route, Flow, MclbConfig, RoutingTable};
 use netsmith_topo::expert;
 use netsmith_topo::Layout;
 use proptest::prelude::*;
 
 mod common;
-use common::random_topology;
+use common::{random_topology, ChannelDependencyGraph};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -112,8 +112,19 @@ proptest! {
     #[test]
     fn cdg_of_any_single_path_is_acyclic(path_len in 2usize..10) {
         let path: Vec<usize> = (0..path_len).collect();
-        let cdg = ChannelDependencyGraph::from_paths([path.as_slice()]);
-        prop_assert!(cdg.is_acyclic());
-        prop_assert_eq!(cdg.num_channels(), path_len - 1);
+        prop_assert!(ChannelDependencyGraph::from_paths([path.as_slice()]).is_acyclic());
+        // The same path as the only flow of a one-VC allocation.
+        let n = path_len;
+        let mut table = RoutingTable::new(n, "line");
+        table.set_path(Flow::new(0, n - 1), path);
+        let mut assignment = vec![None; n * n];
+        assignment[n - 1] = Some(0);
+        let alloc = VcAllocation {
+            assignment,
+            num_vcs: 1,
+            escape_layers: 1,
+            occupancy: vec![0.0],
+        };
+        prop_assert!(verify_deadlock_free(&table, &alloc));
     }
 }

@@ -1,8 +1,8 @@
 //! Oracle equivalence for VC allocation.
 //!
-//! `reference` below is a verbatim copy of the original `allocate_vcs` and
-//! the `BTreeMap`/`BTreeSet` channel dependency graph it cloned and
-//! re-searched for every placement.  The production allocator must
+//! `reference` below is a verbatim copy of the original `allocate_vcs`; the
+//! `BTreeMap`/`BTreeSet` channel dependency graph it cloned and re-searched
+//! for every placement is the shared reference in `common`.  The production allocator must
 //! reproduce its result exactly: the same flow-to-VC assignment, VC count,
 //! escape-layer count and occupancy bits, and the same
 //! `VcBudgetExceeded { needed, budget }` error when the budget is too small.
@@ -22,99 +22,11 @@ use common::random_topology;
 
 /// The original allocator, kept as the test oracle.
 mod reference {
-    use netsmith_route::paths::path_links;
+    use crate::common::ChannelDependencyGraph;
     use netsmith_route::{Flow, PipelineError, RoutingTable, VcAllocation};
-    use netsmith_topo::RouterId;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::{BTreeMap, BTreeSet};
-
-    type Channel = (RouterId, RouterId);
-
-    #[derive(Debug, Clone, Default)]
-    struct ChannelDependencyGraph {
-        edges: BTreeMap<Channel, BTreeSet<Channel>>,
-        channels: BTreeSet<Channel>,
-    }
-
-    impl ChannelDependencyGraph {
-        fn new() -> Self {
-            Self::default()
-        }
-
-        fn from_paths<'a>(paths: impl IntoIterator<Item = &'a [RouterId]>) -> Self {
-            let mut cdg = Self::new();
-            for p in paths {
-                cdg.add_path(p);
-            }
-            cdg
-        }
-
-        fn add_path(&mut self, path: &[RouterId]) {
-            let links: Vec<Channel> = path_links(path).collect();
-            for l in &links {
-                self.channels.insert(*l);
-            }
-            for w in links.windows(2) {
-                self.edges.entry(w[0]).or_default().insert(w[1]);
-            }
-        }
-
-        fn is_acyclic(&self) -> bool {
-            self.find_cycle().is_none()
-        }
-
-        fn find_cycle(&self) -> Option<Vec<Channel>> {
-            #[derive(Clone, Copy, PartialEq)]
-            enum Mark {
-                White,
-                Grey,
-                Black,
-            }
-            let mut marks: BTreeMap<Channel, Mark> =
-                self.channels.iter().map(|&c| (c, Mark::White)).collect();
-
-            for &start in &self.channels {
-                if marks[&start] != Mark::White {
-                    continue;
-                }
-                let mut stack: Vec<(Channel, Vec<Channel>)> = vec![(start, Vec::new())];
-                let mut path: Vec<Channel> = Vec::new();
-                while let Some((node, _)) = stack.last().cloned() {
-                    if marks[&node] == Mark::White {
-                        marks.insert(node, Mark::Grey);
-                        path.push(node);
-                        let succs: Vec<Channel> = self
-                            .edges
-                            .get(&node)
-                            .map(|s| s.iter().copied().collect())
-                            .unwrap_or_default();
-                        stack.last_mut().unwrap().1 = succs;
-                    }
-                    let next = {
-                        let (_, succs) = stack.last_mut().unwrap();
-                        succs.pop()
-                    };
-                    match next {
-                        Some(succ) => match marks[&succ] {
-                            Mark::Grey => {
-                                let pos = path.iter().position(|&c| c == succ).unwrap();
-                                return Some(path[pos..].to_vec());
-                            }
-                            Mark::White => stack.push((succ, Vec::new())),
-                            Mark::Black => {}
-                        },
-                        None => {
-                            marks.insert(node, Mark::Black);
-                            path.pop();
-                            stack.pop();
-                        }
-                    }
-                }
-            }
-            None
-        }
-    }
+    use std::collections::BTreeMap;
 
     pub fn allocate_vcs(
         table: &RoutingTable,

@@ -3,12 +3,19 @@
 //! Per-epoch offered loads compose three multiplicative ingredients:
 //!
 //! * a **diurnal sinusoid** — the slow day/night swing every serving
-//!   fleet sees (`base · (1 + amplitude·sin)`),
-//! * **ON/OFF bursts** — a seeded two-state Markov chain that multiplies
-//!   the load by `burst_factor` while ON, modelling flash crowds, and
+//!   fleet sees: a mean load of 0.22 flits/node/cycle swinging ±75% over
+//!   [`LoadSpec::period_epochs`],
+//! * **ON/OFF bursts** — a seeded two-state Markov chain that enters a
+//!   burst with probability [`LoadSpec::burst_rate`] per epoch, stays in
+//!   it for 6 epochs on average and multiplies the load by 1.8 while ON,
+//!   modelling flash crowds, and
 //! * optional **trace-derived modulation** — the per-window demand shape
 //!   of a [`netsmith_trace::Trace`], normalized to mean 1, so a measured
 //!   workload's burstiness can be stamped onto the horizon.
+//!
+//! The offered load is then clamped to `[0.01, 0.85]`, and the traffic
+//! mix follows the day from 35% data packets at the trough to 65% at the
+//! peak.
 //!
 //! The whole horizon is precomputed at construction from the seed, so an
 //! epoch's load is a pure function of `(spec, trace, horizon, seed)` —
@@ -18,48 +25,41 @@ use netsmith_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Shape parameters of the load process (everything but the horizon and
-/// the seed, which the serving config owns).
+/// The settable shape of the load process (the horizon and the seed
+/// belong to the serving config).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadSpec {
-    /// Mean offered load, in flits per node per cycle.
-    pub base: f64,
-    /// Diurnal swing as a fraction of `base` (0.8 ⇒ ±80%).
-    pub amplitude: f64,
     /// Diurnal period in epochs.
     pub period_epochs: u64,
     /// Per-epoch probability of entering a burst while OFF.
     pub burst_rate: f64,
-    /// Mean burst length in epochs (geometric exit).
-    pub burst_mean_epochs: f64,
-    /// Load multiplier while a burst is ON.
-    pub burst_factor: f64,
-    /// Data-packet fraction of the traffic mix at the diurnal trough.
-    pub mix_low: f64,
-    /// Data-packet fraction of the traffic mix at the diurnal peak.
-    pub mix_high: f64,
-    /// Offered load is clamped to `[min_load, max_load]` after all
-    /// modulation, keeping every epoch inside the simulable range.
-    pub min_load: f64,
-    pub max_load: f64,
 }
 
 impl Default for LoadSpec {
     fn default() -> Self {
         LoadSpec {
-            base: 0.22,
-            amplitude: 0.75,
             period_epochs: 96,
             burst_rate: 0.04,
-            burst_mean_epochs: 6.0,
-            burst_factor: 1.8,
-            mix_low: 0.35,
-            mix_high: 0.65,
-            min_load: 0.01,
-            max_load: 0.85,
         }
     }
 }
+
+/// Mean offered load, in flits per node per cycle.
+const BASE: f64 = 0.22;
+/// Diurnal swing as a fraction of [`BASE`] (0.75 ⇒ ±75%).
+const AMPLITUDE: f64 = 0.75;
+/// Mean burst length in epochs (geometric exit).
+const BURST_MEAN_EPOCHS: f64 = 6.0;
+/// Load multiplier while a burst is ON.
+const BURST_FACTOR: f64 = 1.8;
+/// Data-packet fraction of the traffic mix at the diurnal trough.
+const MIX_LOW: f64 = 0.35;
+/// Data-packet fraction of the traffic mix at the diurnal peak.
+const MIX_HIGH: f64 = 0.65;
+/// Offered load is clamped to `[MIN_LOAD, MAX_LOAD]` after all modulation,
+/// keeping every epoch inside the simulable range.
+const MIN_LOAD: f64 = 0.01;
+const MAX_LOAD: f64 = 0.85;
 
 /// One epoch's operating point: the offered load and the traffic mix
 /// (the data-packet fraction fed to the simulator).
@@ -93,7 +93,7 @@ impl LoadProcess {
         let shape = modulation.map(trace_shape).unwrap_or_default();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xB005_7ED0_DEAD_BEEF);
         let mut bursting = false;
-        let exit_p = 1.0 / spec.burst_mean_epochs.max(1.0);
+        let exit_p = 1.0 / BURST_MEAN_EPOCHS;
         let mut epochs = Vec::with_capacity(horizon as usize);
         for e in 0..horizon {
             // Markov burst chain: one uniform draw per epoch either way,
@@ -109,18 +109,18 @@ impl LoadProcess {
             } else {
                 2.0 * std::f64::consts::PI * e as f64 / spec.period_epochs as f64
             };
-            let diurnal = 1.0 + spec.amplitude * phase.sin();
-            let mut offered = spec.base * diurnal.max(0.0);
+            let diurnal = 1.0 + AMPLITUDE * phase.sin();
+            let mut offered = BASE * diurnal.max(0.0);
             if bursting {
-                offered *= spec.burst_factor;
+                offered *= BURST_FACTOR;
             }
             if !shape.is_empty() {
                 offered *= shape[e as usize % shape.len()];
             }
             let day = (phase.sin() + 1.0) / 2.0;
             epochs.push(EpochLoad {
-                offered: offered.clamp(spec.min_load, spec.max_load),
-                data_fraction: spec.mix_low + (spec.mix_high - spec.mix_low) * day,
+                offered: offered.clamp(MIN_LOAD, MAX_LOAD),
+                data_fraction: MIX_LOW + (MIX_HIGH - MIX_LOW) * day,
                 burst: bursting,
             });
         }
@@ -174,9 +174,9 @@ mod tests {
         assert_eq!(a, b);
         for e in 0..a.horizon() {
             let l = a.epoch(e);
-            assert!(l.offered >= spec.min_load && l.offered <= spec.max_load);
-            assert!(l.data_fraction >= spec.mix_low - 1e-12);
-            assert!(l.data_fraction <= spec.mix_high + 1e-12);
+            assert!((MIN_LOAD..=MAX_LOAD).contains(&l.offered));
+            assert!(l.data_fraction >= MIX_LOW - 1e-12);
+            assert!(l.data_fraction <= MIX_HIGH + 1e-12);
         }
         let c = LoadProcess::new(&spec, 300, 43, None);
         assert_ne!(a, c, "seed must matter");
@@ -208,7 +208,6 @@ mod tests {
             .collect();
         let trace = Trace::new(4, 1_000, messages);
         let spec = LoadSpec {
-            amplitude: 0.0,
             burst_rate: 0.0,
             ..LoadSpec::default()
         };

@@ -164,13 +164,10 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
     let tape = FaultTape::sample(inputs.topology, &config.tape, config.epochs);
     let epochs_counter = obs.counter("serve.epochs");
     let sleep = match config.policy {
-        PolicyKind::LinkSleep { idle_threshold } => LinkSleep {
-            idle_threshold,
-            ..LinkSleep::default()
-        },
+        PolicyKind::LinkSleep { idle_threshold } => LinkSleep { idle_threshold },
         _ => LinkSleep::default(),
     };
-    let dvfs = Dvfs::default();
+    let dvfs = Dvfs;
 
     let mut fabric = Some(Fabric {
         topology: inputs.topology.clone(),

@@ -12,10 +12,9 @@ use std::fmt;
 
 /// A typed failure anywhere in the evaluation pipeline.
 ///
-/// Lower layers return the variant that names their own failure
+/// Each layer returns the variant that names its own failure
 /// ([`PipelineError::Disconnected`], [`PipelineError::IncompleteRouting`],
-/// [`PipelineError::VcBudgetExceeded`]); facades add context by wrapping
-/// ([`PipelineError::RepairInfeasible`]).
+/// [`PipelineError::VcBudgetExceeded`], [`PipelineError::DiscoveryFailed`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The topology is not strongly connected: `pairs` ordered router pairs
@@ -36,14 +35,6 @@ pub enum PipelineError {
         needed: usize,
         /// Virtual channels that were available.
         budget: usize,
-    },
-    /// A fault scenario could not be repaired; `reason` is the underlying
-    /// pipeline failure on the surviving sub-topology.
-    RepairInfeasible {
-        /// Label of the fault scenario that was being repaired.
-        scenario: String,
-        /// The failure the repair ran into.
-        reason: Box<PipelineError>,
     },
     /// Topology discovery finished without a usable incumbent.
     DiscoveryFailed {
@@ -75,9 +66,6 @@ impl fmt::Display for PipelineError {
                     "deadlock-free allocation needs {needed} escape VCs but only {budget} are available"
                 )
             }
-            PipelineError::RepairInfeasible { scenario, reason } => {
-                write!(f, "scenario {scenario} cannot be repaired: {reason}")
-            }
             PipelineError::DiscoveryFailed { objective, reason } => {
                 write!(f, "discovery for {objective} failed: {reason}")
             }
@@ -108,13 +96,6 @@ mod tests {
                     budget: 1,
                 },
                 "needs 4 escape VCs but only 1",
-            ),
-            (
-                PipelineError::RepairInfeasible {
-                    scenario: "L3-7".into(),
-                    reason: Box::new(PipelineError::Disconnected { pairs: 38 }),
-                },
-                "scenario L3-7 cannot be repaired",
             ),
             (
                 PipelineError::DiscoveryFailed {

@@ -13,77 +13,44 @@
 //!   shared hotspot destination set: bursty at every timescale the ON/OFF
 //!   durations span, with most demand concentrated on a few sinks.
 //!
-//! Generation is a pure function of `(model, routers, horizon, seed)`; the
-//! same arguments always produce the identical trace, so experiment specs
-//! can reference a generator by name + seed instead of shipping trace
-//! files.
+//! Each model's shape is a fixed set of constants below.  Generation is a
+//! pure function of `(model, routers, horizon, seed)`; the same arguments
+//! always produce the identical trace, so experiment specs can reference a
+//! generator by name + seed instead of shipping trace files.
 
 use crate::format::{Trace, TraceMessage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of the pointer-chasing / GC model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointerChaseParams {
-    /// Mean length of a chase or scan phase, in cycles.
-    pub phase_cycles: u64,
-    /// Per-cycle injection probability while chasing.
-    pub chase_inject_prob: f64,
-    /// Per-cycle injection probability while scanning (background load).
-    pub scan_inject_prob: f64,
-    /// Number of heap-home routers each source chases into.
-    pub heap_targets: usize,
-    /// Fraction of chase messages that go to the source's heap homes (the
-    /// rest are uniform pointer spillover).
-    pub hot_fraction: f64,
-    /// Fraction of messages that are long data replies instead of short
-    /// requests.
-    pub data_fraction: f64,
-}
+// Pointer-chasing / GC model.
 
-impl Default for PointerChaseParams {
-    fn default() -> Self {
-        PointerChaseParams {
-            phase_cycles: 192,
-            chase_inject_prob: 0.35,
-            scan_inject_prob: 0.03,
-            heap_targets: 2,
-            hot_fraction: 0.7,
-            data_fraction: 0.35,
-        }
-    }
-}
+/// Mean length of a chase or scan phase, in cycles.
+const PHASE_CYCLES: u64 = 192;
+/// Per-cycle injection probability while chasing.
+const CHASE_INJECT_PROB: f64 = 0.35;
+/// Per-cycle injection probability while scanning (background load).
+const SCAN_INJECT_PROB: f64 = 0.03;
+/// Number of heap-home routers each source chases into.
+const HEAP_TARGETS: usize = 2;
+/// Fraction of chase messages that go to the source's heap homes (the
+/// rest are uniform pointer spillover).
+const HOT_FRACTION: f64 = 0.7;
+/// Fraction of messages that are long data replies instead of short
+/// requests.
+const CHASE_DATA_FRACTION: f64 = 0.35;
 
-/// Parameters of the ON/OFF bursty hotspot model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnOffHotspotParams {
-    /// Mean ON-burst duration in cycles.
-    pub mean_on: u64,
-    /// Mean OFF-gap duration in cycles.
-    pub mean_off: u64,
-    /// Per-cycle injection probability while ON.
-    pub inject_prob: f64,
-    /// Fraction of messages aimed at the hotspot set (the rest uniform).
-    pub hotspot_fraction: f64,
-    /// Number of hotspot destinations, drawn from the seed when `targets`
-    /// is empty.
-    pub hotspots: usize,
-    /// Explicit hotspot router ids; leave empty to derive from the seed.
-    pub targets: Vec<usize>,
-}
+// ON/OFF bursty hotspot model.
 
-impl Default for OnOffHotspotParams {
-    fn default() -> Self {
-        OnOffHotspotParams {
-            mean_on: 48,
-            mean_off: 160,
-            inject_prob: 0.5,
-            hotspot_fraction: 0.6,
-            hotspots: 2,
-            targets: Vec::new(),
-        }
-    }
-}
+/// Mean ON-burst duration in cycles.
+const MEAN_ON: u64 = 48;
+/// Mean OFF-gap duration in cycles.
+const MEAN_OFF: u64 = 160;
+/// Per-cycle injection probability while ON.
+const ON_INJECT_PROB: f64 = 0.5;
+/// Fraction of messages aimed at the hotspot set (the rest uniform).
+const HOTSPOT_FRACTION: f64 = 0.6;
+/// Number of hotspot destinations, drawn from the seed.
+const HOTSPOTS: usize = 2;
 
 /// Flit size of a short request / control message.
 pub const REQUEST_FLITS: u32 = 1;
@@ -91,29 +58,29 @@ pub const REQUEST_FLITS: u32 = 1;
 /// simulator's large packet class).
 pub const DATA_FLITS: u32 = 9;
 
-/// A named, parameterised trace model.
+/// A named trace model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceModel {
     /// GC / pointer-chasing phases (see module docs).
-    PointerChase(PointerChaseParams),
+    PointerChase,
     /// Markov-modulated ON/OFF sources over a hotspot sink set.
-    OnOffHotspot(OnOffHotspotParams),
+    OnOffHotspot,
 }
 
 impl TraceModel {
     /// The model's wire name, accepted by [`TraceModel::by_name`].
     pub fn name(&self) -> &'static str {
         match self {
-            TraceModel::PointerChase(_) => "pointer-chase",
-            TraceModel::OnOffHotspot(_) => "onoff-hotspot",
+            TraceModel::PointerChase => "pointer-chase",
+            TraceModel::OnOffHotspot => "onoff-hotspot",
         }
     }
 
-    /// Look up a model by wire name with default parameters.
+    /// Look up a model by wire name.
     pub fn by_name(name: &str) -> Option<TraceModel> {
         match name {
-            "pointer-chase" => Some(TraceModel::PointerChase(PointerChaseParams::default())),
-            "onoff-hotspot" => Some(TraceModel::OnOffHotspot(OnOffHotspotParams::default())),
+            "pointer-chase" => Some(TraceModel::PointerChase),
+            "onoff-hotspot" => Some(TraceModel::OnOffHotspot),
             _ => None,
         }
     }
@@ -128,15 +95,15 @@ impl TraceModel {
     pub fn generate(&self, routers: u32, horizon: u64, seed: u64) -> Trace {
         assert!(routers >= 2, "trace generation needs at least two routers");
         let mut messages = match self {
-            TraceModel::PointerChase(p) => pointer_chase(p, routers, horizon, seed),
-            TraceModel::OnOffHotspot(p) => on_off_hotspot(p, routers, horizon, seed),
+            TraceModel::PointerChase => pointer_chase(routers, horizon, seed),
+            TraceModel::OnOffHotspot => on_off_hotspot(routers, horizon, seed),
         };
         messages.sort_by_key(|m| m.issue);
         Trace::new(routers, horizon, messages)
     }
 }
 
-/// Generate a trace from a model's wire name with default parameters.
+/// Generate a trace from a model's wire name.
 pub fn generate_named(name: &str, routers: u32, horizon: u64, seed: u64) -> Option<Trace> {
     TraceModel::by_name(name).map(|m| m.generate(routers, horizon, seed))
 }
@@ -157,12 +124,7 @@ fn uniform_other(rng: &mut SmallRng, n: u32, src: u32) -> u32 {
     }
 }
 
-fn pointer_chase(
-    p: &PointerChaseParams,
-    routers: u32,
-    horizon: u64,
-    seed: u64,
-) -> Vec<TraceMessage> {
+fn pointer_chase(routers: u32, horizon: u64, seed: u64) -> Vec<TraceMessage> {
     let mut messages = Vec::new();
     for src in 0..routers {
         // One RNG per source so each source's stream is self-contained.
@@ -170,30 +132,30 @@ fn pointer_chase(
             seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(src) + 1)),
         );
         // This source's heap homes: a small fixed working set.
-        let homes: Vec<u32> = (0..p.heap_targets)
+        let homes: Vec<u32> = (0..HEAP_TARGETS)
             .map(|_| uniform_other(&mut rng, routers, src))
             .collect();
         let mut chasing = rng.gen_bool(0.5);
-        let mut phase_end = geometric(&mut rng, p.phase_cycles);
+        let mut phase_end = geometric(&mut rng, PHASE_CYCLES);
         for cycle in 0..horizon {
             if cycle >= phase_end {
                 chasing = !chasing;
-                phase_end = cycle + geometric(&mut rng, p.phase_cycles);
+                phase_end = cycle + geometric(&mut rng, PHASE_CYCLES);
             }
             let inject_prob = if chasing {
-                p.chase_inject_prob
+                CHASE_INJECT_PROB
             } else {
-                p.scan_inject_prob
+                SCAN_INJECT_PROB
             };
             if !rng.gen_bool(inject_prob) {
                 continue;
             }
-            let dst = if chasing && rng.gen_bool(p.hot_fraction) {
+            let dst = if chasing && rng.gen_bool(HOT_FRACTION) {
                 homes[rng.gen_range(0..homes.len())]
             } else {
                 uniform_other(&mut rng, routers, src)
             };
-            let flits = if rng.gen_bool(p.data_fraction) {
+            let flits = if rng.gen_bool(CHASE_DATA_FRACTION) {
                 DATA_FLITS
             } else {
                 REQUEST_FLITS
@@ -209,48 +171,33 @@ fn pointer_chase(
     messages
 }
 
-fn on_off_hotspot(
-    p: &OnOffHotspotParams,
-    routers: u32,
-    horizon: u64,
-    seed: u64,
-) -> Vec<TraceMessage> {
-    // The hotspot set is shared by all sources: explicit targets, or a
-    // seed-derived sample.
-    let targets: Vec<u32> = if p.targets.is_empty() {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
-        let want = p.hotspots.clamp(1, routers as usize);
-        let mut picked = Vec::with_capacity(want);
-        while picked.len() < want {
-            let t = rng.gen_range(0..routers);
-            if !picked.contains(&t) {
-                picked.push(t);
-            }
+fn on_off_hotspot(routers: u32, horizon: u64, seed: u64) -> Vec<TraceMessage> {
+    // The hotspot set is a seed-derived sample shared by all sources.
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
+    let want = HOTSPOTS.min(routers as usize);
+    let mut targets = Vec::with_capacity(want);
+    while targets.len() < want {
+        let t = rng.gen_range(0..routers);
+        if !targets.contains(&t) {
+            targets.push(t);
         }
-        picked
-    } else {
-        p.targets.iter().map(|&t| t as u32).collect()
-    };
-    assert!(
-        targets.iter().all(|&t| t < routers),
-        "hotspot targets must be in range"
-    );
+    }
     let mut messages = Vec::new();
     for src in 0..routers {
         let mut rng = SmallRng::seed_from_u64(
             seed ^ (0xBF58_476D_1CE4_E5B9u64.wrapping_mul(u64::from(src) + 1)),
         );
-        let mut on = rng.gen_bool(p.mean_on as f64 / (p.mean_on + p.mean_off) as f64);
-        let mut phase_end = geometric(&mut rng, if on { p.mean_on } else { p.mean_off });
+        let mut on = rng.gen_bool(MEAN_ON as f64 / (MEAN_ON + MEAN_OFF) as f64);
+        let mut phase_end = geometric(&mut rng, if on { MEAN_ON } else { MEAN_OFF });
         for cycle in 0..horizon {
             if cycle >= phase_end {
                 on = !on;
-                phase_end = cycle + geometric(&mut rng, if on { p.mean_on } else { p.mean_off });
+                phase_end = cycle + geometric(&mut rng, if on { MEAN_ON } else { MEAN_OFF });
             }
-            if !on || !rng.gen_bool(p.inject_prob) {
+            if !on || !rng.gen_bool(ON_INJECT_PROB) {
                 continue;
             }
-            let dst = if rng.gen_bool(p.hotspot_fraction) {
+            let dst = if rng.gen_bool(HOTSPOT_FRACTION) {
                 let pick: Vec<u32> = targets.iter().copied().filter(|&t| t != src).collect();
                 if pick.is_empty() {
                     uniform_other(&mut rng, routers, src)
@@ -327,19 +274,6 @@ mod tests {
             "share {}",
             stats.top_decile_destination_share
         );
-    }
-
-    #[test]
-    fn explicit_hotspot_targets_are_honoured() {
-        let params = OnOffHotspotParams {
-            targets: vec![3, 4],
-            hotspot_fraction: 1.0,
-            ..OnOffHotspotParams::default()
-        };
-        let t = TraceModel::OnOffHotspot(params).generate(20, 1024, 5);
-        for m in &t.messages {
-            assert!(m.dst == 3 || m.dst == 4);
-        }
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub mod replay;
 pub mod stats;
 
 pub use format::{Trace, TraceError, TraceHeader, TraceMessage, TRACE_VERSION};
-pub use generators::{
-    generate_named, OnOffHotspotParams, PointerChaseParams, TraceModel, DATA_FLITS, REQUEST_FLITS,
-};
+pub use generators::{generate_named, TraceModel, DATA_FLITS, REQUEST_FLITS};
 pub use replay::SourceCursors;
 pub use stats::TraceStats;

@@ -126,13 +126,12 @@ fn energy_subsystem_flows_through_the_whole_pipeline() {
     let sleep = network.energy_report(
         &LinkSleep {
             idle_threshold: 0.15,
-            ..LinkSleep::default()
         },
         &sim_cfg,
         &report,
         &energy_cfg,
     );
-    let dvfs = network.energy_report(&Dvfs::default(), &sim_cfg, &report, &energy_cfg);
+    let dvfs = network.energy_report(&Dvfs, &sim_cfg, &report, &energy_cfg);
     for e in [&always, &sleep, &dvfs] {
         assert!(e.routable, "{} not routable", e.policy);
         assert!(e.total_mw() > 0.0);
