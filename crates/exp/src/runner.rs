@@ -711,6 +711,52 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_composite_weights_fail_before_any_discovery() {
+        let composite = |parts| ObjectiveSpec::Composite { parts };
+        let shuffle = || ObjectiveSpec::PatternLatOp {
+            pattern: TrafficPattern::Shuffle,
+        };
+        for (objective, expected) in [
+            // FaultOp's 1e5 articulation weight times the scale.
+            (
+                composite(vec![(1e304, ObjectiveSpec::FaultOp)]),
+                "weight of Crit folds to inf",
+            ),
+            // Nested scales multiply through.
+            (
+                composite(vec![(
+                    1e200,
+                    composite(vec![(1e200, ObjectiveSpec::LatOp)]),
+                )]),
+                "weight of Hops folds to inf",
+            ),
+            // Shared terms sum: LatOp's and FaultOp's Hops, and one
+            // pattern's demand-weighted hops twice.
+            (
+                composite(vec![
+                    (1e308, ObjectiveSpec::LatOp),
+                    (1e308, ObjectiveSpec::FaultOp),
+                ]),
+                "weight of Hops folds to inf",
+            ),
+            (
+                composite(vec![(1e308, shuffle()), (1e308, shuffle())]),
+                "weight of PatHops folds to inf",
+            ),
+        ] {
+            let mut spec = ExperimentSpec::new("overflow");
+            spec.candidates = vec![
+                CandidateSpec::synth(ObjectiveSpec::LatOp),
+                CandidateSpec::synth(objective),
+            ];
+            let err = fails_before_any_discovery(spec);
+            let expected =
+                format!("overflow: candidate 1: composite {expected}, which is not finite");
+            assert!(err.contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
     fn valid_loads_pass_the_check() {
         runs(mesh_spec_with(hot_workload(vec![0.1])));
         runs(mesh_spec_with(hot_workload(vec![0.0, 0.5])));

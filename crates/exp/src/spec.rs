@@ -10,7 +10,7 @@
 //! columns a cell produces) stays code, attached by the harness as a
 //! closure next to the spec.
 
-use netsmith::gen::Objective;
+use netsmith::gen::{Objective, Term};
 use netsmith::prelude::RoutingScheme;
 use netsmith_sim::SimConfig;
 use netsmith_topo::traffic::TrafficPattern;
@@ -103,16 +103,14 @@ impl ObjectiveSpec {
                 Objective::PatternLatOp(TraceStats::of(&resolved).demand_matrix().clone())
             }
             ObjectiveSpec::Composite { parts } => {
-                // Fold by term so axes sharing a term (Hops appears in both
-                // LatOp and FaultOp) collapse into one weighted entry.
-                let mut terms: Vec<(f64, netsmith::gen::Term)> = Vec::new();
+                let mut terms: Vec<(f64, Term)> = Vec::new();
                 for (scale, part) in parts {
-                    for wt in part.resolve(layout).decomposition() {
-                        match terms.iter_mut().find(|(_, t)| *t == wt.term) {
-                            Some((w, _)) => *w += scale * wt.weight,
-                            None => terms.push((scale * wt.weight, wt.term)),
-                        }
-                    }
+                    let part = part.resolve(layout).decomposition();
+                    fold_terms(
+                        &mut terms,
+                        *scale,
+                        part.into_iter().map(|wt| (wt.weight, wt.term)),
+                    );
                 }
                 Objective::composite(terms)
             }
@@ -121,24 +119,74 @@ impl ObjectiveSpec {
 
     /// Check that this objective resolves, nested
     /// [`ObjectiveSpec::Composite`] parts included: every generator model
-    /// it names is known, every composite has a part, and every composite
-    /// scale and `EnergyOp` weight is a finite non-negative number.  A bad
-    /// scale would panic in [`Objective::composite`]; a bad `edp_weight`
-    /// gives NaN scores or an inadmissible lower bound.
+    /// it names is known, every composite has a part, every composite
+    /// scale and `EnergyOp` weight is a finite non-negative number, and
+    /// every composite's folded term weights stay finite.  A bad scale or
+    /// an overflowing fold would panic in [`Objective::composite`]; a bad
+    /// `edp_weight` gives NaN scores or an inadmissible lower bound.
     fn check(&self) -> Result<(), String> {
+        self.checked_terms().map(drop)
+    }
+
+    /// [`ObjectiveSpec::check`]'s fold: the weighted terms this objective
+    /// resolves to, folded as [`ObjectiveSpec::resolve`] folds them, except
+    /// that every demand-weighted hop term (`PatternLatOp`, `TraceLatOp`)
+    /// is one `None` entry, since its demand matrix needs a layout.  That
+    /// sums weights `resolve` may keep apart, never the reverse, so a
+    /// fold that stays finite here stays finite on every layout.
+    fn checked_terms(&self) -> Result<Vec<(f64, Option<Term>)>, String> {
+        let axis = |objective: Objective| {
+            let terms = objective.decomposition().into_iter();
+            Ok(terms.map(|wt| (wt.weight, Some(wt.term))).collect())
+        };
         match self {
-            ObjectiveSpec::TraceLatOp { trace } => trace.check_model(),
+            ObjectiveSpec::LatOp => axis(Objective::LatOp),
+            ObjectiveSpec::SCOp => axis(Objective::SCOp),
+            ObjectiveSpec::FaultOp => axis(Objective::fault_op_default()),
             ObjectiveSpec::EnergyOp { edp_weight } => {
-                check_weight("EnergyOp edp_weight", *edp_weight)
+                check_weight("EnergyOp edp_weight", *edp_weight)?;
+                axis(Objective::EnergyOp {
+                    edp_weight: *edp_weight,
+                })
+            }
+            ObjectiveSpec::PatternLatOp { .. } => Ok(vec![(1.0, None)]),
+            ObjectiveSpec::TraceLatOp { trace } => {
+                trace.check_model()?;
+                Ok(vec![(1.0, None)])
             }
             ObjectiveSpec::Composite { parts } if parts.is_empty() => {
                 Err("composite objective has no parts".into())
             }
-            ObjectiveSpec::Composite { parts } => parts.iter().try_for_each(|(scale, part)| {
-                check_weight("composite scale", *scale)?;
-                part.check()
-            }),
-            _ => Ok(()),
+            ObjectiveSpec::Composite { parts } => {
+                let mut terms = Vec::new();
+                for (scale, part) in parts {
+                    check_weight("composite scale", *scale)?;
+                    fold_terms(&mut terms, *scale, part.checked_terms()?);
+                }
+                match terms.iter().find(|(weight, _)| !weight.is_finite()) {
+                    Some((weight, term)) => Err(format!(
+                        "composite weight of {} folds to {weight}, which is not finite",
+                        term.as_ref().map_or("PatHops".into(), Term::tag)
+                    )),
+                    None => Ok(terms),
+                }
+            }
+        }
+    }
+}
+
+/// Fold one composite part, scaled by `scale`, into `terms` by term, so
+/// parts sharing a term (Hops appears in both LatOp and FaultOp) collapse
+/// into one weighted entry.
+fn fold_terms<T: PartialEq>(
+    terms: &mut Vec<(f64, T)>,
+    scale: f64,
+    part: impl IntoIterator<Item = (f64, T)>,
+) {
+    for (weight, term) in part {
+        match terms.iter_mut().find(|(_, t)| *t == term) {
+            Some((w, _)) => *w += scale * weight,
+            None => terms.push((scale * weight, term)),
         }
     }
 }
@@ -636,6 +684,33 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(hops.len(), 1);
         assert!((hops[0].weight - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_composite_that_passes_the_check_resolves() {
+        // FaultOp's 1e5 articulation weight times 1e303 is 1e308, just
+        // inside f64; LatOp and FaultOp share Hops, summed to 2e303.
+        let layout = Layout::noi_4x5();
+        let spec = ObjectiveSpec::Composite {
+            parts: vec![
+                (1e303, ObjectiveSpec::LatOp),
+                (1e303, ObjectiveSpec::FaultOp),
+            ],
+        };
+        spec.check().unwrap();
+        let weights: Vec<f64> = spec
+            .resolve(&layout)
+            .decomposition()
+            .iter()
+            .map(|wt| wt.weight)
+            .collect();
+        assert_eq!(weights.len(), 3);
+        for (weight, expected) in weights.into_iter().zip([2e303, 1e308, 4e304]) {
+            assert!(
+                (weight / expected - 1.0).abs() < 1e-12,
+                "{weight} vs {expected}"
+            );
+        }
     }
 
     #[test]
