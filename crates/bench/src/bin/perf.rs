@@ -10,7 +10,7 @@
 //!   `sim_48r_saturated` (the compiled engine past saturation),
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
-//! * **Per-layer probes** (29, named `group/case`) time topology metrics
+//! * **Per-layer probes** (30, named `group/case`) time topology metrics
 //!   and cuts, paths, MCLB, VC allocation and its deadlock check,
 //!   objective evaluation, annealing, injection, the compiled engine and
 //!   the serving gate at 20 and 48 routers. They are printed, not
@@ -422,6 +422,26 @@ const PROBES: &[Probe] = &[
             .config(SimConfig::for_class(LinkClass::Medium))
             .compile();
         sample(calls, || sim.run(0.3))
+    }),
+    layer("sim/run_20r_serving_epoch", |calls| {
+        // One serving epoch's compiled run, the run a serve20 horizon
+        // makes 96 times: the MCLB 4x5 torus with the serving windows
+        // and the epoch probe on.
+        let torus = expert::folded_torus(&Layout::noi_4x5());
+        let table = mclb_route(&all_shortest_paths(&torus), &MclbConfig::default());
+        let alloc = allocate_vcs(&table, 6, 42).expect("fits in 6 VCs");
+        let sim = NetworkSim::builder(&torus, &table)
+            .vcs(&alloc)
+            .pattern(TrafficPattern::UniformRandom)
+            .config(SimConfig {
+                warmup_cycles: 100,
+                measure_cycles: 400,
+                drain_cycles: 200,
+                epoch_cycles: 400,
+                ..SimConfig::default()
+            })
+            .compile();
+        sample(calls, || sim.run(0.2))
     }),
     layer("serving/link_sleep_gate_20r", |calls| {
         // One cold link-sleep gate decision: greedy selection, then paths,
@@ -855,7 +875,7 @@ mod tests {
         let names = |filter| -> Vec<_> { select(Some(filter)).iter().map(|p| p.name).collect() };
         assert_eq!(names("fig08_sim"), ["fig08_sim"]);
         let layers = select(Some("/"));
-        assert_eq!(layers.len(), 29);
+        assert_eq!(layers.len(), 30);
         assert!(layers.iter().all(|p| p.gate.is_none()));
         assert!(names("nosuch").is_empty());
     }
