@@ -124,17 +124,14 @@ impl ObjectiveSpec {
     /// every composite's folded term weights stay finite.  A bad scale or
     /// an overflowing fold would panic in [`Objective::composite`]; a bad
     /// `edp_weight` gives NaN scores or an inadmissible lower bound.
-    fn check(&self) -> Result<(), String> {
-        self.checked_terms().map(drop)
-    }
-
-    /// [`ObjectiveSpec::check`]'s fold: the weighted terms this objective
-    /// resolves to, folded as [`ObjectiveSpec::resolve`] folds them, except
-    /// that every demand-weighted hop term (`PatternLatOp`, `TraceLatOp`)
-    /// is one `None` entry, since its demand matrix needs a layout.  That
-    /// sums weights `resolve` may keep apart, never the reverse, so a
-    /// fold that stays finite here stays finite on every layout.
-    fn checked_terms(&self) -> Result<Vec<(f64, Option<Term>)>, String> {
+    ///
+    /// On success, returns the weighted terms the objective resolves to,
+    /// folded as [`ObjectiveSpec::resolve`] folds them, except that every
+    /// demand-weighted hop term (`PatternLatOp`, `TraceLatOp`) is one
+    /// `None` entry, since its demand matrix needs a layout.  That sums
+    /// weights `resolve` may keep apart, never the reverse, so a fold that
+    /// stays finite here stays finite on every layout.
+    fn check(&self) -> Result<Vec<(f64, Option<Term>)>, String> {
         let axis = |objective: Objective| {
             let terms = objective.decomposition().into_iter();
             Ok(terms.map(|wt| (wt.weight, Some(wt.term))).collect())
@@ -161,7 +158,7 @@ impl ObjectiveSpec {
                 let mut terms = Vec::new();
                 for (scale, part) in parts {
                     check_weight("composite scale", *scale)?;
-                    fold_terms(&mut terms, *scale, part.checked_terms()?);
+                    fold_terms(&mut terms, *scale, part.check()?);
                 }
                 match terms.iter().find(|(weight, _)| !weight.is_finite()) {
                     Some((weight, term)) => Err(format!(
@@ -651,7 +648,7 @@ impl ExperimentSpec {
         for (i, candidate) in self.candidates.iter().enumerate() {
             match candidate {
                 CandidateSpec::Expert { name, .. } => check_expert_name(name),
-                CandidateSpec::Synth { objective, .. } => objective.check(),
+                CandidateSpec::Synth { objective, .. } => objective.check().map(drop),
                 CandidateSpec::ExpertBaselines => Ok(()),
             }
             .map_err(|e| format!("{}: candidate {i}: {e}", self.name))?;
