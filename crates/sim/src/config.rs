@@ -15,16 +15,17 @@ pub enum PacketClass {
     Data,
 }
 
+/// Link width in bytes (8B in the paper).
+const LINK_WIDTH_BYTES: usize = 8;
+/// Control packet size in bytes (8B).
+const CONTROL_BYTES: usize = 8;
+/// Data packet size in bytes (72B).
+const DATA_BYTES: usize = 72;
+
 /// Simulator parameters (defaults follow Table IV and Section IV of the
 /// paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Link width in bytes (8B in the paper).
-    pub link_width_bytes: usize,
-    /// Control packet size in bytes (8B).
-    pub control_bytes: usize,
-    /// Data packet size in bytes (72B).
-    pub data_bytes: usize,
     /// Probability that an injected packet is a data packet (0.5 for the
     /// coherence-style synthetic traffic of Figure 6a).
     pub data_fraction: f64,
@@ -62,9 +63,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            link_width_bytes: 8,
-            control_bytes: 8,
-            data_bytes: 72,
             data_fraction: 0.5,
             router_latency: 2,
             link_latency: 1,
@@ -103,10 +101,10 @@ impl SimConfig {
     /// Number of flits in a packet of the given class.
     pub fn flits(&self, class: PacketClass) -> usize {
         let bytes = match class {
-            PacketClass::Control => self.control_bytes,
-            PacketClass::Data => self.data_bytes,
+            PacketClass::Control => CONTROL_BYTES,
+            PacketClass::Data => DATA_BYTES,
         };
-        bytes.div_ceil(self.link_width_bytes).max(1)
+        bytes.div_ceil(LINK_WIDTH_BYTES).max(1)
     }
 
     /// Average packet size in flits under the configured class mix.
