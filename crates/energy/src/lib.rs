@@ -11,8 +11,7 @@
 //!
 //! 1. **Measurement** — `netsmith-sim` records an
 //!    [`ActivityProfile`](netsmith_sim::ActivityProfile): per-directed-link
-//!    flit counts and busy cycles, per-router forwarding activity and
-//!    buffer occupancy, all over the measurement window.
+//!    flit counts and busy cycles over the measurement window.
 //! 2. **Management** — the [`EnergyPolicy`] trait maps that profile to an
 //!    [`EnergyReport`] (static / dynamic / gated-savings mW, energy per
 //!    delivered flit, energy-delay product).  [`AlwaysOn`] is the baseline;

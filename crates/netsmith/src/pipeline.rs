@@ -107,8 +107,8 @@ impl EvaluatedNetwork {
     }
 
     /// Run one simulation at an offered load and return the full report,
-    /// including the per-link/per-router [`ActivityProfile`] that energy
-    /// policies and the measured power model consume.
+    /// including the per-link [`ActivityProfile`] that energy policies and
+    /// the measured power model consume.
     ///
     /// [`ActivityProfile`]: netsmith_sim::ActivityProfile
     pub fn measure(&self, pattern: TrafficPattern, config: &SimConfig, load: f64) -> SimReport {

@@ -146,7 +146,6 @@ mod tests {
                     busy_cycles: (utilization * cycles as f64) as u64,
                 })
                 .collect(),
-            routers: Vec::new(),
         }
     }
 
@@ -239,7 +238,6 @@ mod tests {
                     busy_cycles: 500,
                 })
                 .collect(),
-            routers: Vec::new(),
         };
         let short = power_report_from_activity(&torus, &cfg, &sim, &activity_on(&links[..4]));
         let long =

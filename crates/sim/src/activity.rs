@@ -1,15 +1,13 @@
-//! Per-link and per-router activity accounting.
+//! Per-link activity accounting.
 //!
 //! The paper's power analysis (Figure 9) feeds DSENT a single network-wide
 //! activity factor.  That scalar hides exactly the information an
 //! energy-proportional fabric needs: *which* links are idle enough to
-//! power-gate and *which* routers see sustained buffer pressure.  The
-//! simulator therefore records, over the measurement window, a full
-//! [`ActivityProfile`]: flit counts and busy cycles for every directed
-//! link, plus forwarded-flit counts, active cycles and average buffer
-//! occupancy for every router.  Energy policies (`netsmith-energy`) and
-//! the measured power model (`netsmith-power`) consume this profile
-//! instead of a hand-picked utilization guess.
+//! power-gate.  The simulator therefore records, over the measurement
+//! window, an [`ActivityProfile`]: flit counts and busy cycles for every
+//! directed link.  Energy policies (`netsmith-energy`) and the measured
+//! power model (`netsmith-power`) consume this profile instead of a
+//! hand-picked utilization guess.
 
 use netsmith_topo::RouterId;
 
@@ -38,25 +36,8 @@ impl LinkActivity {
     }
 }
 
-/// Measured activity of one router over the measurement window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouterActivity {
-    /// Router id.
-    pub router: RouterId,
-    /// Flits this router forwarded onto any outgoing link (ejection
-    /// included) during the window.
-    pub flits_forwarded: u64,
-    /// Cycles within the window in which the router forwarded at least one
-    /// packet (crossbar active).
-    pub active_cycles: u64,
-    /// Sum over window cycles of flits resident in this router's input
-    /// buffers (flit-cycles); divide by the window length for the average
-    /// occupancy.
-    pub buffer_flit_cycles: u64,
-}
-
-/// Complete per-link / per-router activity record of one simulation run,
-/// measured over the measurement window only (warm-up and drain excluded).
+/// Per-link activity record of one simulation run, measured over the
+/// measurement window only (warm-up and drain excluded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityProfile {
     /// Length of the measurement window in cycles.
@@ -64,17 +45,14 @@ pub struct ActivityProfile {
     /// One entry per directed link of the simulated topology, in
     /// `Topology::links()` iteration order.
     pub links: Vec<LinkActivity>,
-    /// One entry per router, indexed by router id.
-    pub routers: Vec<RouterActivity>,
 }
 
 impl ActivityProfile {
-    /// Empty profile for a network with no links or routers.
+    /// Empty profile for a network with no links.
     pub fn empty() -> Self {
         ActivityProfile {
             measured_cycles: 0,
             links: Vec::new(),
-            routers: Vec::new(),
         }
     }
 
@@ -92,15 +70,6 @@ impl ActivityProfile {
     /// Total flit-traversals across all links during the window.
     pub fn total_link_flits(&self) -> u64 {
         self.links.iter().map(|l| l.flits).sum()
-    }
-
-    /// Network-wide flit-traversals per cycle (all links summed).
-    pub fn flits_per_cycle(&self) -> f64 {
-        if self.measured_cycles == 0 {
-            0.0
-        } else {
-            self.total_link_flits() as f64 / self.measured_cycles as f64
-        }
     }
 }
 
@@ -125,20 +94,6 @@ mod tests {
                     busy_cycles: 10,
                 },
             ],
-            routers: vec![
-                RouterActivity {
-                    router: 0,
-                    flits_forwarded: 50,
-                    active_cycles: 40,
-                    buffer_flit_cycles: 200,
-                },
-                RouterActivity {
-                    router: 1,
-                    flits_forwarded: 10,
-                    active_cycles: 10,
-                    buffer_flit_cycles: 0,
-                },
-            ],
         }
     }
 
@@ -154,13 +109,12 @@ mod tests {
     fn totals_aggregate_links() {
         let p = profile();
         assert_eq!(p.total_link_flits(), 60);
-        assert!((p.flits_per_cycle() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn empty_profile_is_all_zero() {
         let p = ActivityProfile::empty();
         assert_eq!(p.avg_link_utilization(), 0.0);
-        assert_eq!(p.flits_per_cycle(), 0.0);
+        assert_eq!(p.total_link_flits(), 0);
     }
 }

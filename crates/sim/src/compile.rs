@@ -74,7 +74,7 @@
 //!
 //! [`InjectionSchedule`]: crate::inject::InjectionSchedule
 
-use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
+use crate::activity::{ActivityProfile, LinkActivity};
 use crate::config::{PacketClass, SimConfig};
 use crate::inject::InjectionSchedule;
 use crate::network::{EpochSample, EpochSeries, NetworkSim, SimReport};
@@ -285,48 +285,6 @@ impl LinkState {
     };
 }
 
-/// Per-router buffered-flit occupancy, integrated lazily: the reference
-/// loop samples `buffered` once per measurement cycle (before that cycle's
-/// commits), so a value set during cycle `c` counts for sample cycles
-/// `c + 1 ..`.  `accrue` settles the closed interval since the previous
-/// change; called at every change point and once at the end, it reproduces
-/// the per-cycle sum exactly without an O(routers) pass per cycle — and it
-/// makes the value independent of *which* cycles the engine visits, which
-/// is what lets commit-free stretches be jumped.
-#[derive(Debug, Clone, Copy)]
-struct RouterBuf {
-    buffered: u64,
-    /// First sample cycle the current `buffered` value applies to.
-    since: u64,
-    flit_cycles: u64,
-}
-
-impl RouterBuf {
-    #[inline]
-    fn accrue(&mut self, change_cycle: u64, measure_start: u64, measure_end: u64) {
-        let lo = self.since.max(measure_start);
-        let hi = (change_cycle + 1).min(measure_end);
-        if hi > lo {
-            self.flit_cycles += self.buffered * (hi - lo);
-        }
-        self.since = change_cycle + 1;
-    }
-}
-
-/// Windowed per-router activity accounting, packed so a commit's updates
-/// (forwarded flits, active-cycle edge detection, buffer accrual) land on
-/// one cache line per router instead of four parallel arrays.
-#[derive(Debug, Clone, Copy)]
-struct RouterState {
-    /// Flits forwarded during the measurement window.
-    flits: u64,
-    /// Measurement cycles with at least one commit out of this router.
-    active_cycles: u64,
-    /// Last cycle counted in `active_cycles` (edge detector).
-    last_active: u64,
-    buf: RouterBuf,
-}
-
 #[inline]
 fn set_bit(active: &mut [u64], link: u32) {
     active[(link / 64) as usize] |= 1u64 << (link % 64);
@@ -457,9 +415,9 @@ impl EpochProbe {
     /// commits of the epoch's last visited cycle have happened; nothing of
     /// the current cycle has, and jumped cycles change nothing).
     #[inline]
-    fn close_finished(&mut self, cycle: u64, routers: &[RouterState]) {
+    fn close_finished(&mut self, cycle: u64, buffered: u64) {
         while cycle >= self.next_end && self.idx < self.injected.len() {
-            self.buffered[self.idx] = routers.iter().map(|r| r.buf.buffered).sum();
+            self.buffered[self.idx] = buffered;
             self.idx += 1;
             self.next_end = if self.idx < self.injected.len() {
                 (self.measure_start + (self.idx as u64 + 1) * self.len).min(self.measure_end)
@@ -499,10 +457,10 @@ impl EpochProbe {
     }
 
     /// Close any epochs still open and assemble the series.
-    fn finish(mut self, routers: &[RouterState]) -> Option<EpochSeries> {
+    fn finish(mut self, buffered: u64) -> Option<EpochSeries> {
         let num = self.injected.len();
         while self.idx < num {
-            self.buffered[self.idx] = routers.iter().map(|r| r.buf.buffered).sum();
+            self.buffered[self.idx] = buffered;
             self.idx += 1;
         }
         (self.len > 0).then(|| EpochSeries {
@@ -532,7 +490,9 @@ struct St<'n> {
     num_vcs: usize,
     vc_buffer_flits: u64,
     lstate: Vec<LinkState>,
-    routers: Vec<RouterState>,
+    /// Flits resident in router input buffers network-wide: what the
+    /// epoch probe samples at each boundary.
+    buffered: u64,
     /// Flat per-(link, VC) buffer occupancy in flits.
     vc_occ: Vec<u32>,
     /// Per-router slot maps: slot `s` of router `r` is the packet the
@@ -837,9 +797,7 @@ impl St<'_> {
             if up.wait_vc == vc && occ + up.wait_flits as u64 <= self.vc_buffer_flits {
                 self.wake(cycle, in_link);
             }
-            let rb = &mut self.routers[from].buf;
-            rb.accrue(cycle, k.measure_start, k.measure_end);
-            rb.buffered = rb.buffered.saturating_sub(flits as u64);
+            self.buffered -= flits as u64;
         }
         // The link now serializes this packet: park it, re-arming when
         // it next has a ready packet — at `free_at` if a source head waits
@@ -857,21 +815,11 @@ impl St<'_> {
         if rearm != u64::MAX {
             self.ring_push(rearm.min(cycle + self.ring_mask), o as u32);
         }
-        {
-            let s = &mut self.lstate[o];
-            s.free_at = free_at;
-            if in_window {
-                s.flits += serialization;
-                s.busy_cycles += serialization.min(k.measure_end - cycle);
-            }
-        }
+        let s = &mut self.lstate[o];
+        s.free_at = free_at;
         if in_window {
-            let rs = &mut self.routers[from];
-            rs.flits += serialization;
-            if rs.last_active != cycle {
-                rs.last_active = cycle;
-                rs.active_cycles += 1;
-            }
+            s.flits += serialization;
+            s.busy_cycles += serialization.min(k.measure_end - cycle);
         }
         let arrival = cycle + k.link_latency + serialization + k.router_latency;
         if w.left == 0 {
@@ -889,9 +837,7 @@ impl St<'_> {
             }
         } else {
             self.vc_occ[o * self.num_vcs + vc as usize] += flits;
-            let rb = &mut self.routers[to].buf;
-            rb.accrue(cycle, k.measure_start, k.measure_end);
-            rb.buffered += flits as u64;
+            self.buffered += flits as u64;
             let hop = w.hop + 1;
             let c = Cand {
                 key: 0,
@@ -920,14 +866,11 @@ fn run_cycles(
     let mut cycle: u64 = 0;
     while cycle < k.total_cycles {
         let in_window = cycle >= k.measure_start && cycle < k.measure_end;
-        probe.close_finished(cycle, &st.routers);
+        probe.close_finished(cycle, st.buffered);
         st.drain_ring(cycle);
         // Traffic generation: a headless source whose next arrival is due
         // takes it as its head.  Backlogged sources are off the calendar;
-        // they draw when their head leaves.  (Buffer occupancy for the
-        // router activity profile is integrated lazily at change points —
-        // see `RouterBuf::accrue` — instead of the reference loop's
-        // per-cycle sampling pass.)
+        // they draw when their head leaves.
         if cycle < k.measure_end {
             while let Some(src) = inj.pop_due_source(cycle) {
                 st.next_head(&mut inj, src, cycle, k, counters, probe);
@@ -1121,19 +1064,7 @@ fn run_state<'n>(
         num_vcs,
         vc_buffer_flits: cfg.vc_buffer_flits as u64,
         lstate: vec![LinkState::IDLE; l],
-        routers: vec![
-            RouterState {
-                flits: 0,
-                active_cycles: 0,
-                last_active: u64::MAX,
-                buf: RouterBuf {
-                    buffered: 0,
-                    since: 0,
-                    flit_cycles: 0,
-                },
-            };
-            n
-        ],
+        buffered: 0,
         vc_occ: vec![0; l * num_vcs],
         slots: vec![Vec::new(); n],
         slabs: vec![Vec::new(); l],
@@ -1160,18 +1091,10 @@ fn run_counted(
     net: &CompiledNetwork,
     offered_flits_per_node_cycle: f64,
 ) -> (SimReport, Visits) {
-    let (mut st, counters, probe, visits) = run_state(sim, net, offered_flits_per_node_cycle);
+    let (st, counters, probe, visits) = run_state(sim, net, offered_flits_per_node_cycle);
     let cfg = sim.config();
     let n = net.n;
-    let measure_start = cfg.warmup_cycles;
-    let measure_end = cfg.warmup_cycles + cfg.measure_cycles;
-
-    // Settle the lazily integrated buffer occupancies up to the end of the
-    // measurement window, then close any epochs still open.
-    for rs in st.routers.iter_mut() {
-        rs.buf.accrue(measure_end, measure_start, measure_end);
-    }
-    let epochs = probe.finish(&st.routers);
+    let epochs = probe.finish(st.buffered);
     let measure_cycles = cfg.measure_cycles as f64;
     let injected = counters.window_flits as f64 / (n as f64 * measure_cycles);
     let accepted = counters.flits_ejected as f64 / (n as f64 * measure_cycles);
@@ -1188,14 +1111,6 @@ fn run_counted(
                 busy_cycles: st.lstate[idx].busy_cycles,
             })
             .collect(),
-        routers: (0..n)
-            .map(|r| RouterActivity {
-                router: r,
-                flits_forwarded: st.routers[r].flits,
-                active_cycles: st.routers[r].active_cycles,
-                buffer_flit_cycles: st.routers[r].buf.flit_cycles,
-            })
-            .collect(),
     };
     let avg_latency_cycles = counters.stats.mean();
     let report = SimReport {
@@ -1209,7 +1124,6 @@ fn run_counted(
         packets_injected: counters.packets,
         packets_ejected: counters.packets_ejected,
         packets_unfinished: counters.outstanding,
-        avg_link_utilization: activity.avg_link_utilization(),
         activity,
         epochs,
         latency: counters.stats,
@@ -1514,8 +1428,8 @@ mod tests {
     /// A saturated 8x6 run cut off at the end of its window (no drain)
     /// leaves packets buffered mid-flight.  Every router slot points at a
     /// slab entry whose key carries that slot, every slab entry belongs to
-    /// a slot of its link's upstream router, and each router's entries add
-    /// up to its buffered flits.
+    /// a slot of its link's upstream router, and the entries add up to the
+    /// network-wide buffered flits.
     #[test]
     fn slabs_and_slot_maps_point_at_each_other() {
         let layout = Layout::noi_8x6();
@@ -1530,9 +1444,8 @@ mod tests {
             })
             .build();
         let (st, ..) = run_state(&sim, sim.compiled(), 1.0);
-        let mut buffered = 0;
+        let (mut buffered, mut flits) = (0, 0);
         for (r, slots) in st.slots.iter().enumerate() {
-            let mut flits = 0;
             for (slot, &(o, pos)) in slots.iter().enumerate() {
                 assert_ne!(o, NONE, "every NDBT hop is a physical link");
                 assert_eq!(st.net.links[o as usize].0, r);
@@ -1540,9 +1453,9 @@ mod tests {
                 assert_eq!((c.key & SLOT_MASK) as usize, slot, "router {r} slot {slot}");
                 flits += c.flits as u64;
             }
-            assert_eq!(flits, st.routers[r].buf.buffered, "router {r}");
             buffered += slots.len();
         }
+        assert_eq!(flits, st.buffered);
         for (o, slab) in st.slabs.iter().enumerate() {
             let from = st.net.links[o].0;
             for (pos, c) in slab.iter().enumerate() {

@@ -43,7 +43,7 @@ pub mod network;
 pub mod stats;
 pub mod sweep;
 
-pub use activity::{ActivityProfile, LinkActivity, RouterActivity};
+pub use activity::{ActivityProfile, LinkActivity};
 pub use compile::CompiledNetwork;
 pub use config::{PacketClass, SimConfig};
 pub use inject::{InjectionEvent, InjectionSchedule};

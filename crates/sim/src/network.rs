@@ -11,7 +11,7 @@
 //! the rest of each source's arrivals when the head leaves; both produce
 //! bit-identical [`SimReport`]s, which the equivalence proptests assert.
 
-use crate::activity::{ActivityProfile, LinkActivity, RouterActivity};
+use crate::activity::{ActivityProfile, LinkActivity};
 use crate::compile::CompiledNetwork;
 use crate::config::SimConfig;
 use crate::inject::InjectionSchedule;
@@ -140,11 +140,9 @@ pub struct SimReport {
     /// Measured packets still stuck in the network or at their sources
     /// when the drain budget expired.
     pub packets_unfinished: u64,
-    /// Average link utilization (flit-cycles used / link-cycles available)
-    /// over the measurement window.
-    pub avg_link_utilization: f64,
-    /// Per-directed-link and per-router activity measured over the window;
-    /// the input to measured power reports and energy policies.
+    /// Per-directed-link activity measured over the window; the input to
+    /// measured power reports and energy policies.  Average link
+    /// utilization is [`ActivityProfile::avg_link_utilization`].
     pub activity: ActivityProfile,
     /// Per-epoch time-series over the measurement window, present when
     /// [`SimConfig::epoch_cycles`] is non-zero and the compiled engine ran
@@ -395,11 +393,6 @@ impl<'a> NetworkSim<'a> {
         // Windowed activity accounting (measurement cycles only).
         let mut link_flits: Vec<u64> = vec![0; links.len()];
         let mut link_busy_cycles: Vec<u64> = vec![0; links.len()];
-        let mut router_flits: Vec<u64> = vec![0; n];
-        let mut router_active_cycles: Vec<u64> = vec![0; n];
-        let mut router_last_active: Vec<u64> = vec![u64::MAX; n];
-        let mut router_buffered_flits: Vec<u64> = vec![0; n];
-        let mut router_buffer_flit_cycles: Vec<u64> = vec![0; n];
 
         // Per-incoming-channel, per-VC buffer occupancy in flits.  Buffers
         // are per channel (not per router) so the Dally & Seitz argument —
@@ -424,12 +417,6 @@ impl<'a> NetworkSim<'a> {
 
         for cycle in 0..total_cycles {
             let in_window = cycle >= measure_start && cycle < measure_end;
-            // 0. Buffer-occupancy sampling for the router activity profile.
-            if in_window {
-                for (r, &buffered) in router_buffered_flits.iter().enumerate() {
-                    router_buffer_flit_cycles[r] += buffered;
-                }
-            }
             // 1. Traffic generation (stops after the measurement window so
             //    the drain phase can empty the network).
             if cycle < measure_end {
@@ -515,19 +502,12 @@ impl<'a> NetworkSim<'a> {
                     let freed = residents[from].swap_remove(ri);
                     vc_occupancy[freed.in_link][packet.vc] =
                         vc_occupancy[freed.in_link][packet.vc].saturating_sub(packet.flits);
-                    router_buffered_flits[from] =
-                        router_buffered_flits[from].saturating_sub(packet.flits as u64);
                 }
                 let serialization = packet.flits as u64;
                 link_free_at[idx] = cycle + serialization;
                 if in_window {
                     link_flits[idx] += serialization;
                     link_busy_cycles[idx] += serialization.min(measure_end - cycle);
-                    router_flits[from] += serialization;
-                    if router_last_active[from] != cycle {
-                        router_last_active[from] = cycle;
-                        router_active_cycles[from] += 1;
-                    }
                 }
                 let arrival = cycle + cfg.link_latency + serialization + cfg.router_latency;
                 if ejecting {
@@ -544,7 +524,6 @@ impl<'a> NetworkSim<'a> {
                     }
                 } else {
                     vc_occupancy[idx][packet.vc] += packet.flits;
-                    router_buffered_flits[to] += packet.flits as u64;
                     residents[to].push(Resident {
                         packet,
                         ready_at: arrival,
@@ -569,14 +548,6 @@ impl<'a> NetworkSim<'a> {
                     busy_cycles: link_busy_cycles[idx],
                 })
                 .collect(),
-            routers: (0..n)
-                .map(|r| RouterActivity {
-                    router: r,
-                    flits_forwarded: router_flits[r],
-                    active_cycles: router_active_cycles[r],
-                    buffer_flit_cycles: router_buffer_flit_cycles[r],
-                })
-                .collect(),
         };
         let avg_latency_cycles = stats.mean();
         SimReport {
@@ -590,7 +561,6 @@ impl<'a> NetworkSim<'a> {
             packets_injected,
             packets_ejected,
             packets_unfinished: measured_outstanding,
-            avg_link_utilization: activity.avg_link_utilization(),
             activity,
             epochs: None,
             latency: stats,
@@ -729,11 +699,8 @@ mod tests {
             .build();
         let report = sim.run(0.2);
         let activity = &report.activity;
-        // One entry per directed link and per router.
+        // One entry per directed link.
         assert_eq!(activity.links.len(), mesh.num_directed_links());
-        assert_eq!(activity.routers.len(), mesh.num_routers());
-        // The scalar utilization is exactly the profile's average.
-        assert!((report.avg_link_utilization - activity.avg_link_utilization()).abs() < 1e-12);
         assert!(activity.avg_link_utilization() > 0.0);
         // Busy cycles never exceed the window, flits move somewhere.
         for l in &activity.links {
@@ -741,13 +708,6 @@ mod tests {
             assert!(mesh.has_link(l.from, l.to));
         }
         assert!(activity.total_link_flits() > 0);
-        // Every forwarded flit is attributed to the router driving the link.
-        let link_total: u64 = activity.links.iter().map(|l| l.flits).sum();
-        let router_total: u64 = activity.routers.iter().map(|r| r.flits_forwarded).sum();
-        assert_eq!(link_total, router_total);
-        // Under uniform traffic at a moderate load some router buffers
-        // must have been occupied during the window.
-        assert!(activity.routers.iter().any(|r| r.buffer_flit_cycles > 0));
     }
 
     #[test]

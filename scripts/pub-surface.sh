@@ -16,6 +16,14 @@
 # The check is by name only: a mention in a comment, or an unrelated item
 # of the same name elsewhere, passes, and so does a mention in another
 # file of the same crate (the item may then still be narrower than `pub`).
+# Two blind spots follow from that:
+#
+# - `pub` struct fields are never listed, so an output field no caller
+#   reads is not caught (`ActivityProfile::routers` and
+#   `SimReport::avg_link_utilization` both went unflagged).
+# - a `pub fn` passes when its name is also a parameter or local name in
+#   any other file (`ActivityProfile::flits_per_cycle` passed on a
+#   `flits_per_cycle` parameter in the simulator's config).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
