@@ -32,7 +32,7 @@ const DIGESTS: &[(&str, u64)] = &[
     ("fig13_resilience", 0x799c55cb0fc59faf),
     ("fig14_pareto", 0x8e200922db67cd37),
     ("fig15_trace", 0x4c6e288743641992),
-    ("fig16_serving", 0x6083a76d1787782b),
+    ("fig16_serving", 0xdf12b63d9aad32e9),
     ("table02_metrics", 0xbb93165034e2ff12),
     ("ablation_symmetry", 0x7f93c4697e771460),
 ];

@@ -23,9 +23,11 @@ pub struct EpochRecord {
     /// Mean utilization over the links that served the epoch — the
     /// signal the next epoch's policy decision reads (0 in downtime).
     pub avg_link_utilization: f64,
-    /// Mean packet latency in cycles (0 when nothing was delivered).
+    /// Mean packet latency in cycles at the nominal clock (0 when nothing
+    /// was delivered); a downclocked epoch's own cycles are divided by its
+    /// `freq_scale`.
     pub mean_latency_cycles: f64,
-    /// In-epoch p95 latency in cycles.
+    /// In-epoch p95 latency in cycles at the nominal clock.
     pub p95_latency_cycles: f64,
     /// Full-duplex pairs the online policy kept gated this epoch.
     pub gated_pairs: u32,
@@ -61,13 +63,16 @@ pub struct ServingReport {
     /// Energy per delivered flit restricted to low-load epochs — the
     /// column the "LinkSleep saves energy at low load" assertion reads.
     pub low_load_energy_per_flit_pj: f64,
-    /// The merged latency histogram of every served epoch; horizon-exact
-    /// percentiles come from here, not from averaging per-epoch tails.
+    /// The merged latency histogram of every served epoch, in cycles at
+    /// the nominal clock (a DVFS epoch's latencies are divided by its
+    /// `freq_scale` as they merge); horizon-exact percentiles come from
+    /// here, not from averaging per-epoch tails.
     pub latency: LatencyStats,
     /// Horizon-exact tail latencies, in cycles at the nominal clock.
     pub p95_latency_cycles: f64,
     pub p99_latency_cycles: f64,
-    /// Mean latency over every delivered packet of the horizon, cycles.
+    /// Mean latency over every delivered packet of the horizon, in cycles
+    /// at the nominal clock.
     pub mean_latency_cycles: f64,
     /// Gated pair-epochs accumulated by LinkSleep (0 for other policies).
     pub gated_pair_epochs: u64,
@@ -84,7 +89,8 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    /// Horizon-exact percentile in nanoseconds at the given clock.
+    /// Horizon-exact percentile in nanoseconds, given the nominal clock
+    /// the latency histogram is counted in.
     pub fn percentile_ns(&self, p: f64, clock_ghz: f64) -> f64 {
         self.latency.percentile(p) / clock_ghz
     }

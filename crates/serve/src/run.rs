@@ -363,7 +363,11 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
         let delivered = (report.accepted_flits_per_node_cycle * n * epoch_cfg.measure_cycles as f64)
             .round() as u64;
 
-        horizon_stats.merge(&report.latency);
+        // A downclocked epoch counts its latencies in its own, slower
+        // cycles: read them at the nominal clock before they join the
+        // horizon (a factor of 1.0 is the plain merge).
+        let to_nominal = 1.0 / level.freq_scale;
+        horizon_stats.merge_scaled(&report.latency, to_nominal);
         availability_sum += report.delivered_fraction();
         delivered_total += delivered;
         energy_total_pj += energy_pj;
@@ -384,8 +388,8 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
             total_mw,
             energy_pj,
             avg_link_utilization: report.activity.avg_link_utilization(),
-            mean_latency_cycles: report.avg_latency_cycles,
-            p95_latency_cycles: report.p95_latency_cycles,
+            mean_latency_cycles: report.avg_latency_cycles * to_nominal,
+            p95_latency_cycles: report.p95_latency_cycles * to_nominal,
             gated_pairs: gated.len() as u32,
             freq_scale: level.freq_scale,
             fault_arrived,

@@ -206,7 +206,7 @@ fn assert_pinned(name: &str, got: u64, expected: u64) {
 
 const ALWAYS_ON_DIGEST: u64 = 0x016c_f4b2_69fa_0a8d;
 const LINK_SLEEP_DIGEST: u64 = 0xf4c8_cdf0_003a_37bd;
-const DVFS_DIGEST: u64 = 0x1368_8af0_f1b8_e5d4;
+const DVFS_DIGEST: u64 = 0x02fd_3453_d2b9_1c36;
 const TIGHT_LINK_SLEEP_DIGEST: u64 = 0xbcb4_538f_bbe6_d983;
 
 #[test]

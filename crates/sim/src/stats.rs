@@ -128,6 +128,25 @@ impl LatencyStats {
             self.histogram[bin] += c;
         }
     }
+
+    /// Merge statistics recorded in another time unit, multiplying each of
+    /// their latencies by `factor`: `1 / freq_scale` reads a downclocked
+    /// run's cycles at the nominal clock.  Each bin's representative value
+    /// is scaled and re-binned; the total and the maximum are scaled
+    /// exactly.  A factor of 1.0 is the plain [`LatencyStats::merge`].
+    pub fn merge_scaled(&mut self, other: &LatencyStats, factor: f64) {
+        if factor == 1.0 {
+            return self.merge(other);
+        }
+        self.count += other.count;
+        self.total += other.total * factor;
+        self.max = self.max.max(other.max * factor);
+        for (bin, &c) in other.histogram.iter().enumerate() {
+            if c > 0 {
+                self.histogram[Self::bin_of(Self::bin_value(bin) * factor)] += c;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +248,42 @@ mod tests {
         assert_eq!(a.count(), 3);
         let p = a.percentile(0.5);
         assert!((p - 4_000.0).abs() / 4_000.0 < 0.10, "median = {p}");
+    }
+
+    #[test]
+    fn merge_scaled_by_one_is_the_plain_merge() {
+        let mut base = LatencyStats::new();
+        base.record(3.0);
+        let mut other = LatencyStats::new();
+        for l in [7.0, 1_500.0, 4_321.0, 1e7] {
+            other.record(l);
+        }
+        let mut plain = base.clone();
+        plain.merge(&other);
+        let mut scaled = base;
+        scaled.merge_scaled(&other, 1.0);
+        assert_eq!(scaled, plain);
+        assert_eq!(scaled.total.to_bits(), plain.total.to_bits());
+    }
+
+    #[test]
+    fn merge_scaled_multiplies_every_latency() {
+        let mut slow = LatencyStats::new();
+        for l in [10.0, 20.0, 30.0, 3_000.0] {
+            slow.record(l);
+        }
+        let mut s = LatencyStats::new();
+        s.merge_scaled(&slow, 2.0);
+        assert_eq!(s.count(), 4);
+        assert_eq!(s.mean(), 2.0 * slow.mean());
+        assert_eq!(s.max(), 6_000.0);
+        // Linear-range bins land on the exact doubled latencies.
+        assert_eq!(s.percentile(0.25), 20.0);
+        assert_eq!(s.percentile(0.5), 40.0);
+        assert_eq!(s.percentile(0.75), 60.0);
+        // A tail bin keeps its ~9% resolution around the doubled value.
+        let top = s.percentile(1.0);
+        assert!((top - 6_000.0).abs() / 6_000.0 < 0.10, "p100 = {top}");
     }
 
     #[test]
