@@ -365,7 +365,7 @@ pub fn serve(inputs: &ServingInputs<'_>, config: &ServingConfig, obs: &Obs) -> S
 
         // A downclocked epoch counts its latencies in its own, slower
         // cycles: read them at the nominal clock before they join the
-        // horizon (a factor of 1.0 is the plain merge).
+        // horizon (a factor of 1.0 leaves them as they are).
         let to_nominal = 1.0 / level.freq_scale;
         horizon_stats.merge_scaled(&report.latency, to_nominal);
         availability_sum += report.delivered_fraction();

@@ -133,11 +133,9 @@ impl LatencyStats {
     /// their latencies by `factor`: `1 / freq_scale` reads a downclocked
     /// run's cycles at the nominal clock.  Each bin's representative value
     /// is scaled and re-binned; the total and the maximum are scaled
-    /// exactly.  A factor of 1.0 is the plain [`LatencyStats::merge`].
+    /// exactly.  A factor of 1.0 gives exactly [`LatencyStats::merge`]'s
+    /// result: every bin's value re-bins to the bin itself.
     pub fn merge_scaled(&mut self, other: &LatencyStats, factor: f64) {
-        if factor == 1.0 {
-            return self.merge(other);
-        }
         self.count += other.count;
         self.total += other.total * factor;
         self.max = self.max.max(other.max * factor);
@@ -254,10 +252,13 @@ mod tests {
     fn merge_scaled_by_one_is_the_plain_merge() {
         let mut base = LatencyStats::new();
         base.record(3.0);
+        // One sample in every bin, linear and geometric, plus one beyond
+        // the last tail bin.
         let mut other = LatencyStats::new();
-        for l in [7.0, 1_500.0, 4_321.0, 1e7] {
-            other.record(l);
+        for bin in 0..LINEAR_BINS + TAIL_BINS {
+            other.record(LatencyStats::bin_value(bin));
         }
+        other.record(1e12);
         let mut plain = base.clone();
         plain.merge(&other);
         let mut scaled = base;
