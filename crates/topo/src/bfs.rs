@@ -4,7 +4,12 @@
 //! [`crate::analysis::TopoAnalysis::new`] and the incremental rows of
 //! [`crate::analysis::TopoAnalysis::after_move`] — comes from [`Bfs`]
 //! running over a [`BitAdjacency`]: the topology's out-adjacency packed
-//! into `ceil(n/64)` 64-bit words per router, built once per call.  So
+//! into `ceil(n/64)` 64-bit words per router, built once per call.  The
+//! Kite greedy fill (`expert.rs`) runs no search per candidate link: it
+//! derives each candidate duplex pair's total hops from one
+//! `all_pairs_hops` matrix per round, by the identity
+//! `D'[s][d] = min(D[s][d], D[s][a] + 1 + D[b][d], D[s][b] + 1 + D[a][d])`
+//! for an added pair `a <-> b`.  So
 //! does every reachability answer of [`crate::resilience`]: a router
 //! reaches the routers its level row marks as reachable.
 //! [`crate::resilience::unreachable_pairs_among`] packs only the alive

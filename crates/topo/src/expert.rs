@@ -213,7 +213,9 @@ pub fn kite_large(layout: &Layout) -> Topology {
 /// greedily refined with the symmetric link (within the class and radix
 /// budget) that most reduces total hop count.  Ties are broken towards
 /// shorter physical links and lower router indices, keeping the result
-/// deterministic and "regular looking".
+/// deterministic and "regular looking".  Each round runs one all-pairs
+/// BFS and scores every candidate link from that distance matrix, so the
+/// 48-router Kite-Medium takes a few milliseconds in release.
 pub fn kite(layout: &Layout, class: LinkClass) -> Topology {
     let mut t = Topology::empty(format!("Kite-{}", class.name()), layout.clone(), class);
     for (a, b) in hamiltonian_ring(layout) {
@@ -359,15 +361,28 @@ fn add_bidirectional_if_ports(t: &mut Topology, a: RouterId, b: RouterId) -> boo
 
 /// Greedily add the symmetric link that most reduces total hops until no
 /// candidate improves the objective or no ports remain.
+///
+/// Each round runs one all-pairs BFS and scores every candidate pair
+/// against that matrix ([`RoundHops::total_with_pair`]) rather than
+/// searching the network again with the pair added.  Candidates come in
+/// `(a, b)` order, so a later one displaces the incumbent only with
+/// strictly fewer hops, or as many hops and a shorter span; one whose
+/// running total passes the incumbent's hops can do neither, and its
+/// scoring stops there.  Which routers still have a free port both ways
+/// is read once per round.
 fn greedy_fill_symmetric(t: &mut Topology) {
     let layout = t.layout().clone();
     let class = t.class();
     let n = layout.num_routers();
     loop {
-        let base = metrics::total_hops(t).unwrap_or(u64::MAX);
+        let round = RoundHops::new(t);
+        let base = round.total();
+        let free: Vec<bool> = (0..n)
+            .map(|r| t.free_out_ports(r) > 0 && t.free_in_ports(r) > 0)
+            .collect();
         let mut best: Option<(u64, usize, (RouterId, RouterId))> = None;
-        for a in 0..n {
-            for b in (a + 1)..n {
+        for a in (0..n).filter(|&a| free[a]) {
+            for b in ((a + 1)..n).filter(|&b| free[b]) {
                 if t.has_link(a, b) || t.has_link(b, a) {
                     continue;
                 }
@@ -375,23 +390,13 @@ fn greedy_fill_symmetric(t: &mut Topology) {
                 if !class.allows(LinkSpan::new(dx, dy)) {
                     continue;
                 }
-                if t.free_out_ports(a) == 0
-                    || t.free_in_ports(a) == 0
-                    || t.free_out_ports(b) == 0
-                    || t.free_in_ports(b) == 0
-                {
+                // No pair adds hops, so the base never cuts a score short.
+                let cap = best.map_or(base, |(hops, _, _)| hops);
+                let Some(hops) = round.total_with_pair(a, b, cap) else {
                     continue;
-                }
-                t.add_bidirectional(a, b);
-                let hops = metrics::total_hops(t).unwrap_or(u64::MAX);
-                t.remove_link(a, b);
-                t.remove_link(b, a);
-                let span_len = dx + dy;
-                let candidate = (hops, span_len, (a, b));
-                if best
-                    .as_ref()
-                    .is_none_or(|cur| (hops, span_len, (a, b)) < *cur)
-                {
+                };
+                let candidate = (hops, dx + dy, (a, b));
+                if best.is_none_or(|cur| candidate < cur) {
                     best = Some(candidate);
                 }
             }
@@ -405,10 +410,126 @@ fn greedy_fill_symmetric(t: &mut Topology) {
     }
 }
 
+/// One greedy round's all-pairs hop distances, with each source's row
+/// summed once, against which every candidate pair of the round is scored.
+struct RoundHops {
+    n: usize,
+    /// `dist[s * n + d]`, from [`metrics::all_pairs_hops`].
+    dist: Vec<u32>,
+    row_sums: Vec<u64>,
+}
+
+impl RoundHops {
+    fn new(t: &Topology) -> Self {
+        let n = t.num_routers();
+        let dist = metrics::all_pairs_hops(t);
+        debug_assert!(
+            !dist.contains(&metrics::UNREACHABLE),
+            "the Hamiltonian ring keeps every round strongly connected"
+        );
+        let row_sums = dist
+            .chunks(n)
+            .map(|row| row.iter().map(|&h| h as u64).sum())
+            .collect();
+        RoundHops { n, dist, row_sums }
+    }
+
+    fn row(&self, r: RouterId) -> &[u32] {
+        &self.dist[r * self.n..(r + 1) * self.n]
+    }
+
+    /// Total hop count of the network as it stands.
+    fn total(&self) -> u64 {
+        self.row_sums.iter().sum()
+    }
+
+    /// Total hop count once the duplex pair `a <-> b` is added, or `None`
+    /// as soon as the running total, summed source by source, exceeds
+    /// `cap`.
+    ///
+    /// No shortest path uses both new links (that would revisit an end),
+    /// so the new distance is `min(D[s][d], D[s][a] + 1 + D[b][d],
+    /// D[s][b] + 1 + D[a][d])`.  From source `s` the link `a -> b` can
+    /// only help when it reaches `b` sooner, `D[s][a] + 1 < D[s][b]`;
+    /// otherwise `D[s][a] + 1 + D[b][d] >= D[s][b] + D[b][d] >= D[s][d]`.
+    /// At most one direction can help, and when neither does the source's
+    /// row keeps its sum.
+    fn total_with_pair(&self, a: RouterId, b: RouterId, cap: u64) -> Option<u64> {
+        let mut total = 0u64;
+        for (s, &row_sum) in self.row_sums.iter().enumerate() {
+            let from = self.row(s);
+            let (to_a, to_b) = (from[a], from[b]);
+            total += if to_a + 1 < to_b {
+                shortcut_row_sum(from, to_a + 1, self.row(b))
+            } else if to_b + 1 < to_a {
+                shortcut_row_sum(from, to_b + 1, self.row(a))
+            } else {
+                row_sum
+            };
+            if total > cap {
+                return None;
+            }
+        }
+        Some(total)
+    }
+}
+
+/// `Σ_d min(from[d], via + beyond[d])`: one source's hop sum when it can
+/// also reach the new link's far end in `via` hops, and each `d` from
+/// there in `beyond[d]`.
+fn shortcut_row_sum(from: &[u32], via: u32, beyond: &[u32]) -> u64 {
+    from.iter()
+        .zip(beyond)
+        .map(|(&d, &e)| d.min(via + e))
+        .sum::<u32>() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::TopoAnalysis;
     use crate::cuts;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn pair_scores_match_a_fresh_search_and_give_up_only_past_the_cap() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        for (rows, cols) in [(2, 3), (3, 3), (4, 5), (5, 6), (8, 9)] {
+            let layout = Layout::interposer_grid(rows, cols, rows * cols);
+            let n = layout.num_routers();
+            for density in [0.0, 0.05, 0.2] {
+                // A ring of duplex links plus random one-way links.
+                let class = LinkClass::Custom(LinkSpan::new(cols, rows));
+                let mut t = Topology::empty("random", layout.clone(), class);
+                for (a, b) in hamiltonian_ring(&layout) {
+                    t.add_bidirectional(a, b);
+                }
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        if rng.gen_bool(density) {
+                            t.add_link(a, b);
+                        }
+                    }
+                }
+                let round = RoundHops::new(&t);
+                for _ in 0..20 {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if a == b || t.has_link(a, b) || t.has_link(b, a) {
+                        continue;
+                    }
+                    let mut with_pair = t.clone();
+                    with_pair.add_bidirectional(a, b);
+                    let truth = TopoAnalysis::new(&with_pair).total_hops().unwrap();
+                    assert_eq!(round.total_with_pair(a, b, u64::MAX), Some(truth));
+                    for cap in [truth.saturating_sub(rng.gen_range(1..50)), truth, truth + 1] {
+                        let expected = (truth <= cap).then_some(truth);
+                        assert_eq!(round.total_with_pair(a, b, cap), expected, "cap {cap}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mesh_4x5_link_count() {
