@@ -10,8 +10,8 @@
 //!   `sim_48r_saturated` (the compiled engine past saturation),
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
-//! * **Per-layer probes** (30, named `group/case`) time topology metrics
-//!   and cuts, paths, MCLB, VC allocation and its deadlock check,
+//! * **Per-layer probes** (31, named `group/case`) time topology metrics
+//!   and cuts, the Kite greedy fill, paths, MCLB, VC allocation and its deadlock check,
 //!   objective evaluation, annealing, injection, the compiled engine and
 //!   the serving gate at 20 and 48 routers. They are printed, not
 //!   recorded.
@@ -305,6 +305,10 @@ const PROBES: &[Probe] = &[
     }),
     layer("metrics/topology_metrics_48r", |calls| {
         on_topology(calls, torus_48r(), TopologyMetrics::compute)
+    }),
+    layer("topo/kite_medium_48r", |calls| {
+        let layout = Layout::noi_8x6();
+        sample(calls, || expert::kite_medium(&layout))
     }),
     layer("routing/all_shortest_paths_20r", |calls| {
         on_topology(calls, kite_large_20r(), all_shortest_paths)
@@ -875,7 +879,7 @@ mod tests {
         let names = |filter| -> Vec<_> { select(Some(filter)).iter().map(|p| p.name).collect() };
         assert_eq!(names("fig08_sim"), ["fig08_sim"]);
         let layers = select(Some("/"));
-        assert_eq!(layers.len(), 30);
+        assert_eq!(layers.len(), 31);
         assert!(layers.iter().all(|p| p.gate.is_none()));
         assert!(names("nosuch").is_empty());
     }
