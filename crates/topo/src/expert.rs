@@ -314,26 +314,42 @@ pub fn baselines_for_class(layout: &Layout, class: LinkClass) -> Vec<Topology> {
 }
 
 /// A Hamiltonian ring over the grid using only unit-length links:
-/// boustrophedon over columns `1..cols`, returning along column 0.
+/// boustrophedon over columns `1..cols` row by row, returning along
+/// column 0.  That closes with a unit link when `rows` is even; when
+/// `rows` is odd and `cols` even, rows and columns swap roles
+/// (boustrophedon over rows `1..rows` column by column, returning along
+/// row 0).  When both are odd no unit-length ring exists (the grid is
+/// bipartite with an odd number of routers), and the first form closes
+/// with a link spanning `cols - 1` columns.
 pub fn hamiltonian_ring(layout: &Layout) -> Vec<(RouterId, RouterId)> {
     let (rows, cols) = (layout.rows(), layout.cols());
     assert!(rows >= 2 && cols >= 2);
-    let mut path: Vec<RouterId> = Vec::with_capacity(rows * cols);
-    // Serpentine over columns 1..cols for each row, top to bottom.
-    for r in 0..rows {
-        let cols_iter: Vec<usize> = if r % 2 == 0 {
-            (1..cols).collect()
+    let by_columns = rows % 2 == 1 && cols % 2 == 0;
+    // `lines` lines of `len` routers; `at(line, k)` is the k-th router of
+    // a line.
+    let (lines, len) = if by_columns {
+        (cols, rows)
+    } else {
+        (rows, cols)
+    };
+    let at = |line: usize, k: usize| {
+        if by_columns {
+            layout.router_at(k, line)
         } else {
-            (1..cols).rev().collect()
-        };
-        for c in cols_iter {
-            path.push(layout.router_at(r, c));
+            layout.router_at(line, k)
+        }
+    };
+    let mut path: Vec<RouterId> = Vec::with_capacity(rows * cols);
+    // Serpentine over positions 1..len of each line, first to last.
+    for line in 0..lines {
+        if line % 2 == 0 {
+            path.extend((1..len).map(|k| at(line, k)));
+        } else {
+            path.extend((1..len).rev().map(|k| at(line, k)));
         }
     }
-    // Return along column 0, bottom to top.
-    for r in (0..rows).rev() {
-        path.push(layout.router_at(r, 0));
-    }
+    // Return along position 0, last line to first.
+    path.extend((0..lines).rev().map(|line| at(line, 0)));
     let mut links = Vec::with_capacity(path.len());
     for w in path.windows(2) {
         links.push((w[0], w[1]));
@@ -622,6 +638,30 @@ mod tests {
         for (a, b) in &ring {
             let (dx, dy) = layout.span(*a, *b);
             assert!(dx + dy == 1, "ring link {a}->{b} spans ({dx},{dy})");
+        }
+    }
+
+    #[test]
+    fn rings_are_unit_length_and_kites_validate_when_a_side_is_even() {
+        for rows in 2..=8 {
+            for cols in (2..=8).filter(|&cols| rows % 2 == 0 || cols % 2 == 0) {
+                let layout = Layout::interposer_grid(rows, cols, 4);
+                let ring = hamiltonian_ring(&layout);
+                assert_eq!(ring.len(), rows * cols);
+                for (a, b) in ring {
+                    let (dx, dy) = layout.span(a, b);
+                    assert_eq!(dx + dy, 1, "{rows}x{cols}: ring link {a}->{b}");
+                }
+                for class in LinkClass::STANDARD {
+                    let t = kite(&layout, class);
+                    assert!(
+                        t.is_valid(),
+                        "{rows}x{cols} {}: {:?}",
+                        t.name(),
+                        t.validate()
+                    );
+                }
+            }
         }
     }
 
