@@ -214,8 +214,8 @@ pub fn kite_large(layout: &Layout) -> Topology {
 /// budget) that most reduces total hop count.  Ties are broken towards
 /// shorter physical links and lower router indices, keeping the result
 /// deterministic and "regular looking".  Each round runs one all-pairs
-/// BFS and scores every candidate link from that distance matrix, so the
-/// 48-router Kite-Medium takes a few milliseconds in release.
+/// BFS and scores every candidate link from that distance matrix, with no
+/// search of its own.
 pub fn kite(layout: &Layout, class: LinkClass) -> Topology {
     let mut t = Topology::empty(format!("Kite-{}", class.name()), layout.clone(), class);
     for (a, b) in hamiltonian_ring(layout) {
