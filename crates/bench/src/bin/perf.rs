@@ -11,10 +11,10 @@
 //!   `serving_horizon` (a fig16-style serving lifetime) and
 //!   `suite --quick` wall-clock.
 //! * **Per-layer probes** (31, named `group/case`) time topology metrics
-//!   and cuts, the Kite greedy fill, paths, MCLB, VC allocation and its deadlock check,
-//!   objective evaluation, annealing, injection, the compiled engine and
-//!   the serving gate at 20 and 48 routers. They are printed, not
-//!   recorded.
+//!   and cuts, the Kite greedy fill, paths, MCLB, VC allocation and its
+//!   deadlock check, objective evaluation, annealing, injection, the
+//!   compiled engine and the serving gate at 20 and 48 routers. They are
+//!   printed, not recorded.
 //!
 //! Modes: `--record` (the default) runs the selected probes and prints
 //! each report; with no `--probe` it also rewrites `BENCH_10.json` from
